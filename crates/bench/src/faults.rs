@@ -42,7 +42,8 @@ fn planner_config() -> PlannerConfig {
 /// The end-to-end completion time a user observes: the degraded makespan
 /// when faults bit, the plain makespan otherwise.
 fn seconds(r: &RecoveryReport) -> f64 {
-    r.degraded_makespan.unwrap_or(r.report.simulated_seconds)
+    r.degraded_makespan
+        .unwrap_or(r.run.report().simulated_seconds)
 }
 
 /// The schedule for one sweep point: a generous retry budget so transient
@@ -70,7 +71,8 @@ pub fn measure(planner: &dyn Planner, schedule: &FaultSchedule) -> RecoveryRepor
     let case = &TABLE2[1];
     let (cluster, task) = case.build().expect("case2 builds");
     let plan = planner.plan(&task);
-    execute_with_repair(&plan, &cluster, &SimBackend, schedule).expect("scenario is recoverable")
+    execute_with_repair(&plan, &cluster, &SimBackend, schedule, None)
+        .expect("scenario is recoverable")
 }
 
 /// Regenerates the degradation sweep.

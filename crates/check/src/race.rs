@@ -446,11 +446,18 @@ impl Defect {
 /// armed, returning its diagnostics. Serializes on [`hb::test_lock`]
 /// internally — callers must not hold it.
 pub fn run_defect(defect: Defect, seed: u64) -> Vec<Diagnostic> {
+    run_armed(seed, || defect.execute())
+}
+
+/// Runs `workload` with a fresh detector installed and the schedule
+/// fuzzer armed under `seed`, and returns the findings. Serializes on
+/// [`hb::test_lock`] internally.
+pub fn run_armed(seed: u64, workload: impl FnOnce()) -> Vec<Diagnostic> {
     let _serial = hb::test_lock();
     let detector = Arc::new(RaceDetector::new());
     let _armed = hb::install(detector.clone());
     let _fuzzing = hb::fuzz(seed);
-    defect.execute();
+    workload();
     detector.drain_diagnostics()
 }
 
@@ -461,49 +468,44 @@ pub fn run_defect(defect: Defect, seed: u64) -> Vec<Diagnostic> {
 /// ordered by a lock or fork/join edge) after asserting the byte-identical
 /// equivalence oracle. Serializes on [`hb::test_lock`] internally.
 pub fn run_clean(width: usize, seed: u64) -> Vec<Diagnostic> {
-    let _serial = hb::test_lock();
-    let detector = Arc::new(RaceDetector::new());
-    let _armed = hb::install(detector.clone());
-    let _fuzzing = hb::fuzz(seed);
+    run_armed(seed, || {
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .expect("pool builds");
+        let tally = PlMutex::new(Vec::<u64>::new());
+        let point = hb::fresh_id();
+        pool.install(|| {
+            rayon::scope(|s| {
+                for i in 0..24u64 {
+                    let tally = &tally;
+                    s.spawn(move |_| {
+                        let mut guard = tally.lock();
+                        hb::write(point);
+                        guard.push(i * i);
+                    });
+                }
+            });
+            // The scope's join edges order every job's write before this read.
+            let mut guard = tally.lock();
+            hb::read(point);
+            guard.sort_unstable();
 
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(width)
-        .build()
-        .expect("pool builds");
-    let tally = PlMutex::new(Vec::<u64>::new());
-    let point = hb::fresh_id();
-    pool.install(|| {
-        rayon::scope(|s| {
-            for i in 0..24u64 {
-                let tally = &tally;
-                s.spawn(move |_| {
-                    let mut guard = tally.lock();
-                    hb::write(point);
-                    guard.push(i * i);
-                });
-            }
+            use rayon::prelude::*;
+            let items: Vec<u64> = (0..48).collect();
+            let squared: Vec<u64> = items.par_iter().map(|&x| x * x).collect();
+            let expected: Vec<u64> = items.iter().map(|&x| x * x).collect();
+            assert_eq!(
+                squared, expected,
+                "par_iter oracle diverged at width {width} seed {seed}"
+            );
+            let expected_tally: Vec<u64> = (0..24u64).map(|i| i * i).collect();
+            assert_eq!(
+                *guard, expected_tally,
+                "scope tally oracle diverged at width {width} seed {seed}"
+            );
         });
-        // The scope's join edges order every job's write before this read.
-        let mut guard = tally.lock();
-        hb::read(point);
-        guard.sort_unstable();
-
-        use rayon::prelude::*;
-        let items: Vec<u64> = (0..48).collect();
-        let squared: Vec<u64> = items.par_iter().map(|&x| x * x).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x * x).collect();
-        assert_eq!(
-            squared, expected,
-            "par_iter oracle diverged at width {width} seed {seed}"
-        );
-        let expected_tally: Vec<u64> = (0..24u64).map(|i| i * i).collect();
-        assert_eq!(
-            *guard, expected_tally,
-            "scope tally oracle diverged at width {width} seed {seed}"
-        );
-    });
-    drop(pool);
-    detector.drain_diagnostics()
+    })
 }
 
 #[cfg(test)]

@@ -90,43 +90,6 @@ impl Args {
     }
 }
 
-/// Parses `"2x4"` into `(2, 4)`.
-///
-/// # Errors
-///
-/// Returns [`ArgError`] for anything that is not `<rows>x<cols>`.
-pub fn parse_mesh(s: &str) -> Result<(usize, usize), ArgError> {
-    let (a, b) = s
-        .split_once(['x', 'X'])
-        .ok_or_else(|| ArgError(format!("mesh {s:?} must look like 2x4")))?;
-    let rows = a
-        .parse()
-        .map_err(|_| ArgError(format!("bad mesh rows in {s:?}")))?;
-    let cols = b
-        .parse()
-        .map_err(|_| ArgError(format!("bad mesh cols in {s:?}")))?;
-    if rows == 0 || cols == 0 {
-        return Err(ArgError(format!("mesh {s:?} must be non-empty")));
-    }
-    Ok((rows, cols))
-}
-
-/// Parses `"1024x1024x512"` into a shape vector.
-///
-/// # Errors
-///
-/// Returns [`ArgError`] for empty or non-numeric components.
-pub fn parse_shape(s: &str) -> Result<Vec<u64>, ArgError> {
-    s.split(['x', 'X'])
-        .map(|p| {
-            p.parse::<u64>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| ArgError(format!("bad shape component {p:?} in {s:?}")))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,16 +130,5 @@ mod tests {
         assert!(a.get_parsed::<usize>("n", 0).is_ok());
         let bad = Args::parse(toks("x --n seven"), &[]).unwrap();
         assert!(bad.get_parsed::<usize>("n", 0).is_err());
-    }
-
-    #[test]
-    fn mesh_and_shape_parsing() {
-        assert_eq!(parse_mesh("2x4").unwrap(), (2, 4));
-        assert_eq!(parse_mesh("3X2").unwrap(), (3, 2));
-        assert!(parse_mesh("2").is_err());
-        assert!(parse_mesh("0x4").is_err());
-        assert_eq!(parse_shape("8x4x2").unwrap(), vec![8, 4, 2]);
-        assert!(parse_shape("8x0").is_err());
-        assert!(parse_shape("8xq").is_err());
     }
 }

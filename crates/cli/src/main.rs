@@ -19,28 +19,27 @@
 
 mod args;
 
-use args::{parse_mesh, parse_shape, Args};
+use args::Args;
 use crossmesh_autoshard::{search, AutoShardProblem};
 use crossmesh_check::verify::AssignmentView;
-use crossmesh_core::PlanCache;
 use crossmesh_core::{
-    dataplane, CostParams, DfsPlanner, EnsemblePlanner, LoadBalancePlanner, NaivePlanner, Planner,
-    PlannerConfig, RandomizedGreedyPlanner, ReshardingTask, Strategy, StrategyChoice,
+    build_meshes, dataplane, parse_shape, planner_for, CostParams, EnsemblePlanner,
+    LoadBalancePlanner, PlanCache, PlanRun, Planner, PlannerConfig, Strategy, StrategyChoice,
+    TaskSpec,
 };
-use crossmesh_faults::{execute_with_repair, FaultSchedule, RecoveryReport};
+use crossmesh_faults::{execute_with_repair, FaultInjectable, FaultSchedule};
 use crossmesh_mesh::DeviceMesh;
 use crossmesh_models::gpt::GptConfig;
 use crossmesh_models::utransformer::UTransformerConfig;
 use crossmesh_models::{presets, ModelJob, Precision};
 use crossmesh_netsim::{
-    AggregateSimBackend, Backend, ClusterSpec, LinkParams, SimBackend, SimModel, TaskGraph, Trace,
-    Work,
+    AggregateSimBackend, ClusterSpec, LinkParams, SimBackend, SimModel, TaskGraph, Trace, Work,
 };
 use crossmesh_obs as obs;
 use crossmesh_pipeline::{
     simulate_with_cache, CommMode, PipelineConfig, ScheduleKind, WeightDelay,
 };
-use crossmesh_runtime::ThreadedBackend;
+use crossmesh_serve::BackendKind;
 use std::error::Error;
 use std::process::ExitCode;
 
@@ -279,21 +278,34 @@ fn inflight_flow_samples(graph: &TaskGraph, trace: &Trace) -> Vec<(f64, f64)> {
     samples
 }
 
+/// The unified timeline of one executed plan: same JSON schema whichever
+/// backend ran — host/device rows, compute/comm complete events, marker
+/// instants, and an in-flight-flow counter track.
+fn timeline(run: &PlanRun, cluster: &ClusterSpec) -> obs::export::TraceExport {
+    let mut export = obs::export::TraceExport::new();
+    export.push_run(
+        &run.graph,
+        &run.trace,
+        cluster,
+        obs::export::RunKind::Primary,
+        0.0,
+    );
+    export.add_counter(
+        "comm.inflight_flows",
+        &inflight_flow_samples(&run.graph, &run.trace),
+    );
+    export
+}
+
 fn autospec(args: &Args) -> Result<String, Box<dyn Error>> {
-    let src_mesh_shape = parse_mesh(args.get("src-mesh").ok_or("missing --src-mesh")?)?;
-    let dst_mesh_shape = parse_mesh(args.get("dst-mesh").ok_or("missing --dst-mesh")?)?;
     let shape = parse_shape(args.get("shape").ok_or("missing --shape")?)?;
     let elem_bytes: u64 = args.get_parsed("elem-bytes", 4)?;
     let params = cost_params(args)?;
-    let gpus = src_mesh_shape.1.max(dst_mesh_shape.1) as u32;
-    let hosts = (src_mesh_shape.0 + dst_mesh_shape.0) as u32;
-    let cluster = ClusterSpec::homogeneous(
-        hosts,
-        gpus,
+    let (_, src, dst) = build_meshes(
+        args.get("src-mesh").ok_or("missing --src-mesh")?,
+        args.get("dst-mesh").ok_or("missing --dst-mesh")?,
         LinkParams::new(params.intra_bw, params.inter_bw),
-    );
-    let src = DeviceMesh::from_cluster(&cluster, 0, src_mesh_shape, "src")?;
-    let dst = DeviceMesh::from_cluster(&cluster, src_mesh_shape.0, dst_mesh_shape, "dst")?;
+    )?;
     let mut problem = AutoShardProblem::new(src, dst, shape, elem_bytes);
     if let Some(spec) = args.get("fixed-src") {
         problem = problem.with_fixed_src(spec.parse()?);
@@ -334,35 +346,13 @@ fn strategy_choice(name: &str) -> Result<StrategyChoice, Box<dyn Error>> {
     })
 }
 
-fn planner_for(
+fn backend_for(
     name: &str,
-    config: PlannerConfig,
-    seed: Option<u64>,
-) -> Result<Box<dyn Planner>, Box<dyn Error>> {
-    let greedy = || {
-        let p = RandomizedGreedyPlanner::new(config);
-        match seed {
-            Some(s) => p.with_seed(s),
-            None => p,
-        }
-    };
-    Ok(match name {
-        "ours" => Box::new(EnsemblePlanner::new(config).with_greedy(greedy())),
-        "naive" => Box::new(NaivePlanner::new(config)),
-        "lpt" => Box::new(LoadBalancePlanner::new(config)),
-        "dfs" => Box::new(DfsPlanner::new(config)),
-        "greedy" => Box::new(greedy()),
-        other => return Err(format!("unknown planner {other:?}").into()),
-    })
-}
-
-fn backend_for(name: &str, sim_model: SimModel) -> Result<Box<dyn Backend>, Box<dyn Error>> {
-    Ok(match (name, sim_model) {
-        ("sim", SimModel::Exact) => Box::new(SimBackend),
-        ("sim", SimModel::Aggregate) => Box::new(AggregateSimBackend),
-        ("threads", _) => Box::new(ThreadedBackend::threads()),
-        ("tcp", _) => Box::new(ThreadedBackend::tcp()),
-        (other, _) => return Err(format!("unknown backend {other:?}").into()),
+    sim_model: SimModel,
+) -> Result<Box<dyn FaultInjectable>, Box<dyn Error>> {
+    Ok(match (BackendKind::parse(name)?, sim_model) {
+        (BackendKind::Sim, SimModel::Aggregate) => Box::new(AggregateSimBackend),
+        (kind, _) => kind.instantiate(),
     })
 }
 
@@ -373,49 +363,35 @@ fn sim_model_arg(args: &Args) -> Result<SimModel, Box<dyn Error>> {
     SimModel::parse(name).ok_or_else(|| format!("unknown sim model {name:?}").into())
 }
 
-/// The portable description of a resharding problem that `reshard
-/// --emit-task` writes and `check --task` reads: enough to rebuild the
-/// exact task and cluster the plan was made for.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct TaskSpecFile {
-    src_spec: String,
-    dst_spec: String,
-    src_mesh: String,
-    dst_mesh: String,
-    shape: String,
-    elem_bytes: u64,
-    inter_bw: f64,
-    intra_bw: f64,
-    inter_latency: f64,
-    intra_latency: f64,
+/// Parses the optional `--seed` of the randomized-greedy planner.
+fn seed_arg(args: &Args) -> Result<Option<u64>, Box<dyn Error>> {
+    match args.get("seed") {
+        Some(s) => Ok(Some(s.parse::<u64>().map_err(|_| "bad --seed")?)),
+        None => Ok(None),
+    }
 }
 
-impl TaskSpecFile {
-    /// Rebuilds the task and cluster exactly as `reshard` constructs them.
-    fn build(&self) -> Result<(ReshardingTask, ClusterSpec), Box<dyn Error>> {
-        let src_mesh_shape = parse_mesh(&self.src_mesh)?;
-        let dst_mesh_shape = parse_mesh(&self.dst_mesh)?;
-        let shape = parse_shape(&self.shape)?;
-        let gpus = src_mesh_shape.1.max(dst_mesh_shape.1) as u32;
-        let hosts = (src_mesh_shape.0 + dst_mesh_shape.0) as u32;
-        let cluster = ClusterSpec::homogeneous(
-            hosts,
-            gpus,
-            LinkParams::new(self.intra_bw, self.inter_bw)
-                .with_latencies(self.intra_latency, self.inter_latency),
-        );
-        let src = DeviceMesh::from_cluster(&cluster, 0, src_mesh_shape, "src")?;
-        let dst = DeviceMesh::from_cluster(&cluster, src_mesh_shape.0, dst_mesh_shape, "dst")?;
-        let task = ReshardingTask::new(
-            src,
-            self.src_spec.parse()?,
-            dst,
-            self.dst_spec.parse()?,
-            &shape,
-            self.elem_bytes,
-        )?;
-        Ok((task, cluster))
-    }
+/// The resharding problem named by `--src-spec/--dst-spec/--src-mesh/
+/// --dst-mesh/--shape/--elem-bytes` on a cluster with `params`' links:
+/// what `reshard` builds and runs, `--emit-task` writes, `check --task`
+/// reads back, and `client` ships to a daemon.
+fn task_spec(args: &Args, params: CostParams) -> Result<TaskSpec, Box<dyn Error>> {
+    let arg = |name: &str| {
+        let value = args.get(name).ok_or_else(|| format!("missing --{name}"));
+        value.map(String::from)
+    };
+    Ok(TaskSpec {
+        src_spec: arg("src-spec")?,
+        dst_spec: arg("dst-spec")?,
+        src_mesh: arg("src-mesh")?,
+        dst_mesh: arg("dst-mesh")?,
+        shape: arg("shape")?,
+        elem_bytes: args.get_parsed("elem-bytes", 4)?,
+        inter_bw: params.inter_bw,
+        intra_bw: params.intra_bw,
+        inter_latency: params.inter_latency,
+        intra_latency: params.intra_latency,
+    })
 }
 
 /// `crossmesh check`: statically verifies a serialized plan against its
@@ -429,7 +405,7 @@ fn check(args: &Args) -> Result<String, Box<dyn Error>> {
     let plan_path = args.get("plan").ok_or("missing --plan")?;
     let spec_text = std::fs::read_to_string(task_path)
         .map_err(|e| format!("cannot read --task {task_path:?}: {e}"))?;
-    let spec: TaskSpecFile =
+    let spec: TaskSpec =
         serde_json::from_str(&spec_text).map_err(|e| format!("--task {task_path:?}: {e}"))?;
     let (task, cluster) = spec.build()?;
     let plan_text = std::fs::read_to_string(plan_path)
@@ -475,7 +451,7 @@ fn check(args: &Args) -> Result<String, Box<dyn Error>> {
 /// concurrent suite must stay silent at pool widths 1, 4, and 8. Exits
 /// non-zero on any miss, mirroring the `crossmesh-race` binary.
 fn check_races(args: &Args) -> Result<String, Box<dyn Error>> {
-    use crossmesh_check::race::{run_clean, run_defect, Defect};
+    use crossmesh_check::race::{run_armed, run_clean, run_defect, Defect};
     use crossmesh_check::schedules::sweep;
 
     let seeds: u64 = args.get_parsed("seeds", 8u64)?;
@@ -499,8 +475,35 @@ fn check_races(args: &Args) -> Result<String, Box<dyn Error>> {
         defects.push((defect, matching));
     }
     let mut widths = Vec::new();
+    let params = presets::p3_cost_params();
     for width in [1usize, 4, 8] {
-        let report = sweep(0, seeds, |seed| (run_clean(width, seed), None));
+        // The real-bytes data plane joins the clean suite: a plan with
+        // `width` sending devices runs as `width` sender threads on the
+        // delivery engine, armed, and must match the sequential oracle
+        // byte for byte.
+        let (task, _) = TaskSpec {
+            src_spec: "S1R".into(),
+            dst_spec: "RS1".into(),
+            src_mesh: format!("1x{width}"),
+            dst_mesh: "1x2".into(),
+            shape: "16x8".into(),
+            elem_bytes: 2,
+            inter_bw: params.inter_bw,
+            intra_bw: params.intra_bw,
+            inter_latency: params.inter_latency,
+            intra_latency: params.intra_latency,
+        }
+        .build()?;
+        let plan = LoadBalancePlanner::new(PlannerConfig::new(params)).plan(&task);
+        let oracle = dataplane::execute_and_verify(&plan)?;
+        let report = sweep(0, seeds, |seed| {
+            let mut diags = run_clean(width, seed);
+            diags.extend(run_armed(seed, || {
+                let threaded = crossmesh_runtime::execute_plan(&plan).expect("armed run executes");
+                assert_eq!(threaded, oracle, "dataflow diverged at width {width}");
+            }));
+            (diags, None)
+        });
         let findings = report.total_findings();
         let oracle_failures = report.oracle_failures().len();
         failed |= findings > 0 || oracle_failures > 0;
@@ -683,7 +686,8 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
     }
     let warnings = diags.len();
 
-    let report = plan.execute(&cluster)?;
+    let run = plan.run_with(&SimBackend, &cluster)?;
+    let report = run.report();
 
     // Per-rail spray totals feed the moe.rail.* gauges so --metrics /
     // --metrics-out runs show how evenly the typed fabric's rails were
@@ -711,15 +715,7 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
     if let Some(path) = args.get("trace-out") {
         // Same unified timeline as `reshard --trace-out`, plus a static
         // per-rail byte-load counter track for the spray decision.
-        let mut graph = TaskGraph::new();
-        plan.lower(&mut graph, &[]);
-        let trace = SimBackend.execute(&cluster, &graph)?;
-        let mut export = obs::export::TraceExport::new();
-        export.push_run(&graph, &trace, &cluster, obs::export::RunKind::Primary, 0.0);
-        export.add_counter(
-            "comm.inflight_flows",
-            &inflight_flow_samples(&graph, &trace),
-        );
+        let mut export = timeline(&run, &cluster);
         for (i, b) in rail_bytes.iter().enumerate() {
             export.add_counter(format!("moe.rail.{i}.bytes"), &[(0.0, *b)]);
         }
@@ -785,55 +781,24 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
 }
 
 fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
-    let src_spec = args.get("src-spec").ok_or("missing --src-spec")?.parse()?;
-    let dst_spec = args.get("dst-spec").ok_or("missing --dst-spec")?.parse()?;
-    let src_mesh_shape = parse_mesh(args.get("src-mesh").ok_or("missing --src-mesh")?)?;
-    let dst_mesh_shape = parse_mesh(args.get("dst-mesh").ok_or("missing --dst-mesh")?)?;
-    let shape = parse_shape(args.get("shape").ok_or("missing --shape")?)?;
-    let elem_bytes: u64 = args.get_parsed("elem-bytes", 4)?;
-
     let params = cost_params(args)?;
-    let gpus = src_mesh_shape.1.max(dst_mesh_shape.1) as u32;
-    let hosts = (src_mesh_shape.0 + dst_mesh_shape.0) as u32;
-    let cluster = ClusterSpec::homogeneous(
-        hosts,
-        gpus,
-        LinkParams::new(params.intra_bw, params.inter_bw)
-            .with_latencies(params.intra_latency, params.inter_latency),
-    );
-    let src = DeviceMesh::from_cluster(&cluster, 0, src_mesh_shape, "src")?;
-    let dst = DeviceMesh::from_cluster(&cluster, src_mesh_shape.0, dst_mesh_shape, "dst")?;
-    let task = ReshardingTask::new(src, src_spec, dst, dst_spec, &shape, elem_bytes)?;
+    let spec = task_spec(args, params)?;
+    let (task, cluster) = spec.build()?;
 
-    let seed = match args.get("seed") {
-        Some(s) => Some(s.parse::<u64>().map_err(|_| "bad --seed")?),
-        None => None,
-    };
     let config = PlannerConfig::new(params)
         .with_strategy(strategy_choice(args.get_or("strategy", "broadcast"))?);
-    let planner = planner_for(args.get_or("planner", "ours"), config, seed)?;
-    let backend_name = args.get_or("backend", "sim");
-    let backend = backend_for(backend_name, sim_model_arg(args)?)?;
+    let planner = planner_for(args.get_or("planner", "ours"), config, seed_arg(args)?)?;
+    let backend = backend_for(args.get_or("backend", "sim"), sim_model_arg(args)?)?;
     let plan = planner.plan(&task);
     if let Some(path) = args.get("emit-task") {
-        let spec = TaskSpecFile {
-            src_spec: args.get("src-spec").unwrap_or_default().to_string(),
-            dst_spec: args.get("dst-spec").unwrap_or_default().to_string(),
-            src_mesh: args.get("src-mesh").unwrap_or_default().to_string(),
-            dst_mesh: args.get("dst-mesh").unwrap_or_default().to_string(),
-            shape: args.get("shape").unwrap_or_default().to_string(),
-            elem_bytes,
-            inter_bw: params.inter_bw,
-            intra_bw: params.intra_bw,
-            inter_latency: params.inter_latency,
-            intra_latency: params.intra_latency,
-        };
         std::fs::write(path, serde_json::to_string_pretty(&spec)?)?;
     }
     if let Some(path) = args.get("emit-plan") {
         std::fs::write(path, serde_json::to_string_pretty(plan.assignments())?)?;
     }
-    let (report, recovery) = match args.get("faults") {
+    // The plan is lowered and executed exactly once; the report and the
+    // exported timeline below both describe that run.
+    let recovery = match args.get("faults") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read --faults {path:?}: {e}"))?;
@@ -852,57 +817,34 @@ fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
                 .to_disruptions(&graph)
                 .validate()
                 .map_err(|e| format!("--faults {path:?}: compiled schedule invalid: {e}"))?;
-            let r: RecoveryReport = match backend_name {
-                "sim" => match sim_model_arg(args)? {
-                    SimModel::Exact => {
-                        execute_with_repair(&plan, &cluster, &SimBackend, &schedule)?
-                    }
-                    SimModel::Aggregate => {
-                        execute_with_repair(&plan, &cluster, &AggregateSimBackend, &schedule)?
-                    }
-                },
-                "threads" => {
-                    execute_with_repair(&plan, &cluster, &ThreadedBackend::threads(), &schedule)?
-                }
-                "tcp" => execute_with_repair(&plan, &cluster, &ThreadedBackend::tcp(), &schedule)?,
-                other => return Err(format!("unknown backend {other:?}").into()),
-            };
-            (r.report.clone(), Some(r))
+            Some(execute_with_repair(
+                &plan, &cluster, &*backend, &schedule, None,
+            )?)
         }
-        None => (plan.execute_with(&*backend, &cluster)?, None),
+        None => None,
     };
+    let clean;
+    let run = match &recovery {
+        Some(r) => &r.run,
+        None => {
+            clean = plan.run_with(&*backend, &cluster)?;
+            &clean
+        }
+    };
+    let report = run.report();
 
-    if let Some(path) = args.get("trace") {
-        // Re-run the lowering to export a Chrome trace of the transfer
-        // through the selected backend.
-        let mut graph = TaskGraph::new();
-        plan.lower(&mut graph, &[]);
-        let trace = backend.execute(&cluster, &graph)?;
-        std::fs::write(path, crossmesh_netsim::to_chrome_trace(&graph, &trace))?;
-    }
     if let Some(path) = args.get("trace-out") {
-        // The unified timeline: same JSON schema whichever backend ran —
-        // host/device rows, compute/comm complete events, marker instants,
-        // and an in-flight-flow counter track.
-        let mut graph = TaskGraph::new();
-        plan.lower(&mut graph, &[]);
-        let trace = backend.execute(&cluster, &graph)?;
-        let mut export = obs::export::TraceExport::new();
-        export.push_run(&graph, &trace, &cluster, obs::export::RunKind::Primary, 0.0);
-        export.add_counter(
-            "comm.inflight_flows",
-            &inflight_flow_samples(&graph, &trace),
-        );
-        std::fs::write(path, export.render())?;
+        std::fs::write(path, timeline(run, &cluster).render())?;
     }
 
     let verified = if args.has_flag("verify") {
         // The data plane materializes every element; keep it to sizes
         // where that is instant.
-        let elements: u64 = shape.iter().product();
+        let elements: u64 = task.shape().iter().product();
         if elements > 1 << 24 {
             return Err(format!(
-                "--verify materializes every element; {elements} elements is too many                  (use a shape with at most {} elements)",
+                "--verify materializes every element; {elements} elements is too many \
+                 (use a shape with at most {} elements)",
                 1u64 << 24
             )
             .into());
@@ -1083,7 +1025,7 @@ fn pipeline(args: &Args) -> Result<String, Box<dyn Error>> {
 /// `crossmesh serve`: run the multi-tenant resharding daemon until a
 /// shutdown request (or `--max-seconds`) and report the drain summary.
 fn serve(args: &Args) -> Result<String, Box<dyn Error>> {
-    use crossmesh_serve::{AdmissionConfig, BackendKind, ServeConfig, Server};
+    use crossmesh_serve::{AdmissionConfig, ServeConfig, Server};
     let admission = AdmissionConfig {
         rate: args.get_parsed("rate", AdmissionConfig::default().rate)?,
         burst: args.get_parsed("burst", AdmissionConfig::default().burst)?,
@@ -1183,30 +1125,16 @@ fn client(args: &Args) -> Result<String, Box<dyn Error>> {
             )
         });
     }
+    let spec = task_spec(args, presets::p3_cost_params())?;
     let req = ReshardRequest {
-        src_spec: args
-            .get("src-spec")
-            .ok_or("missing --src-spec")?
-            .to_string(),
-        dst_spec: args
-            .get("dst-spec")
-            .ok_or("missing --dst-spec")?
-            .to_string(),
-        src_mesh: args
-            .get("src-mesh")
-            .ok_or("missing --src-mesh")?
-            .to_string(),
-        dst_mesh: args
-            .get("dst-mesh")
-            .ok_or("missing --dst-mesh")?
-            .to_string(),
-        shape: args.get("shape").ok_or("missing --shape")?.to_string(),
-        elem_bytes: args.get_parsed("elem-bytes", 4u64)?,
+        src_spec: spec.src_spec,
+        dst_spec: spec.dst_spec,
+        src_mesh: spec.src_mesh,
+        dst_mesh: spec.dst_mesh,
+        shape: spec.shape,
+        elem_bytes: spec.elem_bytes,
         planner: args.get_or("planner", "").to_string(),
-        seed: match args.get("seed") {
-            Some(s) => Some(s.parse::<u64>().map_err(|_| "bad --seed")?),
-            None => None,
-        },
+        seed: seed_arg(args)?,
         faults: match args.get("faults") {
             Some(path) => Some(
                 std::fs::read_to_string(path)
@@ -1476,21 +1404,6 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert!(v["estimated_seconds"].as_f64().unwrap() > 0.0);
         assert_eq!(v["candidates_evaluated"].as_u64().unwrap(), 11 * 11);
-    }
-
-    #[test]
-    fn trace_export_writes_chrome_json() {
-        let dir = std::env::temp_dir().join("crossmesh_cli_trace_test.json");
-        let path = dir.to_str().unwrap();
-        run(toks(&format!(
-            "reshard --src-spec S0R --dst-spec S1R --src-mesh 1x2 --dst-mesh 1x2 \
-             --shape 16x16 --trace {path}"
-        )))
-        .unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert!(!v.as_array().unwrap().is_empty());
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

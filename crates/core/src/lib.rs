@@ -43,15 +43,17 @@ mod cache;
 mod exclusions;
 mod plan;
 mod planners;
+mod spec;
 mod task;
 
 pub use cache::{CacheStats, PlanCache};
 pub use exclusions::{RepairError, SenderExclusions};
-pub use plan::{Assignment, ExecutionReport, Plan};
+pub use plan::{Assignment, ExecutionReport, Plan, PlanRun};
 pub use planners::{
-    plan_with_exclusions, DfsPlanner, EnsemblePlanner, LoadBalancePlanner, NaivePlanner, Planner,
-    PlannerConfig, RandomizedGreedyPlanner, StrategyChoice,
+    plan_with_exclusions, planner_for, DfsPlanner, EnsemblePlanner, LoadBalancePlanner,
+    NaivePlanner, Planner, PlannerConfig, RandomizedGreedyPlanner, StrategyChoice,
 };
+pub use spec::{build_meshes, parse_mesh, parse_shape, TaskSpec, TaskSpecError};
 pub use task::ReshardingTask;
 
 // Re-exports so downstream users rarely need the substrate crates directly.

@@ -8,7 +8,7 @@ use crossmesh_collectives::{
     estimate_unit_task, lower_unit_task_on, CostParams, LoweredComm, Strategy,
 };
 use crossmesh_netsim::{
-    Backend, ClusterSpec, DeviceId, HostId, SimBackend, SimError, TaskGraph, TaskId, Work,
+    Backend, ClusterSpec, DeviceId, HostId, SimBackend, SimError, TaskGraph, TaskId, Trace, Work,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -56,6 +56,30 @@ pub struct ExecutionReport {
     pub cross_host_bytes: f64,
     /// Number of simulator tasks the plan lowered to.
     pub tasks_lowered: usize,
+}
+
+/// One lowered and executed plan: the graph it lowered to, the backend's
+/// trace of that graph, and the task joining the whole transfer. What
+/// [`ExecutionReport`] summarizes and what a timeline export renders.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanRun {
+    /// The lowered task graph.
+    pub graph: TaskGraph,
+    /// The backend's trace of `graph`.
+    pub trace: Trace,
+    /// Joins the whole resharding task.
+    pub done: TaskId,
+}
+
+impl PlanRun {
+    /// Summarizes the run.
+    pub fn report(&self) -> ExecutionReport {
+        ExecutionReport {
+            simulated_seconds: self.trace.interval(self.done).finish,
+            cross_host_bytes: self.trace.usage().total_cross_host_bytes(),
+            tasks_lowered: self.graph.len(),
+        }
+    }
 }
 
 /// A complete solution of the §3.2 optimization problem: an ordered list of
@@ -350,6 +374,22 @@ impl<'t> Plan<'t> {
         backend: &dyn Backend,
         cluster: &ClusterSpec,
     ) -> Result<ExecutionReport, SimError> {
+        Ok(self.run_with(backend, cluster)?.report())
+    }
+
+    /// [`execute_with`](Plan::execute_with), keeping the lowered graph and
+    /// the trace: statically verifies the plan, lowers it with `cluster`'s
+    /// topology, and runs it on `backend`.
+    ///
+    /// # Errors
+    ///
+    /// A `check` backend error if verification convicts the plan, else
+    /// backend errors.
+    pub fn run_with(
+        &self,
+        backend: &dyn Backend,
+        cluster: &ClusterSpec,
+    ) -> Result<PlanRun, SimError> {
         let diags = self.verify(Some(cluster), &|_, _| false);
         if crossmesh_check::has_errors(&diags) {
             return Err(SimError::Backend {
@@ -360,14 +400,25 @@ impl<'t> Plan<'t> {
                 ),
             });
         }
+        self.run(Some(cluster), |graph| backend.execute(cluster, graph))
+    }
+
+    /// Lowers the plan alone into a fresh graph (with `topology` available
+    /// to topology-aware strategies, see [`lower_on`](Plan::lower_on)) and
+    /// runs it through `exec`, without verifying it first.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `exec`'s error.
+    pub fn run(
+        &self,
+        topology: Option<&ClusterSpec>,
+        exec: impl FnOnce(&TaskGraph) -> Result<Trace, SimError>,
+    ) -> Result<PlanRun, SimError> {
         let mut graph = TaskGraph::new();
-        let lowered = self.lower_on(&mut graph, &[], Some(cluster));
-        let trace = backend.execute(cluster, &graph)?;
-        Ok(ExecutionReport {
-            simulated_seconds: trace.interval(lowered.done).finish,
-            cross_host_bytes: trace.usage().total_cross_host_bytes(),
-            tasks_lowered: graph.len(),
-        })
+        let done = self.lower_on(&mut graph, &[], topology).done;
+        let trace = exec(&graph)?;
+        Ok(PlanRun { graph, trace, done })
     }
 }
 

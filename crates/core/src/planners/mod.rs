@@ -20,6 +20,35 @@ use crossmesh_mesh::UnitTask;
 use crossmesh_netsim::{DeviceId, HostId};
 use serde::{Deserialize, Serialize};
 
+/// The planner-name table shared by the CLI and the serve daemon: `ours`
+/// (the ensemble), `naive`, `lpt`, `dfs`, `greedy`. `seed` seeds the
+/// randomized-greedy planner (alone or inside the ensemble).
+///
+/// # Errors
+///
+/// A message naming the unknown planner.
+pub fn planner_for(
+    name: &str,
+    config: PlannerConfig,
+    seed: Option<u64>,
+) -> Result<Box<dyn Planner>, String> {
+    let greedy = || {
+        let p = RandomizedGreedyPlanner::new(config);
+        match seed {
+            Some(s) => p.with_seed(s),
+            None => p,
+        }
+    };
+    Ok(match name {
+        "ours" => Box::new(EnsemblePlanner::new(config).with_greedy(greedy())),
+        "naive" => Box::new(NaivePlanner::new(config)),
+        "lpt" => Box::new(LoadBalancePlanner::new(config)),
+        "dfs" => Box::new(DfsPlanner::new(config)),
+        "greedy" => Box::new(greedy()),
+        other => return Err(format!("unknown planner {other:?}")),
+    })
+}
+
 /// How the planner picks a communication strategy per unit task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StrategyChoice {

@@ -8,10 +8,11 @@
 //! plain [`Backend`], so everything written against that trait (plan
 //! execution, benches, the CLI) runs under faults unchanged.
 
+use crate::recovery::failed_trace_error;
 use crate::schedule::FaultSchedule;
 use crossmesh_netsim::{
-    AggregateSimBackend, Backend, ClusterSpec, Engine, FailureKind, SimBackend, SimError, SimModel,
-    TaskGraph, Trace,
+    AggregateSimBackend, Backend, ClusterSpec, Engine, SimBackend, SimError, SimModel, TaskGraph,
+    Trace,
 };
 use crossmesh_runtime::ThreadedBackend;
 
@@ -101,16 +102,6 @@ impl<B: FaultInjectable> FaultyBackend<B> {
     pub fn new(inner: B, schedule: FaultSchedule) -> Self {
         FaultyBackend { inner, schedule }
     }
-
-    /// The injected schedule.
-    pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
 }
 
 impl<B: FaultInjectable> Backend for FaultyBackend<B> {
@@ -122,24 +113,10 @@ impl<B: FaultInjectable> Backend for FaultyBackend<B> {
         let trace = self
             .inner
             .execute_with_faults(cluster, graph, &self.schedule)?;
-        if let Some(&task) = trace.failed_tasks().first() {
-            let kind = if self.schedule.crashed_hosts().is_empty() {
-                FailureKind::RetriesExhausted
-            } else {
-                FailureKind::HostCrash
-            };
-            return Err(SimError::TaskFailed {
-                backend: self.inner.name(),
-                task,
-                kind,
-                detail: format!(
-                    "{} of {} tasks failed under the injected schedule",
-                    trace.failed_tasks().len(),
-                    graph.len()
-                ),
-            });
+        match failed_trace_error(self.inner.name(), &self.schedule, &trace, graph.len()) {
+            Some(e) => Err(e),
+            None => Ok(trace),
         }
-        Ok(trace)
     }
 }
 
@@ -147,7 +124,7 @@ impl<B: FaultInjectable> Backend for FaultyBackend<B> {
 mod tests {
     use super::*;
     use crate::schedule::FaultEvent;
-    use crossmesh_netsim::{LinkParams, Work};
+    use crossmesh_netsim::{FailureKind, LinkParams, Work};
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::homogeneous(2, 2, LinkParams::new(100.0, 1.0).with_latencies(0.0, 0.0))

@@ -21,7 +21,5 @@ mod recovery;
 mod schedule;
 
 pub use backend::{FaultInjectable, FaultyBackend};
-pub use recovery::{
-    execute_with_repair, execute_with_repair_cached, RecoveryError, RecoveryReport,
-};
+pub use recovery::{execute_with_repair, RecoveryError, RecoveryReport};
 pub use schedule::{FaultEvent, FaultSchedule};

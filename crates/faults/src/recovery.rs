@@ -10,8 +10,8 @@
 
 use crate::backend::FaultInjectable;
 use crate::schedule::FaultSchedule;
-use crossmesh_core::{ExecutionReport, Plan, PlanCache, RepairError, SenderExclusions};
-use crossmesh_netsim::{ClusterSpec, FailureKind, HostId, SimError, TaskGraph, Trace};
+use crossmesh_core::{Plan, PlanCache, PlanRun, RepairError, SenderExclusions};
+use crossmesh_netsim::{ClusterSpec, FailureKind, HostId, SimError, Trace};
 use crossmesh_obs as obs;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -84,9 +84,10 @@ impl From<RepairError> for RecoveryError {
 /// The outcome of a fault-tolerant execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryReport {
-    /// The report of the run that delivered the tensor (the repaired run
-    /// if failover happened).
-    pub report: ExecutionReport,
+    /// The run that delivered the tensor (the repaired run if failover
+    /// happened): lowered graph, trace, and — via [`PlanRun::report`] —
+    /// its completion time and traffic.
+    pub run: PlanRun,
     /// True if the first attempt failed and a repaired plan was executed.
     pub repaired: bool,
     /// Unit tasks whose sender changed between the original and the
@@ -106,26 +107,22 @@ pub struct RecoveryReport {
     pub plan_cache_misses: u64,
 }
 
-/// Converts a trace with failed tasks into the error
-/// [`FaultyBackend`](crate::FaultyBackend) would raise, so trace-style
-/// (simulator) and abort-style (runtime) backends report failures
-/// identically here.
-fn failed_trace_error(
+/// The error [`FaultyBackend`](crate::FaultyBackend) raises for a trace
+/// with failed tasks (`None` for a clean one), so trace-style (simulator)
+/// and abort-style (runtime) backends report failures identically.
+pub(crate) fn failed_trace_error(
     backend: &'static str,
     schedule: &FaultSchedule,
     trace: &Trace,
     graph_len: usize,
-) -> SimError {
-    let task = *trace
-        .failed_tasks()
-        .first()
-        .expect("caller checked failed_tasks is non-empty");
+) -> Option<SimError> {
+    let task = *trace.failed_tasks().first()?;
     let kind = if schedule.crashed_hosts().is_empty() {
         FailureKind::RetriesExhausted
     } else {
         FailureKind::HostCrash
     };
-    SimError::TaskFailed {
+    Some(SimError::TaskFailed {
         backend,
         task,
         kind,
@@ -134,7 +131,7 @@ fn failed_trace_error(
             trace.failed_tasks().len(),
             graph_len
         ),
-    }
+    })
 }
 
 /// Executes `plan` under `schedule`; on failure, repairs the plan around
@@ -145,6 +142,15 @@ fn failed_trace_error(
 /// over, how many flow retries were absorbed, and the end-to-end
 /// makespan including the wasted first attempt.
 ///
+/// With a `cache`, the repair step is served from it: a repeated (plan,
+/// crashed-hosts) pair replays the previously computed failover plan
+/// instead of re-running `Plan::repair`. The exclusions are part of the
+/// cache key, so a cached entry can never assign an excluded sender; the
+/// cache re-checks that invariant on every hit anyway. The report's
+/// [`plan_cache_hits`](RecoveryReport::plan_cache_hits) /
+/// [`plan_cache_misses`](RecoveryReport::plan_cache_misses) are the
+/// deltas this call contributed to the cache's counters.
+///
 /// # Errors
 ///
 /// * [`RecoveryError::Repair`] if some slice lost every replica holder
@@ -152,32 +158,10 @@ fn failed_trace_error(
 /// * [`RecoveryError::Sim`] if the failure is not attributable to a
 ///   crashed host (nothing to exclude), if the repaired run fails again,
 ///   or on any non-fault backend error.
-pub fn execute_with_repair<B: FaultInjectable>(
+pub fn execute_with_repair(
     plan: &Plan<'_>,
     cluster: &ClusterSpec,
-    backend: &B,
-    schedule: &FaultSchedule,
-) -> Result<RecoveryReport, RecoveryError> {
-    execute_with_repair_cached(plan, cluster, backend, schedule, None)
-}
-
-/// [`execute_with_repair`], with the repair step served from a
-/// [`PlanCache`] when one is supplied: a repeated (plan, crashed-hosts)
-/// pair replays the previously computed failover plan instead of
-/// re-running `Plan::repair`. The exclusions are part of the cache key, so
-/// a cached entry can never assign an excluded sender; the cache re-checks
-/// that invariant on every hit anyway. The report's
-/// [`plan_cache_hits`](RecoveryReport::plan_cache_hits) /
-/// [`plan_cache_misses`](RecoveryReport::plan_cache_misses) are the
-/// deltas this call contributed to the cache's counters.
-///
-/// # Errors
-///
-/// Same as [`execute_with_repair`].
-pub fn execute_with_repair_cached<B: FaultInjectable>(
-    plan: &Plan<'_>,
-    cluster: &ClusterSpec,
-    backend: &B,
+    backend: &dyn FaultInjectable,
     schedule: &FaultSchedule,
     cache: Option<&PlanCache>,
 ) -> Result<RecoveryReport, RecoveryError> {
@@ -194,45 +178,38 @@ pub fn execute_with_repair_cached<B: FaultInjectable>(
     metrics.runs.inc();
     metrics.rounds.inc();
     let stats_before = cache.map(|c| c.stats()).unwrap_or_default();
-    let cache_delta = |c: Option<&PlanCache>| {
-        let after = c.map(|c| c.stats()).unwrap_or_default();
-        (
-            after.hits - stats_before.hits,
-            after.misses - stats_before.misses,
-        )
+    // One attempt: lower `plan` and run it under `schedule`.
+    let attempt = |plan: &Plan<'_>, schedule: &FaultSchedule| {
+        plan.run(None, |graph| {
+            backend.execute_with_faults(cluster, graph, schedule)
+        })
     };
-    let mut graph = TaskGraph::new();
-    let lowered = plan.lower(&mut graph, &[]);
-    let (wasted, mut retries, failure) =
-        match backend.execute_with_faults(cluster, &graph, schedule) {
-            Ok(trace) if trace.failed_tasks().is_empty() => {
-                let stats = trace.fault_stats();
-                span.record(&[obs::Field::bool("repaired", false)]);
-                return Ok(RecoveryReport {
-                    report: ExecutionReport {
-                        simulated_seconds: trace.interval(lowered.done).finish,
-                        cross_host_bytes: trace.usage().total_cross_host_bytes(),
-                        tasks_lowered: graph.len(),
-                    },
-                    repaired: false,
-                    failovers: 0,
-                    excluded_hosts: Vec::new(),
-                    degraded_makespan: stats.degraded_makespan,
-                    retries: stats.retries,
-                    plan_cache_hits: 0,
-                    plan_cache_misses: 0,
-                });
+    let (wasted, mut retries, failure) = match attempt(plan, schedule) {
+        Ok(run) => {
+            let stats = run.trace.fault_stats().clone();
+            match failed_trace_error(backend.name(), schedule, &run.trace, run.graph.len()) {
+                None => {
+                    span.record(&[obs::Field::bool("repaired", false)]);
+                    return Ok(RecoveryReport {
+                        run,
+                        repaired: false,
+                        failovers: 0,
+                        excluded_hosts: Vec::new(),
+                        degraded_makespan: stats.degraded_makespan,
+                        retries: stats.retries,
+                        plan_cache_hits: 0,
+                        plan_cache_misses: 0,
+                    });
+                }
+                // The simulator completes a faulted run and reports failed
+                // tasks in the trace; its partial makespan is wasted time.
+                Some(failure) => (run.trace.makespan(), stats.retries, failure),
             }
-            // The simulator completes a faulted run and reports failed
-            // tasks in the trace; its partial makespan is wasted time.
-            Ok(trace) => {
-                let failure = failed_trace_error(backend.name(), schedule, &trace, graph.len());
-                (trace.makespan(), trace.fault_stats().retries, failure)
-            }
-            // The runtime aborts on the first failure; no usable clock.
-            Err(e @ SimError::TaskFailed { .. }) => (0.0, 0, e),
-            Err(e) => return Err(RecoveryError::Sim(e)),
-        };
+        }
+        // The runtime aborts on the first failure; no usable clock.
+        Err(e @ SimError::TaskFailed { .. }) => (0.0, 0, e),
+        Err(e) => return Err(RecoveryError::Sim(e)),
+    };
 
     let excluded_hosts = schedule.crashed_hosts();
     if excluded_hosts.is_empty() {
@@ -273,19 +250,14 @@ pub fn execute_with_repair_cached<B: FaultInjectable>(
         }));
     }
 
-    let mut graph = TaskGraph::new();
-    let lowered = repaired.lower(&mut graph, &[]);
     let retry_schedule = schedule.without_crashes();
-    let trace = backend.execute_with_faults(cluster, &graph, &retry_schedule)?;
-    if !trace.failed_tasks().is_empty() {
-        return Err(RecoveryError::Sim(failed_trace_error(
-            backend.name(),
-            &retry_schedule,
-            &trace,
-            graph.len(),
-        )));
+    let run = attempt(&repaired, &retry_schedule)?;
+    if let Some(e) =
+        failed_trace_error(backend.name(), &retry_schedule, &run.trace, run.graph.len())
+    {
+        return Err(RecoveryError::Sim(e));
     }
-    retries += trace.fault_stats().retries;
+    retries += run.trace.fault_stats().retries;
 
     let original: BTreeMap<usize, _> = plan
         .assignments()
@@ -297,28 +269,24 @@ pub fn execute_with_repair_cached<B: FaultInjectable>(
         .iter()
         .filter(|a| original.get(&a.unit) != Some(&a.sender))
         .count();
-    let finish = trace.interval(lowered.done).finish;
-    let (plan_cache_hits, plan_cache_misses) = cache_delta(cache);
+    let degraded = wasted + run.report().simulated_seconds;
+    let stats_after = cache.map(|c| c.stats()).unwrap_or_default();
     metrics.failovers.add(failovers as u64);
-    metrics.degraded_makespan.set(wasted + finish);
+    metrics.degraded_makespan.set(degraded);
     span.record(&[
         obs::Field::bool("repaired", true),
         obs::Field::u64("failovers", failovers as u64),
-        obs::Field::f64("degraded_makespan_s", wasted + finish),
+        obs::Field::f64("degraded_makespan_s", degraded),
     ]);
     Ok(RecoveryReport {
-        report: ExecutionReport {
-            simulated_seconds: finish,
-            cross_host_bytes: trace.usage().total_cross_host_bytes(),
-            tasks_lowered: graph.len(),
-        },
+        run,
         repaired: true,
         failovers,
         excluded_hosts,
-        degraded_makespan: Some(wasted + finish),
+        degraded_makespan: Some(degraded),
         retries,
-        plan_cache_hits,
-        plan_cache_misses,
+        plan_cache_hits: stats_after.hits - stats_before.hits,
+        plan_cache_misses: stats_after.misses - stats_before.misses,
     })
 }
 
@@ -381,12 +349,12 @@ mod tests {
         let c = cluster();
         let t = replicated_task(&c);
         let plan = EnsemblePlanner::new(config()).plan(&t);
-        let r = execute_with_repair(&plan, &c, &SimBackend, &FaultSchedule::new(0)).unwrap();
+        let r = execute_with_repair(&plan, &c, &SimBackend, &FaultSchedule::new(0), None).unwrap();
         assert!(!r.repaired);
         assert_eq!(r.failovers, 0);
         assert_eq!(r.retries, 0);
         assert!(r.degraded_makespan.is_none());
-        assert!(r.report.simulated_seconds > 0.0);
+        assert!(r.run.report().simulated_seconds > 0.0);
     }
 
     #[test]
@@ -395,12 +363,12 @@ mod tests {
         let t = replicated_task(&c);
         let plan = EnsemblePlanner::new(config()).plan(&t);
         let schedule = FaultSchedule::new(0).with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
-        let r = execute_with_repair(&plan, &c, &SimBackend, &schedule).unwrap();
+        let r = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap();
         assert!(r.repaired);
         assert_eq!(r.excluded_hosts, vec![HostId(0)]);
         assert!(r.failovers > 0);
         let degraded = r.degraded_makespan.unwrap();
-        assert!(degraded >= r.report.simulated_seconds);
+        assert!(degraded >= r.run.report().simulated_seconds);
     }
 
     #[test]
@@ -411,7 +379,8 @@ mod tests {
         let schedule = FaultSchedule::new(0)
             .with_retry_policy(1, 1e-4)
             .with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
-        let r = execute_with_repair(&plan, &c, &ThreadedBackend::threads(), &schedule).unwrap();
+        let r =
+            execute_with_repair(&plan, &c, &ThreadedBackend::threads(), &schedule, None).unwrap();
         assert!(r.repaired);
         assert_eq!(r.excluded_hosts, vec![HostId(0)]);
         assert!(r.failovers > 0);
@@ -425,19 +394,17 @@ mod tests {
         let schedule = FaultSchedule::new(0).with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
         let cache = crossmesh_core::PlanCache::new();
 
-        let uncached = execute_with_repair(&plan, &c, &SimBackend, &schedule).unwrap();
-        let cold =
-            execute_with_repair_cached(&plan, &c, &SimBackend, &schedule, Some(&cache)).unwrap();
+        let uncached = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap();
+        let cold = execute_with_repair(&plan, &c, &SimBackend, &schedule, Some(&cache)).unwrap();
         assert_eq!((cold.plan_cache_hits, cold.plan_cache_misses), (0, 1));
-        assert_eq!(cold.report, uncached.report);
+        assert_eq!(cold.run, uncached.run);
         assert_eq!(cold.failovers, uncached.failovers);
 
         // The second identical failure replays the repair from the cache
         // and the served plan still routes around the crashed host.
-        let warm =
-            execute_with_repair_cached(&plan, &c, &SimBackend, &schedule, Some(&cache)).unwrap();
+        let warm = execute_with_repair(&plan, &c, &SimBackend, &schedule, Some(&cache)).unwrap();
         assert_eq!((warm.plan_cache_hits, warm.plan_cache_misses), (1, 0));
-        assert_eq!(warm.report, cold.report);
+        assert_eq!(warm.run, cold.run);
         assert_eq!(warm.excluded_hosts, vec![HostId(0)]);
         assert_eq!(warm.failovers, cold.failovers);
     }
@@ -448,7 +415,7 @@ mod tests {
         let t = unreplicated_task(&c);
         let plan = EnsemblePlanner::new(config()).plan(&t);
         let schedule = FaultSchedule::new(0).with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
-        let err = execute_with_repair(&plan, &c, &SimBackend, &schedule).unwrap_err();
+        let err = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap_err();
         assert!(matches!(
             err,
             RecoveryError::Repair(RepairError::DataLoss { .. })
@@ -467,7 +434,7 @@ mod tests {
         let schedule = FaultSchedule::new(1)
             .with_retry_policy(0, 1e-4)
             .with_event(FaultEvent::FlowDrop { prob: 0.99 });
-        let err = execute_with_repair(&plan, &c, &SimBackend, &schedule).unwrap_err();
+        let err = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap_err();
         assert!(matches!(
             err,
             RecoveryError::Sim(SimError::TaskFailed {
@@ -485,7 +452,7 @@ mod tests {
         let schedule = FaultSchedule::new(1)
             .with_retry_policy(8, 1e-6)
             .with_event(FaultEvent::FlowDrop { prob: 0.2 });
-        let r = execute_with_repair(&plan, &c, &SimBackend, &schedule).unwrap();
+        let r = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap();
         assert!(!r.repaired);
         assert!(r.retries > 0);
     }

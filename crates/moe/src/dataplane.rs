@@ -1,256 +1,88 @@
 //! Byte-exact execution of an all-to-all: did every expert shard land?
 //!
 //! The simulator prices an all-to-all plan; this module *runs* one on
-//! real buffers. Ground truth comes from `crossmesh-core`'s data plane:
-//! every byte of the destination-major space holds its own offset
-//! (truncated to one byte), senders materialize their shards from that
-//! rule, and [`verify_destination`] proves each expert's assembled region
-//! byte-identical to truth.
+//! real buffers, on `crossmesh-core`'s delivery engine. Ground truth comes
+//! from the same data plane: every byte of the destination-major space
+//! holds its own offset (truncated to one byte), senders materialize their
+//! shards from that rule, and `verify_destination` proves each expert's
+//! assembled region byte-identical to truth.
 //!
-//! Two executors share that check:
-//!
-//! * [`execute_reference`] delivers the unit tasks sequentially — the
-//!   oracle;
-//! * [`execute_threaded`] runs a sender pool of configurable width
-//!   feeding one assembler thread per expert device over bounded
-//!   channels, optionally under a seeded
-//!   [`FaultSchedule`](crossmesh_faults::FaultSchedule) whose `FlowDrop`
-//!   events force per-shard retries. Drop rolls are seeded per unit task
-//!   (mirroring the threaded runtime's per-flow rolls), so the outcome is
-//!   identical at every pool width.
+//! [`execute_reference`] delivers the unit tasks sequentially — the
+//! oracle; [`execute_threaded`] deals them round-robin across a sender
+//! pool of configurable width feeding one assembler thread per expert
+//! device, optionally under a seeded
+//! [`FaultSchedule`](crossmesh_faults::FaultSchedule) whose `FlowDrop`
+//! events force per-shard retries. Drop rolls are seeded per unit task
+//! (mirroring the threaded runtime's per-flow rolls), so the outcome is
+//! identical at every pool width.
 
 use crate::a2a::A2aTask;
-use crossmesh_core::dataplane::{
-    verify_destination, DataPlaneError, DestinationBuffer, TileBuffer,
-};
+use crossmesh_core::dataplane::{deliver, DataPlaneError, DataPlaneReport, Delivery, DropRoll};
 use crossmesh_faults::{FaultEvent, FaultSchedule};
-use crossmesh_hb as hb;
-use crossmesh_netsim::DeviceId;
-use rand::prelude::*;
-use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
-use std::sync::mpsc;
-use std::thread;
-
-/// The verified outcome of an all-to-all execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MoeReport {
-    /// Bytes handed to expert devices (the logical payload).
-    pub delivered_bytes: u64,
-    /// Final per-device regions of the destination-major byte space,
-    /// keyed by device id and proven byte-identical to ground truth.
-    pub destination: BTreeMap<u32, TileBuffer>,
-}
-
-/// Errors surfaced by all-to-all execution.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum MoeExecError {
-    /// A placement defect: uncovered, corrupted, or conflicting bytes.
-    Data(DataPlaneError),
-    /// A shard's every transmission attempt was dropped by the fault
-    /// schedule, retries included.
-    Dropped {
-        /// The unit task whose shard was lost.
-        unit: usize,
-        /// Attempts made (1 + retries).
-        attempts: u32,
-    },
-}
-
-impl fmt::Display for MoeExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MoeExecError::Data(e) => write!(f, "{e}"),
-            MoeExecError::Dropped { unit, attempts } => {
-                write!(f, "shard of unit {unit} lost after {attempts} attempts")
-            }
-        }
-    }
-}
-
-impl Error for MoeExecError {}
-
-impl From<DataPlaneError> for MoeExecError {
-    fn from(e: DataPlaneError) -> Self {
-        MoeExecError::Data(e)
-    }
-}
 
 /// Delivers every unit task sequentially and verifies the destinations.
 ///
 /// # Errors
 ///
-/// Returns [`MoeExecError::Data`] on any placement defect.
-pub fn execute_reference(a2a: &A2aTask) -> Result<MoeReport, MoeExecError> {
-    let shape = a2a.task().shape();
-    let mut bufs: BTreeMap<DeviceId, DestinationBuffer> = a2a
-        .destination_tiles()
-        .iter()
-        .map(|(d, t)| (*d, DestinationBuffer::new(t.clone(), 1)))
-        .collect();
-    let mut delivered = 0u64;
-    for unit in a2a.task().units() {
-        let piece = TileBuffer::materialize(&unit.slice, shape, 1);
-        let r = &unit.receivers[0];
-        bufs.get_mut(&r.device)
-            .expect("every receiver owns a destination tile")
-            .write(&piece, r.device)?;
-        delivered += unit.bytes;
-    }
-    let destination = verify_destination(shape, bufs)?;
-    Ok(MoeReport {
-        delivered_bytes: delivered,
-        destination,
-    })
+/// Any placement defect.
+pub fn execute_reference(a2a: &A2aTask) -> Result<DataPlaneReport, DataPlaneError> {
+    execute_threaded_with_faults(a2a, 1, None)
 }
 
 /// [`execute_threaded_with_faults`] without fault injection.
 ///
 /// # Errors
 ///
-/// Returns [`MoeExecError::Data`] on any placement defect.
-pub fn execute_threaded(a2a: &A2aTask, pool: usize) -> Result<MoeReport, MoeExecError> {
+/// Any placement defect.
+pub fn execute_threaded(a2a: &A2aTask, pool: usize) -> Result<DataPlaneReport, DataPlaneError> {
     execute_threaded_with_faults(a2a, pool, None)
 }
 
-/// The strongest `FlowDrop` probability of `faults`, if any.
-fn drop_prob(faults: Option<&FaultSchedule>) -> f64 {
-    faults
-        .map(|f| {
-            f.events
-                .iter()
-                .filter_map(|e| match e {
-                    FaultEvent::FlowDrop { prob } => Some(*prob),
-                    _ => None,
-                })
-                .fold(0.0, f64::max)
-        })
-        .unwrap_or(0.0)
-}
-
 /// Executes the all-to-all with `pool` sender threads (unit tasks are
-/// dealt round-robin across the pool) and one assembler thread per expert
-/// device, then verifies the destinations.
+/// dealt round-robin across the pool; a pool of one runs inline) and one
+/// assembler thread per expert device, then verifies the destinations.
 ///
 /// Under a fault schedule with `FlowDrop` events, each shard's
 /// transmission attempts are rolled from a generator seeded by
 /// `schedule.seed` and the unit index — never by pool width or thread
 /// interleaving — so the delivered bytes are identical across pool
-/// widths, faults or not.
+/// widths, faults or not. The strongest `FlowDrop` probability applies.
 ///
 /// # Errors
 ///
-/// Returns [`MoeExecError::Dropped`] when a shard exhausts its retry
-/// budget and [`MoeExecError::Data`] on any placement defect.
-///
-/// # Panics
-///
-/// Panics if a worker or assembler thread itself panics.
+/// [`DataPlaneError::Dropped`] when a shard exhausts its retry budget,
+/// any placement defect, and [`DataPlaneError::Transport`] if a thread
+/// fails.
 pub fn execute_threaded_with_faults(
     a2a: &A2aTask,
     pool: usize,
     faults: Option<&FaultSchedule>,
-) -> Result<MoeReport, MoeExecError> {
+) -> Result<DataPlaneReport, DataPlaneError> {
     let pool = pool.max(1);
-    let shape: Vec<u64> = a2a.task().shape().to_vec();
-    let prob = drop_prob(faults);
-    let max_retries = faults.map(|f| f.max_retries).unwrap_or(0);
-    let seed = faults.map(|f| f.seed).unwrap_or(0);
-
-    // One assembler per destination device, fed over a bounded channel so
-    // fast senders exert backpressure instead of buffering everything.
-    // Per-inbox happens-before edge and per-destination-buffer access
-    // point: the race detector sees every shard delivery as release(edge)
-    // at the sender's `send` and acquire(edge) + write(buffer) at the
-    // assembler, so an unsynchronized buffer write would convict.
-    let mut inboxes: BTreeMap<DeviceId, (mpsc::SyncSender<TileBuffer>, u64)> = BTreeMap::new();
-    let mut assemblers = Vec::new();
-    for (device, tile) in a2a.destination_tiles() {
-        let (tx, rx) = mpsc::sync_channel::<TileBuffer>(64);
-        let chan_edge = hb::fresh_id();
-        let buf_point = hb::fresh_id();
-        inboxes.insert(*device, (tx, chan_edge));
-        let device = *device;
-        let tile = tile.clone();
-        assemblers.push(thread::spawn(
-            move || -> Result<(DeviceId, DestinationBuffer), DataPlaneError> {
-                let mut buf = DestinationBuffer::new(tile, 1);
-                for piece in rx {
-                    hb::acquire(chan_edge);
-                    hb::write(buf_point);
-                    buf.write(&piece, device)?;
-                }
-                Ok((device, buf))
-            },
-        ));
-    }
-
-    let units = a2a.task().units();
-    let mut workers = Vec::new();
-    for w in 0..pool {
-        let my_units: Vec<_> = units.iter().skip(w).step_by(pool).cloned().collect();
-        let inboxes = inboxes.clone();
-        let shape = shape.clone();
-        workers.push(thread::spawn(move || -> Result<u64, MoeExecError> {
-            let mut delivered = 0u64;
-            for unit in &my_units {
-                if prob > 0.0 {
-                    // Seeded per unit, exactly like the runtime rolls per
-                    // flow task: deterministic across pool widths.
-                    let mut rng = SmallRng::seed_from_u64(
-                        seed ^ 0x9e37_79b9u64.wrapping_add(unit.index as u64),
-                    );
-                    let mut attempts = 1u32;
-                    while rng.gen_f64() < prob {
-                        if attempts > max_retries {
-                            return Err(MoeExecError::Dropped {
-                                unit: unit.index,
-                                attempts,
-                            });
-                        }
-                        attempts += 1;
-                    }
-                }
-                let piece = TileBuffer::materialize(&unit.slice, &shape, 1);
-                let r = &unit.receivers[0];
-                let (tx, chan_edge) = inboxes
-                    .get(&r.device)
-                    .expect("every receiver owns a destination tile");
-                hb::preempt();
-                hb::release(*chan_edge);
-                tx.send(piece).expect("assembler outlives its senders");
-                delivered += unit.bytes;
-            }
-            Ok(delivered)
-        }));
-    }
-    drop(inboxes);
-
-    let mut delivered = 0u64;
-    let mut first_err: Option<MoeExecError> = None;
-    for worker in workers {
-        match worker.join().expect("sender thread panicked") {
-            Ok(bytes) => delivered += bytes,
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    let mut assembled = Vec::new();
-    for assembler in assemblers {
-        match assembler.join().expect("assembler thread panicked") {
-            Ok(pair) => assembled.push(pair),
-            Err(e) => first_err = first_err.or(Some(MoeExecError::Data(e))),
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    let destination = verify_destination(&shape, assembled)?;
-    Ok(MoeReport {
-        delivered_bytes: delivered,
-        destination,
-    })
+    let lanes: Vec<Vec<Delivery<'_>>> = (0..pool)
+        .map(|w| {
+            let units = a2a.task().units().iter().skip(w).step_by(pool);
+            units.map(|unit| Delivery { unit, holder: None }).collect()
+        })
+        .collect();
+    let drops = faults.and_then(|f| {
+        let prob = f.events.iter().fold(0.0, |p, e| match e {
+            FaultEvent::FlowDrop { prob } => f64::max(p, *prob),
+            _ => p,
+        });
+        (prob > 0.0).then_some(DropRoll {
+            seed: f.seed,
+            prob,
+            max_retries: f.max_retries,
+        })
+    });
+    deliver(
+        a2a.task().shape(),
+        1,
+        a2a.destination_tiles().iter().cloned(),
+        &lanes,
+        drops,
+    )
 }
 
 #[cfg(test)]
@@ -312,6 +144,6 @@ mod tests {
             .with_event(FaultEvent::FlowDrop { prob: 1.0 })
             .with_retry_policy(2, 1e-3);
         let err = execute_threaded_with_faults(&a2a, 2, Some(&schedule)).unwrap_err();
-        assert!(matches!(err, MoeExecError::Dropped { .. }), "{err}");
+        assert!(matches!(err, DataPlaneError::Dropped { .. }), "{err}");
     }
 }

@@ -29,7 +29,5 @@ pub mod dataplane;
 pub mod routing;
 
 pub use a2a::{A2aDirection, A2aTask};
-pub use dataplane::{
-    execute_reference, execute_threaded, execute_threaded_with_faults, MoeExecError, MoeReport,
-};
+pub use dataplane::{execute_reference, execute_threaded, execute_threaded_with_faults};
 pub use routing::{routing_matrix, RoutingConfig};

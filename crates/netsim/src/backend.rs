@@ -6,7 +6,8 @@
 //! ([`SimBackend`]) predicts timing analytically, while real executors
 //! (e.g. the thread/TCP runtime in `crossmesh-runtime`) move actual bytes
 //! and report wall-clock timing in the same [`Trace`] shape, so planners,
-//! schedules, and the Chrome-trace exporter work unchanged on either.
+//! schedules, and the timeline exporter (`crossmesh-obs`) work unchanged on
+//! either.
 
 use crate::engine::Engine;
 use crate::error::SimError;

@@ -43,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 mod backend;
-mod chrome_trace;
 mod engine;
 mod error;
 mod faults;
@@ -56,7 +55,6 @@ mod topology;
 mod trace;
 
 pub use backend::{AggregateSimBackend, Backend, SimBackend};
-pub use chrome_trace::to_chrome_trace;
 pub use engine::Engine;
 pub use error::{FailureKind, SimError};
 pub use faults::{Disruptions, NicScalePeriod};

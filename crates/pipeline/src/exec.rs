@@ -171,37 +171,17 @@ pub fn simulate(
     planner: &dyn Planner,
     config: &PipelineConfig,
 ) -> Result<PipelineReport, SimError> {
-    simulate_with(graph, cluster, planner, config, &SimBackend)
+    simulate_with_cache(graph, cluster, planner, config, &SimBackend, None)
 }
 
 /// Like [`simulate`], but runs the lowered iteration graph through an
 /// arbitrary [`Backend`] — the flow-level simulator or a real execution
-/// backend (e.g. the threaded runtime). Timing fields of the report then
-/// carry that backend's clock.
-///
-/// # Errors
-///
-/// Propagates backend errors.
-///
-/// # Panics
-///
-/// Panics if the schedule deadlocks (impossible for the built-in schedule
-/// kinds) or the stage graph is empty.
-pub fn simulate_with(
-    graph: &StageGraph,
-    cluster: &ClusterSpec,
-    planner: &dyn Planner,
-    config: &PipelineConfig,
-    backend: &dyn Backend,
-) -> Result<PipelineReport, SimError> {
-    simulate_with_cache(graph, cluster, planner, config, backend, None)
-}
-
-/// Like [`simulate_with`], with an optional [`PlanCache`]: resharding plans
-/// are looked up by content before running the planner, so repeated
-/// iterations (or edges resharding identical tensors) plan once. The
-/// report's `plan_cache_hits`/`plan_cache_misses` carry this call's share
-/// of the cache traffic.
+/// backend (e.g. the threaded runtime); timing fields of the report then
+/// carry that backend's clock — and with an optional [`PlanCache`]:
+/// resharding plans are looked up by content before running the planner,
+/// so repeated iterations (or edges resharding identical tensors) plan
+/// once. The report's `plan_cache_hits`/`plan_cache_misses` carry this
+/// call's share of the cache traffic.
 ///
 /// # Errors
 ///
@@ -227,7 +207,7 @@ pub fn simulate_with_cache(
         graph.num_microbatches(),
         config.weight_delay,
     );
-    simulate_schedule_with_cache(
+    simulate_schedule(
         graph,
         cluster,
         planner,
@@ -238,9 +218,9 @@ pub fn simulate_with_cache(
     )
 }
 
-/// Like [`simulate_with`], but runs an explicit per-stage [`Schedule`]
-/// instead of deriving one from a [`ScheduleKind`] — the entry point for
-/// custom schedules such as
+/// Like [`simulate_with_cache`], but runs an explicit per-stage
+/// [`Schedule`] instead of deriving one from a [`ScheduleKind`] — the
+/// entry point for custom schedules such as
 /// [`build_straggler_schedule`](crate::schedule::build_straggler_schedule).
 ///
 /// # Errors
@@ -251,30 +231,8 @@ pub fn simulate_with_cache(
 ///
 /// Panics if the schedule's stage or microbatch count does not match
 /// `graph`, or if the schedule deadlocks.
-pub fn simulate_schedule(
-    graph: &StageGraph,
-    cluster: &ClusterSpec,
-    planner: &dyn Planner,
-    comm: CommMode,
-    schedule: &Schedule,
-    backend: &dyn Backend,
-) -> Result<PipelineReport, SimError> {
-    simulate_schedule_with_cache(graph, cluster, planner, comm, schedule, backend, None)
-}
-
-/// Like [`simulate_schedule`], with an optional [`PlanCache`] consulted for
-/// every per-edge resharding plan.
-///
-/// # Errors
-///
-/// Propagates backend errors.
-///
-/// # Panics
-///
-/// Panics if the schedule's stage or microbatch count does not match
-/// `graph`, or if the schedule deadlocks.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_schedule_with_cache(
+pub fn simulate_schedule(
     graph: &StageGraph,
     cluster: &ClusterSpec,
     planner: &dyn Planner,
@@ -928,6 +886,7 @@ mod tests {
             CommMode::Overlapped,
             &build_schedule(ScheduleKind::Eager1F1B, 2, m, WeightDelay::None),
             &backend,
+            None,
         )
         .unwrap();
         let aware = simulate_schedule(
@@ -937,6 +896,7 @@ mod tests {
             CommMode::Overlapped,
             &build_straggler_schedule(2, m, WeightDelay::None, &[1.0, slowdown]),
             &backend,
+            None,
         )
         .unwrap();
         assert!(
@@ -954,6 +914,7 @@ mod tests {
             CommMode::Overlapped,
             &build_schedule(ScheduleKind::Eager1F1B, 2, m, WeightDelay::None),
             &SimBackend,
+            None,
         )
         .unwrap();
         assert!(vanilla.iteration_seconds > clean.iteration_seconds);

@@ -42,8 +42,8 @@ mod schedule;
 mod stage;
 
 pub use exec::{
-    auto_weight_delay, simulate, simulate_schedule, simulate_schedule_with_cache, simulate_with,
-    simulate_with_cache, CommMode, PipelineConfig, PipelineReport,
+    auto_weight_delay, simulate, simulate_schedule, simulate_with_cache, CommMode, PipelineConfig,
+    PipelineReport,
 };
 pub use schedule::{
     build_schedule, build_straggler_schedule, Op, Schedule, ScheduleKind, WeightDelay,

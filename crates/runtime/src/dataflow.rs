@@ -2,210 +2,27 @@
 //!
 //! Where [`ThreadedBackend`](crate::ThreadedBackend) executes a lowered
 //! [`TaskGraph`](crossmesh_netsim::TaskGraph) with timing-shaped dummy
-//! bytes, [`execute_plan`] moves the *actual tensor contents*: every
-//! source device materializes its layout tile on its own thread, every
-//! assignment extracts and ships the pieces its receivers need over
-//! channels, and every destination device assembles its tile concurrently.
-//! The assembled buffers then pass through the exact same
-//! [`verify_destination`] check as the in-process data plane in
-//! `crossmesh-core`, so both execution paths assert byte-exact placement
-//! against the same ground truth.
+//! bytes, [`execute_plan`] moves the *actual tensor contents* through
+//! `crossmesh-core`'s delivery engine with one lane per sending device:
+//! every sender materializes its layout tile on its own thread and ships
+//! the pieces its receivers need (in plan order) over channels, and every
+//! destination device assembles its tile concurrently. The assembled
+//! buffers pass the same `verify_destination` check as the sequential
+//! data plane, against the same ground truth.
 
-use crossmesh_core::dataplane::{
-    verify_destination, DataPlaneError, DataPlaneReport, DestinationBuffer, TileBuffer,
-};
-use crossmesh_core::{Assignment, Plan};
-use crossmesh_mesh::Layout;
-use crossmesh_netsim::DeviceId;
-use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
-use std::sync::mpsc;
-use std::thread;
-
-/// Errors from threaded plan execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum PlanDataError {
-    /// A placement defect — identical to what the in-process data plane
-    /// reports for the same broken plan.
-    Data(DataPlaneError),
-    /// A thread or channel failed (worker panic, receiver hung up).
-    Transport(String),
-}
-
-impl fmt::Display for PlanDataError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanDataError::Data(e) => write!(f, "{e}"),
-            PlanDataError::Transport(msg) => write!(f, "transport failure: {msg}"),
-        }
-    }
-}
-
-impl Error for PlanDataError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            PlanDataError::Data(e) => Some(e),
-            PlanDataError::Transport(_) => None,
-        }
-    }
-}
-
-impl From<DataPlaneError> for PlanDataError {
-    fn from(e: DataPlaneError) -> Self {
-        PlanDataError::Data(e)
-    }
-}
+use crossmesh_core::dataplane::{execute_plan_by, DataPlaneError, DataPlaneReport};
+use crossmesh_core::Plan;
 
 /// Executes `plan` across threads with real payloads and verifies the
-/// destination placement byte-for-byte.
-///
-/// One thread per participating source device extracts and sends its
-/// assigned pieces (in plan order), one thread per destination device
-/// assembles its tile from whatever arrives, and the final buffers are
-/// verified against ground truth with
-/// [`crossmesh_core::dataplane::verify_destination`]. The report matches
-/// what [`crossmesh_core::dataplane::execute_and_verify`] produces for the
+/// destination placement byte-for-byte. The report matches what
+/// [`crossmesh_core::dataplane::execute_and_verify`] produces for the
 /// same plan.
 ///
 /// # Errors
 ///
-/// Returns [`PlanDataError::Data`] for any placement defect (missing
-/// slice, uncovered or corrupted element, conflicting writes) and
-/// [`PlanDataError::Transport`] if a worker thread fails.
-pub fn execute_plan(plan: &Plan<'_>) -> Result<DataPlaneReport, PlanDataError> {
-    let task = plan.task();
-    let shape = task.shape();
-    let elem_bytes = task.elem_bytes() as usize;
-    let src_layout =
-        Layout::new(task.src_mesh(), task.src_spec(), shape).expect("task validated at build");
-    let dst_layout =
-        Layout::new(task.dst_mesh(), task.dst_spec(), shape).expect("task validated at build");
-
-    // Source tiles to materialize, and the per-sender work lists (plan
-    // order preserved within each sender).
-    let mut src_tiles = BTreeMap::new();
-    for coord in task.src_mesh().coords() {
-        src_tiles.insert(
-            task.src_mesh().device(coord),
-            src_layout.tile_at(coord).clone(),
-        );
-    }
-    let mut sender_work: BTreeMap<DeviceId, Vec<&Assignment>> = BTreeMap::new();
-    for a in plan.assignments() {
-        sender_work.entry(a.sender).or_default().push(a);
-    }
-
-    // One inbound channel per destination device.
-    let mut piece_tx = BTreeMap::new();
-    let mut piece_rx = BTreeMap::new();
-    for coord in task.dst_mesh().coords() {
-        let device = task.dst_mesh().device(coord);
-        let (tx, rx) = mpsc::sync_channel::<TileBuffer>(64);
-        piece_tx.insert(device, tx);
-        piece_rx.insert(device, (rx, dst_layout.tile_at(coord).clone()));
-    }
-
-    let (delivered, buffers) = thread::scope(|s| {
-        let mut senders = Vec::new();
-        for (device, work) in &sender_work {
-            let device = *device;
-            let tile = src_tiles
-                .get(&device)
-                .expect("plan validated sender membership");
-            let piece_tx = piece_tx.clone();
-            senders.push(s.spawn(move || -> Result<u64, PlanDataError> {
-                let holder = TileBuffer::materialize(tile, shape, elem_bytes);
-                let mut delivered = 0u64;
-                for a in work {
-                    let unit = &task.units()[a.unit];
-                    if !holder.tile.contains(&unit.slice) {
-                        return Err(DataPlaneError::SenderMissesSlice {
-                            device,
-                            slice: unit.slice.to_string(),
-                        }
-                        .into());
-                    }
-                    let slice_buf = holder.extract(&unit.slice);
-                    for r in &unit.receivers {
-                        let piece = slice_buf.extract(&r.needed);
-                        delivered += piece.tile.volume() * elem_bytes as u64;
-                        piece_tx
-                            .get(&r.device)
-                            .expect("receivers live on the destination mesh")
-                            .send(piece)
-                            .map_err(|_| {
-                                PlanDataError::Transport(format!(
-                                    "assembler for {} hung up",
-                                    r.device
-                                ))
-                            })?;
-                    }
-                }
-                Ok(delivered)
-            }));
-        }
-
-        let mut assemblers = Vec::new();
-        for (device, (rx, tile)) in piece_rx {
-            assemblers.push(s.spawn(move || -> Result<_, PlanDataError> {
-                let mut buf = DestinationBuffer::new(tile, elem_bytes);
-                // The channel yields pieces until every sender thread has
-                // dropped its clone of this device's transmitter.
-                while let Ok(piece) = rx.recv() {
-                    buf.write(&piece, device)?;
-                }
-                Ok((device, buf))
-            }));
-        }
-
-        // Dropping the original transmitters leaves only the clones held
-        // by sender threads; when those finish, assemblers see EOF.
-        drop(piece_tx);
-
-        let mut delivered = 0u64;
-        let mut first_err: Option<PlanDataError> = None;
-        for h in senders {
-            match h.join() {
-                Ok(Ok(n)) => delivered += n,
-                Ok(Err(e)) => note(&mut first_err, e),
-                Err(_) => note(
-                    &mut first_err,
-                    PlanDataError::Transport("sender thread panicked".into()),
-                ),
-            }
-        }
-        let mut buffers = Vec::new();
-        for h in assemblers {
-            match h.join() {
-                Ok(Ok(pair)) => buffers.push(pair),
-                Ok(Err(e)) => note(&mut first_err, e),
-                Err(_) => note(
-                    &mut first_err,
-                    PlanDataError::Transport("assembler thread panicked".into()),
-                ),
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok((delivered, buffers)),
-        }
-    })?;
-
-    let destination = verify_destination(shape, buffers)?;
-    Ok(DataPlaneReport {
-        delivered_bytes: delivered,
-        destination,
-    })
-}
-
-/// Keeps the first error, preferring a data-plane defect over a transport
-/// failure (a sender erroring out makes downstream hang-ups inevitable).
-fn note(slot: &mut Option<PlanDataError>, e: PlanDataError) {
-    match (&slot, &e) {
-        (None, _) => *slot = Some(e),
-        (Some(PlanDataError::Transport(_)), PlanDataError::Data(_)) => *slot = Some(e),
-        _ => {}
-    }
+/// Any placement defect (missing slice, uncovered or corrupted element,
+/// conflicting writes), and [`DataPlaneError::Transport`] if a worker
+/// thread fails.
+pub fn execute_plan(plan: &Plan<'_>) -> Result<DataPlaneReport, DataPlaneError> {
+    execute_plan_by(plan, |a| a.sender)
 }

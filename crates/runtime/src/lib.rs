@@ -11,7 +11,7 @@
 //! dictates, per-task start/finish timestamps are taken from one monotonic
 //! clock, and the result comes back as the same
 //! [`Trace`](crossmesh_netsim::Trace) type the simulator produces, so
-//! planners, reports, and the Chrome-trace exporter work unchanged.
+//! planners, reports, and the timeline exporter work unchanged.
 //!
 //! Two entry points:
 //!
@@ -19,8 +19,8 @@
 //!   [`Backend`](crossmesh_netsim::Backend) for any lowered task graph
 //!   (timing-shaped execution with real message passing);
 //! * [`execute_plan`] — runs a planner's [`Plan`](crossmesh_core::Plan)
-//!   with *real tile payloads*, assembling destination buffers across
-//!   threads and verifying byte-exact placement via
+//!   with *real tile payloads* on `crossmesh-core`'s delivery engine, one
+//!   sender thread per sending device, verifying byte-exact placement via
 //!   [`crossmesh_core::dataplane::verify_destination`].
 //!
 //! # Example
@@ -48,5 +48,5 @@ mod dataflow;
 pub mod net;
 
 pub use backend::{InjectedFaults, ThreadedBackend, TransportKind};
-pub use dataflow::{execute_plan, PlanDataError};
+pub use dataflow::execute_plan;
 pub use net::{bind_ephemeral, bind_retry, PollListener};

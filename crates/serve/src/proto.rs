@@ -10,6 +10,7 @@
 //! (milliseconds), not byte shuffling, so the protocol optimises for
 //! debuggability — `nc` + a JSON pretty-printer is a usable client.
 
+pub use crossmesh_core::{parse_mesh, parse_shape};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, ErrorKind, Read, Write};
@@ -353,39 +354,6 @@ pub fn read_frame<R: Read, T: serde::de::DeserializeOwned>(r: &mut R) -> io::Res
     }
 }
 
-/// Parses `"2x4"` into `(rows, cols)`.
-///
-/// # Errors
-///
-/// A message naming the malformed input.
-pub fn parse_mesh(s: &str) -> Result<(usize, usize), String> {
-    let (a, b) = s
-        .split_once(['x', 'X'])
-        .ok_or_else(|| format!("mesh {s:?} must look like 2x4"))?;
-    let rows: usize = a.parse().map_err(|_| format!("bad mesh rows in {s:?}"))?;
-    let cols: usize = b.parse().map_err(|_| format!("bad mesh cols in {s:?}"))?;
-    if rows == 0 || cols == 0 {
-        return Err(format!("mesh {s:?} must be non-empty"));
-    }
-    Ok((rows, cols))
-}
-
-/// Parses `"1024x64x8"` into a shape vector.
-///
-/// # Errors
-///
-/// A message naming the malformed component.
-pub fn parse_shape(s: &str) -> Result<Vec<u64>, String> {
-    s.split(['x', 'X'])
-        .map(|p| {
-            p.parse::<u64>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("bad shape component {p:?} in {s:?}"))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,14 +465,5 @@ mod tests {
         buf.truncate(buf.len() - 3);
         let err = read_frame::<_, Request>(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn mesh_and_shape_parsing() {
-        assert_eq!(parse_mesh("2x4").unwrap(), (2, 4));
-        assert!(parse_mesh("0x4").is_err());
-        assert!(parse_mesh("nope").is_err());
-        assert_eq!(parse_shape("8x4").unwrap(), vec![8, 4]);
-        assert!(parse_shape("8x0").is_err());
     }
 }

@@ -20,15 +20,11 @@ use crate::proto::{
     self, DoneReply, ErrorReply, FrameRead, RejectedReply, Request, RequestBody, ReshardRequest,
     Response, StatsReply, TelemetryReply, TenantStats,
 };
-use crossmesh_core::{
-    CostParams, DfsPlanner, EnsemblePlanner, LoadBalancePlanner, NaivePlanner, Plan, PlanCache,
-    Planner, PlannerConfig, RandomizedGreedyPlanner, ReshardingTask, SenderExclusions,
-};
-use crossmesh_faults::{execute_with_repair_cached, FaultSchedule};
+use crossmesh_core::{planner_for, Plan, PlanCache, PlannerConfig, SenderExclusions, TaskSpec};
+use crossmesh_faults::{execute_with_repair, FaultInjectable, FaultSchedule};
 use crossmesh_hb as hb;
-use crossmesh_mesh::DeviceMesh;
 use crossmesh_models::presets;
-use crossmesh_netsim::{Backend, ClusterSpec, LinkParams, SimBackend};
+use crossmesh_netsim::SimBackend;
 use crossmesh_obs as obs;
 use crossmesh_runtime::{PollListener, ThreadedBackend};
 use parking_lot::{Condvar, Mutex};
@@ -73,7 +69,8 @@ impl BackendKind {
         }
     }
 
-    fn instantiate(self) -> Box<dyn Backend> {
+    /// The backend this kind names.
+    pub fn instantiate(self) -> Box<dyn FaultInjectable> {
         match self {
             BackendKind::Sim => Box::new(SimBackend),
             BackendKind::Threads => Box::new(ThreadedBackend::threads()),
@@ -925,63 +922,6 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Builds the planner named by the request (mirrors the CLI's table).
-fn planner_for(
-    name: &str,
-    config: PlannerConfig,
-    seed: Option<u64>,
-) -> Result<Box<dyn Planner>, String> {
-    let greedy = || {
-        let p = RandomizedGreedyPlanner::new(config);
-        match seed {
-            Some(s) => p.with_seed(s),
-            None => p,
-        }
-    };
-    Ok(match name {
-        "ours" => Box::new(EnsemblePlanner::new(config).with_greedy(greedy())),
-        "naive" => Box::new(NaivePlanner::new(config)),
-        "lpt" => Box::new(LoadBalancePlanner::new(config)),
-        "dfs" => Box::new(DfsPlanner::new(config)),
-        "greedy" => Box::new(greedy()),
-        other => return Err(format!("unknown planner {other:?}")),
-    })
-}
-
-/// Rebuilds the task and cluster from a request's portable strings, the
-/// same way the CLI's `TaskSpecFile::build` does.
-fn build_task(req: &ReshardRequest) -> Result<(ReshardingTask, ClusterSpec, CostParams), String> {
-    let src_mesh_shape = proto::parse_mesh(&req.src_mesh)?;
-    let dst_mesh_shape = proto::parse_mesh(&req.dst_mesh)?;
-    let shape = proto::parse_shape(&req.shape)?;
-    if req.elem_bytes == 0 {
-        return Err("elem_bytes must be positive".into());
-    }
-    let params = presets::p3_cost_params();
-    let gpus = src_mesh_shape.1.max(dst_mesh_shape.1) as u32;
-    let hosts = (src_mesh_shape.0 + dst_mesh_shape.0) as u32;
-    let cluster = ClusterSpec::homogeneous(
-        hosts,
-        gpus,
-        LinkParams::new(params.intra_bw, params.inter_bw)
-            .with_latencies(params.intra_latency, params.inter_latency),
-    );
-    let src = DeviceMesh::from_cluster(&cluster, 0, src_mesh_shape, "src")
-        .map_err(|e| format!("src mesh: {e}"))?;
-    let dst = DeviceMesh::from_cluster(&cluster, src_mesh_shape.0, dst_mesh_shape, "dst")
-        .map_err(|e| format!("dst mesh: {e}"))?;
-    let task = ReshardingTask::new(
-        src,
-        req.src_spec.parse().map_err(|e| format!("src spec: {e}"))?,
-        dst,
-        req.dst_spec.parse().map_err(|e| format!("dst spec: {e}"))?,
-        &shape,
-        req.elem_bytes,
-    )
-    .map_err(|e| format!("task: {e}"))?;
-    Ok((task, cluster, params))
-}
-
 /// Plans (through the shared cache), executes, and answers one job.
 fn process(job: Job, shared: &Arc<Shared>) {
     let queue_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
@@ -1015,7 +955,22 @@ fn process(job: Job, shared: &Arc<Shared>) {
 }
 
 fn run_job(job: &Job, shared: &Arc<Shared>, queue_ms: f64) -> Result<DoneReply, String> {
-    let (task, cluster, params) = build_task(&job.req)?;
+    let params = presets::p3_cost_params();
+    let req = &job.req;
+    let (task, cluster) = TaskSpec {
+        src_spec: req.src_spec.clone(),
+        dst_spec: req.dst_spec.clone(),
+        src_mesh: req.src_mesh.clone(),
+        dst_mesh: req.dst_mesh.clone(),
+        shape: req.shape.clone(),
+        elem_bytes: req.elem_bytes,
+        inter_bw: params.inter_bw,
+        intra_bw: params.intra_bw,
+        inter_latency: params.inter_latency,
+        intra_latency: params.intra_latency,
+    }
+    .build()
+    .map_err(|e| e.to_string())?;
     let planner_name = if job.req.planner.is_empty() {
         shared.cfg.default_planner.as_str()
     } else {
@@ -1044,32 +999,12 @@ fn run_job(job: &Job, shared: &Arc<Shared>, queue_ms: f64) -> Result<DoneReply, 
     // Requests carrying a fault schedule execute under injection with
     // automatic repair; the repair's failover planning reuses the shared
     // plan cache, so repeated (plan, crashed-hosts) pairs replay.
+    let backend = shared.cfg.backend.instantiate();
     let simulated_seconds = match parse_faults(job.req.faults.as_deref())? {
         Some(schedule) => {
-            let recovery = match shared.cfg.backend {
-                BackendKind::Sim => execute_with_repair_cached(
-                    &plan,
-                    &cluster,
-                    &SimBackend,
-                    &schedule,
-                    Some(&shared.cache),
-                ),
-                BackendKind::Threads => execute_with_repair_cached(
-                    &plan,
-                    &cluster,
-                    &ThreadedBackend::threads(),
-                    &schedule,
-                    Some(&shared.cache),
-                ),
-                BackendKind::Tcp => execute_with_repair_cached(
-                    &plan,
-                    &cluster,
-                    &ThreadedBackend::tcp(),
-                    &schedule,
-                    Some(&shared.cache),
-                ),
-            }
-            .map_err(|e| on_exec_error(format!("{e}")))?;
+            let recovery =
+                execute_with_repair(&plan, &cluster, &*backend, &schedule, Some(&shared.cache))
+                    .map_err(|e| on_exec_error(format!("{e}")))?;
             if recovery.repaired {
                 shared.registry.counter("serve.fault_repairs").inc();
                 shared
@@ -1087,10 +1022,9 @@ fn run_job(job: &Job, shared: &Arc<Shared>, queue_ms: f64) -> Result<DoneReply, 
                 );
                 shared.dump_flightrec("fault-repair");
             }
-            recovery.report.simulated_seconds
+            recovery.run.report().simulated_seconds
         }
         None => {
-            let backend = shared.cfg.backend.instantiate();
             plan.execute_with(&*backend, &cluster)
                 .map_err(|e| on_exec_error(format!("{e}")))?
                 .simulated_seconds

@@ -17,6 +17,9 @@ cargo test --workspace --offline -q
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
+echo "==> benchmark crate tests (first to break when a pinned facade name changes)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> fault-tolerance suite, per backend family"
 cargo test --offline -q --test fault_tolerance -- sim
 cargo test --offline -q --test fault_tolerance -- threads

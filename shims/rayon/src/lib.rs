@@ -469,7 +469,14 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.state.shutdown.store(true, Ordering::Release);
+        // Flip the flag under the queue lock: a worker that has just seen
+        // `shutdown == false` still holds that lock until it is parked in
+        // `available.wait`, so the wake-up below cannot fall into the gap
+        // between its check and its wait (which left `join` hanging).
+        {
+            let _queue = self.state.queue.lock().unwrap_or_else(|p| p.into_inner());
+            self.state.shutdown.store(true, Ordering::Release);
+        }
         self.state.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();

@@ -15,14 +15,19 @@
 //! * [`a2a_threaded_matches_reference`] — the MoE all-to-all data plane
 //!   delivers byte-identical expert shards whether run sequentially or on
 //!   a worker pool of any width, with or without a seeded fault schedule.
+//! * [`engine_is_lane_count_invariant`] — the delivery engine all of the
+//!   above are adapters of, driven directly: one inline lane and `n`
+//!   sender threads produce the identical report for random plans and
+//!   random all-to-all tasks, with or without a seeded drop roll.
 //!
 //! Case counts are modest: every case spawns real OS threads.
 
+use crossmesh::core::dataplane::{deliver, Delivery, DropRoll};
 use crossmesh::core::{EnsemblePlanner, NaivePlanner, Planner, PlannerConfig, ReshardingTask};
 use crossmesh::faults::{FaultEvent, FaultSchedule};
-use crossmesh::mesh::{DeviceMesh, DimSharding, ShardingSpec};
+use crossmesh::mesh::{DeviceMesh, DimSharding, Layout, ShardingSpec, Tile};
 use crossmesh::moe::{execute_reference, execute_threaded_with_faults, A2aTask, RoutingConfig};
-use crossmesh::netsim::{Backend, ClusterSpec, LinkParams, SimBackend, TaskGraph};
+use crossmesh::netsim::{Backend, ClusterSpec, DeviceId, LinkParams, SimBackend, TaskGraph};
 use crossmesh::runtime::{execute_plan, ThreadedBackend};
 use proptest::prelude::*;
 
@@ -115,8 +120,133 @@ fn config() -> PlannerConfig {
     })
 }
 
+/// A small random all-to-all dispatch between two equal meshes.
+fn a2a_case(
+    hosts_per_side: u32,
+    devices: u32,
+    tokens: u64,
+    token_bytes: u64,
+    skew: f64,
+    seed: u64,
+) -> A2aTask {
+    let cluster = ClusterSpec::homogeneous(
+        2 * hosts_per_side,
+        devices,
+        LinkParams::new(100.0, 1.0).with_latencies(0.0, 0.0),
+    );
+    let shape = (hosts_per_side as usize, devices as usize);
+    let tokens_mesh = DeviceMesh::from_cluster(&cluster, 0, shape, "tokens").unwrap();
+    let experts_mesh = DeviceMesh::from_cluster(&cluster, shape.0, shape, "experts").unwrap();
+    let routing = RoutingConfig {
+        tokens_per_device: tokens,
+        token_bytes,
+        skew,
+        seed,
+        ..RoutingConfig::default()
+    };
+    let n = shape.0 * shape.1;
+    A2aTask::dispatch(&tokens_mesh, &experts_mesh, &routing.bytes_matrix(n, n))
+}
+
+/// Runs `deliveries` on the engine as one inline lane and dealt
+/// round-robin over `n` sender threads, clean and under a seeded drop
+/// roll, and demands the identical outcome.
+fn assert_lane_count_invariant(
+    shape: &[u64],
+    elem_bytes: usize,
+    destinations: &[(DeviceId, Tile)],
+    deliveries: &[Delivery<'_>],
+    n: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let dealt = |n: usize| -> Vec<Vec<Delivery<'_>>> {
+        (0..n)
+            .map(|w| deliveries.iter().skip(w).step_by(n).copied().collect())
+            .collect()
+    };
+    let drops = DropRoll {
+        seed,
+        prob: 0.2,
+        max_retries: 16,
+    };
+    for drops in [None, Some(drops)] {
+        let run = |n| {
+            deliver(
+                shape,
+                elem_bytes,
+                destinations.iter().cloned(),
+                &dealt(n),
+                drops,
+            )
+        };
+        let oracle = run(1);
+        prop_assert!(oracle.is_ok(), "oracle failed: {:?}", oracle.err());
+        prop_assert_eq!(run(n), oracle, "{} lanes diverged (drops: {:?})", n, drops);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The shared delivery engine, driven directly: lane count and drop
+    /// rolls never change the report, for plans (senders hold layout
+    /// tiles) and for all-to-all tasks (shards materialized from truth).
+    #[test]
+    fn engine_is_lane_count_invariant(
+        p in problem_strategy(),
+        lanes in 2usize..=5,
+        hosts_per_side in 1u32..=2,
+        devices in 1u32..=3,
+        tokens in 1u64..=24,
+        skew in 0.0f64..2.5,
+        seed in 0u64..1024,
+    ) {
+        let (_, task) = build(&p);
+        let plan = EnsemblePlanner::new(config()).plan(&task);
+        let src = Layout::new(task.src_mesh(), task.src_spec(), task.shape()).unwrap();
+        let dst = Layout::new(task.dst_mesh(), task.dst_spec(), task.shape()).unwrap();
+        let tile_of = |mesh: &DeviceMesh, layout: &Layout, device: DeviceId| {
+            let coord = mesh.coords().find(|&c| mesh.device(c) == device).unwrap();
+            layout.tile_at(coord).clone()
+        };
+        let holders: Vec<Tile> = plan
+            .assignments()
+            .iter()
+            .map(|a| tile_of(task.src_mesh(), &src, a.sender))
+            .collect();
+        let deliveries: Vec<Delivery<'_>> = plan
+            .assignments()
+            .iter()
+            .zip(&holders)
+            .map(|(a, tile)| Delivery {
+                unit: &task.units()[a.unit],
+                holder: Some((a.sender, tile)),
+            })
+            .collect();
+        let destinations: Vec<(DeviceId, Tile)> = task
+            .dst_mesh()
+            .coords()
+            .map(|c| (task.dst_mesh().device(c), dst.tile_at(c).clone()))
+            .collect();
+        assert_lane_count_invariant(task.shape(), 1, &destinations, &deliveries, lanes, seed)?;
+
+        let a2a = a2a_case(hosts_per_side, devices, tokens, 3, skew, seed);
+        let shards: Vec<Delivery<'_>> = a2a
+            .task()
+            .units()
+            .iter()
+            .map(|unit| Delivery { unit, holder: None })
+            .collect();
+        assert_lane_count_invariant(
+            a2a.task().shape(),
+            1,
+            a2a.destination_tiles(),
+            &shards,
+            lanes,
+            seed,
+        )?;
+    }
 
     /// Threaded plan execution delivers destination bytes identical to the
     /// sequential data plane, for every planner.
@@ -187,25 +317,7 @@ proptest! {
         skew in 0.0f64..2.5,
         seed in 0u64..1024,
     ) {
-        let cluster = ClusterSpec::homogeneous(
-            2 * hosts_per_side,
-            devices,
-            LinkParams::new(100.0, 1.0).with_latencies(0.0, 0.0),
-        );
-        let shape = (hosts_per_side as usize, devices as usize);
-        let tokens_mesh = DeviceMesh::from_cluster(&cluster, 0, shape, "tokens").unwrap();
-        let experts_mesh =
-            DeviceMesh::from_cluster(&cluster, shape.0, shape, "experts").unwrap();
-        let routing = RoutingConfig {
-            tokens_per_device: tokens,
-            token_bytes,
-            skew,
-            seed,
-            ..RoutingConfig::default()
-        };
-        let n = shape.0 * shape.1;
-        let bytes = routing.bytes_matrix(n, n);
-        let a2a = A2aTask::dispatch(&tokens_mesh, &experts_mesh, &bytes);
+        let a2a = a2a_case(hosts_per_side, devices, tokens, token_bytes, skew, seed);
 
         let reference = execute_reference(&a2a)
             .map_err(|e| TestCaseError::fail(format!("reference: {e}")))?;

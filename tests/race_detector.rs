@@ -7,20 +7,22 @@
 //!   on *every* seed of a 32-seed sweep — no false negatives, because the
 //!   detector keys on the absence of happens-before edges, not on the
 //!   interleaving the schedule happened to produce;
-//! * the real concurrent core — the threaded runtime backend and the MoE
-//!   all-to-all dataplane — runs race-clean under perturbation while its
+//! * the real concurrent core — the threaded runtime backend and the
+//!   delivery engine under both its adapters (`runtime::execute_plan`, the
+//!   MoE all-to-all) — runs race-clean under perturbation while its
 //!   byte-identical equivalence oracles keep passing.
 //!
 //! Case counts are modest: every case spawns real OS threads and the
 //! armed sections serialize on the seam's test lock.
 
-use crossmesh::check::race::{run_clean, run_defect, Defect, RaceDetector};
+use crossmesh::check::race::{run_armed, run_clean, run_defect, Defect, RaceDetector};
 use crossmesh::check::schedules::sweep;
+use crossmesh::core::{dataplane, NaivePlanner, Planner, PlannerConfig, TaskSpec};
 use crossmesh::hb;
 use crossmesh::mesh::DeviceMesh;
 use crossmesh::moe::{execute_reference, execute_threaded, A2aTask, RoutingConfig};
 use crossmesh::netsim::{Backend, ClusterSpec, LinkParams, TaskGraph, Work};
-use crossmesh::runtime::ThreadedBackend;
+use crossmesh::runtime::{execute_plan, ThreadedBackend};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -137,13 +139,48 @@ fn moe_dataplane_is_race_clean_and_byte_identical() {
     let reference = execute_reference(&a2a).expect("reference executes");
 
     for seed in [0u64, 7] {
-        let _serial = hb::test_lock();
-        let detector = Arc::new(RaceDetector::new());
-        let _armed = hb::install(detector.clone());
-        let _fuzzing = hb::fuzz(seed);
-        let threaded = execute_threaded(&a2a, 4).expect("threaded executes");
-        assert_eq!(threaded, reference, "seed {seed}: byte oracle diverged");
-        let diags = detector.drain_diagnostics();
+        let diags = run_armed(seed, || {
+            let threaded = execute_threaded(&a2a, 4).expect("threaded executes");
+            assert_eq!(threaded, reference, "seed {seed}: byte oracle diverged");
+        });
         assert!(diags.is_empty(), "seed {seed}: {diags:?}");
+    }
+}
+
+/// `runtime::execute_plan` carries the delivery engine's seam: with 1, 4
+/// and 8 sending devices (one sender thread each, width 1 runs inline) it
+/// is byte-identical to the sequential data plane with zero race findings.
+#[test]
+fn plan_dataflow_is_race_clean_at_every_width() {
+    for width in [1usize, 4, 8] {
+        let (task, _) = TaskSpec {
+            src_spec: "S1R".into(),
+            dst_spec: "RS1".into(),
+            src_mesh: format!("1x{width}"),
+            dst_mesh: "1x2".into(),
+            shape: "16x8".into(),
+            elem_bytes: 2,
+            inter_bw: 1.0,
+            intra_bw: 100.0,
+            inter_latency: 0.0,
+            intra_latency: 0.0,
+        }
+        .build()
+        .expect("task builds");
+        let plan = NaivePlanner::new(PlannerConfig::default()).plan(&task);
+        let senders: std::collections::BTreeSet<_> =
+            plan.assignments().iter().map(|a| a.sender).collect();
+        assert_eq!(senders.len(), width, "one sender lane per source device");
+        let oracle = dataplane::execute_and_verify(&plan).expect("oracle executes");
+        for seed in [0u64, 5, 13] {
+            let diags = run_armed(seed, || {
+                let threaded = execute_plan(&plan).expect("armed run executes");
+                assert_eq!(
+                    threaded, oracle,
+                    "width {width} seed {seed}: oracle diverged"
+                );
+            });
+            assert!(diags.is_empty(), "width {width} seed {seed}: {diags:?}");
+        }
     }
 }

@@ -467,3 +467,45 @@ fn stats_reports_per_tenant_breakdown() {
     assert_eq!(stats.verifier_convictions, 0);
     server.shutdown();
 }
+
+/// Hostile sizes in a 20-byte field must cost the daemon an `Error`
+/// reply, not an allocation or a worker: a mesh with billions of hosts
+/// (which used to reach `vec![host; n_hosts]`), one whose host count wraps
+/// a `u32`, and a shape whose byte size overflows `u64`.
+#[test]
+fn hostile_sizes_get_an_error_reply_and_the_daemon_keeps_answering() {
+    let server = Server::start(config(1)).expect("daemon starts");
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let hostile = [
+        ("4000000000x1", "2x4", "64x64x8"),
+        ("2x4", "4294967297x1", "64x64x8"),
+        ("2x4", "2x4", "4294967296x4294967296x4"),
+    ];
+    for (src_mesh, dst_mesh, shape) in hostile {
+        let req = ReshardRequest {
+            src_mesh: src_mesh.into(),
+            dst_mesh: dst_mesh.into(),
+            shape: shape.into(),
+            ..small_request()
+        };
+        match client.reshard("mallory", req).expect("answered") {
+            Response::Error(e) => assert!(
+                e.message.contains("at most") || e.message.contains("overflows"),
+                "{src_mesh} {dst_mesh} {shape}: {}",
+                e.message
+            ),
+            other => panic!("{src_mesh} {dst_mesh} {shape}: unexpected reply {other:?}"),
+        }
+        client.ping().expect("daemon still answers");
+    }
+    // The worker survived all three: an honest request still completes.
+    match client
+        .reshard("mallory", small_request())
+        .expect("answered")
+    {
+        Response::Done(d) => assert!(d.unit_tasks > 0),
+        other => panic!("unexpected reply {other:?}"),
+    }
+    let summary = server.shutdown();
+    assert_eq!((summary.completed, summary.failed), (1, 3));
+}
