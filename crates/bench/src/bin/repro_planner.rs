@@ -1,6 +1,7 @@
 //! Regenerates the planner scaling sweep; prints the table, writes
 //! `BENCH_planner.json`, and with `--json` dumps the report to stdout.
-//! `--smoke` trims the grid for CI; `--out PATH` overrides the JSON path.
+//! `--smoke` runs the grid once instead of best-of-3 for CI; `--out PATH`
+//! overrides the JSON path.
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -10,6 +10,12 @@
 //! widths (the determinism contract) and reports the speedup over the
 //! 1-thread pool. Speedups track `host_threads` — on a single-core host
 //! they flatten to ~1x by construction.
+//!
+//! Next to each timing the sweep records the planners' deterministic work
+//! counters for one `plan()` call (`planner.greedy.visits`,
+//! `planner.dfs.nodes`), which the regression gate pins exactly: a change
+//! that makes a planner do more work convicts on any host, where the
+//! wall-clock rules need a quiet one.
 
 use crate::hostenv::HostEnv;
 use crate::table_fmt;
@@ -19,6 +25,7 @@ use crossmesh_core::{
 };
 use crossmesh_models::presets;
 use crossmesh_netsim::{ClusterSpec, LinkParams};
+use crossmesh_obs as obs;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -60,6 +67,14 @@ pub struct Row {
     /// The plan's estimated makespan — identical across `threads` by the
     /// determinism contract (asserted by [`run`]).
     pub estimate: f64,
+    /// Units the greedy round selection examined in one `plan()` call
+    /// (`planner.greedy.visits`): the same at every pool width.
+    pub greedy_visits: u64,
+    /// Search nodes DFS expanded in one `plan()` call
+    /// (`planner.dfs.nodes`) on the 1-thread pool. `None` on wider pools:
+    /// there thread timing decides which branches the opportunistic skip
+    /// drops, so the count (never the plan) varies run to run.
+    pub dfs_nodes: Option<u64>,
 }
 
 /// The plan-cache cold/warm measurement.
@@ -163,24 +178,21 @@ fn best_of<F: FnMut() -> f64>(reps: usize, mut f: F) -> (f64, f64) {
     (best, estimate)
 }
 
-/// Runs the sweep. `smoke` trims it (units ≤ 20, pools {1, 4}, single
-/// rep) for CI; the full sweep is best-of-3 over the whole grid.
+/// Runs the sweep: best-of-3 over the whole grid, or with `smoke` a single
+/// rep for CI. The grid is the same in both modes, so a smoke report's work
+/// counters line up cell for cell with a committed full baseline.
 ///
 /// # Panics
 ///
 /// Panics if any planner's estimate differs across pool widths — that
 /// would break the determinism contract the parallel engine guarantees.
 pub fn run(smoke: bool) -> Report {
-    let unit_counts: &[usize] = if smoke {
-        &UNIT_COUNTS[..2]
-    } else {
-        &UNIT_COUNTS
-    };
-    let thread_counts: &[usize] = if smoke { &[1, 4] } else { &THREAD_COUNTS };
     let reps = if smoke { 1 } else { 3 };
+    let greedy_visits = obs::metrics().counter("planner.greedy.visits");
+    let dfs_nodes = obs::metrics().counter("planner.dfs.nodes");
 
     let env = HostEnv::detect().with_smoke(smoke);
-    let warnings: Vec<String> = thread_counts
+    let warnings: Vec<String> = THREAD_COUNTS
         .iter()
         .filter_map(|&t| env.oversubscription_warning(t))
         .collect();
@@ -189,13 +201,13 @@ pub fn run(smoke: bool) -> Report {
     }
 
     let mut rows = Vec::new();
-    for &units in unit_counts {
+    for units in UNIT_COUNTS {
         let (_cluster, task) = case(units);
         assert_eq!(task.units().len(), units, "case size mismatch");
         for (name, planner) in planners() {
             let mut baseline = f64::NAN;
             let mut baseline_est = f64::NAN;
-            for &threads in thread_counts {
+            for threads in THREAD_COUNTS {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(threads)
                     .build()
@@ -213,6 +225,9 @@ pub fn run(smoke: bool) -> Report {
                     );
                 }
                 let speedup_vs_1 = env.reliable_speedup(threads, baseline / millis);
+                // One more, untimed call bracketed by counter reads.
+                let (visits_before, nodes_before) = (greedy_visits.get(), dfs_nodes.get());
+                pool.install(|| planner.plan(&task));
                 rows.push(Row {
                     units,
                     planner: name.clone(),
@@ -221,6 +236,8 @@ pub fn run(smoke: bool) -> Report {
                     speedup_vs_1,
                     speedup_unreliable: speedup_vs_1.is_none(),
                     estimate,
+                    greedy_visits: greedy_visits.get() - visits_before,
+                    dfs_nodes: (threads == 1).then(|| dfs_nodes.get() - nodes_before),
                 });
             }
         }
@@ -274,6 +291,8 @@ pub fn render(report: &Report) -> String {
         "threads".to_string(),
         "millis".to_string(),
         "vs 1 thread".to_string(),
+        "greedy visits".to_string(),
+        "dfs nodes".to_string(),
     ]];
     for row in &report.rows {
         table.push(vec![
@@ -283,6 +302,9 @@ pub fn render(report: &Report) -> String {
             format!("{:.3}", row.millis),
             row.speedup_vs_1
                 .map_or_else(|| "n/a (oversubscribed)".to_string(), table_fmt::speedup),
+            row.greedy_visits.to_string(),
+            row.dfs_nodes
+                .map_or_else(|| "-".to_string(), |n| n.to_string()),
         ]);
     }
     let c = &report.cache;
@@ -312,8 +334,11 @@ mod tests {
     #[test]
     fn smoke_sweep_holds_the_contracts() {
         let report = run(true);
-        // units {8, 20} × planners {dfs, greedy, ensemble} × pools {1, 4}.
-        assert_eq!(report.rows.len(), 2 * 3 * 2);
+        // The full grid: units × planners {dfs, greedy, ensemble} × pools.
+        assert_eq!(
+            report.rows.len(),
+            UNIT_COUNTS.len() * 3 * THREAD_COUNTS.len()
+        );
         for row in &report.rows {
             assert!(row.millis >= 0.0 && row.millis.is_finite());
             assert!(row.estimate.is_finite() && row.estimate > 0.0);

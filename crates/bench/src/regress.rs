@@ -27,6 +27,14 @@
 //! drift checks bind on full runs — exactly the runs that produce
 //! committed baselines; deterministic invariant pins (conviction
 //! counts, byte-identity) hold in every mode and are always checked.
+//!
+//! A deterministic ratio rule with zero tolerance is an *exact pin* on a
+//! count the program makes of its own work (planner visits, search
+//! nodes). Such a count carries no noise and is a pure function of the
+//! case it was taken on, so it is judged on its worst cell instead of
+//! the median and is compared between a smoke report and a full one: a
+//! report that trims its cases in smoke mode changes shape and is
+//! skipped as any shape mismatch is.
 
 use crate::hostenv::HostEnv;
 use serde::{Deserialize, Serialize};
@@ -90,7 +98,9 @@ impl Rule {
         }
     }
 
-    /// A deterministic ratio rule (checked on every host).
+    /// A deterministic ratio rule (checked on every host). With a zero
+    /// `tolerance` it is an exact pin: judged on its worst cell, and
+    /// compared between smoke and full reports of the same shape.
     pub fn deterministic(path: &str, direction: Direction, tolerance: f64) -> Rule {
         Rule {
             path: path.into(),
@@ -100,6 +110,10 @@ impl Rule {
             },
             wallclock: false,
         }
+    }
+
+    fn is_exact_pin(&self) -> bool {
+        !self.wallclock && matches!(self.check, Check::Ratio { tolerance, .. } if tolerance == 0.0)
     }
 
     /// An absolute ceiling on the fresh document.
@@ -362,7 +376,7 @@ pub fn compare(manifest: &Manifest, base: &Value, fresh: &Value, opts: &Options)
                 continue;
             }
         }
-        if mode_mismatch && matches!(rule.check, Check::Ratio { .. }) {
+        if mode_mismatch && matches!(rule.check, Check::Ratio { .. }) && !rule.is_exact_pin() {
             out.push(outcome(
                 Verdict::Skipped,
                 None,
@@ -420,7 +434,11 @@ pub fn compare(manifest: &Manifest, base: &Value, fresh: &Value, opts: &Options)
                     ));
                     continue;
                 }
-                let m = median(ratios);
+                let (m, which) = if rule.is_exact_pin() {
+                    (ratios.iter().copied().fold(f64::MIN, f64::max), "worst")
+                } else {
+                    (median(ratios), "median")
+                };
                 let limit = 1.0 + tolerance;
                 let verdict = if m > limit {
                     Verdict::Regressed
@@ -430,7 +448,7 @@ pub fn compare(manifest: &Manifest, base: &Value, fresh: &Value, opts: &Options)
                 out.push(outcome(
                     verdict,
                     Some(m),
-                    format!("median drift ratio {m:.3} vs limit {limit:.3}"),
+                    format!("{which} drift ratio {m:.3} vs limit {limit:.3}"),
                 ));
             }
             Check::Max { ceiling } => {
@@ -492,6 +510,10 @@ pub fn default_manifests() -> Vec<Manifest> {
                 Rule::wallclock("rows[*].millis", Direction::Lower, 0.5),
                 Rule::wallclock("cache.speedup", Direction::Higher, 0.6),
                 Rule::deterministic("cache.hit_rate", Direction::Higher, 0.05),
+                // The planners' own work counts per plan() call: exact
+                // pins, so more work convicts where wall clock is skipped.
+                Rule::deterministic("rows[*].greedy_visits", Direction::Lower, 0.0),
+                Rule::deterministic("rows[*].dfs_nodes", Direction::Lower, 0.0),
             ],
         },
         Manifest {
@@ -683,6 +705,32 @@ mod tests {
         let outcomes = compare(&manifest, &base, &full, &o);
         assert_eq!(outcomes[0].verdict, Verdict::Regressed, "{outcomes:?}");
         assert_eq!(outcomes[2].verdict, Verdict::Ok, "{outcomes:?}");
+    }
+
+    #[test]
+    fn exact_pins_convict_one_cell_and_cross_smoke_and_full_reports() {
+        let m = Manifest {
+            file: "t.json".into(),
+            rules: vec![Rule::deterministic("rows[*].ms", Direction::Lower, 0.0)],
+        };
+        let base = timing_doc(&[100.0, 100.0, 100.0, 100.0, 100.0]);
+        let mut smoke_env = test_env();
+        smoke_env["smoke"] = json!(true);
+        // A smoke report of the same shape, one cell one count up.
+        let mut fresh = timing_doc(&[100.0, 100.0, 101.0, 100.0, 100.0]);
+        fresh["env"] = smoke_env.clone();
+        let out = compare(&m, &base, &fresh, &opts());
+        assert_eq!(out[0].verdict, Verdict::Regressed, "{}", out[0].detail);
+        // Fewer counts is not a regression; equal counts pass.
+        let mut fresh = timing_doc(&[100.0, 90.0, 100.0, 100.0, 100.0]);
+        fresh["env"] = smoke_env.clone();
+        let out = compare(&m, &base, &fresh, &opts());
+        assert_eq!(out[0].verdict, Verdict::Ok, "{}", out[0].detail);
+        // A smoke report with trimmed cases is a shape mismatch.
+        let mut fresh = timing_doc(&[101.0, 101.0]);
+        fresh["env"] = smoke_env;
+        let out = compare(&m, &base, &fresh, &opts());
+        assert_eq!(out[0].verdict, Verdict::Skipped, "{}", out[0].detail);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crossmesh_netsim::{
     Backend, ClusterSpec, DeviceId, HostId, SimBackend, SimError, TaskGraph, TaskId, Trace, Work,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One scheduled unit task: which replica sends, and with what strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -171,33 +171,42 @@ impl<'t> Plan<'t> {
 
     /// A lower bound on any schedule's makespan, from pure bandwidth
     /// arguments: each receiver host's NIC must absorb every slice that no
-    /// source replica can deliver locally, and every unit task needs at
-    /// least its own transfer time.
+    /// source replica can deliver locally, the NICs of the hosts holding
+    /// those slices must between them emit each one at least once, and
+    /// every unit task needs at least its own transfer time.
     pub fn lower_bound(&self) -> f64 {
         let mut recv_load: BTreeMap<HostId, f64> = BTreeMap::new();
         let mut longest = 0.0f64;
+        let mut leaving = 0.0f64;
+        let mut leaving_from: BTreeSet<HostId> = BTreeSet::new();
         for a in &self.assignments {
             let unit = &self.task.units()[a.unit];
             let bytes = unit.bytes as f64;
             let sender_hosts = unit.sender_hosts();
-            // Best-case transfer time of this unit in isolation.
-            let all_local = unit
-                .receiver_hosts()
-                .iter()
-                .all(|h| sender_hosts.contains(h));
-            let best = if all_local {
-                bytes / self.params.intra_bw
-            } else {
-                bytes / self.params.inter_bw
-            };
-            longest = longest.max(best);
+            let mut all_local = true;
             for h in unit.receiver_hosts() {
                 if !sender_hosts.contains(&h) {
+                    all_local = false;
                     *recv_load.entry(h).or_insert(0.0) += bytes / self.params.inter_bw;
                 }
             }
+            // Best-case transfer time of this unit in isolation.
+            let best = if all_local {
+                bytes / self.params.intra_bw
+            } else {
+                leaving += bytes;
+                leaving_from.extend(sender_hosts);
+                bytes / self.params.inter_bw
+            };
+            longest = longest.max(best);
         }
-        recv_load.values().copied().fold(0.0, f64::max).max(longest)
+        let send_load = leaving / leaving_from.len().max(1) as f64 / self.params.inter_bw;
+        recv_load
+            .values()
+            .copied()
+            .fold(0.0, f64::max)
+            .max(send_load)
+            .max(longest)
     }
 
     /// Lowers the plan into `graph`. Host-level serialization is enforced
@@ -506,6 +515,32 @@ mod tests {
         let sim = plan.execute(&c).unwrap().simulated_seconds;
         assert!(plan.lower_bound() <= sim + 1e-9);
         assert!(plan.lower_bound() <= plan.estimate() + 1e-9);
+    }
+
+    #[test]
+    fn lower_bound_counts_the_sender_nics() {
+        // 128 unit tasks from two sender hosts to four receiver hosts: the
+        // whole tensor leaves through two NICs, twice what any one of the
+        // four receiving NICs absorbs.
+        let c = ClusterSpec::homogeneous(6, 4, LinkParams::new(100.0, 1.0));
+        let a = DeviceMesh::from_cluster(&c, 0, (2, 4), "A").unwrap();
+        let b = DeviceMesh::from_cluster(&c, 2, (4, 4), "B").unwrap();
+        let t = ReshardingTask::new(
+            a,
+            "RRS01".parse().unwrap(),
+            b,
+            "S01RR".parse().unwrap(),
+            &[16, 16, 64],
+            4,
+        )
+        .unwrap();
+        assert_eq!(t.units().len(), 128);
+        let plan = plan_for(&t);
+        let two_nics = t.total_bytes() as f64 / 2.0 / params().inter_bw;
+        assert!(plan.lower_bound() >= two_nics);
+        assert!(plan.lower_bound() <= plan.estimate() + 1e-9);
+        let sim = plan.execute(&c).unwrap().simulated_seconds;
+        assert!(plan.lower_bound() <= sim + 1e-9);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Depth-first search over sender assignments with lower-bound pruning.
 
-use super::{replica_on, LoadBalancePlanner, Planner, PlannerConfig};
-use crate::plan::{involved_hosts, Assignment, Plan};
+use super::load_balance::lpt_schedule;
+use super::table::{Cand, HostTable, Pick};
+use super::{Planner, PlannerConfig};
+use crate::plan::Plan;
 use crate::task::ReshardingTask;
-use crossmesh_collectives::estimate_unit_task;
-use crossmesh_netsim::HostId;
 use crossmesh_obs as obs;
 use rayon::prelude::*;
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -98,83 +97,32 @@ impl DfsPlanner {
 /// uneven subtree costs.
 const BRANCH_TARGET: usize = 16;
 
-/// One sender candidate of a search item, with everything the hot loop
-/// needs precomputed: the dense host slot it loads, its analytic duration,
-/// and the dense slots of every host the transfer occupies (ascending host
-/// order, matching [`involved_hosts`]).
-struct Cand {
-    host: HostId,
-    slot: u32,
-    duration: f64,
-    involved: Vec<u32>,
-}
-
 /// One unit task in search order with its candidate senders.
-struct Item {
+struct Item<'a> {
     unit: usize,
-    cands: Vec<Cand>,
+    cands: &'a [Cand],
 }
 
-/// Immutable search context shared by every branch.
-struct SearchCtx<'t, 'c> {
-    task: &'t ReshardingTask,
-    config: &'c PlannerConfig,
-    items: Vec<Item>,
+/// Immutable search context shared by every branch. A *choice* holds one
+/// candidate index per item.
+struct SearchCtx<'a> {
+    /// The table's rows, longest first: prunes earlier.
+    items: Vec<Item<'a>>,
     n_slots: usize,
     seed_est: f64,
 }
 
-impl<'t, 'c> SearchCtx<'t, 'c> {
-    fn build(task: &'t ReshardingTask, config: &'c PlannerConfig, seed_est: f64) -> Self {
-        // Dense host -> slot mapping over every host any candidate touches,
-        // in ascending host order so slot order == host order.
-        let mut slots: BTreeMap<HostId, u32> = BTreeMap::new();
-        for unit in task.units() {
-            for h in unit.sender_hosts() {
-                for ih in involved_hosts(unit, h) {
-                    let next = slots.len() as u32;
-                    slots.entry(ih).or_insert(next);
-                }
-            }
-        }
-        let mut items: Vec<Item> = task
-            .units()
-            .iter()
-            .enumerate()
-            .map(|(i, unit)| {
-                let strategy = config.strategy.resolve(unit);
-                let cands = unit
-                    .sender_hosts()
-                    .into_iter()
-                    .map(|h| Cand {
-                        host: h,
-                        slot: slots[&h],
-                        duration: estimate_unit_task(&config.params, unit, h, strategy),
-                        involved: involved_hosts(unit, h).iter().map(|ih| slots[ih]).collect(),
-                    })
-                    .collect();
-                Item { unit: i, cands }
-            })
-            .collect();
-        // Longest first: prunes earlier.
-        items.sort_by(|a, b| {
-            let da = a
-                .cands
-                .iter()
-                .map(|c| c.duration)
-                .fold(f64::INFINITY, f64::min);
-            let db = b
-                .cands
-                .iter()
-                .map(|c| c.duration)
-                .fold(f64::INFINITY, f64::min);
-            db.total_cmp(&da).then(a.unit.cmp(&b.unit))
-        });
+impl<'a> SearchCtx<'a> {
+    fn new(table: &'a HostTable, longest_first: &[usize], seed_est: f64) -> Self {
         SearchCtx {
-            task,
-            config,
-            items,
-            n_slots: slots.len(),
+            items: longest_first
+                .iter()
+                .map(|&unit| Item {
+                    unit,
+                    cands: &table.rows[unit].cands,
+                })
+                .collect(),
+            n_slots: table.n_slots,
             seed_est,
         }
     }
@@ -195,10 +143,11 @@ impl<'t, 'c> SearchCtx<'t, 'c> {
             depth += 1;
         }
         let mut branches: Vec<Vec<u32>> = vec![Vec::new()];
-        for item in &self.items[..depth] {
-            let mut next = Vec::with_capacity(branches.len() * item.cands.len());
+        for item in 0..depth {
+            let n_cands = self.items[item].cands.len();
+            let mut next = Vec::with_capacity(branches.len() * n_cands);
             for prefix in &branches {
-                for ci in 0..item.cands.len() as u32 {
+                for ci in 0..n_cands as u32 {
                     let mut p = prefix.clone();
                     p.push(ci);
                     next.push(p);
@@ -267,11 +216,11 @@ impl<'t, 'c> SearchCtx<'t, 'c> {
         })
     }
 
-    /// Builds the ordered assignments for a complete choice using an
-    /// earliest-start list schedule over host availability, returning the
-    /// assignments and their makespan. Each candidate's start is computed
-    /// once per selection scan.
-    fn schedule_choice(&self, choice: &[u32]) -> (Vec<Assignment>, f64) {
+    /// Builds the schedule for a complete choice using an earliest-start
+    /// list schedule over host availability, returning it and its
+    /// makespan. Each candidate's start is computed once per selection
+    /// scan.
+    fn schedule_choice(&self, choice: &[u32]) -> (Vec<Pick>, f64) {
         let mut cursor = vec![0.0f64; self.n_slots];
         let mut remaining: Vec<u32> = (0..self.items.len() as u32).collect();
         let mut out = Vec::with_capacity(self.items.len());
@@ -286,13 +235,7 @@ impl<'t, 'c> SearchCtx<'t, 'c> {
                 cursor[s as usize] = finish;
             }
             makespan = makespan.max(finish);
-            let unit = &self.task.units()[item.unit];
-            out.push(Assignment {
-                unit: item.unit,
-                sender: replica_on(unit, c.host),
-                sender_host: c.host,
-                strategy: self.config.strategy.resolve(unit),
-            });
+            out.push((item.unit, choice[it]));
         }
         (out, makespan)
     }
@@ -331,8 +274,8 @@ impl<'t, 'c> SearchCtx<'t, 'c> {
 }
 
 /// Mutable per-branch search state; all buffers are reused across nodes.
-struct BranchSearch<'a, 't, 'c> {
-    ctx: &'a SearchCtx<'t, 'c>,
+struct BranchSearch<'a> {
+    ctx: &'a SearchCtx<'a>,
     /// Accumulated duration per host slot.
     load: Vec<f64>,
     /// Candidate index per item (prefix fixed, rest in flux).
@@ -351,7 +294,7 @@ struct BranchSearch<'a, 't, 'c> {
     pruned: u64,
 }
 
-impl BranchSearch<'_, '_, '_> {
+impl BranchSearch<'_> {
     fn dfs(&mut self, depth: usize) {
         if self.nodes_left == 0 {
             return;
@@ -368,20 +311,20 @@ impl BranchSearch<'_, '_, '_> {
         }
 
         // Try lighter hosts first to reach good leaves early.
-        let item = &self.ctx.items[depth];
+        let cands = self.ctx.items[depth].cands;
         let mut order = std::mem::take(&mut self.order_scratch[depth]);
         order.clear();
-        order.extend(0..item.cands.len() as u32);
+        order.extend(0..cands.len() as u32);
         order.sort_by(|&a, &b| {
-            let ca = &item.cands[a as usize];
-            let cb = &item.cands[b as usize];
+            let ca = &cands[a as usize];
+            let cb = &cands[b as usize];
             let la = self.load[ca.slot as usize] + ca.duration;
             let lb = self.load[cb.slot as usize] + cb.duration;
             la.total_cmp(&lb).then(ca.host.cmp(&cb.host))
         });
         for &ci in &order {
             let (slot, duration) = {
-                let c = &item.cands[ci as usize];
+                let c = &cands[ci as usize];
                 (c.slot as usize, c.duration)
             };
             let new_load = self.load[slot] + duration;
@@ -430,20 +373,22 @@ impl Planner for DfsPlanner {
             &[obs::Field::u64("units", task.units().len() as u64)],
         );
         // Start from the LPT solution: the search can only improve on it.
-        let seed_plan = LoadBalancePlanner::new(self.config).plan(task);
-        let seed_est = seed_plan.estimate();
+        let table = HostTable::build(task, &self.config);
+        let order = table.longest_first();
+        let seed = lpt_schedule(&table, &order);
+        let seed_plan = || Plan::new(task, table.assignments(&seed), self.config.params);
         if task.units().is_empty() {
-            return seed_plan;
+            return seed_plan();
         }
 
         let metrics = dfs_metrics();
         metrics.plans.inc();
-        let ctx = SearchCtx::build(task, &self.config, seed_est);
+        let ctx = SearchCtx::new(&table, &order, table.estimate(&seed));
         let branches = ctx.branches();
         let k = branches.len();
         metrics.branches.add(k as u64);
         span.record(&[obs::Field::u64("branches", k as u64)]);
-        let shared_best = AtomicU64::new(seed_est.to_bits());
+        let shared_best = AtomicU64::new(ctx.seed_est.to_bits());
         let budget = self.node_budget;
         let jobs: Vec<(usize, Vec<u32>)> = branches.into_iter().enumerate().collect();
         let results: Vec<Option<(f64, Vec<u32>)>> = jobs
@@ -469,14 +414,14 @@ impl Planner for DfsPlanner {
         }
         match best {
             Some((est, choice)) => {
-                let (assignments, makespan) = ctx.schedule_choice(&choice);
+                let (schedule, makespan) = ctx.schedule_choice(&choice);
                 debug_assert!(
                     (makespan - est).abs() <= 1e-12 * est.abs().max(1.0),
                     "leaf evaluation diverged from the materialized schedule"
                 );
-                Plan::new(task, assignments, self.config.params)
+                Plan::new(task, table.assignments(&schedule), self.config.params)
             }
-            None => seed_plan,
+            None => seed_plan(),
         }
     }
 
@@ -496,8 +441,11 @@ impl Planner for DfsPlanner {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::*;
-    use super::super::NaivePlanner;
+    use super::super::{replica_on, LoadBalancePlanner, NaivePlanner};
     use super::*;
+    use crate::plan::{involved_hosts, Assignment};
+    use crossmesh_netsim::HostId;
+    use std::collections::BTreeMap;
 
     #[test]
     fn never_worse_than_lpt() {
@@ -593,7 +541,9 @@ mod tests {
         ] {
             let t = task(src, dst, &shape);
             let cfg = config();
-            let ctx = SearchCtx::build(&t, &cfg, f64::INFINITY);
+            let table = HostTable::build(&t, &cfg);
+            let order = table.longest_first();
+            let ctx = SearchCtx::new(&table, &order, f64::INFINITY);
             // Exercise every first-candidate choice plus a rotated one.
             for rot in 0..2usize {
                 let choice: Vec<u32> = ctx
@@ -611,7 +561,8 @@ mod tests {
                     })
                     .collect();
                 let expected = reference_leaf_assignments(&t, &cfg, entries);
-                let (got, makespan) = ctx.schedule_choice(&choice);
+                let (schedule, makespan) = ctx.schedule_choice(&choice);
+                let got = table.assignments(&schedule);
                 assert_eq!(got, expected, "{src}->{dst} rot {rot}");
                 let plan_est = Plan::new(&t, got, cfg.params).estimate();
                 assert_eq!(

@@ -1,11 +1,9 @@
 //! Load-balance-only planning: the classical LPT greedy (paper Eq. 4).
 
-use super::{replica_on, Planner, PlannerConfig};
-use crate::plan::{Assignment, Plan};
+use super::table::{HostTable, Pick};
+use super::{Planner, PlannerConfig};
+use crate::plan::Plan;
 use crate::task::ReshardingTask;
-use crossmesh_collectives::estimate_unit_task;
-use crossmesh_netsim::HostId;
-use std::collections::BTreeMap;
 
 /// Balances sender loads with the longest-processing-time-first greedy:
 /// sort unit tasks by descending duration, then assign each to the
@@ -27,58 +25,35 @@ impl LoadBalancePlanner {
     }
 }
 
-impl Planner for LoadBalancePlanner {
-    fn plan<'t>(&self, task: &'t ReshardingTask) -> Plan<'t> {
-        // (unit index, per-candidate-host durations)
-        let mut items: Vec<(usize, Vec<(HostId, f64)>)> = task
-            .units()
-            .iter()
-            .enumerate()
-            .map(|(i, unit)| {
-                let strategy = self.config.strategy.resolve(unit);
-                let candidates: Vec<(HostId, f64)> = unit
-                    .sender_hosts()
-                    .into_iter()
-                    .map(|h| {
-                        (
-                            h,
-                            estimate_unit_task(&self.config.params, unit, h, strategy),
-                        )
-                    })
-                    .collect();
-                (i, candidates)
-            })
-            .collect();
-        // Longest first (by the best-case duration); ties by index for
-        // determinism.
-        items.sort_by(|a, b| {
-            let da = a.1.iter().map(|&(_, d)| d).fold(f64::INFINITY, f64::min);
-            let db = b.1.iter().map(|&(_, d)| d).fold(f64::INFINITY, f64::min);
-            db.total_cmp(&da).then(a.0.cmp(&b.0))
-        });
-
-        let mut load: BTreeMap<HostId, f64> = BTreeMap::new();
-        let mut assignments = Vec::with_capacity(items.len());
-        for (i, candidates) in items {
-            let (host, duration) = candidates
+/// The LPT schedule over `table`: the units of `longest_first` (see
+/// [`HostTable::longest_first`]) in that order, each on its candidate host
+/// with the lightest load so far, ties by host.
+pub(super) fn lpt_schedule(table: &HostTable, longest_first: &[usize]) -> Vec<Pick> {
+    let mut load = vec![0.0f64; table.n_slots];
+    longest_first
+        .iter()
+        .map(|&unit| {
+            let (ci, c) = table.rows[unit]
+                .cands
                 .iter()
-                .copied()
-                .min_by(|&(ha, da), &(hb, db)| {
-                    let la = load.get(&ha).copied().unwrap_or(0.0) + da;
-                    let lb = load.get(&hb).copied().unwrap_or(0.0) + db;
-                    la.total_cmp(&lb).then(ha.cmp(&hb))
+                .enumerate()
+                .min_by(|(_, a), (_, b)| {
+                    let la = load[a.slot as usize] + a.duration;
+                    let lb = load[b.slot as usize] + b.duration;
+                    la.total_cmp(&lb).then(a.host.cmp(&b.host))
                 })
                 .expect("every unit task has at least one replica");
-            *load.entry(host).or_insert(0.0) += duration;
-            let unit = &task.units()[i];
-            assignments.push(Assignment {
-                unit: i,
-                sender: replica_on(unit, host),
-                sender_host: host,
-                strategy: self.config.strategy.resolve(unit),
-            });
-        }
-        Plan::new(task, assignments, self.config.params)
+            load[c.slot as usize] += c.duration;
+            (unit, ci as u32)
+        })
+        .collect()
+}
+
+impl Planner for LoadBalancePlanner {
+    fn plan<'t>(&self, task: &'t ReshardingTask) -> Plan<'t> {
+        let table = HostTable::build(task, &self.config);
+        let schedule = lpt_schedule(&table, &table.longest_first());
+        Plan::new(task, table.assignments(&schedule), self.config.params)
     }
 
     fn name(&self) -> &'static str {
@@ -99,6 +74,7 @@ mod tests {
     use super::super::testutil::*;
     use super::super::NaivePlanner;
     use super::*;
+    use crossmesh_collectives::estimate_unit_task;
     use std::collections::BTreeSet;
 
     #[test]

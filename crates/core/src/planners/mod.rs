@@ -5,6 +5,7 @@ mod ensemble;
 mod greedy;
 mod load_balance;
 mod naive;
+mod table;
 
 pub use dfs::DfsPlanner;
 pub use ensemble::EnsemblePlanner;

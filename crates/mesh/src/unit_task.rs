@@ -8,7 +8,6 @@ use crate::spec::ShardingSpec;
 use crate::tile::Tile;
 use crossmesh_netsim::{DeviceId, HostId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// A destination device of a unit task and the sub-tile it actually needs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,14 +43,12 @@ pub struct UnitTask {
 impl UnitTask {
     /// Distinct hosts holding a replica, ascending.
     pub fn sender_hosts(&self) -> Vec<HostId> {
-        let s: BTreeSet<HostId> = self.senders.iter().map(|&(_, h)| h).collect();
-        s.into_iter().collect()
+        distinct_ascending(self.senders.iter().map(|&(_, h)| h))
     }
 
     /// Distinct hosts receiving the slice, ascending.
     pub fn receiver_hosts(&self) -> Vec<HostId> {
-        let s: BTreeSet<HostId> = self.receivers.iter().map(|r| r.host).collect();
-        s.into_iter().collect()
+        distinct_ascending(self.receivers.iter().map(|r| r.host))
     }
 
     /// Receiver devices on `host`, in mesh order.
@@ -62,6 +59,14 @@ impl UnitTask {
             .map(|r| r.device)
             .collect()
     }
+}
+
+/// The distinct hosts of `hosts`, ascending, in one allocation.
+fn distinct_ascending(hosts: impl Iterator<Item = HostId>) -> Vec<HostId> {
+    let mut hosts: Vec<HostId> = hosts.collect();
+    hosts.sort_unstable();
+    hosts.dedup();
+    hosts
 }
 
 /// Granularity of the unit-task decomposition.
@@ -356,6 +361,55 @@ mod tests {
         assert_eq!(t.receiver_hosts(), vec![HostId(2), HostId(3)]);
         assert_eq!(t.receivers_on(HostId(2)).len(), 2);
         assert!(t.receivers_on(HostId(0)).is_empty());
+    }
+
+    #[test]
+    fn host_helpers_match_the_tree_built_sets() {
+        use std::collections::BTreeSet;
+        let c = ClusterSpec::homogeneous(6, 4, LinkParams::new(10e9, 1e9));
+        // A source mesh whose rows sit on hosts 1 then 0, so replicated
+        // slices list their senders out of host order.
+        let reversed = {
+            let fwd = DeviceMesh::from_cluster(&c, 0, (2, 4), "fwd").unwrap();
+            let (top, bottom) = fwd.devices().split_at(4);
+            let devices = [bottom, top].concat();
+            let hosts = [[HostId(1); 4], [HostId(0); 4]].concat();
+            DeviceMesh::new("rev", (2, 4), devices, hosts).unwrap()
+        };
+        let sources = [
+            DeviceMesh::from_cluster(&c, 0, (2, 4), "A").unwrap(),
+            DeviceMesh::from_cluster(&c, 0, (1, 3), "A").unwrap(),
+            reversed,
+        ];
+        let destinations = [
+            DeviceMesh::from_cluster(&c, 2, (2, 4), "B").unwrap(),
+            DeviceMesh::from_cluster(&c, 2, (4, 2), "B").unwrap(),
+        ];
+        let specs = ["RRR", "S0RR", "RS1R", "S01RR", "RS0S1", "S1RS0", "RRS01"];
+        let mut unsorted_senders = 0;
+        for (a, b) in sources
+            .iter()
+            .flat_map(|a| destinations.iter().map(move |b| (a, b)))
+        {
+            for (sa, sb) in specs
+                .iter()
+                .flat_map(|sa| specs.iter().map(move |sb| (sa, sb)))
+            {
+                let tasks = unit_tasks(a, &spec(sa), b, &spec(sb), &[8, 12, 8], 1).unwrap();
+                for t in &tasks {
+                    let senders: BTreeSet<HostId> = t.senders.iter().map(|&(_, h)| h).collect();
+                    let receivers: BTreeSet<HostId> = t.receivers.iter().map(|r| r.host).collect();
+                    assert!(t.sender_hosts().into_iter().eq(senders));
+                    assert!(t.receiver_hosts().into_iter().eq(receivers));
+                    unsorted_senders +=
+                        usize::from(!t.senders.windows(2).all(|w| w[0].1 <= w[1].1));
+                }
+            }
+        }
+        assert!(
+            unsorted_senders > 0,
+            "the sweep must cover unsorted senders"
+        );
     }
 
     #[test]

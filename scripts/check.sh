@@ -52,7 +52,7 @@ restore_baselines() {
 }
 trap restore_baselines EXIT
 
-echo "==> planner bench smoke (1 vs 4 threads)"
+echo "==> planner bench smoke (full grid, one rep; its work counters are gated exactly)"
 cargo run --offline --release -p crossmesh-bench --bin repro_planner -- --smoke > /dev/null
 
 echo "==> verifier overhead smoke"
