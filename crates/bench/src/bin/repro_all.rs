@@ -1,24 +1,9 @@
-//! Runs every reproduction harness in sequence (Table 1, Figures 5-9).
-//! With `--json`, emits one JSON object keyed by artifact name instead of
-//! the rendered tables.
-
-use crossmesh_bench::{fig5, fig6, fig7, fig8, fig9, section, table1};
+//! Runs every deterministic reproduction harness in sequence (Table 1,
+//! Figures 5-9, ablations, fault sweep, MoE sweep, planner work counters).
+//! With `--json`, emits the golden document instead of the rendered tables:
+//! `cargo run --release -p crossmesh-bench --bin repro_all -- --json > BENCH_paper.json`.
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let sections = [
-        section("table1", json, table1::run, table1::render),
-        section("fig5", json, fig5::run, |r| fig5::render(r)),
-        section("fig6", json, fig6::run, |r| fig6::render(r)),
-        section("fig7", json, fig7::run, |r| fig7::render(r)),
-        section("fig8", json, fig8::run, |r| fig8::render(r)),
-        section("fig9", json, fig9::run, |r| fig9::render(r)),
-    ];
-    if json {
-        println!("{{{}}}", sections.join(","));
-    } else {
-        for s in sections {
-            println!("{s}");
-        }
-    }
+    println!("{}", crossmesh_bench::paper::document(json));
 }

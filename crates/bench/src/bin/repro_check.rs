@@ -1,25 +1,13 @@
 //! Regenerates the static-verifier overhead sweep; prints the table,
-//! writes `BENCH_check.json`, and with `--json` dumps the report to
-//! stdout. `--smoke` trims the grid for CI; `--out PATH` overrides the
-//! JSON path.
+//! writes the `BENCH_check.json` record, and with `--json` dumps the
+//! report to stdout. `--out PATH` overrides the JSON path.
+
+use crossmesh_bench::check_overhead;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_check.json", String::as_str);
-
-    let report = crossmesh_bench::check_overhead::run(smoke);
-    let pretty = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(out, &pretty).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    if json {
-        println!("{pretty}");
-    } else {
-        println!("{}", crossmesh_bench::check_overhead::render(&report));
-        println!("wrote {out}");
-    }
+    crossmesh_bench::report_main(
+        "BENCH_check.json",
+        || check_overhead::run(false),
+        check_overhead::render,
+    );
 }

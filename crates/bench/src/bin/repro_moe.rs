@@ -1,38 +1,9 @@
-//! Runs the MoE all-to-all strategy sweep; prints the table, writes
-//! `BENCH_moe.json`, and with `--json` dumps the report to stdout.
-//! `--smoke` trims the grid for CI; `--out PATH` overrides the JSON path.
+//! Runs the MoE all-to-all strategy sweep (the `moe` section of
+//! `BENCH_paper.json`); prints the tables and, with `--json`, a
+//! machine-readable dump.
+
+use crossmesh_bench::moe;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_moe.json", String::as_str);
-
-    let report = crossmesh_bench::moe::run(smoke);
-    for r in &report.rows {
-        assert_eq!(
-            r.convictions, 0,
-            "{}/{}/{}: verifier convicted an all-to-all plan",
-            r.topology, r.skew, r.strategy
-        );
-    }
-    for s in &report.rail_speedups {
-        assert!(
-            s.vs_send_recv > 1.0 && s.vs_broadcast > 1.0,
-            "multi-rail must beat both baselines on the rail fabric at skew {}: {s:?}",
-            s.skew
-        );
-    }
-    let pretty = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(out, &pretty).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    if json {
-        println!("{pretty}");
-    } else {
-        println!("{}", crossmesh_bench::moe::render(&report));
-        println!("wrote {out}");
-    }
+    crossmesh_bench::repro_main("moe", || moe::run(false), moe::render);
 }

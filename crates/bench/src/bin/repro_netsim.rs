@@ -1,26 +1,10 @@
 //! Regenerates the netsim engine-scaling harness (incremental engine vs
-//! frozen reference + 10k-host GPT sweep); prints the tables, writes
-//! `BENCH_netsim.json`, and with `--json` dumps the report to stdout.
-//! `--smoke` trims cluster sizes for CI; `--out PATH` overrides the JSON
-//! path.
+//! frozen reference + 10k-host GPT sweep); prints the tables, writes the
+//! `BENCH_netsim.json` record, and with `--json` dumps the report to
+//! stdout. `--out PATH` overrides the JSON path.
+
+use crossmesh_bench::netsim;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_netsim.json", String::as_str);
-
-    let report = crossmesh_bench::netsim::run(smoke);
-    let pretty = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(out, &pretty).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    if json {
-        println!("{pretty}");
-    } else {
-        println!("{}", crossmesh_bench::netsim::render(&report));
-        println!("wrote {out}");
-    }
+    crossmesh_bench::report_main("BENCH_netsim.json", || netsim::run(false), netsim::render);
 }

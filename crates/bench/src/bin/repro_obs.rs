@@ -1,26 +1,15 @@
 //! Measures observability overhead: planner wall-clock with collectors
 //! disabled vs. a counting collector vs. the flight recorder armed;
-//! prints the summary, writes `BENCH_obs.json`, and with `--json` dumps
-//! the report to stdout. `--smoke` trims the run for CI; `--out PATH`
-//! overrides the JSON path.
+//! prints the summary, writes the `BENCH_obs.json` record, and with
+//! `--json` dumps the report to stdout. `--out PATH` overrides the JSON
+//! path.
+
+use crossmesh_bench::obs_overhead;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_obs.json", String::as_str);
-
-    let report = crossmesh_bench::obs_overhead::run(smoke);
-    let pretty = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(out, &pretty).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    if json {
-        println!("{pretty}");
-    } else {
-        println!("{}", crossmesh_bench::obs_overhead::render(&report));
-        println!("wrote {out}");
-    }
+    crossmesh_bench::report_main(
+        "BENCH_obs.json",
+        || obs_overhead::run(false),
+        obs_overhead::render,
+    );
 }

@@ -1,27 +1,12 @@
 //! Measures race-detector overhead: the MoE all-to-all dataplane with
 //! the happens-before seam disarmed vs. armed with the FastTrack engine,
 //! plus the defect-conviction sweep and clean-suite silence check;
-//! prints the summary, writes `BENCH_race.json`, and with `--json` dumps
-//! the report to stdout. `--smoke` trims the run for CI; `--out PATH`
-//! overrides the JSON path.
+//! prints the summary, writes the `BENCH_race.json` record, and with
+//! `--json` dumps the report to stdout. `--out PATH` overrides the JSON
+//! path.
+
+use crossmesh_bench::race;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_race.json", String::as_str);
-
-    let report = crossmesh_bench::race::run(smoke);
-    let pretty = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(out, &pretty).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    if json {
-        println!("{pretty}");
-    } else {
-        println!("{}", crossmesh_bench::race::render(&report));
-        println!("wrote {out}");
-    }
+    crossmesh_bench::report_main("BENCH_race.json", || race::run(false), race::render);
 }

@@ -58,7 +58,7 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 }
 
 /// Runs the sweep. `smoke` trims it to the 8-unit case with a single rep
-/// for CI; the full sweep is best-of-20 over all sizes.
+/// for the module test; the full sweep is best-of-20 over all sizes.
 ///
 /// # Panics
 ///
@@ -97,7 +97,7 @@ pub fn run(smoke: bool) -> Report {
         });
     }
     Report {
-        env: HostEnv::detect().with_smoke(smoke),
+        env: HostEnv::detect(),
         rows,
     }
 }

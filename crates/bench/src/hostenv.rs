@@ -1,9 +1,9 @@
 //! Host environment detection for honest benchmark reports.
 //!
-//! Every `BENCH_*.json` embeds a [`HostEnv`] so a reader can tell a
-//! flat speedup curve on a 1-core CI runner from a real scaling failure,
-//! and so two reports are never compared across different hosts by
-//! accident. [`HostEnv::oversubscription_warning`] produces the warning
+//! Every wall-clock record (`BENCH_{planner,check,obs,netsim,race}.json`)
+//! embeds a [`HostEnv`] so a reader can tell a flat speedup curve on a
+//! 1-core CI runner from a real scaling failure, and so two reports are
+//! never compared across different hosts by accident. [`HostEnv::oversubscription_warning`] produces the warning
 //! harnesses print when a sweep requests more pool threads than the host
 //! can actually run in parallel — the measurements still run (the grid
 //! stays comparable across hosts), but the numbers for those widths
@@ -25,13 +25,6 @@ pub struct HostEnv {
     pub profile: String,
     /// `os/arch`, e.g. `linux/x86_64`.
     pub platform: String,
-    /// Whether this report came from a trimmed `--smoke` run. Smoke
-    /// measurements validate plumbing, not timings: their few iterations
-    /// swing far too much for tight wall-clock bounds, so the regression
-    /// gate skips those pins on smoke reports. `None` means the report
-    /// predates this field (committed full-run baselines), which the
-    /// gate treats as a full run.
-    pub smoke: Option<bool>,
 }
 
 impl HostEnv {
@@ -46,21 +39,7 @@ impl HostEnv {
                 "release".to_string()
             },
             platform: format!("{}/{}", std::env::consts::OS, std::env::consts::ARCH),
-            smoke: None,
         }
-    }
-
-    /// Marks the report as coming from a trimmed smoke run (see the
-    /// [`smoke`](HostEnv::smoke) field).
-    #[must_use]
-    pub fn with_smoke(mut self, smoke: bool) -> HostEnv {
-        self.smoke = Some(smoke);
-        self
-    }
-
-    /// Whether the report is a trimmed smoke run (absent field = full).
-    pub fn is_smoke(&self) -> bool {
-        self.smoke == Some(true)
     }
 
     /// Whether a requested pool width exceeds the host's real parallelism.
@@ -110,7 +89,6 @@ mod tests {
             crossmesh_threads: None,
             profile: "debug".into(),
             platform: "test/test".into(),
-            smoke: None,
         };
         assert!(!env.oversubscribed(1));
         assert!(!env.oversubscribed(2));
@@ -127,7 +105,6 @@ mod tests {
             crossmesh_threads: None,
             profile: "debug".into(),
             platform: "test/test".into(),
-            smoke: None,
         };
         assert_eq!(env.reliable_speedup(2, 1.8), Some(1.8));
         assert_eq!(env.reliable_speedup(4, 3.5), None);

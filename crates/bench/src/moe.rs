@@ -13,7 +13,6 @@
 //! the all-to-all rules (`plan.a2a.*`) with zero convictions — the sweep
 //! doubles as an end-to-end proof that the MoE path is check-clean.
 
-use crate::hostenv::HostEnv;
 use crate::table_fmt;
 use crossmesh_core::{LoadBalancePlanner, Planner, PlannerConfig, Strategy, StrategyChoice};
 use crossmesh_mesh::DeviceMesh;
@@ -58,11 +57,10 @@ pub struct RailSpeedup {
     pub vs_broadcast: f64,
 }
 
-/// The whole sweep.
+/// The whole sweep. Simulated time only, so it carries no host
+/// description: the full sweep is the `moe` section of `BENCH_paper.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Report {
-    /// The measuring host.
-    pub env: HostEnv,
     /// Every measured cell.
     pub rows: Vec<Row>,
     /// Multi-rail's margin on the rail-optimized fabric, per skew.
@@ -190,7 +188,7 @@ pub fn measure(c: &ClusterSpec, a2a: &A2aTask, strategy: Strategy) -> (f64, u64,
 }
 
 /// Runs the sweep. `smoke` trims it to the rail fabric at one skew with a
-/// smaller routing draw for CI.
+/// smaller routing draw for the module test.
 pub fn run(smoke: bool) -> Report {
     let topos = topologies();
     let topos = if smoke { &topos[..1] } else { &topos[..] };
@@ -233,7 +231,6 @@ pub fn run(smoke: bool) -> Report {
         .collect();
 
     Report {
-        env: HostEnv::detect().with_smoke(smoke),
         rows,
         rail_speedups,
     }

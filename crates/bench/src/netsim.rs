@@ -194,7 +194,6 @@ pub struct SweepRow {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Report {
     pub env: HostEnv,
-    pub smoke: bool,
     /// Error-severity diagnostics from the planner zero-conviction gate.
     pub convictions: usize,
     /// Makespan of the gate case under the exact / aggregate models; the
@@ -322,7 +321,7 @@ const SWEEP_HOSTS: u32 = 10_240;
 const SWEEP_HOSTS_SMOKE: u32 = 512;
 
 /// Runs the harness. `smoke` trims cluster sizes and microbatch counts
-/// for CI.
+/// for the module test.
 pub fn run(smoke: bool) -> Report {
     let compare_hosts: &[u32] = if smoke {
         &COMPARE_HOSTS_SMOKE
@@ -341,8 +340,7 @@ pub fn run(smoke: bool) -> Report {
     ];
     let (convictions, gate_exact_seconds, gate_aggregate_seconds) = conviction_gate();
     Report {
-        env: HostEnv::detect().with_smoke(smoke),
-        smoke,
+        env: HostEnv::detect(),
         convictions,
         gate_exact_seconds,
         gate_aggregate_seconds,

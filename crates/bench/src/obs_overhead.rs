@@ -32,9 +32,9 @@ pub struct Report {
     /// Best-round mean milliseconds per plan with a counting collector
     /// installed.
     pub enabled_ms: f64,
-    /// `(enabled / disabled - 1) * 100`. Noisy on small cases; the
-    /// contract is "no measurable regression with collectors disabled",
-    /// which the CI smoke run checks only loosely.
+    /// `(enabled / disabled - 1) * 100`. Reported, not bounded: a plan
+    /// costs about a millisecond, and run-to-run spread on a shared host
+    /// is larger than the effect.
     pub overhead_pct: f64,
     /// Spans + events the collector saw across the enabled side.
     pub observed: u64,
@@ -43,8 +43,9 @@ pub struct Report {
     /// configuration the serve daemon runs with.
     pub recorder_ms: f64,
     /// `(recorder / disabled - 1) * 100`: the price of keeping the
-    /// flight recorder armed. The regression gate holds this at or
-    /// under 2% on the full run.
+    /// flight recorder armed. Reported, not bounded, for the same reason;
+    /// what is exact — and pinned by `tests/observer_work.rs` — is the
+    /// work behind it: 3 collector events and 6 retained records per plan.
     pub recorder_overhead_pct: f64,
     /// Spans + events + metric deltas the recorder retained (post-drop).
     pub recorder_records: u64,
@@ -54,8 +55,8 @@ pub struct Report {
 }
 
 /// Runs the measurement. `smoke` trims it (8 units, 3 rounds of 3) for
-/// CI; the full run uses the 20-unit case over 12 rounds of 5 plans per
-/// arm.
+/// the module test; the full run uses the 20-unit case over 12 rounds of
+/// 5 plans per arm.
 ///
 /// The three arms (no collector, counting collector, flight recorder)
 /// are *interleaved round-robin* and each arm's time is the **minimum of
@@ -63,8 +64,9 @@ pub struct Report {
 /// adds time, so the fastest round is the least contaminated estimate of
 /// the true cost, and interleaving gives every arm the same shot at the
 /// quiet windows. A block-per-arm layout was measured to swing ±40% run
-/// to run on an oversubscribed container; this layout holds the recorder
-/// arm within the gate's 2% budget.
+/// to run on an oversubscribed container; this layout still swings by
+/// several percent of a one-millisecond plan, so the percentages are a
+/// record, not a budget.
 ///
 /// Takes the global collector test lock for the duration, since it
 /// installs a process-wide collector for two of the arms.
@@ -115,7 +117,7 @@ pub fn run(smoke: bool) -> Report {
     let recorder_ms = best(&round_ms[2]);
 
     Report {
-        env: HostEnv::detect().with_smoke(smoke),
+        env: HostEnv::detect(),
         units,
         iters: rounds * per_round,
         disabled_ms,
@@ -162,14 +164,19 @@ mod tests {
     fn smoke_run_observes_work_and_stays_deterministic() {
         let r = run(true);
         assert!(r.disabled_ms > 0.0 && r.enabled_ms > 0.0);
+        // At least, not exactly, 3 and 6 per plan here: the collector is
+        // process-wide and sibling tests plan concurrently. The exact pin
+        // lives in `tests/observer_work.rs`, alone in its process.
         assert!(
-            r.observed > 0,
-            "the enabled side must reach the collector; saw nothing"
+            r.observed >= 3 * r.iters as u64,
+            "the enabled side must reach the collector; saw {}",
+            r.observed
         );
         assert!(r.recorder_ms > 0.0);
         assert!(
-            r.recorder_records > 0,
-            "the recorder arm must retain records; saw nothing"
+            r.recorder_records >= 6 * r.iters as u64,
+            "the recorder arm must retain records; saw {}",
+            r.recorder_records
         );
         assert!(
             r.identical_estimates,

@@ -13,9 +13,10 @@
 //!
 //! Next to each timing the sweep records the planners' deterministic work
 //! counters for one `plan()` call (`planner.greedy.visits`,
-//! `planner.dfs.nodes`), which the regression gate pins exactly: a change
-//! that makes a planner do more work convicts on any host, where the
-//! wall-clock rules need a quiet one.
+//! `planner.dfs.nodes`). [`work`] is the 1-thread column of that grid with
+//! the timings left out — the `planner_work` section of `BENCH_paper.json`,
+//! pinned exactly, so a change that makes a planner do more work convicts
+//! on any host, where wall clock needs a quiet one.
 
 use crate::hostenv::HostEnv;
 use crate::table_fmt;
@@ -75,6 +76,23 @@ pub struct Row {
     /// there thread timing decides which branches the opportunistic skip
     /// drops, so the count (never the plan) varies run to run.
     pub dfs_nodes: Option<u64>,
+}
+
+/// One (case, planner) point of [`work`]: what one `plan()` call on a
+/// 1-thread pool returns and how much work it took. No timing, so every
+/// field repeats exactly on any host and build profile.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct WorkRow {
+    /// Unit tasks in the resharding case.
+    pub units: usize,
+    /// Planner name ("dfs", "greedy", "ensemble").
+    pub planner: String,
+    /// The plan's estimated makespan.
+    pub estimate: f64,
+    /// `planner.greedy.visits` for the call.
+    pub greedy_visits: u64,
+    /// `planner.dfs.nodes` for the call.
+    pub dfs_nodes: u64,
 }
 
 /// The plan-cache cold/warm measurement.
@@ -178,9 +196,55 @@ fn best_of<F: FnMut() -> f64>(reps: usize, mut f: F) -> (f64, f64) {
     (best, estimate)
 }
 
+/// One untimed `plan()` call under `pool`, bracketed by reads of the
+/// process-wide work counters: (estimate, greedy visits, DFS nodes). Exact
+/// only while no other thread of the process is planning.
+fn counted(
+    pool: &rayon::ThreadPool,
+    planner: &dyn Planner,
+    task: &ReshardingTask,
+) -> (f64, u64, u64) {
+    let greedy_visits = obs::metrics().counter("planner.greedy.visits");
+    let dfs_nodes = obs::metrics().counter("planner.dfs.nodes");
+    let (visits_before, nodes_before) = (greedy_visits.get(), dfs_nodes.get());
+    let estimate = pool.install(|| planner.plan(task).estimate());
+    (
+        estimate,
+        greedy_visits.get() - visits_before,
+        dfs_nodes.get() - nodes_before,
+    )
+}
+
+fn pool_of(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool builds")
+}
+
+/// The deterministic half of the sweep: every (case, planner) pair planned
+/// once on a 1-thread pool, with its work counters and no timing.
+pub fn work() -> Vec<WorkRow> {
+    let pool = pool_of(1);
+    let mut rows = Vec::new();
+    for units in UNIT_COUNTS {
+        let (_cluster, task) = case(units);
+        for (name, planner) in planners() {
+            let (estimate, greedy_visits, dfs_nodes) = counted(&pool, planner.as_ref(), &task);
+            rows.push(WorkRow {
+                units,
+                planner: name,
+                estimate,
+                greedy_visits,
+                dfs_nodes,
+            });
+        }
+    }
+    rows
+}
+
 /// Runs the sweep: best-of-3 over the whole grid, or with `smoke` a single
-/// rep for CI. The grid is the same in both modes, so a smoke report's work
-/// counters line up cell for cell with a committed full baseline.
+/// rep for the module test.
 ///
 /// # Panics
 ///
@@ -188,10 +252,8 @@ fn best_of<F: FnMut() -> f64>(reps: usize, mut f: F) -> (f64, f64) {
 /// would break the determinism contract the parallel engine guarantees.
 pub fn run(smoke: bool) -> Report {
     let reps = if smoke { 1 } else { 3 };
-    let greedy_visits = obs::metrics().counter("planner.greedy.visits");
-    let dfs_nodes = obs::metrics().counter("planner.dfs.nodes");
 
-    let env = HostEnv::detect().with_smoke(smoke);
+    let env = HostEnv::detect();
     let warnings: Vec<String> = THREAD_COUNTS
         .iter()
         .filter_map(|&t| env.oversubscription_warning(t))
@@ -208,10 +270,7 @@ pub fn run(smoke: bool) -> Report {
             let mut baseline = f64::NAN;
             let mut baseline_est = f64::NAN;
             for threads in THREAD_COUNTS {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("pool builds");
+                let pool = pool_of(threads);
                 let (millis, estimate) =
                     best_of(reps, || pool.install(|| planner.plan(&task).estimate()));
                 if threads == 1 {
@@ -225,9 +284,7 @@ pub fn run(smoke: bool) -> Report {
                     );
                 }
                 let speedup_vs_1 = env.reliable_speedup(threads, baseline / millis);
-                // One more, untimed call bracketed by counter reads.
-                let (visits_before, nodes_before) = (greedy_visits.get(), dfs_nodes.get());
-                pool.install(|| planner.plan(&task));
+                let (_, greedy_visits, dfs_nodes) = counted(&pool, planner.as_ref(), &task);
                 rows.push(Row {
                     units,
                     planner: name.clone(),
@@ -236,8 +293,8 @@ pub fn run(smoke: bool) -> Report {
                     speedup_vs_1,
                     speedup_unreliable: speedup_vs_1.is_none(),
                     estimate,
-                    greedy_visits: greedy_visits.get() - visits_before,
-                    dfs_nodes: (threads == 1).then(|| dfs_nodes.get() - nodes_before),
+                    greedy_visits,
+                    dfs_nodes: (threads == 1).then_some(dfs_nodes),
                 });
             }
         }
@@ -281,6 +338,30 @@ fn cache_bench(units: usize, warm_calls: usize) -> CacheBench {
         hit_rate: cache.stats().hit_rate(),
         speedup: cold_millis / warm_millis,
     }
+}
+
+/// Renders [`work`] as a table.
+pub fn render_work(rows: &[WorkRow]) -> String {
+    let mut table = vec![vec![
+        "units".to_string(),
+        "planner".to_string(),
+        "estimate".to_string(),
+        "greedy visits".to_string(),
+        "dfs nodes".to_string(),
+    ]];
+    for row in rows {
+        table.push(vec![
+            row.units.to_string(),
+            row.planner.clone(),
+            table_fmt::secs(row.estimate),
+            row.greedy_visits.to_string(),
+            row.dfs_nodes.to_string(),
+        ]);
+    }
+    format!(
+        "Planner work — one plan() call on a 1-thread pool\n{}",
+        table_fmt::render(&table)
+    )
 }
 
 /// Renders the sweep tables.

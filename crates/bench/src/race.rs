@@ -5,8 +5,10 @@
 //!
 //! Not a paper figure — this guards crossmesh-hb's "zero cost disarmed"
 //! claim (disarmed is one relaxed atomic load per site, measured here
-//! directly as `disarmed_site_ns`) and bounds the armed tax at 5% on the
-//! real concurrent workload. The same run re-checks the detector's two
+//! directly as `disarmed_site_ns`) and reports the armed tax on the real
+//! concurrent workload — a record, not a bound: the two arms differ by
+//! less than this host's run-to-run spread, so what is pinned
+//! (`tests/observer_work.rs`) is the detector's exact event count. The same run re-checks the detector's two
 //! ends: the clean suite and the armed workload must produce zero
 //! findings, and every seeded defect class must convict on every seed.
 
@@ -39,10 +41,10 @@ pub struct Report {
     /// Best-round mean milliseconds with the FastTrack detector
     /// installed and every edge flowing through the vector-clock engine.
     pub armed_ms: f64,
-    /// `(armed / disarmed - 1) * 100`. The regression gate holds this at
-    /// or under 5% on the full run.
+    /// `(armed / disarmed - 1) * 100`. Reported, not bounded.
     pub armed_overhead_pct: f64,
-    /// Seam events the detector processed across the armed rounds.
+    /// Seam events the detector processed across the armed rounds: 48 per
+    /// all-to-all at this pool width, whatever the interleaving.
     pub events: u64,
     /// Race findings across the armed workload rounds *and* a clean-suite
     /// sample at pool widths 1, 4, and 8 — must be zero.
@@ -55,7 +57,7 @@ pub struct Report {
     /// Perturbation seeds per defect class.
     pub seeds_per_class: usize,
     /// Fraction of (defect, seed) runs convicted under the defect's
-    /// expected rule — the gate pins this at 1.0.
+    /// expected rule — the module test pins this at 1.0.
     pub convicted_fraction: f64,
 }
 
@@ -76,7 +78,7 @@ fn workload() -> A2aTask {
 }
 
 /// Runs the measurement. `smoke` trims it (3 rounds of 2, 4 seeds per
-/// defect class) for CI; the full run uses 10 rounds of 4 with the
+/// defect class) for the module test; the full run uses 10 rounds of 4 with the
 /// acceptance-grade 32-seed sweep.
 ///
 /// The two arms are *interleaved round-robin* and each arm's time is the
@@ -158,7 +160,7 @@ pub fn run(smoke: bool) -> Report {
     }
 
     Report {
-        env: HostEnv::detect().with_smoke(smoke),
+        env: HostEnv::detect(),
         pool,
         iters: rounds * per_round,
         disarmed_site_ns,
@@ -209,7 +211,14 @@ mod tests {
         let r = run(true);
         assert!(r.disarmed_ms > 0.0 && r.armed_ms > 0.0);
         assert!(r.disarmed_site_ns > 0.0);
-        assert!(r.events > 0, "the armed arm must reach the detector");
+        // At least, not exactly, 48 per all-to-all here: the seam is
+        // process-wide and sibling tests use the instrumented pool
+        // concurrently. `tests/observer_work.rs` pins the exact count.
+        assert!(
+            r.events >= 48 * r.iters as u64,
+            "the armed arm must reach the detector; saw {}",
+            r.events
+        );
         assert_eq!(r.clean_findings, 0, "clean code must stay silent");
         assert!(r.identical_outputs, "arming changed the dataplane output");
         assert_eq!(

@@ -3,8 +3,10 @@
 //! Every reproduction binary does the same thing: run a harness, then
 //! print either the human-readable rendering or (with `--json`) a
 //! machine-readable dump. [`repro_main`] is that whole main function;
-//! [`section`] is the same step returning a string so `repro_all` can
-//! chain harnesses into one document.
+//! [`section`] is the same step returning a string so `paper::document`
+//! can chain harnesses into one document; [`report_main`] is the main
+//! function of the five wall-clock harnesses, which also leave their
+//! report behind as a `BENCH_*.json` record.
 
 use serde::Serialize;
 
@@ -33,10 +35,39 @@ where
     }
 }
 
+/// Runs one wall-clock harness end to end: [`repro_main`], which on the
+/// way also writes the report as pretty-printed JSON to `default_out` (or
+/// the path after `--out`). The file is a record for EXPERIMENTS.md to
+/// cite; nothing gates on it (wall clock is judged by `benchmark/`).
+pub fn report_main<T, R, F>(default_out: &str, run: R, render: F)
+where
+    T: Serialize,
+    R: FnOnce() -> T,
+    F: FnOnce(&T) -> String,
+{
+    let args: Vec<String> = std::env::args().collect();
+    let out = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+        .map_or(default_out, String::as_str);
+    repro_main(
+        default_out,
+        || {
+            let report = run();
+            let pretty = serde_json::to_string_pretty(&report)
+                .unwrap_or_else(|e| panic!("{default_out}: report must serialize: {e:?}"));
+            std::fs::write(out, pretty).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+            report
+        },
+        |report| format!("{}\nwrote {out}", render(report)),
+    );
+}
+
 /// One named section of a combined multi-harness document: the JSON
 /// object member `"name":<rows>` when `json` is set, the rendered table
-/// otherwise. `repro_all` joins JSON sections with `,` inside `{...}`
-/// and text sections with newlines.
+/// otherwise. `paper::document` joins JSON sections with `,` inside
+/// `{...}` and text sections with newlines.
 pub fn section<T, R, F>(name: &str, json: bool, run: R, render: F) -> String
 where
     T: Serialize,

@@ -104,11 +104,16 @@ fn overload_is_shed_with_retry_hints_not_queued_unboundedly() {
     let mut done = 0;
     let mut rejected = 0;
     let mut max_retry = 0u64;
+    let mut answered = Vec::new();
     for _ in 0..30 {
         match client.recv().expect("reply").expect("not eof") {
-            Response::Done(_) => done += 1,
+            Response::Done(d) => {
+                done += 1;
+                answered.push(d.id);
+            }
             Response::Rejected(r) => {
                 rejected += 1;
+                answered.push(r.id);
                 assert_eq!(r.reason, "rate_limited");
                 assert!(r.retry_after_ms > 0, "a hint, not a guess");
                 max_retry = max_retry.max(r.retry_after_ms);
@@ -116,6 +121,10 @@ fn overload_is_shed_with_retry_hints_not_queued_unboundedly() {
             other => panic!("unexpected reply {other:?}"),
         }
     }
+    // Nothing dropped, nothing answered twice: every offered request got
+    // exactly one `Done` or `Rejected` (an `Error` panics above).
+    answered.sort_unstable();
+    assert_eq!(answered, (1..=30).collect::<Vec<u64>>());
     assert!(done >= 8, "the burst allowance is admitted (got {done})");
     assert!(rejected >= 20, "the overflow is shed (got {rejected})");
     assert!(max_retry <= 10_000, "hints stay sane: {max_retry}ms");
