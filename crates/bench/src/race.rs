@@ -28,7 +28,8 @@ use std::time::Instant;
 pub struct Report {
     /// The measuring host (parallelism, env overrides, build profile).
     pub env: HostEnv,
-    /// Worker-pool width of the timed all-to-all workload.
+    /// Lanes of the timed all-to-all workload, and threads of the pool
+    /// they run on.
     pub pool: usize,
     /// Timed `execute_threaded` calls per arm.
     pub iters: usize,
@@ -43,8 +44,10 @@ pub struct Report {
     pub armed_ms: f64,
     /// `(armed / disarmed - 1) * 100`. Reported, not bounded.
     pub armed_overhead_pct: f64,
-    /// Seam events the detector processed across the armed rounds: 48 per
-    /// all-to-all at this pool width, whatever the interleaving.
+    /// Seam events the detector processed across the armed rounds: 64 per
+    /// all-to-all at this pool width, whatever the interleaving (16 shards
+    /// × lock acquire, buffer write, lock release; 4 lane tasks × fork and
+    /// join edge, each released and acquired).
     pub events: u64,
     /// Race findings across the armed workload rounds *and* a clean-suite
     /// sample at pool widths 1, 4, and 8 — must be zero.
@@ -95,9 +98,16 @@ pub fn run(smoke: bool) -> Report {
     let seeds_per_class = if smoke { 4 } else { 32 };
     let a2a = workload();
     let reference = execute_reference(&a2a).expect("reference executes");
+    // A pool of the workload's own width, whatever the host has: a
+    // one-thread pool runs lanes inline and emits no fork/join edges.
+    let workers = rayon::ThreadPoolBuilder::new()
+        .num_threads(pool)
+        .build()
+        .expect("pool builds");
+    let execute = || workers.install(|| execute_threaded(&a2a, pool));
 
     // Warm-up so allocator state and lazy statics don't bias round one.
-    let _ = execute_threaded(&a2a, pool).expect("warm-up executes");
+    let _ = execute().expect("warm-up executes");
 
     // The disarmed per-site cost, measured directly: the claim is "one
     // relaxed load", and this number is the evidence.
@@ -121,7 +131,7 @@ pub fn run(smoke: bool) -> Report {
             let installed = (arm == 1).then(|| hb::install(detector.clone()));
             let t0 = Instant::now();
             for _ in 0..per_round {
-                let out = execute_threaded(&a2a, pool).expect("timed run executes");
+                let out = execute().expect("timed run executes");
                 identical_outputs &= out == reference;
             }
             times.push(t0.elapsed().as_secs_f64() * 1e3 / per_round as f64);
@@ -211,11 +221,11 @@ mod tests {
         let r = run(true);
         assert!(r.disarmed_ms > 0.0 && r.armed_ms > 0.0);
         assert!(r.disarmed_site_ns > 0.0);
-        // At least, not exactly, 48 per all-to-all here: the seam is
+        // At least, not exactly, 64 per all-to-all here: the seam is
         // process-wide and sibling tests use the instrumented pool
         // concurrently. `tests/observer_work.rs` pins the exact count.
         assert!(
-            r.events >= 48 * r.iters as u64,
+            r.events >= 64 * r.iters as u64,
             "the armed arm must reach the detector; saw {}",
             r.events
         );

@@ -23,7 +23,7 @@ fn observers_handle_a_pinned_number_of_records_per_operation() {
     let race = race::run(true);
     assert_eq!(
         race.events,
-        48 * race.iters as u64,
+        64 * race.iters as u64,
         "seam events per armed all-to-all"
     );
 }

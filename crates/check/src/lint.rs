@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | `lint.hash-iteration` | `crates/core/src/planners/` | `HashMap`, `HashSet` |
 //! | `lint.wall-clock` | core, collectives, mesh, netsim, pipeline | `Instant::now`, `SystemTime::now`, `thread_rng`, `from_entropy`, `rand::random` |
-//! | `lint.unwrap` | runtime, serve, `crates/obs/src/recorder.rs` | `.unwrap()` |
+//! | `lint.unwrap` | runtime, serve, `crates/obs/src/recorder.rs`, `crates/core/src/dataplane.rs` | `.unwrap()` |
 //! | `lint.atomic-ordering` | core, runtime, serve | `Ordering::Relaxed` outside allowlisted counter/fast-path sites |
 //! | `lint.lock-order` | core, runtime, serve, obs | the same two locks taken in both orders (see [`LockOrderScanner`]) |
 //!
@@ -40,12 +40,14 @@ const DETERMINISTIC_SCOPES: &[&str] = &[
 const PLANNER_SCOPE: &str = "crates/core/src/planners/";
 
 /// Directories scanned for the unwrap rule: the runtime's send/recv
-/// paths, the serve daemon's request paths, and the flight recorder's
-/// dump path (each runs on threads whose panic would strand a run).
+/// paths, the serve daemon's request paths, the flight recorder's dump
+/// path (each runs on threads whose panic would strand a run), and the
+/// delivery engine, whose lanes run on the shared pool.
 const UNWRAP_SCOPES: &[&str] = &[
     "crates/runtime/src/",
     "crates/serve/src/",
     "crates/obs/src/recorder.rs",
+    "crates/core/src/dataplane.rs",
 ];
 
 /// Directories scanned for the atomic-ordering rule. `Relaxed` is only
@@ -537,12 +539,13 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_scope_covers_serve_and_the_recorder() {
+    fn unwrap_scope_covers_serve_the_recorder_and_the_dataplane() {
         let unwrap = "let x = rx.recv().unwrap();\n";
         for path in [
             "crates/serve/src/server.rs",
             "crates/obs/src/recorder.rs",
             "crates/runtime/src/backend.rs",
+            "crates/core/src/dataplane.rs",
         ] {
             assert!(
                 lint_source(path, unwrap, &[])
@@ -551,8 +554,9 @@ mod tests {
                 "{path} should be in the unwrap scope"
             );
         }
-        // The rest of obs stays out of scope.
+        // The rest of obs and of core stays out of scope.
         assert!(lint_source("crates/obs/src/metrics.rs", unwrap, &[]).is_empty());
+        assert!(lint_source("crates/core/src/plan.rs", unwrap, &[]).is_empty());
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Bounded model checker for the threaded runtime's dataflow programs.
 //!
-//! `crossmesh-runtime`'s plan executor is a fixed shape: one thread per
+//! Channel dataflow in `crossmesh-runtime` is a fixed shape: one thread per
 //! sender device pushing tile pieces into bounded per-destination channels,
 //! one assembler thread per destination device draining its channel until
-//! every sender hangs up. [`Program`] is that shape as data; [`check`] is a
+//! every sender hangs up (the threaded backend's frames still move this
+//! way; the delivery engine behind `execute_plan` had this shape until its
+//! lanes became pool tasks sharing only a lock per destination, which
+//! leaves it nothing to deadlock on). [`Program`] is that shape as data; [`check`] is a
 //! deterministic scheduler that explores *every* interleaving of a small
 //! program (pruned with sleep sets, DPOR-style, and cut off at a
 //! configurable transition bound) and asserts, on every path:

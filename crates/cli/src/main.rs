@@ -478,8 +478,8 @@ fn check_races(args: &Args) -> Result<String, Box<dyn Error>> {
     let params = presets::p3_cost_params();
     for width in [1usize, 4, 8] {
         // The real-bytes data plane joins the clean suite: a plan with
-        // `width` sending devices runs as `width` sender threads on the
-        // delivery engine, armed, and must match the sequential oracle
+        // `width` sending devices runs as `width` lanes on the delivery
+        // engine's pool, armed, and must match the sequential oracle
         // byte for byte.
         let (task, _) = TaskSpec {
             src_spec: "S1R".into(),

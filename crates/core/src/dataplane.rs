@@ -5,16 +5,21 @@
 //! *placement*. Every tensor element is materialized as its linear index
 //! (truncated to the element width), source devices hold their layout tiles
 //! as byte buffers, the plan's unit tasks move sub-tiles, and the
-//! destination tiles are reassembled and compared element-by-element
-//! against ground truth.
+//! destination tiles are reassembled and compared against ground truth.
+//!
+//! Bytes move a contiguous run at a time: a sub-tile of a row-major tile is
+//! a handful of runs (`runs_in`; a whole tile, a block of full rows and any
+//! rank-1 shard are one), so filling, landing and verifying cost one fill,
+//! `copy_from_slice` or slice compare per run, and a piece goes from its
+//! holder's buffer into the destination's in one copy.
 //!
 //! There is one delivery engine, [`deliver`]: it takes the destination
 //! tiles and the unit tasks to move, grouped into lanes. One lane runs
-//! inline on the calling thread — the sequential oracle; several lanes run
-//! as sender threads feeding one assembler thread per destination device
-//! over bounded channels. [`execute_and_verify`], the threaded runtime's
-//! `execute_plan` and the MoE all-to-all executors only build the delivery
-//! list.
+//! inline on the calling thread — the sequential oracle; several lanes are
+//! tasks on the current rayon pool, each landing its pieces under the
+//! destination's lock, and no thread is started per call.
+//! [`execute_and_verify`], the threaded runtime's `execute_plan` and the
+//! MoE all-to-all executors only build the delivery list.
 
 use crate::plan::{Assignment, Plan};
 use bytes::Bytes;
@@ -22,12 +27,13 @@ use crossmesh_check::TileDiff;
 use crossmesh_hb as hb;
 use crossmesh_mesh::{Layout, Tile, UnitTask};
 use crossmesh_netsim::DeviceId;
+use crossmesh_obs as obs;
+use parking_lot::Mutex;
 use rand::prelude::*;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::mpsc;
-use std::thread;
 
 /// Errors surfaced by data-plane execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +45,13 @@ pub enum DataPlaneError {
         device: DeviceId,
         /// The slice it was asked to send.
         slice: String,
+    },
+    /// A unit task names a receiver that owns no destination tile.
+    NoDestination {
+        /// The receiving device.
+        device: DeviceId,
+        /// The unit task that addresses it.
+        unit: usize,
     },
     /// After executing the plan, a destination element was never written.
     Uncovered {
@@ -54,8 +67,10 @@ pub enum DataPlaneError {
     Conflict {
         /// The receiving device.
         device: DeviceId,
-        /// Linear index of the conflicting element.
-        linear_index: u64,
+        /// The destination tile the element belongs to.
+        tile: Tile,
+        /// Row-major position of the conflicting element inside `tile`.
+        offset: u64,
     },
     /// Every transmission attempt of a unit task was dropped by the
     /// [`DropRoll`], retries included.
@@ -65,8 +80,6 @@ pub enum DataPlaneError {
         /// Attempts made (1 + retries).
         attempts: u32,
     },
-    /// A sender or assembler thread failed (panic, receiver hung up).
-    Transport(String),
 }
 
 impl fmt::Display for DataPlaneError {
@@ -74,6 +87,12 @@ impl fmt::Display for DataPlaneError {
         match self {
             DataPlaneError::SenderMissesSlice { device, slice } => {
                 write!(f, "sender {device} does not hold slice {slice}")
+            }
+            DataPlaneError::NoDestination { device, unit } => {
+                write!(
+                    f,
+                    "receiver {device} of unit {unit} has no destination tile"
+                )
             }
             DataPlaneError::Uncovered { diff } => {
                 write!(f, "destination never fully written: {diff}")
@@ -83,20 +102,81 @@ impl fmt::Display for DataPlaneError {
             }
             DataPlaneError::Conflict {
                 device,
-                linear_index,
-            } => write!(
-                f,
-                "conflicting writes to element {linear_index} on device {device}"
-            ),
+                tile,
+                offset,
+            } => {
+                write!(
+                    f,
+                    "conflicting writes to element {offset} of {tile} on device {device}"
+                )
+            }
             DataPlaneError::Dropped { unit, attempts } => {
                 write!(f, "slice of unit {unit} lost after {attempts} attempts")
             }
-            DataPlaneError::Transport(msg) => write!(f, "transport failure: {msg}"),
         }
     }
 }
 
 impl Error for DataPlaneError {}
+
+/// The contiguous runs of `sub` inside `parent`'s row-major buffer, as
+/// `(element offset, length)` in `sub`'s own row-major order. A run spans
+/// the innermost dimension `sub` covers only partly and every (fully
+/// covered) dimension inside it, so a whole tile, a block of full rows and
+/// any rank-1 slice are one run, and no two runs touch.
+fn runs_in(parent: &Tile, sub: &Tile) -> impl Iterator<Item = (usize, usize)> {
+    debug_assert!(parent.contains(sub), "{sub} not contained in {parent}");
+    // Innermost dimension first: the run grows while dimensions are fully
+    // covered; the rest are walked by an odometer of (count, stride).
+    let (mut len, mut stride, mut base, mut in_run) = (1, 1, 0, true);
+    let mut walk = Vec::new();
+    for d in (0..parent.rank()).rev() {
+        let (p, s) = (parent.range(d), sub.range(d));
+        let (extent, count) = ((p.end - p.start) as usize, (s.end - s.start) as usize);
+        base += s.start.saturating_sub(p.start) as usize * stride;
+        if in_run {
+            len *= count;
+            in_run = count == extent;
+        } else {
+            walk.push((count, stride));
+        }
+        stride *= extent;
+    }
+    let mut odometer = vec![0; walk.len()];
+    let mut next = (!sub.is_empty()).then_some(base);
+    std::iter::from_fn(move || {
+        let offset = next.take()?;
+        let mut at = offset;
+        for (turned, &(count, stride)) in odometer.iter_mut().zip(&walk) {
+            *turned += 1;
+            at += stride;
+            if *turned < count {
+                next = Some(at);
+                break;
+            }
+            at -= count * stride;
+            *turned = 0;
+        }
+        Some((offset, len))
+    })
+}
+
+/// Decodes one little-endian element of up to 8 bytes.
+fn decode(elem: &[u8]) -> u64 {
+    let mut raw = [0u8; 8];
+    raw[..elem.len()].copy_from_slice(elem);
+    u64::from_le_bytes(raw)
+}
+
+/// Writes ground truth for `len` consecutive elements — `first`,
+/// `first + 1`, … each truncated to `width` bytes — at the front of `out`.
+/// Every element is stored as a whole little-endian word whose high bytes
+/// the next store overwrites, so `out` must run 8 bytes past the last one.
+fn fill_truth(out: &mut [u8], first: u64, len: usize, width: usize) {
+    for (i, value) in (first..).take(len).enumerate() {
+        out[i * width..][..8].copy_from_slice(&value.to_le_bytes());
+    }
+}
 
 /// A device-resident tile: the region it covers and its contents as a
 /// row-major (within the tile) byte buffer of `elem_bytes`-wide elements.
@@ -110,80 +190,11 @@ pub struct TileBuffer {
     pub data: Bytes,
 }
 
-/// Iterates all multi-dimensional indices of `tile` in row-major order.
-fn tile_indices(tile: &Tile) -> impl Iterator<Item = Vec<u64>> + '_ {
-    let rank = tile.rank();
-    let mut current: Option<Vec<u64>> = if tile.is_empty() {
-        None
-    } else {
-        Some((0..rank).map(|d| tile.range(d).start).collect())
-    };
-    std::iter::from_fn(move || {
-        let idx = current.clone()?;
-        // Advance the odometer: increment the last dimension, carrying.
-        let mut next = idx.clone();
-        let mut d = rank;
-        loop {
-            if d == 0 {
-                current = None;
-                break;
-            }
-            d -= 1;
-            next[d] += 1;
-            if next[d] < tile.range(d).end {
-                current = Some(next);
-                break;
-            }
-            next[d] = tile.range(d).start;
-        }
-        Some(idx)
-    })
-}
-
-/// The linear index of `idx` in a tensor of `shape`.
-fn linear_index(shape: &[u64], idx: &[u64]) -> u64 {
-    let mut lin = 0u64;
-    for (i, &n) in shape.iter().enumerate() {
-        lin = lin * n + idx[i];
-    }
-    lin
-}
-
-/// Row-major element offsets, within `parent`'s buffer, of every element
-/// of `sub` (in `sub`'s own row-major order).
-fn offsets_in<'a>(parent: &'a Tile, sub: &'a Tile) -> impl Iterator<Item = usize> + 'a {
-    let rank = parent.rank();
-    let mut strides = vec![1u64; rank];
-    for d in (0..rank.saturating_sub(1)).rev() {
-        let extent = parent.range(d + 1).end - parent.range(d + 1).start;
-        strides[d] = strides[d + 1] * extent;
-    }
-    tile_indices(sub).map(move |idx| {
-        let off: u64 = (0..rank)
-            .map(|d| (idx[d] - parent.range(d).start) * strides[d])
-            .sum();
-        off as usize
-    })
-}
-
-/// Encodes `value` as `elem_bytes` little-endian bytes (truncating).
-fn encode(value: u64, elem_bytes: usize, out: &mut Vec<u8>) {
-    out.extend_from_slice(&value.to_le_bytes()[..elem_bytes]);
-}
-
-/// Truncates `value` to the range representable in `elem_bytes` bytes,
-/// mirroring what [`encode`] stores.
-fn truncate(value: u64, elem_bytes: usize) -> u64 {
-    if elem_bytes >= 8 {
-        value
-    } else {
-        value & ((1u64 << (elem_bytes * 8)) - 1)
-    }
-}
-
 impl TileBuffer {
     /// Materializes ground truth for `tile` of a tensor with `shape`:
-    /// every element holds its linear index.
+    /// every element holds its linear index, truncated to the element
+    /// width. A run of the tile inside the tensor counts up from the
+    /// linear index of its first element.
     ///
     /// # Panics
     ///
@@ -193,10 +204,14 @@ impl TileBuffer {
             (1..=8).contains(&elem_bytes),
             "element width must be 1-8 bytes"
         );
-        let mut data = Vec::with_capacity(tile.volume() as usize * elem_bytes);
-        for idx in tile_indices(tile) {
-            encode(linear_index(shape, &idx), elem_bytes, &mut data);
+        let bytes = tile.volume() as usize * elem_bytes;
+        let mut data = vec![0u8; bytes + 8];
+        let mut at = 0;
+        for (first, len) in runs_in(&Tile::full(shape), tile) {
+            fill_truth(&mut data[at * elem_bytes..], first as u64, len, elem_bytes);
+            at += len;
         }
+        data.truncate(bytes);
         TileBuffer {
             tile: tile.clone(),
             elem_bytes,
@@ -204,39 +219,41 @@ impl TileBuffer {
         }
     }
 
-    /// Extracts the sub-region `sub` (which must be contained in this
-    /// buffer's tile) as a new buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sub` is not contained in `self.tile`.
-    pub fn extract(&self, sub: &Tile) -> TileBuffer {
-        assert!(
-            self.tile.contains(sub),
-            "sub-tile {sub} not contained in {}",
-            self.tile
-        );
-        if *sub == self.tile {
-            return self.clone();
-        }
-        let mut data = Vec::with_capacity(sub.volume() as usize * self.elem_bytes);
-        for off in offsets_in(&self.tile, sub) {
-            let byte = off * self.elem_bytes;
-            data.extend_from_slice(&self.data[byte..byte + self.elem_bytes]);
-        }
-        TileBuffer {
-            tile: sub.clone(),
-            elem_bytes: self.elem_bytes,
-            data: Bytes::from(data),
+    /// Decodes the element at the row-major position `i` within the tile.
+    pub fn element(&self, i: usize) -> u64 {
+        decode(&self.data[i * self.elem_bytes..(i + 1) * self.elem_bytes])
+    }
+}
+
+/// One written-bit per element of a destination tile, in 64-bit words.
+#[derive(Debug)]
+struct Coverage(Vec<u64>);
+
+impl Coverage {
+    /// `(word, mask)` for every word holding bits of the non-empty `lo..hi`.
+    fn words(lo: usize, hi: usize) -> impl Iterator<Item = (usize, u64)> {
+        (lo / 64..hi.div_ceil(64)).map(move |w| {
+            let (from, to) = (lo.max(w * 64) - w * 64, hi.min(w * 64 + 64) - w * 64);
+            (w, (u64::MAX >> (64 - (to - from))) << from)
+        })
+    }
+
+    /// How many elements of `lo..hi` are written.
+    fn count(&self, lo: usize, hi: usize) -> usize {
+        let ones = |(w, mask): (usize, u64)| (self.0[w] & mask).count_ones() as usize;
+        Self::words(lo, hi).map(ones).sum()
+    }
+
+    fn set(&mut self, lo: usize, hi: usize) {
+        for (w, mask) in Self::words(lo, hi) {
+            self.0[w] |= mask;
         }
     }
 
-    /// Decodes the element at the row-major position `i` within the tile.
-    pub fn element(&self, i: usize) -> u64 {
-        let mut raw = [0u8; 8];
-        raw[..self.elem_bytes]
-            .copy_from_slice(&self.data[i * self.elem_bytes..(i + 1) * self.elem_bytes]);
-        u64::from_le_bytes(raw)
+    /// The first unwritten element of the first `len`.
+    fn first_unset(&self, len: usize) -> Option<usize> {
+        let w = self.0.iter().position(|&word| word != u64::MAX)?;
+        Some(w * 64 + self.0[w].trailing_ones() as usize).filter(|&i| i < len)
     }
 }
 
@@ -247,7 +264,10 @@ pub struct DestinationBuffer {
     tile: Tile,
     elem_bytes: usize,
     data: Vec<u8>,
-    written: Vec<bool>,
+    written: Coverage,
+    /// Runs `write` landed that had bytes to copy, and the bytes copied.
+    copy_runs: u64,
+    copied_bytes: u64,
 }
 
 impl DestinationBuffer {
@@ -258,12 +278,15 @@ impl DestinationBuffer {
             tile,
             elem_bytes,
             data: vec![0; n * elem_bytes],
-            written: vec![false; n],
+            written: Coverage(vec![0; n.div_ceil(64)]),
+            copy_runs: 0,
+            copied_bytes: 0,
         }
     }
 
-    /// Writes a delivered piece into the buffer. `device` is only used to
-    /// attribute errors.
+    /// Writes `region` of `source` into the buffer without an intermediate
+    /// piece: both buffers are walked a run at a time and every stretch
+    /// contiguous in both lands at once. `device` only attributes errors.
     ///
     /// # Errors
     ///
@@ -272,32 +295,65 @@ impl DestinationBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `piece.tile` is not contained in this buffer's tile.
-    pub fn write(&mut self, piece: &TileBuffer, device: DeviceId) -> Result<(), DataPlaneError> {
-        assert!(
-            piece.tile.is_empty() || self.tile.contains(&piece.tile),
-            "piece {} not contained in destination tile {}",
-            piece.tile,
-            self.tile
-        );
-        for (i, elem) in offsets_in(&self.tile, &piece.tile).enumerate() {
-            let byte = elem * self.elem_bytes;
-            let src = &piece.data[i * self.elem_bytes..(i + 1) * self.elem_bytes];
-            if self.written[elem] {
-                if &self.data[byte..byte + self.elem_bytes] != src {
-                    return Err(DataPlaneError::Conflict {
-                        device,
-                        linear_index: elem as u64,
-                    });
+    /// Panics if `region` is not contained in both buffers' tiles.
+    pub fn write(
+        &mut self,
+        source: &TileBuffer,
+        region: &Tile,
+        device: DeviceId,
+    ) -> Result<(), DataPlaneError> {
+        let (tile, width) = (&self.tile, self.elem_bytes);
+        let inside = tile.contains(region) && source.tile.contains(region);
+        assert!(inside, "piece {region} not contained in {tile} and source");
+        let mut held = runs_in(&source.tile, region);
+        let (mut from, mut left) = (0, 0);
+        for (mut at, mut len) in runs_in(tile, region) {
+            while len > 0 {
+                if left == 0 {
+                    (from, left) = held.next().expect("both walks cover the region");
                 }
-            } else {
-                self.data[byte..byte + self.elem_bytes].copy_from_slice(src);
-                self.written[elem] = true;
+                let n = len.min(left);
+                self.land_run(at, &source.data[from * width..(from + n) * width], device)?;
+                (at, from, len, left) = (at + n, from + n, len - n, left - n);
             }
         }
         Ok(())
     }
+
+    /// Lands one contiguous run at element `at`: an unwritten run is
+    /// copied, a written one compared, and only a partly written or a
+    /// disagreeing one is settled an element at a time.
+    fn land_run(&mut self, at: usize, src: &[u8], device: DeviceId) -> Result<(), DataPlaneError> {
+        let width = self.elem_bytes;
+        let len = src.len() / width;
+        let dst = &mut self.data[at * width..][..src.len()];
+        let written = self.written.count(at, at + len);
+        if written == 0 {
+            dst.copy_from_slice(src);
+        } else if written < len || dst != src {
+            let elems = dst.chunks_exact_mut(width).zip(src.chunks_exact(width));
+            for (i, (old, new)) in (at..).zip(elems) {
+                if self.written.count(i, i + 1) == 0 {
+                    old.copy_from_slice(new);
+                    self.written.set(i, i + 1);
+                } else if old != new {
+                    return Err(DataPlaneError::Conflict {
+                        device,
+                        tile: self.tile.clone(),
+                        offset: i as u64,
+                    });
+                }
+            }
+        }
+        self.written.set(at, at + len);
+        self.copy_runs += u64::from(written < len);
+        self.copied_bytes += ((len - written) * width) as u64;
+        Ok(())
+    }
 }
+
+/// Elements of ground truth [`verify_destination`] holds at a time.
+const TRUTH_CHUNK: usize = 4096;
 
 /// The verified outcome of a data-plane execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,11 +367,10 @@ pub struct DataPlaneReport {
 
 /// Checks that every assembled destination buffer is fully covered and
 /// holds exactly its tile of the ground-truth tensor (every element equal
-/// to its linear index, truncated to the element width). Returns the final
-/// immutable buffers keyed by device id; empty tiles are skipped.
-///
-/// This is the back half of [`deliver`], and so of every executor built
-/// on it.
+/// to its linear index, truncated to the element width), generating and
+/// comparing truth a chunk of a run at a time. Returns the final buffers
+/// keyed by device id; empty tiles are skipped. This is the back half of
+/// [`deliver`], and so of every executor built on it.
 ///
 /// # Errors
 ///
@@ -325,52 +380,50 @@ pub fn verify_destination(
     shape: &[u64],
     buffers: impl IntoIterator<Item = (DeviceId, DestinationBuffer)>,
 ) -> Result<BTreeMap<u32, TileBuffer>, DataPlaneError> {
+    let full = Tile::full(shape);
+    let mut truth = vec![0u8; TRUTH_CHUNK * 8 + 8];
     let mut destination = BTreeMap::new();
-    for (device, buf) in buffers {
-        let tile = buf.tile.clone();
-        let elem_bytes = buf.elem_bytes;
-        if tile.is_empty() {
-            continue;
-        }
-        for (i, idx) in tile_indices(&tile).enumerate() {
-            let lin = linear_index(shape, &idx);
-            if !buf.written[i] {
-                return Err(DataPlaneError::Uncovered {
-                    diff: TileDiff {
-                        device,
-                        tile: tile.clone(),
-                        offset: i as u64,
-                        linear_index: lin,
-                        expected: Some(truncate(lin, elem_bytes)),
-                        actual: None,
-                    },
+    for (device, buf) in buffers.into_iter().filter(|(_, b)| !b.tile.is_empty()) {
+        let width = buf.elem_bytes;
+        // A hole anywhere outranks a wrong value anywhere.
+        let hole = buf.written.first_unset(buf.tile.volume() as usize);
+        let mut at = 0;
+        for (first, len) in runs_in(&full, &buf.tile) {
+            let bad = match hole {
+                Some(hole) => (hole < at + len).then(|| hole - at),
+                None => (0..len).step_by(TRUTH_CHUNK).find_map(|lo| {
+                    let n = TRUTH_CHUNK.min(len - lo);
+                    fill_truth(&mut truth, (first + lo) as u64, n, width);
+                    let got = &buf.data[(at + lo) * width..][..n * width];
+                    let mut elems = got.chunks_exact(width).zip(truth.chunks_exact(width));
+                    (*got != truth[..n * width])
+                        .then(|| lo + elems.position(|(g, t)| g != t).expect("differs"))
+                }),
+            };
+            if let Some(bad) = bad {
+                let lin = (first + bad) as u64;
+                let got = &buf.data[(at + bad) * width..][..width];
+                let diff = TileDiff {
+                    device,
+                    offset: (at + bad) as u64,
+                    linear_index: lin,
+                    expected: Some(decode(&lin.to_le_bytes()[..width])),
+                    actual: hole.is_none().then(|| decode(got)),
+                    tile: buf.tile,
+                };
+                return Err(match hole {
+                    Some(_) => DataPlaneError::Uncovered { diff },
+                    None => DataPlaneError::Corrupted { diff },
                 });
             }
+            at += len;
         }
-        let got = TileBuffer {
-            tile: tile.clone(),
-            elem_bytes,
+        let tile = TileBuffer {
+            tile: buf.tile,
+            elem_bytes: width,
             data: Bytes::from(buf.data),
         };
-        let want = TileBuffer::materialize(&tile, shape, elem_bytes);
-        if got.data != want.data {
-            // Locate the first differing element for the structured diff.
-            let bad = (0..tile.volume() as usize)
-                .find(|&i| got.element(i) != want.element(i))
-                .unwrap_or(0);
-            let idx = tile_indices(&tile).nth(bad).expect("index exists");
-            return Err(DataPlaneError::Corrupted {
-                diff: TileDiff {
-                    device,
-                    tile: tile.clone(),
-                    offset: bad as u64,
-                    linear_index: linear_index(shape, &idx),
-                    expected: Some(want.element(bad)),
-                    actual: Some(got.element(bad)),
-                },
-            });
-        }
-        destination.insert(device.0, got);
+        destination.insert(device.0, tile);
     }
     Ok(destination)
 }
@@ -412,32 +465,27 @@ impl DropRoll {
     }
 }
 
-/// A destination device's assembly buffer with its race-detector seam:
-/// every delivery is `release(edge)` at the sender and `acquire(edge)` +
-/// `write(point)` where the piece lands, so an unsynchronized buffer
-/// write would convict.
-struct Inbox {
-    buf: DestinationBuffer,
-    edge: u64,
-    point: u64,
-}
+/// A destination device's assembly buffer behind its lock, which is also
+/// its race-detector seam: the lock orders lanes landing in one tile and
+/// every landing is a `write` on it, so one outside the lock would convict.
+struct Inbox(Mutex<DestinationBuffer>);
 
 impl Inbox {
-    fn land(&mut self, piece: &TileBuffer, device: DeviceId) -> Result<(), DataPlaneError> {
-        hb::acquire(self.edge);
-        hb::write(self.point);
-        self.buf.write(piece, device)
+    fn land(&self, src: &TileBuffer, part: &Tile, to: DeviceId) -> Result<(), DataPlaneError> {
+        let mut buf = self.0.lock();
+        hb::write(hb::object_id(&self.0));
+        buf.write(src, part, to)
     }
 }
 
-/// Runs one lane's deliveries in order, handing every piece to `emit`;
-/// returns the bytes handed over.
+/// Runs one lane's deliveries in order, landing every piece straight from
+/// the buffer that holds it; returns the bytes handed over.
 fn run_lane(
     shape: &[u64],
     elem_bytes: usize,
     lane: &[Delivery<'_>],
     drops: Option<DropRoll>,
-    emit: &mut dyn FnMut(DeviceId, TileBuffer) -> Result<(), DataPlaneError>,
+    inboxes: &BTreeMap<DeviceId, Inbox>,
 ) -> Result<u64, DataPlaneError> {
     let mut held: BTreeMap<DeviceId, TileBuffer> = BTreeMap::new();
     let mut delivered = 0u64;
@@ -446,23 +494,29 @@ fn run_lane(
             drops.roll(d.unit.index)?;
         }
         let slice = &d.unit.slice;
-        let slice_buf = match d.holder {
+        let fresh;
+        let source = match d.holder {
             Some((device, tile)) if !tile.contains(slice) => {
                 return Err(DataPlaneError::SenderMissesSlice {
                     device,
                     slice: slice.to_string(),
                 })
             }
-            Some((device, tile)) => held
+            Some((device, tile)) => &*held
                 .entry(device)
-                .or_insert_with(|| TileBuffer::materialize(tile, shape, elem_bytes))
-                .extract(slice),
-            None => TileBuffer::materialize(slice, shape, elem_bytes),
+                .or_insert_with(|| TileBuffer::materialize(tile, shape, elem_bytes)),
+            None => {
+                fresh = TileBuffer::materialize(slice, shape, elem_bytes);
+                &fresh
+            }
         };
         for r in &d.unit.receivers {
-            let piece = slice_buf.extract(&r.needed);
-            delivered += piece.tile.volume() * elem_bytes as u64;
-            emit(r.device, piece)?;
+            let (device, unit) = (r.device, d.unit.index);
+            let inbox = inboxes.get(&device);
+            inbox
+                .ok_or(DataPlaneError::NoDestination { device, unit })?
+                .land(source, &r.needed, device)?;
+            delivered += r.needed.volume() * elem_bytes as u64;
         }
     }
     Ok(delivered)
@@ -473,18 +527,19 @@ fn run_lane(
 /// with [`verify_destination`].
 ///
 /// A single lane runs inline, in order — the sequential oracle. Several
-/// lanes run as one sender thread each, feeding one assembler thread per
-/// destination device over bounded channels, so fast senders exert
-/// backpressure instead of buffering everything. The report is identical
-/// either way.
+/// lanes are tasks on the current rayon pool; a task never waits for
+/// another, it only holds a destination's lock for one copy. The report is
+/// identical either way, and the first failing lane's error is returned.
+/// Per destination the engine holds the tile's bytes and one coverage bit
+/// per element; each lane also holds the tiles of the senders it plays.
 ///
 /// # Errors
 ///
 /// The first placement defect found (a sender asked to ship data it does
-/// not hold, an element never delivered, a corrupted value, conflicting
-/// deliveries), [`DataPlaneError::Dropped`] when a slice exhausts its
-/// retry budget under `drops`, and [`DataPlaneError::Transport`] if a
-/// thread fails.
+/// not hold, a receiver without a destination tile, an element never
+/// delivered, a corrupted value, conflicting deliveries) and
+/// [`DataPlaneError::Dropped`] when a slice exhausts its retry budget
+/// under `drops`.
 pub fn deliver(
     shape: &[u64],
     elem_bytes: usize,
@@ -492,78 +547,29 @@ pub fn deliver(
     lanes: &[Vec<Delivery<'_>>],
     drops: Option<DropRoll>,
 ) -> Result<DataPlaneReport, DataPlaneError> {
-    let mut inboxes: BTreeMap<DeviceId, Inbox> = destinations
+    let inboxes: BTreeMap<DeviceId, Inbox> = destinations
         .into_iter()
         .map(|(device, tile)| {
             let buf = DestinationBuffer::new(tile, elem_bytes);
-            let (edge, point) = (hb::fresh_id(), hb::fresh_id());
-            (device, Inbox { buf, edge, point })
+            (device, Inbox(Mutex::new(buf)))
         })
         .collect();
-    const OWNED: &str = "every receiver owns a destination tile";
+    let lanes_done: Vec<_> = lanes
+        .par_iter()
+        .map(|lane| run_lane(shape, elem_bytes, lane, drops, &inboxes))
+        .collect();
+    let delivered_bytes = lanes_done.into_iter().sum::<Result<u64, _>>()?;
 
-    let delivered_bytes = if let [lane] = lanes {
-        run_lane(shape, elem_bytes, lane, drops, &mut |device, piece| {
-            inboxes.get_mut(&device).expect(OWNED).land(&piece, device)
-        })?
-    } else {
-        thread::scope(|s| {
-            let mut outboxes = BTreeMap::new();
-            let mut assemblers = Vec::new();
-            for (&device, inbox) in &mut inboxes {
-                let (tx, rx) = mpsc::sync_channel::<TileBuffer>(64);
-                outboxes.insert(device, (tx, inbox.edge));
-                assemblers
-                    .push(s.spawn(move || rx.iter().try_for_each(|p| inbox.land(&p, device))));
-            }
-            let senders: Vec<_> = lanes
-                .iter()
-                .map(|lane| {
-                    let outboxes = outboxes.clone();
-                    s.spawn(move || {
-                        run_lane(shape, elem_bytes, lane, drops, &mut |device, piece| {
-                            let (tx, edge) = outboxes.get(&device).expect(OWNED);
-                            hb::preempt();
-                            hb::release(*edge);
-                            tx.send(piece).map_err(|_| {
-                                DataPlaneError::Transport(format!("assembler for {device} hung up"))
-                            })
-                        })
-                    })
-                })
-                .collect();
-            // Only the sender threads' clones remain: when those finish,
-            // the assemblers see EOF.
-            drop(outboxes);
-
-            let panicked = |who| DataPlaneError::Transport(format!("{who} thread panicked"));
-            let mut delivered = 0u64;
-            let mut errors = Vec::new();
-            for h in senders {
-                match h.join().unwrap_or_else(|_| Err(panicked("sender"))) {
-                    Ok(bytes) => delivered += bytes,
-                    Err(e) => errors.push(e),
-                }
-            }
-            for h in assemblers {
-                errors.extend(
-                    h.join()
-                        .unwrap_or_else(|_| Err(panicked("assembler")))
-                        .err(),
-                );
-            }
-            // A thread erroring out makes hang-ups on the other side of
-            // its channels inevitable: report the cause, not the echo.
-            let cause = errors
-                .into_iter()
-                .min_by_key(|e| matches!(e, DataPlaneError::Transport(_)));
-            cause.map_or(Ok(delivered), Err)
-        })?
-    };
-
-    let assembled = inboxes
+    let assembled: Vec<_> = inboxes
         .into_iter()
-        .map(|(device, inbox)| (device, inbox.buf));
+        .map(|(device, inbox)| (device, inbox.0.into_inner()))
+        .collect();
+    let (metrics, mut runs, mut bytes) = (obs::metrics(), 0, 0);
+    for (_, buf) in &assembled {
+        (runs, bytes) = (runs + buf.copy_runs, bytes + buf.copied_bytes);
+    }
+    metrics.counter("dataplane.copy_runs").add(runs);
+    metrics.counter("dataplane.copied_bytes").add(bytes);
     Ok(DataPlaneReport {
         delivered_bytes,
         destination: verify_destination(shape, assembled)?,
@@ -606,13 +612,8 @@ pub fn execute_plan_by<K: Ord>(
     let destinations = dst_mesh
         .coords()
         .map(|coord| (dst_mesh.device(coord), dst_layout.tile_at(coord).clone()));
-    deliver(
-        shape,
-        task.elem_bytes() as usize,
-        destinations,
-        &lanes,
-        None,
-    )
+    let width = task.elem_bytes() as usize;
+    deliver(shape, width, destinations, &lanes, None)
 }
 
 /// Executes `plan` sequentially, in plan order, on materialized buffers
@@ -621,9 +622,7 @@ pub fn execute_plan_by<K: Ord>(
 ///
 /// # Errors
 ///
-/// Returns the first placement defect found: a sender asked to ship data it
-/// does not hold, an element never delivered, a corrupted value, or
-/// conflicting deliveries.
+/// Those of [`deliver`].
 pub fn execute_and_verify(plan: &Plan<'_>) -> Result<DataPlaneReport, DataPlaneError> {
     execute_plan_by(plan, |_| ())
 }
@@ -635,8 +634,322 @@ mod tests {
     use crate::planners::{EnsemblePlanner, NaivePlanner, Planner, PlannerConfig};
     use crate::task::ReshardingTask;
     use crossmesh_collectives::CostParams;
-    use crossmesh_mesh::DeviceMesh;
-    use crossmesh_netsim::{ClusterSpec, LinkParams};
+    use crossmesh_mesh::{DeviceMesh, Receiver};
+    use crossmesh_netsim::{ClusterSpec, HostId, LinkParams};
+    use proptest::prelude::*;
+
+    // The per-element engine this module had before it moved runs, kept
+    // verbatim as the reference the run-based one must match byte for byte.
+
+    /// Iterates all multi-dimensional indices of `tile` in row-major order.
+    fn tile_indices(tile: &Tile) -> impl Iterator<Item = Vec<u64>> + '_ {
+        let rank = tile.rank();
+        let mut current: Option<Vec<u64>> = if tile.is_empty() {
+            None
+        } else {
+            Some((0..rank).map(|d| tile.range(d).start).collect())
+        };
+        std::iter::from_fn(move || {
+            let idx = current.clone()?;
+            // Advance the odometer: increment the last dimension, carrying.
+            let mut next = idx.clone();
+            let mut d = rank;
+            loop {
+                if d == 0 {
+                    current = None;
+                    break;
+                }
+                d -= 1;
+                next[d] += 1;
+                if next[d] < tile.range(d).end {
+                    current = Some(next);
+                    break;
+                }
+                next[d] = tile.range(d).start;
+            }
+            Some(idx)
+        })
+    }
+
+    /// The linear index of `idx` in a tensor of `shape`.
+    fn linear_index(shape: &[u64], idx: &[u64]) -> u64 {
+        let mut lin = 0u64;
+        for (i, &n) in shape.iter().enumerate() {
+            lin = lin * n + idx[i];
+        }
+        lin
+    }
+
+    /// Row-major element offsets, within `parent`'s buffer, of every element
+    /// of `sub` (in `sub`'s own row-major order).
+    fn offsets_in<'a>(parent: &'a Tile, sub: &'a Tile) -> impl Iterator<Item = usize> + 'a {
+        let rank = parent.rank();
+        let mut strides = vec![1u64; rank];
+        for d in (0..rank.saturating_sub(1)).rev() {
+            let extent = parent.range(d + 1).end - parent.range(d + 1).start;
+            strides[d] = strides[d + 1] * extent;
+        }
+        tile_indices(sub).map(move |idx| {
+            let off: u64 = (0..rank)
+                .map(|d| (idx[d] - parent.range(d).start) * strides[d])
+                .sum();
+            off as usize
+        })
+    }
+
+    fn truncate(value: u64, elem_bytes: usize) -> u64 {
+        if elem_bytes >= 8 {
+            value
+        } else {
+            value & ((1u64 << (elem_bytes * 8)) - 1)
+        }
+    }
+
+    fn oracle_materialize(tile: &Tile, shape: &[u64], elem_bytes: usize) -> TileBuffer {
+        let mut data = Vec::with_capacity(tile.volume() as usize * elem_bytes);
+        for idx in tile_indices(tile) {
+            data.extend_from_slice(&linear_index(shape, &idx).to_le_bytes()[..elem_bytes]);
+        }
+        TileBuffer {
+            tile: tile.clone(),
+            elem_bytes,
+            data: Bytes::from(data),
+        }
+    }
+
+    fn oracle_extract(buf: &TileBuffer, sub: &Tile) -> TileBuffer {
+        let mut data = Vec::with_capacity(sub.volume() as usize * buf.elem_bytes);
+        for off in offsets_in(&buf.tile, sub) {
+            let byte = off * buf.elem_bytes;
+            data.extend_from_slice(&buf.data[byte..byte + buf.elem_bytes]);
+        }
+        TileBuffer {
+            tile: sub.clone(),
+            elem_bytes: buf.elem_bytes,
+            data: Bytes::from(data),
+        }
+    }
+
+    /// The old `DestinationBuffer`: a flag per element.
+    struct OracleBuffer {
+        tile: Tile,
+        elem_bytes: usize,
+        data: Vec<u8>,
+        written: Vec<bool>,
+    }
+
+    impl OracleBuffer {
+        fn new(tile: Tile, elem_bytes: usize) -> Self {
+            let n = tile.volume() as usize;
+            OracleBuffer {
+                tile,
+                elem_bytes,
+                data: vec![0; n * elem_bytes],
+                written: vec![false; n],
+            }
+        }
+
+        /// The old `write`; a conflict reports the in-tile offset.
+        fn write(&mut self, piece: &TileBuffer) -> Result<(), usize> {
+            for (i, elem) in offsets_in(&self.tile, &piece.tile).enumerate() {
+                let byte = elem * self.elem_bytes;
+                let src = &piece.data[i * self.elem_bytes..(i + 1) * self.elem_bytes];
+                if self.written[elem] {
+                    if &self.data[byte..byte + self.elem_bytes] != src {
+                        return Err(elem);
+                    }
+                } else {
+                    self.data[byte..byte + self.elem_bytes].copy_from_slice(src);
+                    self.written[elem] = true;
+                }
+            }
+            Ok(())
+        }
+
+        /// The old `verify_destination` for one buffer.
+        fn verify(self, shape: &[u64], device: DeviceId) -> Result<TileBuffer, DataPlaneError> {
+            let (tile, elem_bytes) = (self.tile.clone(), self.elem_bytes);
+            for (i, idx) in tile_indices(&tile).enumerate() {
+                let lin = linear_index(shape, &idx);
+                if !self.written[i] {
+                    return Err(DataPlaneError::Uncovered {
+                        diff: TileDiff {
+                            device,
+                            tile: tile.clone(),
+                            offset: i as u64,
+                            linear_index: lin,
+                            expected: Some(truncate(lin, elem_bytes)),
+                            actual: None,
+                        },
+                    });
+                }
+            }
+            let got = TileBuffer {
+                tile: tile.clone(),
+                elem_bytes,
+                data: Bytes::from(self.data),
+            };
+            let want = oracle_materialize(&tile, shape, elem_bytes);
+            if got.data != want.data {
+                let bad = (0..tile.volume() as usize)
+                    .find(|&i| got.element(i) != want.element(i))
+                    .unwrap_or(0);
+                let idx = tile_indices(&tile).nth(bad).expect("index exists");
+                return Err(DataPlaneError::Corrupted {
+                    diff: TileDiff {
+                        device,
+                        tile: tile.clone(),
+                        offset: bad as u64,
+                        linear_index: linear_index(shape, &idx),
+                        expected: Some(want.element(bad)),
+                        actual: Some(got.element(bad)),
+                    },
+                });
+            }
+            Ok(got)
+        }
+    }
+
+    /// Per dimension: the tensor's extent and six one-byte draws that
+    /// place a region, a holder tile and a destination tile around it.
+    type Dim = (u64, u64);
+
+    /// `region ⊆ holder ∩ dest` and `holder, dest ⊆ shape`; the region may
+    /// be empty, ragged, or touch any face of either tile.
+    fn nested_tiles(dims: &[Dim]) -> (Vec<u64>, Tile, Tile, Tile) {
+        let grow = |lo: u64, hi: u64, n: u64, by: (u8, u8)| {
+            lo - u64::from(by.0) % (lo + 1)..hi + u64::from(by.1) % (n - hi + 1)
+        };
+        let mut tiles = [Vec::new(), Vec::new(), Vec::new()];
+        for &(n, draws) in dims {
+            let p = draws.to_le_bytes();
+            let (a, b) = (u64::from(p[0]) % (n + 1), u64::from(p[1]) % (n + 1));
+            let (lo, hi) = (a.min(b), a.max(b));
+            tiles[0].push(lo..hi);
+            tiles[1].push(grow(lo, hi, n, (p[2], p[3])));
+            tiles[2].push(grow(lo, hi, n, (p[4], p[5])));
+        }
+        let [region, holder, dest] = tiles.map(Tile::new);
+        (dims.iter().map(|d| d.0).collect(), region, holder, dest)
+    }
+
+    fn assert_same_buffer(new: &DestinationBuffer, old: &OracleBuffer) {
+        assert_eq!(new.data, old.data);
+        for (i, &flag) in old.written.iter().enumerate() {
+            assert_eq!(new.written.count(i, i + 1) == 1, flag, "coverage bit {i}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `runs_in` against the per-element walk: same offsets in the same
+        /// order, and no two runs touch (so none could be merged).
+        #[test]
+        fn runs_concatenate_to_the_per_element_offsets(
+            dims in prop::collection::vec((1u64..=5, any::<u64>()), 0..=4),
+        ) {
+            let (shape, region, holder, _) = nested_tiles(&dims);
+            for parent in [&holder, &Tile::full(&shape), &region] {
+                let runs: Vec<_> = runs_in(parent, &region).collect();
+                let flat: Vec<usize> = runs.iter().flat_map(|&(at, len)| at..at + len).collect();
+                prop_assert_eq!(flat, offsets_in(parent, &region).collect::<Vec<_>>());
+                prop_assert!(runs.iter().all(|&(_, len)| len > 0));
+                prop_assert!(
+                    runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0),
+                    "runs touch: {:?}", runs
+                );
+            }
+            if !region.is_empty() {
+                prop_assert_eq!(runs_in(&region, &region).count(), 1, "a whole tile is one run");
+            }
+        }
+
+        /// `materialize`, `write` (of whole pieces and of a region straight
+        /// from its holder, where the old engine extracted a piece first)
+        /// and `verify_destination` against the per-element versions: same
+        /// bytes, same coverage, same verdict.
+        #[test]
+        fn run_based_buffers_match_the_per_element_ones(
+            dims in prop::collection::vec((1u64..=5, any::<u64>()), 0..=4),
+            elem_bytes in 1usize..=8,
+            flip in prop::option::of(any::<u64>()),
+            fill in any::<bool>(),
+        ) {
+            let (shape, region, holder, dest) = nested_tiles(&dims);
+            let device = DeviceId(3);
+            let held = TileBuffer::materialize(&holder, &shape, elem_bytes);
+            prop_assert_eq!(&held, &oracle_materialize(&holder, &shape, elem_bytes));
+            let piece = oracle_extract(&held, &region);
+
+            let mut new = DestinationBuffer::new(dest.clone(), elem_bytes);
+            let mut old = OracleBuffer::new(dest.clone(), elem_bytes);
+            new.write(&held, &region, device).unwrap();
+            old.write(&piece).unwrap();
+            assert_same_buffer(&new, &old);
+
+            // Everything holder and destination share, over what is there
+            // already (written, unwritten and mixed runs), optionally with
+            // one byte flipped: a conflict where it was written, a
+            // corruption where it was not.
+            if let Some(shared) = holder.intersect(&dest) {
+                let mut again = oracle_extract(&held, &shared);
+                if let Some(flip) = flip {
+                    let mut bytes = again.data.to_vec();
+                    let at = flip as usize % bytes.len();
+                    bytes[at] ^= 0x5a;
+                    again.data = Bytes::from(bytes);
+                }
+                let conflict = |offset| DataPlaneError::Conflict {
+                    device,
+                    tile: dest.clone(),
+                    offset: offset as u64,
+                };
+                prop_assert_eq!(new.write(&again, &again.tile, device), old.write(&again).map_err(conflict));
+                assert_same_buffer(&new, &old);
+            }
+            if fill {
+                let truth = oracle_materialize(&dest, &shape, elem_bytes);
+                prop_assert_eq!(
+                    new.write(&truth, &truth.tile, device).is_ok(),
+                    old.write(&truth).is_ok()
+                );
+                assert_same_buffer(&new, &old);
+            }
+            let verdict = verify_destination(&shape, [(device, new)]);
+            match old.verify(&shape, device) {
+                _ if dest.is_empty() => prop_assert_eq!(verdict, Ok(BTreeMap::new())),
+                Ok(tile) => prop_assert_eq!(verdict, Ok(BTreeMap::from([(device.0, tile)]))),
+                Err(e) => prop_assert_eq!(verdict, Err(e)),
+            }
+        }
+    }
+
+    #[test]
+    fn runs_coalesce_fully_covered_trailing_dimensions() {
+        let parent = Tile::new([0..4, 0..6, 0..8]);
+        let runs = |sub: Tile| runs_in(&parent, &sub).collect::<Vec<_>>();
+        assert_eq!(runs(parent.clone()), [(0, 192)]);
+        // Full rows and planes: dims 1 and 2 are covered, dim 0 is not.
+        assert_eq!(runs(Tile::new([1..3, 0..6, 0..8])), [(48, 96)]);
+        // Dim 1 partly covered: one run per index of dim 0.
+        assert_eq!(runs(Tile::new([1..3, 2..5, 0..8])), [(64, 24), (112, 24)]);
+        // Innermost dim partly covered: one run per row.
+        assert_eq!(
+            runs(Tile::new([3..4, 4..6, 1..3])),
+            [(144 + 32 + 1, 2), (144 + 40 + 1, 2)]
+        );
+        assert_eq!(runs(Tile::new([1..1, 0..6, 0..8])), []);
+        // Rank 1 (every MoE shard) and rank 0.
+        assert_eq!(
+            runs_in(&Tile::new([10..50]), &Tile::new([20..30])).collect::<Vec<_>>(),
+            [(10, 10)]
+        );
+        assert_eq!(
+            runs_in(&Tile::new([]), &Tile::new([])).collect::<Vec<_>>(),
+            [(0, 1)]
+        );
+    }
 
     fn config() -> PlannerConfig {
         PlannerConfig::new(CostParams {
@@ -669,23 +982,32 @@ mod tests {
         assert_eq!(idx, vec![vec![1, 0], vec![1, 1], vec![2, 0], vec![2, 1]]);
     }
 
+    /// `region` of `source` as a receiver needing exactly that ends up with
+    /// it: landed in a buffer of that tile and verified.
+    fn landed(source: &TileBuffer, region: &Tile, shape: &[u64]) -> TileBuffer {
+        let mut buf = DestinationBuffer::new(region.clone(), source.elem_bytes);
+        buf.write(source, region, DeviceId(0)).unwrap();
+        let mut verified = verify_destination(shape, [(DeviceId(0), buf)]).unwrap();
+        verified.remove(&0).unwrap()
+    }
+
     #[test]
-    fn materialize_and_extract_round_trip() {
+    fn materialize_and_write_round_trip() {
         let full = Tile::new([0..4, 0..4]);
         let buf = TileBuffer::materialize(&full, &[4, 4], 2);
         assert_eq!(buf.element(0), 0);
         assert_eq!(buf.element(5), 5);
-        let sub = buf.extract(&Tile::new([1..3, 2..4]));
+        let sub = landed(&buf, &Tile::new([1..3, 2..4]), &[4, 4]);
         // Element (1,2) of a 4x4 tensor has linear index 6.
         assert_eq!(sub.element(0), 6);
         assert_eq!(sub.element(3), 11);
     }
 
     #[test]
-    fn extraction_from_offset_tiles() {
+    fn writing_from_offset_tiles() {
         let tile = Tile::new([2..6, 4..8]);
         let buf = TileBuffer::materialize(&tile, &[8, 8], 4);
-        let sub = buf.extract(&Tile::new([3..4, 5..7]));
+        let sub = landed(&buf, &Tile::new([3..4, 5..7]), &[8, 8]);
         assert_eq!(sub.element(0), 3 * 8 + 5);
         assert_eq!(sub.element(1), 3 * 8 + 6);
     }
@@ -743,20 +1065,17 @@ mod tests {
         // Fully covered with ground truth: passes and returns the buffer.
         let truth = TileBuffer::materialize(&tile, &[2, 2], 1);
         let mut ok = DestinationBuffer::new(tile.clone(), 1);
-        ok.write(&truth, DeviceId(1)).unwrap();
+        ok.write(&truth, &tile, DeviceId(1)).unwrap();
         let out = verify_destination(&[2, 2], [(DeviceId(1), ok)]).unwrap();
         assert_eq!(out[&1].data, truth.data);
         // Covered but with wrong contents: corrupted.
         let mut bad = DestinationBuffer::new(tile.clone(), 1);
-        bad.write(
-            &TileBuffer {
-                tile: tile.clone(),
-                elem_bytes: 1,
-                data: Bytes::from(vec![9u8; 4]),
-            },
-            DeviceId(2),
-        )
-        .unwrap();
+        let nines = TileBuffer {
+            tile: tile.clone(),
+            elem_bytes: 1,
+            data: Bytes::from(vec![9u8; 4]),
+        };
+        bad.write(&nines, &tile, DeviceId(2)).unwrap();
         let err = verify_destination(&[2, 2], [(DeviceId(2), bad)]).unwrap_err();
         match err {
             DataPlaneError::Corrupted { diff } => {
@@ -768,12 +1087,112 @@ mod tests {
             }
             other => panic!("expected Corrupted, got {other}"),
         }
+        // One long run, wrong past the first two chunks of generated
+        // truth; a hole further on outranks it.
+        let (n, bad) = (3 * TRUTH_CHUNK as u64, 2 * TRUTH_CHUNK + 7);
+        let row = Tile::new([100..100 + n]);
+        let mut bytes = TileBuffer::materialize(&row, &[2 * n], 2).data.to_vec();
+        bytes[2 * bad + 1] ^= 1;
+        let piece = TileBuffer {
+            tile: row.clone(),
+            elem_bytes: 2,
+            data: Bytes::from(bytes),
+        };
+        let mut long = DestinationBuffer::new(row.clone(), 2);
+        long.write(&piece, &row, DeviceId(3)).unwrap();
+        let lin = 100 + bad as u64;
+        let diff = TileDiff {
+            device: DeviceId(3),
+            tile: row.clone(),
+            offset: bad as u64,
+            linear_index: lin,
+            expected: Some(lin),
+            actual: Some(lin ^ 0x100),
+        };
+        let err = verify_destination(&[2 * n], [(DeviceId(3), long)]).unwrap_err();
+        assert_eq!(err, DataPlaneError::Corrupted { diff });
+        let mut holed = DestinationBuffer::new(row.clone(), 2);
+        holed
+            .write(&piece, &Tile::new([100..99 + n]), DeviceId(3))
+            .unwrap();
+        match verify_destination(&[2 * n], [(DeviceId(3), holed)]).unwrap_err() {
+            DataPlaneError::Uncovered { diff } => assert_eq!(diff.offset, n - 1),
+            other => panic!("expected Uncovered, got {other}"),
+        }
+    }
+
+    /// Two pieces that disagree on one element of a tile away from the
+    /// origin: the conflict names the tile and the element's place in it,
+    /// which is neither its linear index nor its place in the piece.
+    #[test]
+    fn conflict_names_the_tile_and_the_offset_inside_it() {
+        let shape = [8, 8];
+        let tile = Tile::new([4..8, 2..6]);
+        let mut buf = DestinationBuffer::new(tile.clone(), 2);
+        let rows = TileBuffer::materialize(&Tile::new([5..7, 2..6]), &shape, 2);
+        buf.write(&rows, &rows.tile, DeviceId(9)).unwrap();
+        // Agreeing rewrites are fine, whole or in part.
+        buf.write(&rows, &rows.tile, DeviceId(9)).unwrap();
+        buf.write(&rows, &Tile::new([6..7, 3..5]), DeviceId(9))
+            .unwrap();
+        // A column crossing unwritten row 4 and written rows 5 and 6,
+        // wrong at (6, 3): tile row 2, column 1.
+        let column = Tile::new([4..7, 3..4]);
+        let mut bytes = TileBuffer::materialize(&column, &shape, 2).data.to_vec();
+        bytes[2 * 2] ^= 0xff;
+        let piece = TileBuffer {
+            tile: column,
+            elem_bytes: 2,
+            data: Bytes::from(bytes),
+        };
+        let err = buf.write(&piece, &piece.tile, DeviceId(9)).unwrap_err();
+        let want = DataPlaneError::Conflict {
+            device: DeviceId(9),
+            tile,
+            offset: 2 * 4 + 1,
+        };
+        assert_eq!(err, want);
+        assert!(err.to_string().contains("element 9 of ["), "{err}");
+    }
+
+    /// A unit task addressed to a device with no destination tile is a
+    /// typed error naming both, inline and on the pool.
+    #[test]
+    fn receiver_without_a_destination_tile_is_an_error() {
+        let slice = Tile::new([0..4]);
+        let unit = |index: usize, device: u32| UnitTask {
+            index,
+            slice: slice.clone(),
+            bytes: 4,
+            senders: vec![(DeviceId(0), HostId(0))],
+            receivers: vec![Receiver {
+                device: DeviceId(device),
+                host: HostId(1),
+                needed: slice.clone(),
+            }],
+        };
+        let units = [unit(0, 1), unit(1, 1), unit(2, 7)];
+        let deliveries: Vec<Delivery<'_>> = units
+            .iter()
+            .map(|unit| Delivery { unit, holder: None })
+            .collect();
+        for lanes in [1, 3] {
+            let dealt: Vec<Vec<_>> = (0..lanes)
+                .map(|w| deliveries.iter().skip(w).step_by(lanes).copied().collect())
+                .collect();
+            let err = deliver(&[4], 1, [(DeviceId(1), slice.clone())], &dealt, None).unwrap_err();
+            let want = DataPlaneError::NoDestination {
+                device: DeviceId(7),
+                unit: 2,
+            };
+            assert_eq!(err, want, "{lanes} lanes");
+        }
     }
 
     #[test]
     #[should_panic(expected = "not contained")]
-    fn extract_outside_tile_panics() {
+    fn write_outside_the_source_tile_panics() {
         let buf = TileBuffer::materialize(&Tile::new([0..2]), &[4], 1);
-        let _ = buf.extract(&Tile::new([1..3]));
+        let _ = landed(&buf, &Tile::new([1..3]), &[4]);
     }
 }

@@ -8,13 +8,14 @@
 //! assembled region byte-identical to truth.
 //!
 //! [`execute_reference`] delivers the unit tasks sequentially — the
-//! oracle; [`execute_threaded`] deals them round-robin across a sender
-//! pool of configurable width feeding one assembler thread per expert
-//! device, optionally under a seeded
+//! oracle; [`execute_threaded`] deals them round-robin into `pool` lanes,
+//! tasks on the current rayon pool that copy each shard (rank 1, so one
+//! contiguous run) straight into its expert's region behind that region's
+//! lock, optionally under a seeded
 //! [`FaultSchedule`](crossmesh_faults::FaultSchedule) whose `FlowDrop`
 //! events force per-shard retries. Drop rolls are seeded per unit task
 //! (mirroring the threaded runtime's per-flow rolls), so the outcome is
-//! identical at every pool width.
+//! identical at every lane count and pool width.
 
 use crate::a2a::A2aTask;
 use crossmesh_core::dataplane::{deliver, DataPlaneError, DataPlaneReport, Delivery, DropRoll};
@@ -38,9 +39,9 @@ pub fn execute_threaded(a2a: &A2aTask, pool: usize) -> Result<DataPlaneReport, D
     execute_threaded_with_faults(a2a, pool, None)
 }
 
-/// Executes the all-to-all with `pool` sender threads (unit tasks are
-/// dealt round-robin across the pool; a pool of one runs inline) and one
-/// assembler thread per expert device, then verifies the destinations.
+/// Executes the all-to-all on `pool` lanes (unit tasks are dealt
+/// round-robin across them; one lane runs inline, several are tasks on the
+/// current rayon pool), then verifies the destinations.
 ///
 /// Under a fault schedule with `FlowDrop` events, each shard's
 /// transmission attempts are rolled from a generator seeded by
@@ -50,9 +51,8 @@ pub fn execute_threaded(a2a: &A2aTask, pool: usize) -> Result<DataPlaneReport, D
 ///
 /// # Errors
 ///
-/// [`DataPlaneError::Dropped`] when a shard exhausts its retry budget,
-/// any placement defect, and [`DataPlaneError::Transport`] if a thread
-/// fails.
+/// [`DataPlaneError::Dropped`] when a shard exhausts its retry budget and
+/// any placement defect.
 pub fn execute_threaded_with_faults(
     a2a: &A2aTask,
     pool: usize,

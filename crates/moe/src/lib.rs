@@ -17,7 +17,7 @@
 //!   the plan cache, the static verifier, and the simulator apply
 //!   unchanged;
 //! * [`dataplane`] executes an all-to-all on real buffers — a sequential
-//!   reference and a pool-width-parameterized threaded backend — and
+//!   reference and the same deliveries dealt into lanes on the pool — and
 //!   proves the delivered expert shards byte-identical to ground truth.
 //!
 //! The `plan.a2a.*` rules in `crossmesh-check` consume

@@ -4,11 +4,12 @@
 //! [`TaskGraph`](crossmesh_netsim::TaskGraph) with timing-shaped dummy
 //! bytes, [`execute_plan`] moves the *actual tensor contents* through
 //! `crossmesh-core`'s delivery engine with one lane per sending device:
-//! every sender materializes its layout tile on its own thread and ships
-//! the pieces its receivers need (in plan order) over channels, and every
-//! destination device assembles its tile concurrently. The assembled
-//! buffers pass the same `verify_destination` check as the sequential
-//! data plane, against the same ground truth.
+//! every lane is a task on the current rayon pool that materializes its
+//! sender's layout tile and copies the pieces its receivers need (in plan
+//! order, a contiguous run at a time) straight into the destination tiles,
+//! each behind its own lock. The assembled buffers pass the same
+//! `verify_destination` check as the sequential data plane, against the
+//! same ground truth.
 
 use crossmesh_core::dataplane::{execute_plan_by, DataPlaneError, DataPlaneReport};
 use crossmesh_core::Plan;
@@ -21,8 +22,7 @@ use crossmesh_core::Plan;
 /// # Errors
 ///
 /// Any placement defect (missing slice, uncovered or corrupted element,
-/// conflicting writes), and [`DataPlaneError::Transport`] if a worker
-/// thread fails.
+/// conflicting writes).
 pub fn execute_plan(plan: &Plan<'_>) -> Result<DataPlaneReport, DataPlaneError> {
     execute_plan_by(plan, |a| a.sender)
 }

@@ -20,7 +20,7 @@
 //!   (timing-shaped execution with real message passing);
 //! * [`execute_plan`] — runs a planner's [`Plan`](crossmesh_core::Plan)
 //!   with *real tile payloads* on `crossmesh-core`'s delivery engine, one
-//!   sender thread per sending device, verifying byte-exact placement via
+//!   lane (a pool task) per sending device, verifying byte-exact placement via
 //!   [`crossmesh_core::dataplane::verify_destination`].
 //!
 //! # Example

@@ -335,3 +335,27 @@ proptest! {
         }
     }
 }
+
+/// The same equality on the benchmark's throughput case — `RS0R → S0RR`
+/// between (2, 4) meshes, `128×128×64` fp32, 4 MB — where a piece is 64
+/// runs of 16 KB at its destination and a destination tile is one 2 MB run
+/// of the tensor, so ground truth is generated and compared in many chunks.
+#[test]
+fn threaded_dataflow_matches_dataplane_on_a_4mb_tensor() {
+    let cluster = ClusterSpec::homogeneous(4, 4, LinkParams::new(100.0, 1.0));
+    let src = DeviceMesh::from_cluster(&cluster, 0, (2, 4), "src").unwrap();
+    let dst = DeviceMesh::from_cluster(&cluster, 2, (2, 4), "dst").unwrap();
+    let (from, to) = ("RS0R".parse().unwrap(), "S0RR".parse().unwrap());
+    let task = ReshardingTask::new(src, from, dst, to, &[128, 128, 64], 4).unwrap();
+    let plan = EnsemblePlanner::new(config()).plan(&task);
+    let sequential = crossmesh::core::dataplane::execute_and_verify(&plan).unwrap();
+    let threaded = execute_plan(&plan).unwrap();
+    assert_eq!(threaded, sequential);
+    assert_eq!(sequential.delivered_bytes, 4 * task.total_bytes());
+    let last = task.dst_mesh().coords().last().unwrap();
+    let tile = &sequential.destination[&task.dst_mesh().device(last).0];
+    assert_eq!(tile.data.len(), 2 << 20);
+    // Row 64 of dimension 0 starts the second half of the tensor.
+    assert_eq!(tile.element(0), 64 * 128 * 64);
+    assert_eq!(tile.element(tile.data.len() / 4 - 1), 128 * 128 * 64 - 1);
+}
