@@ -368,10 +368,11 @@ pub fn render(a: &Ablations) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::committed;
 
     #[test]
     fn chunking_monotonically_improves() {
-        let points = chunk_sweep();
+        let points = committed::<Ablations>("ablations").chunks;
         for w in points.windows(2) {
             assert!(
                 w[1].seconds <= w[0].seconds + 1e-6,
@@ -384,7 +385,7 @@ mod tests {
 
     #[test]
     fn greedy_never_degrades_with_more_permutations() {
-        let points = permutation_sweep();
+        let points = committed::<Ablations>("ablations").permutations;
         let best = points
             .iter()
             .map(|p| p.seconds)
@@ -394,7 +395,7 @@ mod tests {
 
     #[test]
     fn ring_dominates_tree_at_scale() {
-        let points = ring_vs_tree_sweep();
+        let points = committed::<Ablations>("ablations").ring_vs_tree;
         for p in &points {
             assert!(p.ours <= p.alpa * 1.05, "ring lost to tree: {points:?}");
         }
@@ -405,7 +406,7 @@ mod tests {
 
     #[test]
     fn oversubscription_degrades_gracefully() {
-        let points = oversubscription_sweep();
+        let points = committed::<Ablations>("ablations").oversubscription;
         // Ours never loses to Alpa at any oversubscription level, and
         // shrinking the fabric never speeds anything up.
         for p in &points {
@@ -418,7 +419,7 @@ mod tests {
 
     #[test]
     fn scale_sweep_shows_broadcast_flatness() {
-        let points = scale_sweep();
+        let points = committed::<Ablations>("ablations").scale;
         let first = &points[0];
         let last = points.last().unwrap();
         assert!(

@@ -97,7 +97,7 @@ pub const TABLE2: [Case; 9] = [
 ];
 
 impl Case {
-    /// Instantiates this case: a p3-class cluster with the sender hosts
+    /// Builds this case: a p3-class cluster with the sender hosts
     /// first and the receiver hosts after, and the resharding task between
     /// the two meshes.
     ///

@@ -134,10 +134,11 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::committed;
 
     #[test]
     fn degradation_sweep_shapes_hold() {
-        let rows = run();
+        let rows: Vec<Row> = committed("faults");
         assert_eq!(rows.len(), DROP_RATES.len() + 1);
 
         // Load balancing keeps winning (or tying) across the drop sweep.

@@ -129,6 +129,7 @@ pub fn render(points: &[Point]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::committed;
 
     fn series(points: &[Point], group: &str, strategy: &str) -> Vec<f64> {
         (1..=4)
@@ -144,7 +145,7 @@ mod tests {
 
     #[test]
     fn figure5_shapes_hold() {
-        let points = run();
+        let points: Vec<Point> = committed("fig5");
         let ga = "1 node, n GPUs";
         let gb = "n nodes, 2 GPUs each";
 
@@ -185,7 +186,7 @@ mod tests {
 
     #[test]
     fn render_contains_both_groups() {
-        let points = run();
+        let points: Vec<Point> = committed("fig5");
         let text = render(&points);
         assert!(text.contains("1 node"));
         assert!(text.contains("n nodes"));

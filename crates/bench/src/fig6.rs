@@ -96,12 +96,13 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::committed;
 
     /// The headline claims of §5.1.2, as orderings rather than absolute
     /// numbers.
     #[test]
     fn figure6_shapes_hold() {
-        let rows = run();
+        let rows: Vec<Row> = committed("fig6");
         let get = |name: &str| rows.iter().find(|r| r.case == name).unwrap();
 
         // Ours never loses materially to either baseline.
@@ -142,7 +143,7 @@ mod tests {
 
     #[test]
     fn render_lists_all_cases() {
-        let rows = run();
+        let rows: Vec<Row> = committed("fig6");
         let text = render(&rows);
         for c in TABLE2 {
             assert!(text.contains(c.name));

@@ -90,10 +90,11 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::committed;
 
     #[test]
     fn figure8_shapes_hold() {
-        let rows = run();
+        let rows: Vec<Row> = committed("fig8");
         let get = |name: &str| rows.iter().find(|r| r.case == name).unwrap();
 
         // Ours never loses to the ablated variants.

@@ -1,82 +1,36 @@
-//! Planner scaling sweep: wall-clock per planner across problem sizes and
-//! rayon pool widths, plus the plan-cache cold/warm comparison.
+//! Planner work: what one `plan()` call costs, counted instead of timed.
 //!
-//! Not a paper figure — this measures the parallel planner engine itself.
-//! Each case reshards a fully replicated source (`RRR`, so every unit task
-//! has the full sender candidate set and load balancing is non-trivial)
-//! onto a `S01RR` destination mesh whose size sets the unit count. Every
-//! (planner, units) pair is timed under pools of 1, 2, 4, and 8 threads;
-//! the sweep asserts the plan estimate is byte-identical across pool
-//! widths (the determinism contract) and reports the speedup over the
-//! 1-thread pool. Speedups track `host_threads` — on a single-core host
-//! they flatten to ~1x by construction.
-//!
-//! Next to each timing the sweep records the planners' deterministic work
-//! counters for one `plan()` call (`planner.greedy.visits`,
-//! `planner.dfs.nodes`). [`work`] is the 1-thread column of that grid with
-//! the timings left out — the `planner_work` section of `BENCH_paper.json`,
-//! pinned exactly, so a change that makes a planner do more work convicts
-//! on any host, where wall clock needs a quiet one.
+//! Not a paper figure — this measures the planner engine itself. Each case
+//! reshards a fully replicated source (`RRR`, so every unit task has the
+//! full sender candidate set and load balancing is non-trivial) onto a
+//! `S01RR` destination mesh whose size sets the unit count. [`work`] plans
+//! every (case, planner) pair once on a 1-thread pool and records the
+//! estimate next to the planners' deterministic work counters
+//! (`planner.greedy.visits`, `planner.dfs.nodes`) — the `planner_work`
+//! section of `BENCH_paper.json`, pinned exactly, so a change that makes a
+//! planner do more work convicts on any host. What a plan costs in
+//! milliseconds is `benchmark/`'s `planner.{ensemble,dfs,greedy}_ms`.
 
-use crate::hostenv::HostEnv;
 use crate::table_fmt;
 use crossmesh_core::{
-    DeviceMesh, DfsPlanner, EnsemblePlanner, PlanCache, Planner, PlannerConfig,
-    RandomizedGreedyPlanner, ReshardingTask,
+    DeviceMesh, DfsPlanner, EnsemblePlanner, Planner, PlannerConfig, RandomizedGreedyPlanner,
+    ReshardingTask,
 };
 use crossmesh_models::presets;
 use crossmesh_netsim::{ClusterSpec, LinkParams};
 use crossmesh_obs as obs;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
-/// Unit-task counts swept by the full run (destination mesh `hosts ×
-/// devices` products).
+/// Unit-task counts of the cases (destination mesh `hosts × devices`
+/// products).
 pub const UNIT_COUNTS: [usize; 4] = [8, 20, 64, 256];
 
-/// Rayon pool widths swept by the full run.
-pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// DFS node budget for the sweep: large enough to exercise the branch
-/// fan-out, small enough that the 256-unit case stays sub-second.
+/// DFS node budget: large enough to exercise the branch fan-out, small
+/// enough that the 256-unit case stays sub-second.
 const DFS_BUDGET: usize = 5_000;
 
-/// Greedy restarts for the sweep: enough independent seeds to occupy an
-/// 8-wide pool.
+/// Greedy restarts: enough independent seeds to occupy an 8-wide pool.
 const GREEDY_RESTARTS: usize = 8;
-
-/// One timed (case, planner, pool width) point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Row {
-    /// Unit tasks in the resharding case.
-    pub units: usize,
-    /// Planner name ("dfs", "greedy", "ensemble").
-    pub planner: String,
-    /// Rayon pool width the planner ran under.
-    pub threads: usize,
-    /// Best-of-N wall-clock milliseconds for one `plan()` call.
-    pub millis: f64,
-    /// This row's 1-thread time divided by this row's time, or `None`
-    /// when the pool width oversubscribes the host (see
-    /// [`HostEnv::reliable_speedup`]) — the raw ratio would measure
-    /// scheduler interleaving, not parallel speedup, so the report
-    /// refuses to publish it.
-    pub speedup_vs_1: Option<f64>,
-    /// True exactly when `speedup_vs_1` was withheld because the host
-    /// could not genuinely run this pool width in parallel.
-    pub speedup_unreliable: bool,
-    /// The plan's estimated makespan — identical across `threads` by the
-    /// determinism contract (asserted by [`run`]).
-    pub estimate: f64,
-    /// Units the greedy round selection examined in one `plan()` call
-    /// (`planner.greedy.visits`): the same at every pool width.
-    pub greedy_visits: u64,
-    /// Search nodes DFS expanded in one `plan()` call
-    /// (`planner.dfs.nodes`) on the 1-thread pool. `None` on wider pools:
-    /// there thread timing decides which branches the opportunistic skip
-    /// drops, so the count (never the plan) varies run to run.
-    pub dfs_nodes: Option<u64>,
-}
 
 /// One (case, planner) point of [`work`]: what one `plan()` call on a
 /// 1-thread pool returns and how much work it took. No timing, so every
@@ -93,39 +47,6 @@ pub struct WorkRow {
     pub greedy_visits: u64,
     /// `planner.dfs.nodes` for the call.
     pub dfs_nodes: u64,
-}
-
-/// The plan-cache cold/warm measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CacheBench {
-    /// Unit tasks in the measured case.
-    pub units: usize,
-    /// Milliseconds for the cold (planning) call.
-    pub cold_millis: f64,
-    /// Milliseconds per warm (cache-hit) call.
-    pub warm_millis: f64,
-    /// Hit rate over the whole cold+warm sequence.
-    pub hit_rate: f64,
-    /// `cold_millis / warm_millis`.
-    pub speedup: f64,
-}
-
-/// The whole sweep: scaling rows plus the cache measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Report {
-    /// `std::thread::available_parallelism()` on the measuring host —
-    /// the ceiling for any honest `speedup_vs_1`.
-    pub host_threads: usize,
-    /// Full host description (parallelism, env overrides, build profile).
-    pub env: HostEnv,
-    /// Oversubscription warnings: one per swept pool width that exceeds
-    /// the host's real parallelism (also printed to stderr by the
-    /// harness). Timings at those widths measure interleaving.
-    pub warnings: Vec<String>,
-    /// The (units × planner × threads) scaling grid.
-    pub rows: Vec<Row>,
-    /// Cold-vs-warm plan-cache timing.
-    pub cache: CacheBench,
 }
 
 /// Builds the `units`-unit benchmark case: `RRR` on a 2-host source mesh,
@@ -162,8 +83,8 @@ fn planner_config() -> PlannerConfig {
     PlannerConfig::new(presets::p3_cost_params())
 }
 
-/// The three swept planners, bench-tuned (fixed DFS budget, 8 greedy
-/// restarts) so the workload per case is identical at every pool width.
+/// The three planners, bench-tuned (fixed DFS budget, 8 greedy restarts)
+/// so the workload per case is identical at every pool width.
 pub fn planners() -> Vec<(String, Box<dyn Planner>)> {
     let config = planner_config();
     vec![
@@ -182,18 +103,6 @@ pub fn planners() -> Vec<(String, Box<dyn Planner>)> {
             )),
         ),
     ]
-}
-
-/// Times `f` as the best (minimum) of `reps` runs, in milliseconds.
-fn best_of<F: FnMut() -> f64>(reps: usize, mut f: F) -> (f64, f64) {
-    let mut best = f64::INFINITY;
-    let mut estimate = f64::NAN;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        estimate = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, estimate)
 }
 
 /// One untimed `plan()` call under `pool`, bracketed by reads of the
@@ -215,17 +124,14 @@ fn counted(
     )
 }
 
-fn pool_of(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool builds")
-}
-
-/// The deterministic half of the sweep: every (case, planner) pair planned
-/// once on a 1-thread pool, with its work counters and no timing.
+/// Every (case, planner) pair planned once on a 1-thread pool (on wider
+/// pools thread timing decides which branches DFS's opportunistic skip
+/// drops, so its node count — never the plan — varies run to run).
 pub fn work() -> Vec<WorkRow> {
-    let pool = pool_of(1);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool builds");
     let mut rows = Vec::new();
     for units in UNIT_COUNTS {
         let (_cluster, task) = case(units);
@@ -241,103 +147,6 @@ pub fn work() -> Vec<WorkRow> {
         }
     }
     rows
-}
-
-/// Runs the sweep: best-of-3 over the whole grid, or with `smoke` a single
-/// rep for the module test.
-///
-/// # Panics
-///
-/// Panics if any planner's estimate differs across pool widths — that
-/// would break the determinism contract the parallel engine guarantees.
-pub fn run(smoke: bool) -> Report {
-    let reps = if smoke { 1 } else { 3 };
-
-    let env = HostEnv::detect();
-    let warnings: Vec<String> = THREAD_COUNTS
-        .iter()
-        .filter_map(|&t| env.oversubscription_warning(t))
-        .collect();
-    for w in &warnings {
-        eprintln!("warning: {w}");
-    }
-
-    let mut rows = Vec::new();
-    for units in UNIT_COUNTS {
-        let (_cluster, task) = case(units);
-        assert_eq!(task.units().len(), units, "case size mismatch");
-        for (name, planner) in planners() {
-            let mut baseline = f64::NAN;
-            let mut baseline_est = f64::NAN;
-            for threads in THREAD_COUNTS {
-                let pool = pool_of(threads);
-                let (millis, estimate) =
-                    best_of(reps, || pool.install(|| planner.plan(&task).estimate()));
-                if threads == 1 {
-                    baseline = millis;
-                    baseline_est = estimate;
-                } else {
-                    assert_eq!(
-                        estimate.to_bits(),
-                        baseline_est.to_bits(),
-                        "{name}/{units}u: estimate changed between 1 and {threads} threads"
-                    );
-                }
-                let speedup_vs_1 = env.reliable_speedup(threads, baseline / millis);
-                let (_, greedy_visits, dfs_nodes) = counted(&pool, planner.as_ref(), &task);
-                rows.push(Row {
-                    units,
-                    planner: name.clone(),
-                    threads,
-                    millis,
-                    speedup_vs_1,
-                    speedup_unreliable: speedup_vs_1.is_none(),
-                    estimate,
-                    greedy_visits,
-                    dfs_nodes: (threads == 1).then_some(dfs_nodes),
-                });
-            }
-        }
-    }
-
-    Report {
-        host_threads: env.host_threads,
-        env,
-        warnings,
-        rows,
-        cache: cache_bench(if smoke { 8 } else { 20 }, if smoke { 10 } else { 100 }),
-    }
-}
-
-/// Times one cold plan against `warm_calls` cache hits on the
-/// `units`-unit case under the ensemble planner.
-fn cache_bench(units: usize, warm_calls: usize) -> CacheBench {
-    let (_cluster, task) = case(units);
-    let planner = EnsemblePlanner::new(planner_config());
-    let cache = PlanCache::new();
-
-    let t0 = Instant::now();
-    let cold_plan = cache.plan(&planner, &task);
-    let cold_millis = t0.elapsed().as_secs_f64() * 1e3;
-
-    let t0 = Instant::now();
-    for _ in 0..warm_calls {
-        let warm = cache.plan(&planner, &task);
-        assert_eq!(
-            warm.assignments(),
-            cold_plan.assignments(),
-            "warm hit differs"
-        );
-    }
-    let warm_millis = t0.elapsed().as_secs_f64() * 1e3 / warm_calls.max(1) as f64;
-
-    CacheBench {
-        units,
-        cold_millis,
-        warm_millis,
-        hit_rate: cache.stats().hit_rate(),
-        speedup: cold_millis / warm_millis,
-    }
 }
 
 /// Renders [`work`] as a table.
@@ -364,93 +173,9 @@ pub fn render_work(rows: &[WorkRow]) -> String {
     )
 }
 
-/// Renders the sweep tables.
-pub fn render(report: &Report) -> String {
-    let mut table = vec![vec![
-        "units".to_string(),
-        "planner".to_string(),
-        "threads".to_string(),
-        "millis".to_string(),
-        "vs 1 thread".to_string(),
-        "greedy visits".to_string(),
-        "dfs nodes".to_string(),
-    ]];
-    for row in &report.rows {
-        table.push(vec![
-            row.units.to_string(),
-            row.planner.clone(),
-            row.threads.to_string(),
-            format!("{:.3}", row.millis),
-            row.speedup_vs_1
-                .map_or_else(|| "n/a (oversubscribed)".to_string(), table_fmt::speedup),
-            row.greedy_visits.to_string(),
-            row.dfs_nodes
-                .map_or_else(|| "-".to_string(), |n| n.to_string()),
-        ]);
-    }
-    let c = &report.cache;
-    let warnings = if report.warnings.is_empty() {
-        String::new()
-    } else {
-        format!("warning: {}\n", report.warnings.join("\nwarning: "))
-    };
-    format!(
-        "{warnings}Planner scaling — wall-clock per plan() across pool widths (host has {} threads)\n{}\n\
-         Plan cache — {}-unit ensemble: cold {:.3} ms, warm {:.4} ms/plan \
-         ({} hit rate, {})\n",
-        report.host_threads,
-        table_fmt::render(&table),
-        c.units,
-        c.cold_millis,
-        c.warm_millis,
-        format_args!("{:.0}%", c.hit_rate * 100.0),
-        table_fmt::speedup(c.speedup),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn smoke_sweep_holds_the_contracts() {
-        let report = run(true);
-        // The full grid: units × planners {dfs, greedy, ensemble} × pools.
-        assert_eq!(
-            report.rows.len(),
-            UNIT_COUNTS.len() * 3 * THREAD_COUNTS.len()
-        );
-        for row in &report.rows {
-            assert!(row.millis >= 0.0 && row.millis.is_finite());
-            assert!(row.estimate.is_finite() && row.estimate > 0.0);
-            // A speedup figure is published exactly when the host could
-            // genuinely run the pool width in parallel; oversubscribed
-            // widths get the explicit refusal flag instead.
-            assert_eq!(row.speedup_unreliable, row.speedup_vs_1.is_none());
-            assert_eq!(
-                row.speedup_unreliable,
-                report.env.oversubscribed(row.threads),
-                "unreliable flag must track host oversubscription"
-            );
-            if let Some(s) = row.speedup_vs_1 {
-                assert!(s.is_finite() && s > 0.0);
-            }
-        }
-        // run() itself asserts cross-pool estimate identity; re-check one
-        // planner here so the contract is visible in a test name.
-        let est: Vec<f64> = report
-            .rows
-            .iter()
-            .filter(|r| r.planner == "ensemble" && r.units == 20)
-            .map(|r| r.estimate)
-            .collect();
-        assert!(est.windows(2).all(|w| w[0].to_bits() == w[1].to_bits()));
-        assert!(report.cache.hit_rate > 0.5, "warm calls must hit");
-        assert!(
-            report.cache.warm_millis <= report.cache.cold_millis,
-            "a cache hit must not cost more than planning"
-        );
-    }
 
     #[test]
     fn every_case_size_builds_with_the_advertised_unit_count() {

@@ -2,9 +2,10 @@
 //! of `BENCH_paper.json` in-process and demands equality with the
 //! committed file.
 //!
-//! Alone in its file on purpose — the `planner_work` section reads
-//! process-wide planner counters, which are exact only while no other
-//! test of the same process is planning.
+//! Alone in its file on purpose — the `*_work` sections read process-wide
+//! counters and install process-wide collectors, which are exact only
+//! while no other test of the same process is planning or using the
+//! instrumented pool.
 
 use crossmesh_bench::paper;
 
@@ -15,7 +16,7 @@ const REGENERATE: &str =
 fn bench_paper_json_is_reproduced_exactly() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper.json");
     let committed = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let fresh = paper::document(true);
+    let fresh = paper::document(&[], true).expect("no section is named");
 
     let parse = |text: &str| serde_json::from_str::<serde_json::Value>(text).expect("valid JSON");
     if let Some(difference) = paper::first_difference(&parse(&committed), &parse(&fresh)) {

@@ -10,7 +10,7 @@
 //! | rule | scope | bans |
 //! |---|---|---|
 //! | `lint.hash-iteration` | `crates/core/src/planners/` | `HashMap`, `HashSet` |
-//! | `lint.wall-clock` | core, collectives, mesh, netsim, pipeline | `Instant::now`, `SystemTime::now`, `thread_rng`, `from_entropy`, `rand::random` |
+//! | `lint.wall-clock` | core, collectives, mesh, moe, netsim, pipeline, bench | `Instant::now`, `SystemTime::now`, `thread_rng`, `from_entropy`, `rand::random` |
 //! | `lint.unwrap` | runtime, serve, `crates/obs/src/recorder.rs`, `crates/core/src/dataplane.rs` | `.unwrap()` |
 //! | `lint.atomic-ordering` | core, runtime, serve | `Ordering::Relaxed` outside allowlisted counter/fast-path sites |
 //! | `lint.lock-order` | core, runtime, serve, obs | the same two locks taken in both orders (see [`LockOrderScanner`]) |
@@ -26,8 +26,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Directories (workspace-relative) scanned for the wall-clock/RNG rule.
+/// Directories (workspace-relative) scanned for the wall-clock/RNG rule:
+/// the layers that compute plans and simulated time, and the harnesses
+/// whose output `BENCH_paper.json` pins byte for byte.
 const DETERMINISTIC_SCOPES: &[&str] = &[
+    "crates/bench/src/",
     "crates/core/src/",
     "crates/collectives/src/",
     "crates/mesh/src/",
@@ -457,6 +460,10 @@ mod tests {
     fn wall_clock_and_unwrap_rules_scope_correctly() {
         let clock = "let t0 = std::time::Instant::now();\n";
         assert!(lint_source("crates/core/src/plan.rs", clock, &[])
+            .iter()
+            .any(|d| d.rule == Rule::LintWallClock));
+        // The golden's producer reads no clock either.
+        assert!(lint_source("crates/bench/src/fig5.rs", clock, &[])
             .iter()
             .any(|d| d.rule == Rule::LintWallClock));
         // The runtime may use wall clocks (it measures real time)...

@@ -7,8 +7,7 @@
 //! drain time. It is O(F·R) per event and unusable past a few hundred
 //! hosts — which is precisely why it is kept: the equivalence proptests
 //! (`tests/netsim_equivalence.rs`) pin the rewritten engine against this
-//! one on random clusters and task graphs, and `bench::netsim` uses it as
-//! the baseline for the events/sec speedup figure.
+//! one on random clusters and task graphs.
 //!
 //! Do not "fix" or optimise this module; its value is that it does not
 //! change. (It retains the latent empty-`resources` infinite-loop hazard

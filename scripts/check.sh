@@ -33,6 +33,14 @@ cargo run --offline --release -p crossmesh-check --bin crossmesh-race -- --smoke
 
 echo "==> seeded-fault serve smoke (flight-recorder dump validates)"
 fault_dir="$(mktemp -d)"
+trace_dir="$(mktemp -d)"
+fault_pid=
+# One exit path for every failure below: no daemon and no temp dir is left.
+cleanup() {
+    [ -z "$fault_pid" ] || kill "$fault_pid" 2>/dev/null || true
+    rm -rf "$fault_dir" "$trace_dir"
+}
+trap cleanup EXIT
 printf '%s' '{"seed":0,"events":[{"HostCrash":{"host":0,"at":0.0}}],"max_retries":3,"retry_backoff":0.001}' \
     > "$fault_dir/faults.json"
 cargo run --offline --release -p crossmesh-cli -- serve \
@@ -49,14 +57,12 @@ cargo run --offline --release -p crossmesh-cli -- client \
 cargo run --offline --release -p crossmesh-cli -- client \
     --addr "$(cat "$fault_dir/addr")" --shutdown
 wait "$fault_pid"
+fault_pid=
 dump="$(ls "$fault_dir"/flightrec-fault-repair-*.json | head -1)"
 [ -n "$dump" ] || { echo "no flight-recorder dump produced"; exit 1; }
 cargo run --offline --release -p crossmesh-cli -- validate-trace --trace "$dump"
-rm -rf "$fault_dir"
 
 echo "==> unified timeline export, one schema across backends"
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
 reshard_case=(reshard --src-spec RR --dst-spec S01R --src-mesh 2x4 --dst-mesh 2x4
               --shape 256x256)
 cargo run --offline --release -p crossmesh-cli -- "${reshard_case[@]}" \
