@@ -1,7 +1,7 @@
 //! # crossmesh-check
 //!
-//! Static analysis for the crossmesh workspace: everything here runs
-//! *without executing a plan on any backend*. Three passes:
+//! Correctness checks for the crossmesh workspace. Two are static (they
+//! run without executing a plan on any backend), two watch real code run:
 //!
 //! * [`verify`] — the plan/schedule **verifier**: a typed diagnostic engine
 //!   over resharding plans (coverage, byte conservation, sender-exclusion
@@ -10,12 +10,6 @@
 //!   invariants, forward/backward ordering, backward weight-delay ordering,
 //!   and a cross-stage dependency-graph topological check that reports
 //!   deadlock cycles with a minimal witness).
-//! * [`model`] — a **bounded model checker** for the threaded runtime's
-//!   dataflow programs: a deterministic scheduler harness that exhaustively
-//!   explores interleavings (with sleep-set pruning, DPOR-style, up to a
-//!   configurable transition bound) of small sender/assembler programs over
-//!   bounded channels, asserting no deadlock, no double delivery, and
-//!   byte-exact delivery.
 //! * [`lint`] — a **determinism lint**: a source scanner enforcing the
 //!   repo's determinism rules (no `HashMap`/`HashSet` in the planners, no
 //!   wall clocks or unseeded RNG in the deterministic layers, no
@@ -30,8 +24,10 @@
 //! * [`schedules`] — a **seeded schedule fuzzer**: a preemption-point
 //!   perturbation sweep that re-runs a workload (and its byte-identical
 //!   equivalence oracle) across deterministic seeds, optionally with the
-//!   race detector armed — covering interleavings far beyond [`model`]'s
-//!   exhaustive bound.
+//!   race detector armed.
+//!
+//! Each check has one runner: `cargo test` for CI, and `crossmesh-lint`
+//! or `crossmesh check --races` for people.
 //!
 //! Every pass reports through one currency, [`Diagnostic`]: a stable
 //! [`Rule`] id, a [`Severity`], a human-locatable `location`, and an
@@ -47,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod lint;
-pub mod model;
 pub mod race;
 pub mod schedules;
 pub mod verify;
@@ -78,7 +73,7 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Stable identifiers for every rule the three passes can fire. Tests and
+/// Stable identifiers for every rule the passes can fire. Tests and
 /// CI match on [`Rule::id`]; the enum exists so adding a rule is a
 /// compile-visible event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,17 +144,6 @@ pub enum Rule {
     /// The cross-stage dependency graph has a cycle: the schedule
     /// deadlocks. The explanation carries a minimal witness cycle.
     ScheduleDeadlock,
-    /// The model checker found an interleaving in which unfinished threads
-    /// all block forever.
-    ModelDeadlock,
-    /// The model checker found an interleaving delivering one piece twice.
-    ModelDoubleDelivery,
-    /// The model checker found an interleaving where received bytes
-    /// disagree with sent bytes on some channel.
-    ModelBytes,
-    /// The model checker found an interleaving where a sent piece is never
-    /// delivered.
-    ModelLost,
     /// `HashMap`/`HashSet` in planner sources: iteration order would leak
     /// into plans.
     LintHashIteration,
@@ -213,10 +197,6 @@ impl Rule {
             Rule::ScheduleMicrobatchOrder => "sched.microbatch-order",
             Rule::ScheduleWeightOrder => "sched.weight-order",
             Rule::ScheduleDeadlock => "sched.deadlock",
-            Rule::ModelDeadlock => "model.deadlock",
-            Rule::ModelDoubleDelivery => "model.double-delivery",
-            Rule::ModelBytes => "model.bytes",
-            Rule::ModelLost => "model.lost",
             Rule::LintHashIteration => "lint.hash-iteration",
             Rule::LintWallClock => "lint.wall-clock",
             Rule::LintUnwrap => "lint.unwrap",
@@ -366,7 +346,6 @@ struct CheckMetrics {
     runs: obs::Counter,
     diagnostics: obs::Counter,
     errors: obs::Counter,
-    model_transitions: obs::Counter,
     lint_findings: obs::Counter,
     race_findings: obs::Counter,
 }
@@ -379,7 +358,6 @@ fn check_metrics() -> &'static CheckMetrics {
             runs: m.counter("check.runs"),
             diagnostics: m.counter("check.diagnostics"),
             errors: m.counter("check.errors"),
-            model_transitions: m.counter("check.model_transitions"),
             lint_findings: m.counter("check.lint_findings"),
             race_findings: m.counter("check.race_findings"),
         }
@@ -411,10 +389,6 @@ pub(crate) fn record_run(target: &'static str, diags: &[Diagnostic]) {
             );
         }
     }
-}
-
-pub(crate) fn record_model_transitions(n: u64) {
-    check_metrics().model_transitions.add(n);
 }
 
 pub(crate) fn record_lint_findings(n: u64) {
@@ -456,10 +430,6 @@ mod tests {
             Rule::ScheduleMicrobatchOrder,
             Rule::ScheduleWeightOrder,
             Rule::ScheduleDeadlock,
-            Rule::ModelDeadlock,
-            Rule::ModelDoubleDelivery,
-            Rule::ModelBytes,
-            Rule::ModelLost,
             Rule::LintHashIteration,
             Rule::LintWallClock,
             Rule::LintUnwrap,

@@ -18,7 +18,7 @@
 //! happen only at synchronization edges.
 //!
 //! The engine is a [`hb::Sink`]: install it with [`hb::install`] (via
-//! [`run_defect`] / [`run_clean`] or the `crossmesh-race` bin), run the
+//! [`run_defect`] / [`run_clean`] / [`run_armed`]), run the
 //! workload, and drain findings. It is deliberately built on `std::sync`
 //! only — a sink that acquired an instrumented lock would re-enter the
 //! seam from inside itself.

@@ -1,10 +1,9 @@
 //! Seeded schedule fuzzing: deterministic interleaving perturbation with
 //! equivalence oracles re-run every round.
 //!
-//! [`model`](crate::model) exhaustively enumerates interleavings of tiny
-//! programs; real workloads (the threads backend, the MoE dataplane, the
-//! serve worker pool) are orders of magnitude beyond its transition
-//! bound. This module covers them probabilistically instead: the
+//! The real concurrent programs (the threads backend, the dataplane, the
+//! MoE all-to-all, the serve worker pool) are far too large to enumerate
+//! every interleaving of, so this module samples them instead: the
 //! `crossmesh-hb` seam turns every lock, channel, and pool operation into
 //! a preemption point, and [`sweep`] re-runs a workload under a range of
 //! perturbation seeds. Each seed yields a different — but reproducible —
@@ -15,9 +14,8 @@
 //! [`race::run_defect`](crate::race::run_defect) /
 //! [`race::run_clean`](crate::race::run_clean) arm the detector and the
 //! fuzzer per call) and reports per-seed diagnostics plus an oracle
-//! verdict; the sweep aggregates. Complementarity with DPOR in one
-//! sentence: the model checker proves small programs under *all*
-//! schedules, the fuzzer checks the real programs under *many*.
+//! verdict; the sweep aggregates. The fuzzer checks the *real* programs
+//! under *many* schedules rather than a model of them under all.
 
 use crate::Diagnostic;
 

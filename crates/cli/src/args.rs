@@ -29,15 +29,19 @@ impl Args {
     /// Parses tokens (excluding the program name).
     ///
     /// Options take the next token as their value; `--json`-style flags
-    /// are recognized from `flag_names`.
+    /// are recognized from `flag_names`. `known` lists the options and
+    /// flags a command takes, or returns `None` for a command it does not
+    /// know (reporting that is left to the caller).
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] for an option missing its value or an
-    /// unexpected positional argument after the command.
+    /// Returns [`ArgError`] for an option missing its value, an
+    /// unexpected positional argument after the command, or an option the
+    /// command does not take (naming the ones it does).
     pub fn parse<I: IntoIterator<Item = String>>(
         tokens: I,
         flag_names: &[&str],
+        known: impl Fn(&str) -> Option<Vec<&'static str>>,
     ) -> Result<Self, ArgError> {
         let mut args = Args::default();
         let mut it = tokens.into_iter();
@@ -55,6 +59,17 @@ impl Args {
                 args.command = Some(tok);
             } else {
                 return Err(ArgError(format!("unexpected argument {tok:?}")));
+            }
+        }
+        if let Some(command) = &args.command {
+            if let Some(known) = known(command) {
+                let mut given = args.options.keys().chain(&args.flags);
+                if let Some(name) = given.find(|name| !known.contains(&name.as_str())) {
+                    return Err(ArgError(format!(
+                        "unknown option --{name} for {command} (it takes --{})",
+                        known.join(", --")
+                    )));
+                }
             }
         }
         Ok(args)
@@ -98,11 +113,16 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn any(_: &str) -> Option<Vec<&'static str>> {
+        None
+    }
+
     #[test]
     fn parses_command_options_and_flags() {
         let a = Args::parse(
             toks("reshard --src-spec S0RR --shape 8x8 --json"),
             &["json"],
+            any,
         )
         .unwrap();
         assert_eq!(a.command.as_deref(), Some("reshard"));
@@ -113,22 +133,35 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        let e = Args::parse(toks("reshard --src-spec"), &[]).unwrap_err();
+        let e = Args::parse(toks("reshard --src-spec"), &[], any).unwrap_err();
         assert!(e.to_string().contains("src-spec"));
     }
 
     #[test]
     fn extra_positional_is_an_error() {
-        assert!(Args::parse(toks("reshard oops"), &[]).is_err());
+        assert!(Args::parse(toks("reshard oops"), &[], any).is_err());
+    }
+
+    #[test]
+    fn options_a_command_does_not_take_are_errors() {
+        let parse = |known: &'static [&'static str]| {
+            Args::parse(toks("x --n 7 --json"), &["json"], |_| Some(known.to_vec()))
+        };
+        assert!(parse(&["n", "json"]).is_ok());
+        let e = parse(&["n"]).unwrap_err().to_string();
+        assert!(
+            e.contains("unknown option --json for x (it takes --n)"),
+            "{e}"
+        );
     }
 
     #[test]
     fn parsed_values_with_defaults() {
-        let a = Args::parse(toks("x --n 7"), &[]).unwrap();
+        let a = Args::parse(toks("x --n 7"), &[], any).unwrap();
         assert_eq!(a.get_parsed("n", 3usize).unwrap(), 7);
         assert_eq!(a.get_parsed("m", 3usize).unwrap(), 3);
         assert!(a.get_parsed::<usize>("n", 0).is_ok());
-        let bad = Args::parse(toks("x --n seven"), &[]).unwrap();
+        let bad = Args::parse(toks("x --n seven"), &[], any).unwrap();
         assert!(bad.get_parsed::<usize>("n", 0).is_err());
     }
 }

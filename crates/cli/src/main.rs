@@ -8,7 +8,6 @@
 //!                    [--planner ours|naive|lpt|dfs|greedy] [--verify] [--json]
 //! crossmesh pipeline --model gpt-case1|gpt-case2|utrans [--schedule eager|1f1b|gpipe]
 //!                    [--comm overlap|sync|signal] [--microbatches N] [--iterations N] [--json]
-//! crossmesh cluster  [--hosts N] [--gpus-per-host N] [--inter-bw B] [--intra-bw B] ...
 //! ```
 //!
 //! Bandwidths default to the paper's p3.8xlarge class (NVLink intra-host,
@@ -125,6 +124,54 @@ USAGE:
               --telemetry prints the daemon's live Prometheus exposition
               with rolling-window latency quantiles";
 
+/// Options every subcommand accepts.
+const GLOBAL_OPTIONS: &str = "threads log-level metrics metrics-out help";
+
+type Command = fn(&Args) -> Result<String, Box<dyn Error>>;
+
+/// Every subcommand: its name, its handler, and the options it reads
+/// besides [`GLOBAL_OPTIONS`]. Any other option is an error, so a typo
+/// never runs with the default it meant to override.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    (
+        "reshard",
+        reshard,
+        "src-spec dst-spec src-mesh dst-mesh shape elem-bytes strategy planner backend \
+         sim-model seed inter-bw intra-bw faults emit-task emit-plan trace-out verify json",
+    ),
+    (
+        "pipeline",
+        pipeline,
+        "model schedule comm microbatches iterations backend sim-model json",
+    ),
+    (
+        "autospec",
+        autospec,
+        "src-mesh dst-mesh shape elem-bytes inter-bw intra-bw fixed-src fixed-dst memory-cap \
+         json",
+    ),
+    ("check", check, "task plan races seeds format"),
+    (
+        "moe",
+        moe,
+        "hosts gpus-per-host inter-bw intra-bw fabric strategy direction tokens skew seed \
+         trace-out verify json",
+    ),
+    ("validate-trace", validate_trace, "trace against json"),
+    (
+        "serve",
+        serve,
+        "workers backend planner rate burst queue-depth allow-remote-shutdown addr-out \
+         trace-out flightrec-dir slo-exec-p99-ms max-seconds json",
+    ),
+    (
+        "client",
+        client,
+        "addr tenant ping stats telemetry shutdown src-spec dst-spec src-mesh dst-mesh shape \
+         elem-bytes planner seed faults json",
+    ),
+];
+
 fn main() -> ExitCode {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
     match run(tokens) {
@@ -154,10 +201,22 @@ fn run(tokens: Vec<String>) -> Result<String, Box<dyn Error>> {
             "shutdown",
             "races",
         ],
+        |name| {
+            let (_, _, options) = COMMANDS.iter().find(|(n, ..)| *n == name)?;
+            let globals = GLOBAL_OPTIONS.split_whitespace();
+            Some(options.split_whitespace().chain(globals).collect())
+        },
     )?;
     if args.has_flag("help") {
         return Ok(USAGE.to_string());
     }
+    let command = match args.command.as_deref() {
+        None => None,
+        Some(name) => match COMMANDS.iter().find(|(n, ..)| *n == name) {
+            Some((_, command, _)) => Some(command),
+            None => return Err(format!("unknown command {name:?}").into()),
+        },
+    };
     // --log-level streams spans/events to stderr for the whole command;
     // the guard restores the previous (usually absent) collector on exit.
     let _logger = match args.get("log-level") {
@@ -170,17 +229,9 @@ fn run(tokens: Vec<String>) -> Result<String, Box<dyn Error>> {
         }
         None => None,
     };
-    let dispatch = || match args.command.as_deref() {
-        Some("reshard") => reshard(&args),
-        Some("pipeline") => pipeline(&args),
-        Some("autospec") => autospec(&args),
-        Some("check") => check(&args),
-        Some("moe") => moe(&args),
-        Some("validate-trace") => validate_trace(&args),
-        Some("serve") => serve(&args),
-        Some("client") => client(&args),
+    let dispatch = || match command {
+        Some(command) => command(&args),
         None => Ok(USAGE.to_string()),
-        Some(other) => Err(format!("unknown command {other:?}").into()),
     };
     // --threads installs a fixed-width planner pool around the whole
     // command; without it, the global pool (CROSSMESH_THREADS env var or
@@ -448,8 +499,8 @@ fn check(args: &Args) -> Result<String, Box<dyn Error>> {
 /// `crossmesh check --races`: run the happens-before race detector's
 /// acceptance sweep — every seeded defect class must convict under its
 /// expected `race.*` rule on every schedule seed, and the clean
-/// concurrent suite must stay silent at pool widths 1, 4, and 8. Exits
-/// non-zero on any miss, mirroring the `crossmesh-race` binary.
+/// concurrent suite (with `runtime::execute_plan` armed) must stay silent
+/// at pool widths 1, 4, and 8. Exits non-zero on any miss.
 fn check_races(args: &Args) -> Result<String, Box<dyn Error>> {
     use crossmesh_check::race::{run_armed, run_clean, run_defect, Defect};
     use crossmesh_check::schedules::sweep;
@@ -1393,6 +1444,30 @@ mod tests {
              --shape 8x8 --planner nope"
         ))
         .is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_refused_naming_the_valid_ones() {
+        // Each of these used to run, silently ignoring the typo.
+        let err = run(toks("check --races --seed 32"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown option --seed for check"), "{err}");
+        assert!(err.contains("--seeds"), "{err}");
+        let reshard = "reshard --src-spec S0R --dst-spec RS1 --src-mesh 1x4 --dst-mesh 2x2 \
+                       --shape 32x32";
+        let err = run(toks(&format!("{reshard} --stratgey send_recv")))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown option --stratgey"), "{err}");
+        assert!(err.contains("--strategy"), "{err}");
+        // A mistyped flag took the next token as its value, losing --json.
+        let err = run(toks(&format!("{reshard} --verfy --json")))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown option --verfy"), "{err}");
+        // The global options are accepted by every subcommand.
+        run(toks(&format!("{reshard} --threads 1 --log-level error"))).unwrap();
     }
 
     #[test]

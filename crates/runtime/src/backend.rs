@@ -8,8 +8,8 @@
 //! * one **send thread** per device chunks each `Flow` into framed
 //!   [`Bytes`] payloads and pushes them to the destination device —
 //!   through a bounded in-process channel (intra-host, zero-copy) or a
-//!   real TCP loopback socket (inter-host, when the transport is
-//!   [`TransportKind::Tcp`]);
+//!   real TCP loopback socket (inter-host, on the [`ThreadedBackend::tcp`]
+//!   transport);
 //! * one **receive thread** per device counts delivered bytes per flow and
 //!   completes the flow task when its final frame arrives;
 //! * `Marker` tasks complete inline, instantly, on whichever thread
@@ -69,9 +69,25 @@ fn runtime_metrics() -> &'static RuntimeMetrics {
     })
 }
 
+/// Wall seconds one *simulated* compute second occupies: a 2 s simulated
+/// kernel spins for 2 ms. Flows are unaffected — they take however long
+/// the bytes take to move.
+const TIME_SCALE: f64 = 1e-3;
+
+/// Maximum payload bytes per frame; a TCP frame header announcing more is
+/// refused before anything is allocated for it.
+const CHUNK_BYTES: usize = 1 << 20;
+
+/// Per-device inbound frame queue depth.
+const CHANNEL_DEPTH: usize = 256;
+
+/// Wall-clock deadline after which a run is aborted with a
+/// [`SimError::Backend`] error.
+const DEADLINE: Duration = Duration::from_secs(120);
+
 /// How inter-host flows move their bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
+enum TransportKind {
     /// Everything in-process: bounded channels for every edge.
     Channels,
     /// Inter-host flows cross real TCP loopback sockets (one connection
@@ -120,11 +136,11 @@ impl InjectedFaults {
 /// A [`Backend`] that executes task graphs for real on OS threads.
 ///
 /// Construct with [`ThreadedBackend::threads`] or
-/// [`ThreadedBackend::tcp`], then tune with the `with_*` builders.
+/// [`ThreadedBackend::tcp`]; [`ThreadedBackend::with_faults`] injects
+/// faults.
 #[derive(Debug, Clone)]
 pub struct ThreadedBackend {
     transport: TransportKind,
-    time_scale: f64,
     chunk_bytes: usize,
     channel_depth: usize,
     deadline: Duration,
@@ -136,10 +152,9 @@ impl ThreadedBackend {
     pub fn threads() -> Self {
         ThreadedBackend {
             transport: TransportKind::Channels,
-            time_scale: 1e-3,
-            chunk_bytes: 1 << 20,
-            channel_depth: 256,
-            deadline: Duration::from_secs(120),
+            chunk_bytes: CHUNK_BYTES,
+            channel_depth: CHANNEL_DEPTH,
+            deadline: DEADLINE,
             faults: Arc::new(InjectedFaults::default()),
         }
     }
@@ -150,60 +165,6 @@ impl ThreadedBackend {
             transport: TransportKind::Tcp,
             ..ThreadedBackend::threads()
         }
-    }
-
-    /// The transport this backend uses for inter-host flows.
-    pub fn transport(&self) -> TransportKind {
-        self.transport
-    }
-
-    /// Sets the wall seconds one *simulated* compute second occupies
-    /// (default `1e-3`: a 2 s simulated kernel spins for 2 ms). Flows are
-    /// unaffected — they take however long the bytes take to move.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `scale` is positive and finite.
-    #[must_use]
-    pub fn with_time_scale(mut self, scale: f64) -> Self {
-        assert!(
-            scale > 0.0 && scale.is_finite(),
-            "time scale must be positive and finite"
-        );
-        self.time_scale = scale;
-        self
-    }
-
-    /// Sets the maximum payload bytes per frame (default 1 MiB).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is zero.
-    #[must_use]
-    pub fn with_chunk_bytes(mut self, bytes: usize) -> Self {
-        assert!(bytes > 0, "chunk size must be positive");
-        self.chunk_bytes = bytes;
-        self
-    }
-
-    /// Sets the per-device inbound frame queue depth (default 256).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    #[must_use]
-    pub fn with_channel_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "channel depth must be positive");
-        self.channel_depth = depth;
-        self
-    }
-
-    /// Sets the wall-clock deadline after which a run is aborted with a
-    /// [`SimError::Backend`] error (default 120 s).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
-        self
     }
 
     /// Injects the given faults into every run of this backend.
@@ -221,11 +182,6 @@ impl ThreadedBackend {
         }
         self.faults = Arc::new(faults);
         self
-    }
-
-    /// The faults currently injected into runs of this backend.
-    pub fn faults(&self) -> &InjectedFaults {
-        &self.faults
     }
 }
 
@@ -784,7 +740,7 @@ fn run(
         let (kind, dev) = match task.work {
             Work::Compute { device, seconds } => (
                 Kind::Compute {
-                    wall: Duration::from_secs_f64(seconds * backend.time_scale),
+                    wall: Duration::from_secs_f64(seconds * TIME_SCALE),
                 },
                 device.0,
             ),
@@ -792,7 +748,7 @@ fn run(
                 let rate = cluster.host(cluster.host_of(device)).device_flops;
                 (
                     Kind::Compute {
-                        wall: Duration::from_secs_f64(flops / rate * backend.time_scale),
+                        wall: Duration::from_secs_f64(flops / rate * TIME_SCALE),
                     },
                     device.0,
                 )
@@ -1052,6 +1008,19 @@ fn tcp_reader(mut stream: TcpStream, shared: &Shared) {
         let len = header_u32(&hdr, 8) as usize;
         let last = hdr[12] != 0;
         let attempt = hdr[13];
+        // Senders never frame more than `chunk_bytes`: a larger length is
+        // a corrupt or hostile header, refused before it can allocate.
+        if len > shared.chunk_bytes {
+            shared.monitor.fail(RunFailure::task(
+                flow,
+                FailureKind::Transport,
+                format!(
+                    "tcp frame of {len} bytes exceeds the {}-byte frame limit",
+                    shared.chunk_bytes
+                ),
+            ));
+            return;
+        }
         let mut payload = vec![0u8; len];
         if len > 0 {
             match read_full(&mut stream, &mut payload, &shared.monitor) {
@@ -1354,7 +1323,6 @@ mod tests {
     fn names_reflect_transport() {
         assert_eq!(ThreadedBackend::threads().name(), "threads");
         assert_eq!(ThreadedBackend::tcp().name(), "tcp");
-        assert_eq!(ThreadedBackend::tcp().transport(), TransportKind::Tcp);
     }
 
     #[test]
@@ -1437,6 +1405,9 @@ mod tests {
     fn wide_fan_out_and_fan_in_complete() {
         // Every device sends to every other device, all gated by one
         // marker and joined by another: exercises queues and the fabric.
+        // Then again with 64-byte chunks and one-frame inbound queues, so
+        // three senders fan in on each queue with backpressure on every
+        // frame: every flow must still finish before the join.
         let c = cluster();
         let mut g = TaskGraph::new();
         let gate = g.add(Work::Marker, []);
@@ -1453,9 +1424,16 @@ mod tests {
         }
         let join = g.add(Work::Marker, flows.clone());
         for backend in backends() {
-            let trace = backend.execute(&c, &g).unwrap();
-            for f in &flows {
-                assert!(trace.interval(*f).finish <= trace.interval(join).start);
+            let depth_one = ThreadedBackend {
+                chunk_bytes: 64,
+                channel_depth: 1,
+                ..backend.clone()
+            };
+            for backend in [backend, depth_one] {
+                let trace = backend.execute(&c, &g).unwrap();
+                for f in &flows {
+                    assert!(trace.interval(*f).finish <= trace.interval(join).start);
+                }
             }
         }
     }
@@ -1467,7 +1445,11 @@ mod tests {
         // 10_000 bytes over 64-byte chunks: 157 partial frames.
         let f = g.add(Work::flow(c.device(0, 0), c.device(1, 0), 1e4), []);
         for backend in backends() {
-            let backend = backend.with_chunk_bytes(64).with_channel_depth(4);
+            let backend = ThreadedBackend {
+                chunk_bytes: 64,
+                channel_depth: 4,
+                ..backend
+            };
             let trace = backend.execute(&c, &g).unwrap();
             assert!(trace.interval(f).finish > trace.interval(f).start);
         }
@@ -1480,7 +1462,10 @@ mod tests {
         g.add(Work::compute(c.device(0, 0), 10.0), []);
         // 10 simulated seconds at default 1e-3 scale is 10 ms of wall
         // time; a 1 ms deadline must trip first.
-        let backend = ThreadedBackend::threads().with_deadline(Duration::from_millis(1));
+        let backend = ThreadedBackend {
+            deadline: Duration::from_millis(1),
+            ..ThreadedBackend::threads()
+        };
         let err = backend.execute(&c, &g).unwrap_err();
         assert!(matches!(
             err,
@@ -1492,16 +1477,7 @@ mod tests {
     }
 
     #[test]
-    fn builders_validate_their_inputs() {
-        let b = ThreadedBackend::threads()
-            .with_time_scale(2e-3)
-            .with_chunk_bytes(128)
-            .with_channel_depth(8);
-        assert_eq!(b.name(), "threads");
-        let r = std::panic::catch_unwind(|| ThreadedBackend::threads().with_time_scale(0.0));
-        assert!(r.is_err());
-        let r = std::panic::catch_unwind(|| ThreadedBackend::threads().with_chunk_bytes(0));
-        assert!(r.is_err());
+    fn with_faults_rejects_a_non_positive_slowdown() {
         let r = std::panic::catch_unwind(|| {
             ThreadedBackend::threads().with_faults(InjectedFaults {
                 compute_slowdown: vec![(0, 0.0)],
@@ -1674,6 +1650,23 @@ mod tests {
         assert_eq!(err.task, Some(7));
         assert_eq!(err.kind, FailureKind::Graph);
         assert!(err.message.contains("unknown device d3"), "{}", err.message);
+    }
+
+    #[test]
+    fn tcp_frame_longer_than_a_chunk_fails_before_allocating() {
+        let shared = bare_shared();
+        let (mut out, inc) = loopback_pair();
+        out.write_all(&encode_header(0, 7, u32::MAX, true, 0))
+            .unwrap();
+        drop(out);
+        tcp_reader(inc, &shared);
+        let err = shared
+            .monitor
+            .take_error()
+            .expect("reader reports a failure");
+        assert_eq!(err.task, Some(7));
+        assert_eq!(err.kind, FailureKind::Transport);
+        assert!(err.message.contains("exceeds"), "{}", err.message);
     }
 
     #[test]

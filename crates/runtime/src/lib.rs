@@ -47,6 +47,6 @@ mod backend;
 mod dataflow;
 pub mod net;
 
-pub use backend::{InjectedFaults, ThreadedBackend, TransportKind};
+pub use backend::{InjectedFaults, ThreadedBackend};
 pub use dataflow::execute_plan;
 pub use net::{bind_ephemeral, bind_retry, PollListener};

@@ -25,12 +25,6 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 echo "==> determinism lint (hash iteration / wall clock / unwrap rules)"
 cargo run --offline --release -p crossmesh-check --bin crossmesh-lint
 
-echo "==> bounded model checker smoke (runtime dataflow interleavings)"
-cargo run --offline --release -p crossmesh-check --bin crossmesh-modelcheck -- --smoke
-
-echo "==> race detector smoke (seeded defects convict, clean suite silent)"
-cargo run --offline --release -p crossmesh-check --bin crossmesh-race -- --smoke
-
 echo "==> seeded-fault serve smoke (flight-recorder dump validates)"
 fault_dir="$(mktemp -d)"
 trace_dir="$(mktemp -d)"

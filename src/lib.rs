@@ -15,9 +15,9 @@
 //!   all-gather, chunked ring broadcast) and their cost models.
 //! * [`core`] — the resharding planner: load balancing and scheduling of
 //!   unit communication tasks.
-//! * [`check`] — static analysis: the plan/schedule verifier, the bounded
-//!   model checker for runtime dataflow programs, and the determinism
-//!   lint (`crossmesh-lint`), all runnable without executing a plan.
+//! * [`check`] — correctness checks: the static plan/schedule verifier,
+//!   the determinism lint (`crossmesh-lint`), and the happens-before race
+//!   detector with its seeded schedule fuzzer (`crossmesh check --races`).
 //! * [`runtime`] — wall-clock multi-threaded execution backend: runs
 //!   lowered task graphs for real (one OS thread trio per device, byte
 //!   payloads over channels or TCP loopback) behind the same
