@@ -4,8 +4,8 @@
 //! Flows share network resources with max–min fairness, solved
 //! *incrementally*: the [`FairShare`] solver keeps per-resource flow
 //! counts and a resource→flow index, and a flow-set change re-solves only
-//! the connected components of the flow↔resource graph it touches
-//! (untouched components keep their cached rates bit-for-bit). Flow
+//! the connected components of the flow↔resource graph it touches, each
+//! once (untouched components keep their cached rates bit-for-bit). Flow
 //! completions live in the event heap as `FlowDrained` entries keyed by
 //! predicted drain time and invalidated lazily by a per-slot generation
 //! counter when a rate changes, so advancing time never scans the active
@@ -20,7 +20,7 @@
 //! one in `tests/netsim_equivalence.rs`.
 
 use crate::error::SimError;
-use crate::faults::Disruptions;
+use crate::faults::{Disruptions, NicScalePeriod};
 use crate::graph::{TaskGraph, TaskId, Work};
 use crate::rates::{FairShare, SimModel, REL_EPS};
 use crate::stats::{self, SimStats};
@@ -58,8 +58,9 @@ enum EventKind {
 enum FaultAction {
     /// The host dies: everything on it or flowing through it fails.
     HostDown(HostId),
-    /// The host's NIC send/recv capacity becomes `base * scale`.
-    SetNicScale(HostId, f64),
+    /// NIC degradation period `.0` (an index into `Run::nic_periods`)
+    /// begins (`true`) or ends (`false`).
+    NicPeriod(usize, bool),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -207,12 +208,17 @@ struct Run<'a> {
     graph: &'a TaskGraph,
     /// Unmet dependency counts.
     pending_deps: Vec<usize>,
-    /// Reverse edges: tasks that depend on each task.
-    dependents: Vec<Vec<TaskId>>,
+    /// Reverse edges in CSR form: task `t`'s dependents are
+    /// `dependents[dependents_at[t]..dependents_at[t + 1]]`, in id order.
+    dependents_at: Vec<usize>,
+    dependents: Vec<TaskId>,
     intervals: Vec<TaskInterval>,
     done: Vec<bool>,
     completed: usize,
-    usage: ResourceUsage,
+    /// Bytes each host sent / received across the network (`None`: none
+    /// yet), folded into the trace's [`ResourceUsage`] at the end.
+    nic_sent: Vec<Option<f64>>,
+    nic_received: Vec<Option<f64>>,
 
     time: f64,
     events: BinaryHeap<Reverse<Event>>,
@@ -236,12 +242,18 @@ struct Run<'a> {
     rates_dirty: bool,
     /// Scratch: slots whose rate the last resolve changed.
     changed: Vec<u32>,
+    /// Scratch: the resources of the flow being activated.
+    route: Vec<usize>,
 
     // --- fault injection state (all neutral for a clean run) ---
     /// Scheduled state changes, indexed by `EventKind::Fault` payloads.
     fault_actions: Vec<FaultAction>,
     /// Which hosts have crashed so far.
     host_dead: Vec<bool>,
+    /// The NIC degradation periods on hosts of this cluster, and which of
+    /// them are in force.
+    nic_periods: Vec<NicScalePeriod>,
+    nic_active: Vec<bool>,
     /// The compute task currently executing on each device, if any.
     running_on: Vec<Option<TaskId>>,
     /// Per-device compute slowdown factor (1.0 = nominal).
@@ -268,11 +280,11 @@ impl<'a> Run<'a> {
     ) -> Result<Self, SimError> {
         let n = graph.len();
         let mut pending_deps = vec![0usize; n];
-        let mut dependents = vec![Vec::new(); n];
+        let mut dependents_at = vec![0usize; n + 1];
         for (id, task) in graph.iter() {
             pending_deps[id.0 as usize] = task.deps.len();
             for d in &task.deps {
-                dependents[d.0 as usize].push(id);
+                dependents_at[d.0 as usize + 1] += 1;
             }
             // Validate devices up front so errors surface before any event.
             let check = |dev: DeviceId| -> Result<(), SimError> {
@@ -294,6 +306,18 @@ impl<'a> Run<'a> {
                 Work::Marker => {}
             }
         }
+        for t in 0..n {
+            dependents_at[t + 1] += dependents_at[t];
+        }
+        let mut cursor = dependents_at.clone();
+        let mut dependents = vec![TaskId(0); dependents_at[n]];
+        for (id, task) in graph.iter() {
+            for d in &task.deps {
+                let c = &mut cursor[d.0 as usize];
+                dependents[*c] = id;
+                *c += 1;
+            }
+        }
 
         let d = cluster.num_devices() as usize;
         let h = cluster.num_hosts() as usize;
@@ -313,6 +337,7 @@ impl<'a> Run<'a> {
             cluster,
             graph,
             pending_deps,
+            dependents_at,
             dependents,
             intervals: vec![
                 TaskInterval {
@@ -323,7 +348,8 @@ impl<'a> Run<'a> {
             ],
             done: vec![false; n],
             completed: 0,
-            usage: ResourceUsage::default(),
+            nic_sent: vec![None; h],
+            nic_received: vec![None; h],
             time: 0.0,
             events: BinaryHeap::new(),
             next_seq: 0,
@@ -337,8 +363,11 @@ impl<'a> Run<'a> {
             solver: FairShare::new(capacities, model),
             rates_dirty: false,
             changed: Vec::new(),
+            route: Vec::new(),
             fault_actions: Vec::new(),
             host_dead: vec![false; h],
+            nic_periods: Vec::new(),
+            nic_active: Vec::new(),
             running_on: vec![None; d],
             compute_scale,
             drops_left: disruptions
@@ -367,14 +396,15 @@ impl<'a> Run<'a> {
         }
         for p in &disruptions.nic_scale {
             if (p.host.0 as usize) < run.host_dead.len() {
-                let idx = run.fault_actions.len();
-                run.fault_actions
-                    .push(FaultAction::SetNicScale(p.host, p.factor));
-                run.push_event(p.from, EventKind::Fault(idx));
-                let idx = run.fault_actions.len();
-                run.fault_actions
-                    .push(FaultAction::SetNicScale(p.host, 1.0));
-                run.push_event(p.until, EventKind::Fault(idx));
+                let period = run.nic_periods.len();
+                run.nic_periods.push(*p);
+                run.nic_active.push(false);
+                for (at, active) in [(p.from, true), (p.until, false)] {
+                    let idx = run.fault_actions.len();
+                    run.fault_actions
+                        .push(FaultAction::NicPeriod(period, active));
+                    run.push_event(at, EventKind::Fault(idx));
+                }
             }
         }
         Ok(run)
@@ -394,6 +424,12 @@ impl<'a> Run<'a> {
         self.failed[task.0 as usize] = true;
         self.failed_tasks.push(task);
         completions.push(task);
+    }
+
+    /// Adds an inter-host transfer to the per-host NIC byte totals.
+    fn record_nic_bytes(&mut self, src: HostId, dst: HostId, bytes: f64) {
+        *self.nic_sent[src.0 as usize].get_or_insert(0.0) += bytes;
+        *self.nic_received[dst.0 as usize].get_or_insert(0.0) += bytes;
     }
 
     /// True if `host` has crashed.
@@ -441,7 +477,7 @@ impl<'a> Run<'a> {
                 let latency = if src_host == dst_host {
                     links.intra_host_latency
                 } else {
-                    self.usage.record(src_host, dst_host, bytes);
+                    self.record_nic_bytes(src_host, dst_host, bytes);
                     links.inter_host_latency
                 };
                 self.push_event(self.time + latency, EventKind::FlowLatencyDone(task));
@@ -467,15 +503,15 @@ impl<'a> Run<'a> {
         let h = self.cluster.num_hosts() as usize;
         let src_host = self.cluster.host_of(src);
         let dst_host = self.cluster.host_of(dst);
-        let mut resources = vec![
-            src.0 as usize,     // device send
-            d + dst.0 as usize, // device recv
-        ];
+        let mut route = std::mem::take(&mut self.route);
+        route.clear();
+        route.push(src.0 as usize); // device send
+        route.push(d + dst.0 as usize); // device recv
         if src_host != dst_host {
-            resources.push(2 * d + src_host.0 as usize); // host NIC send
-            resources.push(2 * d + h + dst_host.0 as usize); // host NIC recv
+            route.push(2 * d + src_host.0 as usize); // host NIC send
+            route.push(2 * d + h + dst_host.0 as usize); // host NIC recv
             self.cluster
-                .fabric_route(src, dst, 2 * d + 2 * h, &mut resources);
+                .fabric_route(src, dst, 2 * d + 2 * h, &mut route);
         }
         let slot = match self.free_slots.pop() {
             Some(slot) => {
@@ -503,7 +539,8 @@ impl<'a> Run<'a> {
                 slot
             }
         };
-        self.solver.add_flow(slot, resources);
+        self.solver.add_flow(slot, &route);
+        self.route = route;
         self.active_flows += 1;
         if self.active_flows > self.sim_stats.peak_active_flows {
             self.sim_stats.peak_active_flows = self.active_flows;
@@ -618,7 +655,17 @@ impl<'a> Run<'a> {
         let d = self.cluster.num_devices() as usize;
         let h = self.cluster.num_hosts() as usize;
         match action {
-            FaultAction::SetNicScale(host, scale) => {
+            FaultAction::NicPeriod(period, active) => {
+                self.nic_active[period] = active;
+                let host = self.nic_periods[period].host;
+                // Periods in force on one host compound, in `nic_scale`
+                // order; with none left the NIC is back at full capacity.
+                let scale = self
+                    .nic_periods
+                    .iter()
+                    .zip(&self.nic_active)
+                    .filter(|&(p, &on)| on && p.host == host)
+                    .fold(1.0, |scale, (p, _)| scale * p.factor);
                 let base = self.cluster.host(host).links.inter_host_bw
                     * self.cluster.host_nic_multiplier();
                 self.solver
@@ -671,8 +718,9 @@ impl<'a> Run<'a> {
         self.done[task.0 as usize] = true;
         self.completed += 1;
         self.intervals[task.0 as usize].finish = self.time;
-        for i in 0..self.dependents[task.0 as usize].len() {
-            let dep = self.dependents[task.0 as usize][i];
+        let t = task.0 as usize;
+        for i in self.dependents_at[t]..self.dependents_at[t + 1] {
+            let dep = self.dependents[i];
             let c = &mut self.pending_deps[dep.0 as usize];
             *c -= 1;
             if *c == 0 {
@@ -695,13 +743,13 @@ impl<'a> Run<'a> {
             self.make_ready(t, &mut completions);
         }
 
+        let mut ready: Vec<TaskId> = Vec::new();
         loop {
             // Drain the completion cascade (markers and zero-byte flows
             // complete instantly and may unlock more instant tasks).
             while let Some(task) = completions.pop() {
-                let mut ready = Vec::new();
                 self.complete(task, &mut ready);
-                for r in ready {
+                for r in ready.drain(..) {
                     self.make_ready(r, &mut completions);
                 }
             }
@@ -782,7 +830,7 @@ impl<'a> Run<'a> {
         Ok((
             Trace::faulted(
                 self.intervals,
-                self.usage,
+                ResourceUsage::from_per_host(&self.nic_sent, &self.nic_received),
                 self.fault_stats,
                 self.failed_tasks,
             ),
@@ -815,7 +863,7 @@ impl<'a> Run<'a> {
             let src_host = self.cluster.host_of(src);
             let dst_host = self.cluster.host_of(dst);
             if src_host != dst_host {
-                self.usage.record(src_host, dst_host, bytes);
+                self.record_nic_bytes(src_host, dst_host, bytes);
             }
         }
         let backoff = self.retry_backoff * f64::powi(2.0, attempts as i32);
@@ -1260,6 +1308,31 @@ mod tests {
         let t = Engine::new(&c).run_with_disruptions(&g, &d).unwrap();
         assert!((t.makespan() - 11.0).abs() < 1e-9, "got {}", t.makespan());
         assert!(t.failed_tasks().is_empty());
+    }
+
+    #[test]
+    fn overlapping_nic_degradations_compound() {
+        // 4 bytes at 1 B/s out of host 0. [0, 10] × 0.5 alone: 8 s. With
+        // [1, 2] × 0.5 on top the NIC runs at 0.25 over [1, 2]: 0.5 byte by
+        // t=1, 0.25 over [1, 2], the last 3.25 at 0.5 B/s → 8.5 s. Were the
+        // NIC restored when the short period ends, it would read 5 s:
+        // faster than with the long period alone.
+        let c = ClusterSpec::homogeneous(2, 1, exact_links(10.0, 1.0));
+        let mut g = TaskGraph::new();
+        g.add(Work::flow(c.device(0, 0), c.device(1, 0), 4.0), []);
+        let period = |factor, from, until| crate::NicScalePeriod {
+            host: crate::HostId(0),
+            factor,
+            from,
+            until,
+        };
+        let mut d = Disruptions::none();
+        d.nic_scale.push(period(0.5, 0.0, 10.0));
+        let t = Engine::new(&c).run_with_disruptions(&g, &d).unwrap();
+        assert!((t.makespan() - 8.0).abs() < 1e-9, "got {}", t.makespan());
+        d.nic_scale.push(period(0.5, 1.0, 2.0));
+        let t = Engine::new(&c).run_with_disruptions(&g, &d).unwrap();
+        assert!((t.makespan() - 8.5).abs() < 1e-9, "got {}", t.makespan());
     }
 
     #[test]

@@ -11,6 +11,11 @@ use crate::topology::{DeviceId, HostId};
 use std::collections::BTreeMap;
 
 /// A temporary bandwidth degradation of one host's NIC.
+///
+/// Periods on one host compound: while several are in force the NIC runs
+/// at the product of their factors (multiplied in
+/// [`Disruptions::nic_scale`] order), and it returns to full capacity only
+/// when the last one ends — as stragglers on one device compound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NicScalePeriod {
     /// The host whose NIC degrades.
@@ -20,7 +25,7 @@ pub struct NicScalePeriod {
     pub factor: f64,
     /// Simulated time the degradation begins, seconds.
     pub from: f64,
-    /// Simulated time the NIC recovers to full capacity, seconds.
+    /// Simulated time this degradation ends, seconds.
     pub until: f64,
 }
 

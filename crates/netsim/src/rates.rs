@@ -10,6 +10,17 @@
 //! from the changed resources. Flows in untouched components keep their
 //! cached rates bit-for-bit.
 //!
+//! One [`resolve`](FairShare::resolve) solves each affected component
+//! **once**, however many of its resources are dirty: a new inter-host
+//! flow dirties four (device send/recv, NIC send/recv) of one component,
+//! and since a component's rates are a pure function of its flows and
+//! capacities, solving it again would change nothing. The visited marks
+//! therefore persist across all dirty seeds of a resolve and are cleared
+//! once at its end. The per-slot resource and position lists are cleared
+//! rather than freed on removal, so a recycled slot reuses them: once the
+//! slot table and the per-resource lists have grown to the run's peak, a
+//! flow costs no allocation.
+//!
 //! Inside a component the solve is the classic water-filling loop: all
 //! unfrozen flows fill uniformly; when a resource saturates (headroom ≤
 //! `REL_EPS` relative), the flows touching it freeze at the current fill
@@ -94,9 +105,11 @@ pub(crate) struct FairShare {
     /// Slot lists per resource (alive flows only, eagerly maintained).
     res_flows: Vec<Vec<u32>>,
     /// Per slot: the resources the flow occupies (empty when slot free).
+    /// Cleared, not freed, on removal, so a recycled slot reuses it.
     flow_res: Vec<Vec<usize>>,
     /// Per slot: this flow's position inside `res_flows[r]` for each of
-    /// its resources (kept in sync so removal is O(degree)).
+    /// its resources (kept in sync so removal is O(degree)); reused like
+    /// `flow_res`.
     flow_pos: Vec<Vec<u32>>,
     /// Per slot: the solved rate. `NAN` for freshly added slots so the
     /// first solve always reports them as changed.
@@ -180,7 +193,7 @@ impl FairShare {
     /// flow is unconstrained: it gets `f64::INFINITY` immediately (the fix
     /// for the old engine's infinite-loop hazard) and is still reported
     /// through `changed` on the next resolve.
-    pub fn add_flow(&mut self, slot: u32, resources: Vec<usize>) {
+    pub fn add_flow(&mut self, slot: u32, resources: &[usize]) {
         self.ensure_slot(slot);
         let s = slot as usize;
         debug_assert!(self.flow_res[s].is_empty(), "slot already occupied");
@@ -189,15 +202,13 @@ impl FairShare {
             self.pending_unconstrained.push(slot);
             return;
         }
-        let mut pos = Vec::with_capacity(resources.len());
-        for &r in &resources {
-            pos.push(self.res_flows[r].len() as u32);
+        for &r in resources {
+            self.flow_pos[s].push(self.res_flows[r].len() as u32);
             self.res_flows[r].push(slot);
             self.count[r] += 1;
             self.mark_res_dirty(r);
         }
-        self.flow_res[s] = resources;
-        self.flow_pos[s] = pos;
+        self.flow_res[s].extend_from_slice(resources);
         self.rates[s] = f64::NAN;
     }
 
@@ -205,10 +216,8 @@ impl FairShare {
     /// [`resolve`](Self::resolve).
     pub fn remove_flow(&mut self, slot: u32) {
         let s = slot as usize;
-        let resources = std::mem::take(&mut self.flow_res[s]);
-        let positions = std::mem::take(&mut self.flow_pos[s]);
-        for (&r, &p) in resources.iter().zip(&positions) {
-            let p = p as usize;
+        for i in 0..self.flow_res[s].len() {
+            let (r, p) = (self.flow_res[s][i], self.flow_pos[s][i] as usize);
             self.res_flows[r].swap_remove(p);
             if let Some(&moved) = self.res_flows[r].get(p) {
                 // Fix the moved flow's recorded position for resource r.
@@ -222,6 +231,8 @@ impl FairShare {
             self.count[r] -= 1;
             self.mark_res_dirty(r);
         }
+        self.flow_res[s].clear();
+        self.flow_pos[s].clear();
         self.rates[s] = f64::NAN;
     }
 
@@ -245,6 +256,11 @@ impl FairShare {
     }
 
     fn resolve_exact(&mut self, changed: &mut Vec<u32>) {
+        // Components are laid out back to back in `comp_res`/`comp_flows`;
+        // their visited marks stay set until every seed is handled, so a
+        // seed inside an already solved component is skipped.
+        self.comp_res.clear();
+        self.comp_flows.clear();
         for seed_i in 0..self.dirty_res.len() {
             let seed = self.dirty_res[seed_i];
             if self.visited_res[seed] {
@@ -253,11 +269,10 @@ impl FairShare {
             // BFS the component containing `seed` over the flow↔resource
             // bipartite graph. Resources with no flows are still marked
             // visited so repeated seeds stay cheap.
-            self.comp_res.clear();
-            self.comp_flows.clear();
+            let (res_start, flow_start) = (self.comp_res.len(), self.comp_flows.len());
             self.visited_res[seed] = true;
             self.comp_res.push(seed);
-            let mut head = 0;
+            let mut head = res_start;
             while head < self.comp_res.len() {
                 let r = self.comp_res[head];
                 head += 1;
@@ -278,38 +293,38 @@ impl FairShare {
                     }
                 }
             }
-            if !self.comp_flows.is_empty() {
-                self.solve_component(changed);
+            if self.comp_flows.len() > flow_start {
+                self.solve_component(res_start, flow_start, changed);
             }
-            // Clear the per-component scratch before the next seed: a later
-            // dirty resource may live in a different component.
-            for i in 0..self.comp_res.len() {
-                self.visited_res[self.comp_res[i]] = false;
-            }
-            for i in 0..self.comp_flows.len() {
-                self.visited_flow[self.comp_flows[i] as usize] = false;
-            }
+        }
+        for i in 0..self.comp_res.len() {
+            self.visited_res[self.comp_res[i]] = false;
+        }
+        for i in 0..self.comp_flows.len() {
+            self.visited_flow[self.comp_flows[i] as usize] = false;
         }
     }
 
-    /// Progressive filling over the current `comp_res`/`comp_flows`. The
+    /// Progressive filling over the component at the tail of
+    /// `comp_res`/`comp_flows` (from `res_start`/`flow_start` on). The
     /// loop body mirrors the reference engine's `recompute_rates`
     /// restricted to one component, so the arithmetic (and therefore the
     /// solved rates) is order-independent and reproducible.
-    fn solve_component(&mut self, changed: &mut Vec<u32>) {
+    fn solve_component(&mut self, res_start: usize, flow_start: usize, changed: &mut Vec<u32>) {
+        let n = self.comp_flows.len() - flow_start;
         self.stats.recomputes += 1;
-        self.stats.flows_resolved += self.comp_flows.len() as u64;
-        for &r in &self.comp_res {
+        self.stats.flows_resolved += n as u64;
+        for &r in &self.comp_res[res_start..] {
             self.used[r] = 0.0;
             self.live[r] = self.count[r];
         }
         self.comp_frozen.clear();
-        self.comp_frozen.resize(self.comp_flows.len(), false);
-        let mut remaining = self.comp_flows.len();
+        self.comp_frozen.resize(n, false);
+        let mut remaining = n;
         let mut fill = 0.0f64;
         while remaining > 0 {
             let mut delta = f64::INFINITY;
-            for &r in &self.comp_res {
+            for &r in &self.comp_res[res_start..] {
                 let c = self.live[r];
                 if c > 0 {
                     let head = (self.caps[r] - self.used[r]) / f64::from(c);
@@ -321,26 +336,26 @@ impl FairShare {
             if !delta.is_finite() {
                 // Every remaining flow sees only infinite-capacity
                 // resources: they are effectively unconstrained.
-                for i in 0..self.comp_flows.len() {
+                for i in 0..n {
                     if !self.comp_frozen[i] {
-                        self.set_rate(self.comp_flows[i], f64::INFINITY, changed);
+                        self.set_rate(self.comp_flows[flow_start + i], f64::INFINITY, changed);
                     }
                 }
                 break;
             }
             fill += delta;
-            for &r in &self.comp_res {
+            for &r in &self.comp_res[res_start..] {
                 let c = self.live[r];
                 if c > 0 {
                     self.used[r] += delta * f64::from(c);
                 }
             }
             let mut froze_any = false;
-            for i in 0..self.comp_flows.len() {
+            for i in 0..n {
                 if self.comp_frozen[i] {
                     continue;
                 }
-                let slot = self.comp_flows[i];
+                let slot = self.comp_flows[flow_start + i];
                 let s = slot as usize;
                 let saturated = self.flow_res[s]
                     .iter()
@@ -363,7 +378,7 @@ impl FairShare {
                 debug_assert!(false, "progressive filling failed to converge");
                 let mut argmin = usize::MAX;
                 let mut best = f64::INFINITY;
-                for &r in &self.comp_res {
+                for &r in &self.comp_res[res_start..] {
                     if self.live[r] > 0 {
                         let head = (self.caps[r] - self.used[r]) / f64::from(self.live[r]);
                         if head < best {
@@ -374,8 +389,7 @@ impl FairShare {
                 }
                 for fi in 0..self.res_flows[argmin].len() {
                     let slot = self.res_flows[argmin][fi];
-                    let i = self
-                        .comp_flows
+                    let i = self.comp_flows[flow_start..]
                         .iter()
                         .position(|&f| f == slot)
                         .expect("flow on component resource is in component");
@@ -392,8 +406,7 @@ impl FairShare {
             }
         }
         // The saturation frontier: bottleneck resources of this component.
-        let frontier = self
-            .comp_res
+        let frontier = self.comp_res[res_start..]
             .iter()
             .filter(|&&r| {
                 self.count[r] > 0 && self.caps[r] - self.used[r] <= REL_EPS * self.caps[r]
@@ -470,8 +483,8 @@ mod tests {
     fn two_flows_share_one_resource() {
         let mut fs = FairShare::new(vec![1.0], SimModel::Exact);
         let mut ch = Vec::new();
-        fs.add_flow(0, vec![0]);
-        fs.add_flow(1, vec![0]);
+        fs.add_flow(0, &[0]);
+        fs.add_flow(1, &[0]);
         fs.resolve(&mut ch);
         assert_eq!(rates_of(&fs, 2), vec![0.5, 0.5]);
         assert_eq!(ch.len(), 2);
@@ -481,8 +494,8 @@ mod tests {
     fn removal_restores_full_rate() {
         let mut fs = FairShare::new(vec![1.0], SimModel::Exact);
         let mut ch = Vec::new();
-        fs.add_flow(0, vec![0]);
-        fs.add_flow(1, vec![0]);
+        fs.add_flow(0, &[0]);
+        fs.add_flow(1, &[0]);
         fs.resolve(&mut ch);
         ch.clear();
         fs.remove_flow(0);
@@ -497,15 +510,15 @@ mod tests {
         // must not touch component 0's solved rate (or report it changed).
         let mut fs = FairShare::new(vec![3.0, 1.0], SimModel::Exact);
         let mut ch = Vec::new();
-        fs.add_flow(0, vec![0]);
-        fs.add_flow(1, vec![0]);
-        fs.add_flow(2, vec![1]);
+        fs.add_flow(0, &[0]);
+        fs.add_flow(1, &[0]);
+        fs.add_flow(2, &[1]);
         fs.resolve(&mut ch);
         let cached = fs.rate(0);
         ch.clear();
         fs.remove_flow(2);
-        fs.add_flow(3, vec![1]);
-        fs.add_flow(4, vec![1]);
+        fs.add_flow(3, &[1]);
+        fs.add_flow(4, &[1]);
         fs.resolve(&mut ch);
         assert!(!ch.contains(&0) && !ch.contains(&1), "{ch:?}");
         assert_eq!(fs.rate(0).to_bits(), cached.to_bits());
@@ -529,18 +542,18 @@ mod tests {
         let mut inc = FairShare::new(caps.clone(), SimModel::Exact);
         let mut ch = Vec::new();
         for (s, r) in flows.iter().enumerate() {
-            inc.add_flow(s as u32, r.clone());
+            inc.add_flow(s as u32, r);
             inc.resolve(&mut ch); // resolve after every single change
         }
         // Churn: remove and re-add flow 2.
         inc.remove_flow(2);
         inc.resolve(&mut ch);
-        inc.add_flow(2, flows[2].clone());
+        inc.add_flow(2, &flows[2]);
         inc.resolve(&mut ch);
 
         let mut scratch = FairShare::new(caps, SimModel::Exact);
         for (s, r) in flows.iter().enumerate() {
-            scratch.add_flow(s as u32, r.clone());
+            scratch.add_flow(s as u32, r);
         }
         scratch.resolve(&mut ch);
         for s in 0..flows.len() as u32 {
@@ -561,8 +574,8 @@ mod tests {
         // debug builds, infinite loop in release). It now solves instantly.
         let mut fs = FairShare::new(vec![1.0], SimModel::Exact);
         let mut ch = Vec::new();
-        fs.add_flow(0, Vec::new());
-        fs.add_flow(1, vec![0]);
+        fs.add_flow(0, &[]);
+        fs.add_flow(1, &[0]);
         fs.resolve(&mut ch);
         assert_eq!(fs.rate(0), f64::INFINITY);
         assert_eq!(fs.rate(1), 1.0);
@@ -578,8 +591,8 @@ mod tests {
     fn capacity_change_rescales_component() {
         let mut fs = FairShare::new(vec![2.0], SimModel::Exact);
         let mut ch = Vec::new();
-        fs.add_flow(0, vec![0]);
-        fs.add_flow(1, vec![0]);
+        fs.add_flow(0, &[0]);
+        fs.add_flow(1, &[0]);
         fs.resolve(&mut ch);
         assert_eq!(fs.rate(0), 1.0);
         ch.clear();
@@ -596,9 +609,9 @@ mod tests {
         // b freezes at 0.5 with a; c then fills to 9.5.
         let mut fs = FairShare::new(vec![1.0, 10.0], SimModel::Exact);
         let mut ch = Vec::new();
-        fs.add_flow(0, vec![0]);
-        fs.add_flow(1, vec![0, 1]);
-        fs.add_flow(2, vec![1]);
+        fs.add_flow(0, &[0]);
+        fs.add_flow(1, &[0, 1]);
+        fs.add_flow(2, &[1]);
         fs.resolve(&mut ch);
         assert!((fs.rate(0) - 0.5).abs() < 1e-12);
         assert!((fs.rate(1) - 0.5).abs() < 1e-12);
@@ -614,8 +627,8 @@ mod tests {
         let flows: Vec<Vec<usize>> = vec![vec![0], vec![0, 1], vec![1]];
         let mut ch = Vec::new();
         for (s, r) in flows.iter().enumerate() {
-            agg.add_flow(s as u32, r.clone());
-            exact.add_flow(s as u32, r.clone());
+            agg.add_flow(s as u32, r);
+            exact.add_flow(s as u32, r);
         }
         agg.resolve(&mut ch);
         exact.resolve(&mut ch);
@@ -634,9 +647,9 @@ mod tests {
         // only resource a, so flow 2 (on b alone) is not re-rated.
         let mut fs = FairShare::new(vec![1.0, 1.0], SimModel::Aggregate);
         let mut ch = Vec::new();
-        fs.add_flow(0, vec![0]);
-        fs.add_flow(1, vec![0, 1]);
-        fs.add_flow(2, vec![1]);
+        fs.add_flow(0, &[0]);
+        fs.add_flow(1, &[0, 1]);
+        fs.add_flow(2, &[1]);
         fs.resolve(&mut ch);
         ch.clear();
         let before = fs.stats.flows_resolved;
@@ -652,13 +665,43 @@ mod tests {
     }
 
     #[test]
+    fn one_solve_per_component_however_many_seeds_are_dirty() {
+        // One inter-host flow dirties all four of its resources; they form
+        // one component, which solves once.
+        let mut fs = FairShare::new(vec![1.0, 1.0, 0.5, 0.5], SimModel::Exact);
+        let mut ch = Vec::new();
+        fs.add_flow(0, &[0, 1, 2, 3]);
+        fs.resolve(&mut ch);
+        assert_eq!(ch, vec![0]);
+        assert_eq!(fs.rate(0), 0.5);
+        assert_eq!((fs.stats.recomputes, fs.stats.flows_resolved), (1, 1));
+    }
+
+    #[test]
+    fn disjoint_components_dirtied_in_one_batch_solve_once_each() {
+        let mut fs = FairShare::new(vec![1.0, 1.0, 2.0, 2.0], SimModel::Exact);
+        let mut ch = Vec::new();
+        fs.add_flow(0, &[0, 1]);
+        fs.add_flow(1, &[0, 1]);
+        fs.add_flow(2, &[2, 3]);
+        fs.resolve(&mut ch);
+        assert_eq!(rates_of(&fs, 3), vec![0.5, 0.5, 2.0]);
+        assert_eq!((fs.stats.recomputes, fs.stats.flows_resolved), (2, 3));
+        // The marks were cleared: the next batch solves its component again.
+        fs.remove_flow(1);
+        fs.resolve(&mut ch);
+        assert_eq!(fs.rate(0), 1.0);
+        assert_eq!(fs.stats.recomputes, 3);
+    }
+
+    #[test]
     fn slot_reuse_after_removal() {
         let mut fs = FairShare::new(vec![1.0], SimModel::Exact);
         let mut ch = Vec::new();
-        fs.add_flow(0, vec![0]);
+        fs.add_flow(0, &[0]);
         fs.resolve(&mut ch);
         fs.remove_flow(0);
-        fs.add_flow(0, vec![0]);
+        fs.add_flow(0, &[0]);
         ch.clear();
         fs.resolve(&mut ch);
         assert_eq!(ch, vec![0]);

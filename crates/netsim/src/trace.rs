@@ -56,6 +56,22 @@ impl ResourceUsage {
         *self.host_sent.entry(src.0).or_insert(0.0) += bytes;
         *self.host_received.entry(dst.0).or_insert(0.0) += bytes;
     }
+
+    /// The usage of per-host byte totals indexed by host id, where `None`
+    /// marks a host that moved nothing (it gets no entry).
+    pub(crate) fn from_per_host(sent: &[Option<f64>], received: &[Option<f64>]) -> Self {
+        let keyed = |per_host: &[Option<f64>]| {
+            per_host
+                .iter()
+                .enumerate()
+                .filter_map(|(host, bytes)| bytes.map(|b| (host as u32, b)))
+                .collect()
+        };
+        ResourceUsage {
+            host_sent: keyed(sent),
+            host_received: keyed(received),
+        }
+    }
 }
 
 /// Degradation counters accumulated while a run executes under fault
