@@ -20,7 +20,7 @@
 //! | [`faults`] | extension — throughput vs injected fault rate (not in the paper) |
 //! | [`moe`] | extension — MoE all-to-all strategies across fabrics and gate skews (not in the paper) |
 //! | [`planner`] | `planner_work` — estimate, greedy visits and DFS nodes of one `plan()` per (case, planner) |
-//! | [`netsim`] | `netsim_work` — engine counters and makespan of a GPT iteration at 64 – 1,024 hosts under both contention models |
+//! | [`netsim`] | `netsim_work` — engine counters and makespan of a GPT iteration at 64 – 1,024 hosts |
 //! | [`obs_overhead`], [`race`] | `observer_work` — collector events and flight-recorder records per plan, seam events per armed all-to-all |
 //! | [`paper`] | the golden document: every section above, and the path-naming diff |
 //!

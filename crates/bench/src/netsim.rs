@@ -13,21 +13,17 @@
 //! `flows_resolved / rate_recomputes` stays near 1 at every size, where a
 //! global re-solve would touch every active flow on every event.
 //!
-//! [`work`] is the `netsim_work` section of `BENCH_paper.json`: per (cluster
-//! size, contention model) the engine's own [`SimStats`] and the simulated
-//! makespan, plus a Table 2 resharding case executed under both models (the
-//! aggregate model is never optimistic). Events per second on the same
-//! workload is `benchmark/`'s `netsim.scale_ms` / `netsim.events_per_s`;
-//! agreement with the frozen reference engine is
-//! `crates/netsim/tests/netsim_equivalence.rs`.
+//! [`work`] is the `netsim_work` section of `BENCH_paper.json`: per cluster
+//! size the engine's own [`SimStats`](crossmesh_netsim::SimStats) and the
+//! simulated makespan, plus the makespan of a Table 2 resharding case.
+//! Events per second on the same workload is `benchmark/`'s
+//! `netsim.scale_ms` / `netsim.events_per_s`; agreement with the frozen
+//! reference engine is the `equivalence` proptests inside `crates/netsim`.
 
 use crate::table_fmt;
 use crossmesh_core::{EnsemblePlanner, Planner, PlannerConfig};
 use crossmesh_models::presets;
-use crossmesh_netsim::{
-    AggregateSimBackend, ClusterSpec, Engine, LinkParams, SimBackend, SimModel, TaskGraph, TaskId,
-    Work,
-};
+use crossmesh_netsim::{ClusterSpec, Engine, LinkParams, SimBackend, TaskGraph, TaskId, Work};
 use serde::{Deserialize, Serialize};
 
 /// One GPT iteration's shape on an `hosts`-host cluster.
@@ -151,11 +147,10 @@ pub fn build_workload(w: Workload) -> TaskGraph {
     g
 }
 
-/// One (cluster size, contention model) run of the iteration graph.
+/// One cluster size's run of the iteration graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkRow {
     pub hosts: u32,
-    pub model: String,
     /// Tasks in the generated iteration graph.
     pub tasks: usize,
     /// [`SimStats::events_processed`](crossmesh_netsim::SimStats).
@@ -173,10 +168,8 @@ pub struct WorkRow {
 /// The `netsim_work` section.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetsimWork {
-    /// Makespan of Table 2 case 1 under the exact / aggregate models; the
-    /// aggregate one can never be smaller.
+    /// Makespan of Table 2 case 1.
     pub gate_exact_seconds: f64,
-    pub gate_aggregate_seconds: f64,
     pub rows: Vec<WorkRow>,
 }
 
@@ -194,28 +187,23 @@ fn workload_for(hosts: u32) -> Workload {
     }
 }
 
-/// Both rows of one cluster size: the same iteration graph through the
-/// engine under each contention model.
-fn measure(hosts: u32) -> [WorkRow; 2] {
+/// The row of one cluster size: its iteration graph through the engine.
+fn measure(hosts: u32) -> WorkRow {
     let graph = build_workload(workload_for(hosts));
-    let cluster = cluster(hosts);
-    [SimModel::Exact, SimModel::Aggregate].map(|model| {
-        let (trace, stats) = Engine::with_model(&cluster, model)
-            .run_stats(&graph)
-            .expect("the iteration graph simulates");
-        WorkRow {
-            hosts,
-            model: model.name().to_string(),
-            tasks: graph.len(),
-            events: stats.events_processed,
-            events_stale: stats.events_stale,
-            rate_recomputes: stats.rate_recomputes,
-            flows_resolved: stats.flows_resolved,
-            frontier_size: stats.frontier_size,
-            peak_active_flows: stats.peak_active_flows,
-            makespan_seconds: trace.makespan(),
-        }
-    })
+    let (trace, stats) = Engine::new(&cluster(hosts))
+        .run_stats(&graph)
+        .expect("the iteration graph simulates");
+    WorkRow {
+        hosts,
+        tasks: graph.len(),
+        events: stats.events_processed,
+        events_stale: stats.events_stale,
+        rate_recomputes: stats.rate_recomputes,
+        flows_resolved: stats.flows_resolved,
+        frontier_size: stats.frontier_size,
+        peak_active_flows: stats.peak_active_flows,
+        makespan_seconds: trace.makespan(),
+    }
 }
 
 /// Regenerates the `netsim_work` section.
@@ -229,15 +217,12 @@ pub fn work() -> NetsimWork {
         .build()
         .expect("table 2 case builds");
     let plan = EnsemblePlanner::new(PlannerConfig::new(presets::p3_cost_params())).plan(&task);
-    let gate = |backend: &dyn crossmesh_netsim::Backend| {
-        plan.execute_with(backend, &gate_cluster)
-            .expect("gate case simulates")
-            .simulated_seconds
-    };
     NetsimWork {
-        gate_exact_seconds: gate(&SimBackend),
-        gate_aggregate_seconds: gate(&AggregateSimBackend),
-        rows: HOSTS.iter().flat_map(|&hosts| measure(hosts)).collect(),
+        gate_exact_seconds: plan
+            .execute_with(&SimBackend, &gate_cluster)
+            .expect("gate case simulates")
+            .simulated_seconds,
+        rows: HOSTS.iter().map(|&hosts| measure(hosts)).collect(),
     }
 }
 
@@ -245,7 +230,6 @@ pub fn work() -> NetsimWork {
 pub fn render_work(work: &NetsimWork) -> String {
     let mut rows = vec![vec![
         "hosts".to_string(),
-        "model".to_string(),
         "tasks".to_string(),
         "events".to_string(),
         "stale".to_string(),
@@ -258,7 +242,6 @@ pub fn render_work(work: &NetsimWork) -> String {
     for r in &work.rows {
         rows.push(vec![
             r.hosts.to_string(),
-            r.model.clone(),
             r.tasks.to_string(),
             r.events.to_string(),
             r.events_stale.to_string(),
@@ -271,10 +254,9 @@ pub fn render_work(work: &NetsimWork) -> String {
     }
     format!(
         "Netsim work — GPT iteration through the incremental engine\n{}\n\
-         Table 2 case 1: exact {} vs aggregate {}\n",
+         Table 2 case 1: {}\n",
         table_fmt::render(&rows),
         table_fmt::secs(work.gate_exact_seconds),
-        table_fmt::secs(work.gate_aggregate_seconds),
     )
 }
 
@@ -286,38 +268,21 @@ mod tests {
     #[test]
     fn netsim_work_shapes_hold() {
         let work: NetsimWork = committed("netsim_work");
-        assert_eq!(work.rows.len(), 2 * HOSTS.len());
-        // The aggregate model never predicts a faster run.
-        assert!(work.gate_aggregate_seconds >= work.gate_exact_seconds);
-        for pair in work.rows.chunks(2) {
-            let (exact, aggregate) = (&pair[0], &pair[1]);
-            assert_eq!(
-                (exact.model.as_str(), aggregate.model.as_str()),
-                ("exact", "aggregate")
-            );
-            assert!(aggregate.makespan_seconds >= exact.makespan_seconds);
+        assert_eq!(work.rows.len(), HOSTS.len());
+        let base = &work.rows[0];
+        for row in &work.rows {
             // The incremental solver's whole point: a re-solve touches its
             // own contention component, not every active flow.
-            let per_solve = exact.flows_resolved as f64 / exact.rate_recomputes as f64;
+            let per_solve = row.flows_resolved as f64 / row.rate_recomputes as f64;
             assert!(
                 per_solve < 1.2,
                 "{} hosts: {per_solve} flows per re-solve",
-                exact.hosts
-            );
-            // One solve per component per batch: the exact engine re-solves
-            // no more often than the aggregate model updates.
-            assert!(
-                exact.rate_recomputes <= aggregate.rate_recomputes,
-                "{} hosts: exact {} vs aggregate {} re-solves",
-                exact.hosts,
-                exact.rate_recomputes,
-                aggregate.rate_recomputes
+                row.hosts
             );
             // Work is linear in cluster size.
-            let base = &work.rows[0];
-            let scale = u64::from(exact.hosts / base.hosts);
-            assert_eq!(exact.events, base.events * scale);
-            assert_eq!(exact.tasks as u64, base.tasks as u64 * scale);
+            let scale = u64::from(row.hosts / base.hosts);
+            assert_eq!(row.events, base.events * scale);
+            assert_eq!(row.tasks as u64, base.tasks as u64 * scale);
         }
     }
 

@@ -26,14 +26,12 @@ use crossmesh_core::{
     LoadBalancePlanner, PlanCache, PlanRun, Planner, PlannerConfig, Strategy, StrategyChoice,
     TaskSpec,
 };
-use crossmesh_faults::{execute_with_repair, FaultInjectable, FaultSchedule};
+use crossmesh_faults::{execute_with_repair, FaultSchedule};
 use crossmesh_mesh::DeviceMesh;
 use crossmesh_models::gpt::GptConfig;
 use crossmesh_models::utransformer::UTransformerConfig;
 use crossmesh_models::{presets, ModelJob, Precision};
-use crossmesh_netsim::{
-    AggregateSimBackend, ClusterSpec, LinkParams, SimBackend, SimModel, TaskGraph, Trace, Work,
-};
+use crossmesh_netsim::{ClusterSpec, LinkParams, SimBackend, TaskGraph, Trace, Work};
 use crossmesh_obs as obs;
 use crossmesh_pipeline::{
     simulate_with_cache, CommMode, PipelineConfig, ScheduleKind, WeightDelay,
@@ -48,11 +46,11 @@ crossmesh — cross-mesh resharding planner/simulator (MLSys 2023 reproduction)
 USAGE:
   crossmesh reshard  --src-spec <SPEC> --dst-spec <SPEC> --src-mesh <RxC> --dst-mesh <RxC>
                      --shape <AxBxC> [--elem-bytes N] [--strategy S] [--planner P]
-                     [--backend B] [--sim-model M] [--seed N] [--inter-bw B] [--intra-bw B]
+                     [--backend B] [--seed N] [--inter-bw B] [--intra-bw B]
                      [--faults FILE] [--threads N] [--verify] [--json]
   crossmesh pipeline --model gpt-case1|gpt-case2|utrans [--schedule eager|1f1b|gpipe]
                      [--comm overlap|sync|signal] [--microbatches N] [--iterations N]
-                     [--backend B] [--sim-model M] [--threads N] [--json]
+                     [--backend B] [--threads N] [--json]
   crossmesh autospec --src-mesh <RxC> --dst-mesh <RxC> --shape <AxBxC> [--elem-bytes N]
                      [--fixed-src SPEC] [--fixed-dst SPEC] [--memory-cap BYTES] [--json]
   crossmesh check    --task spec.json --plan plan.json [--format text|json]
@@ -72,11 +70,9 @@ USAGE:
   strategies: broadcast (default) | send_recv | local_allgather | global_allgather
               | tree_broadcast | multi_rail | alpa
   planners:   ours (default) | naive | lpt | dfs | greedy
-  backends:   sim (default, flow-level simulator) | threads (real multi-threaded
-              execution) | tcp (threads + TCP loopback for inter-host flows)
-  --sim-model: exact (default, max-min fair sharing) | aggregate (uniform
-              cap/count sharing: conservative, much cheaper on 10k-host
-              clusters); only meaningful with --backend sim
+  backends:   sim (default, flow-level simulator with max-min fair sharing)
+              | threads (real multi-threaded execution) | tcp (threads + TCP
+              loopback for inter-host flows)
   specs:      R / S0 / S1 / S01 per tensor dimension, e.g. S0RR
   --seed:     RNG seed for the randomized-greedy planner (ours/greedy)
   --faults:   JSON fault schedule (crossmesh-faults format) injected into the
@@ -136,13 +132,13 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "reshard",
         reshard,
-        "src-spec dst-spec src-mesh dst-mesh shape elem-bytes strategy planner backend \
-         sim-model seed inter-bw intra-bw faults emit-task emit-plan trace-out verify json",
+        "src-spec dst-spec src-mesh dst-mesh shape elem-bytes strategy planner backend seed \
+         inter-bw intra-bw faults emit-task emit-plan trace-out verify json",
     ),
     (
         "pipeline",
         pipeline,
-        "model schedule comm microbatches iterations backend sim-model json",
+        "model schedule comm microbatches iterations backend json",
     ),
     (
         "autospec",
@@ -395,23 +391,6 @@ fn strategy_choice(name: &str) -> Result<StrategyChoice, Box<dyn Error>> {
         "alpa" => StrategyChoice::AlpaAuto,
         other => return Err(format!("unknown strategy {other:?}").into()),
     })
-}
-
-fn backend_for(
-    name: &str,
-    sim_model: SimModel,
-) -> Result<Box<dyn FaultInjectable>, Box<dyn Error>> {
-    Ok(match (BackendKind::parse(name)?, sim_model) {
-        (BackendKind::Sim, SimModel::Aggregate) => Box::new(AggregateSimBackend),
-        (kind, _) => kind.instantiate(),
-    })
-}
-
-/// Parses `--sim-model exact|aggregate` (default exact). Only meaningful
-/// with `--backend sim`; the real backends ignore it.
-fn sim_model_arg(args: &Args) -> Result<SimModel, Box<dyn Error>> {
-    let name = args.get_or("sim-model", "exact");
-    SimModel::parse(name).ok_or_else(|| format!("unknown sim model {name:?}").into())
 }
 
 /// Parses the optional `--seed` of the randomized-greedy planner.
@@ -839,7 +818,7 @@ fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
     let config = PlannerConfig::new(params)
         .with_strategy(strategy_choice(args.get_or("strategy", "broadcast"))?);
     let planner = planner_for(args.get_or("planner", "ours"), config, seed_arg(args)?)?;
-    let backend = backend_for(args.get_or("backend", "sim"), sim_model_arg(args)?)?;
+    let backend = BackendKind::parse(args.get_or("backend", "sim"))?.instantiate();
     let plan = planner.plan(&task);
     if let Some(path) = args.get("emit-task") {
         std::fs::write(path, serde_json::to_string_pretty(&spec)?)?;
@@ -1007,7 +986,7 @@ fn pipeline(args: &Args) -> Result<String, Box<dyn Error>> {
         "signal" => CommMode::Signal,
         other => return Err(format!("unknown comm mode {other:?}").into()),
     };
-    let backend = backend_for(args.get_or("backend", "sim"), sim_model_arg(args)?)?;
+    let backend = BackendKind::parse(args.get_or("backend", "sim"))?.instantiate();
     let planner = EnsemblePlanner::new(PlannerConfig::new(presets::p3_cost_params()));
     let config = PipelineConfig {
         schedule,
@@ -1499,10 +1478,9 @@ mod tests {
             planner_for(p, cfg, Some(42)).unwrap();
         }
         for b in ["sim", "threads", "tcp"] {
-            backend_for(b, SimModel::Exact).unwrap();
-            backend_for(b, SimModel::Aggregate).unwrap();
+            assert_eq!(BackendKind::parse(b).unwrap().instantiate().name(), b);
         }
-        assert!(backend_for("nope", SimModel::Exact).is_err());
+        assert!(BackendKind::parse("nope").is_err());
     }
 
     #[test]
@@ -1573,6 +1551,29 @@ mod tests {
     }
 
     #[test]
+    fn unrepresentable_fault_delays_are_refused_on_the_threaded_backend() {
+        // Both schedules used to validate and then panic the threaded
+        // runtime converting a delay of ~1e300 / ~1e27 s to a `Duration`.
+        let schedules = [
+            r#"{"seed":0,"events":[],"max_retries":2,"retry_backoff":1e300}"#,
+            r#"{"seed":0,"events":[{"LinkDegrade":{"host":0,"factor":1e-30,"from":0.0,
+                "until":1.0}}],"max_retries":2,"retry_backoff":0.001}"#,
+        ];
+        for (i, json) in schedules.iter().enumerate() {
+            let path = std::env::temp_dir().join(format!("crossmesh_cli_faults_delay_{i}.json"));
+            std::fs::write(&path, json).unwrap();
+            let err = run(toks(&format!(
+                "reshard --src-spec RS1R --dst-spec S0RR --src-mesh 2x4 --dst-mesh 2x4 \
+                 --shape 64x64x8 --backend threads --faults {}",
+                path.display()
+            )))
+            .unwrap_err();
+            assert!(err.to_string().contains("--faults"), "got: {err}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
     fn trace_out_exports_one_schema_on_both_backends() {
         let dir = std::env::temp_dir();
         let sim = dir.join("crossmesh_cli_obs_sim.json");
@@ -1615,28 +1616,6 @@ mod tests {
         assert!(out.contains("== metrics =="), "got: {out}");
         assert!(out.contains("planner.greedy.plans"), "got: {out}");
         assert!(out.contains("netsim.events_processed"), "got: {out}");
-    }
-
-    #[test]
-    fn sim_model_selects_the_contention_model() {
-        let reshard = |model: &str| {
-            let out = run(toks(&format!(
-                "reshard --src-spec S0R --dst-spec RS1 --src-mesh 1x4 --dst-mesh 2x2 \
-                 --shape 32x32 --sim-model {model} --json"
-            )))
-            .unwrap();
-            let v: serde_json::Value = serde_json::from_str(&out).unwrap();
-            v["simulated_seconds"].as_f64().unwrap()
-        };
-        let exact = reshard("exact");
-        let aggregate = reshard("aggregate");
-        // Uniform sharing never predicts a faster transfer than max-min.
-        assert!(aggregate >= exact - 1e-9, "{aggregate} vs {exact}");
-        assert!(run(toks(
-            "reshard --src-spec S0R --dst-spec RS1 --src-mesh 1x4 --dst-mesh 2x2 \
-             --shape 32x32 --sim-model bogus"
-        ))
-        .is_err());
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl CacheStats {
 ///
 /// The cache is built for concurrent callers (the resharding daemon's
 /// worker pool hammers one shared instance from every worker): entries
-/// live in [`SHARDS`] independently locked shards keyed by the hash, and
+/// live in `SHARDS` independently locked shards keyed by the hash, and
 /// the hit-path re-verification runs on a clone *outside* any lock, so a
 /// slow verify on one entry never serializes unrelated lookups. Raced
 /// duplicate misses both plan and both insert — planning is deterministic,

@@ -3,7 +3,7 @@
 //! A [`ReshardingTask`] describes one tensor that must move from a source
 //! mesh (with one sharding spec) to a destination mesh (with another). It
 //! decomposes into unit communication tasks (`crossmesh-mesh`), each lowered
-//! with a communication [`Strategy`](crossmesh_collectives::Strategy)
+//! with a communication [`Strategy`]
 //! (`crossmesh-collectives`). What remains — and what this crate solves — is
 //! the paper's §3.2 **load balancing and scheduling problem**:
 //!

@@ -51,7 +51,7 @@ pub struct TaskSpec {
 pub enum TaskSpecError {
     /// A mesh or shape string does not parse.
     Malformed(String),
-    /// The meshes exceed [`MAX_HOSTS`] / [`MAX_DEVICES_PER_HOST`], or the
+    /// The meshes exceed `MAX_HOSTS` / `MAX_DEVICES_PER_HOST`, or the
     /// tensor's byte size is zero or overflows `u64`.
     OutOfBounds(String),
     /// A spec does not parse, or meshes, specs and shape are inconsistent.

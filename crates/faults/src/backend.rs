@@ -10,10 +10,7 @@
 
 use crate::recovery::failed_trace_error;
 use crate::schedule::FaultSchedule;
-use crossmesh_netsim::{
-    AggregateSimBackend, Backend, ClusterSpec, Engine, SimBackend, SimError, SimModel, TaskGraph,
-    Trace,
-};
+use crossmesh_netsim::{Backend, ClusterSpec, Engine, SimBackend, SimError, TaskGraph, Trace};
 use crossmesh_runtime::ThreadedBackend;
 
 /// A backend that can execute a task graph under a fault schedule.
@@ -55,19 +52,6 @@ impl FaultInjectable for SimBackend {
     ) -> Result<Trace, SimError> {
         check_schedule(self.name(), schedule)?;
         Engine::new(cluster).run_with_disruptions(graph, &schedule.to_disruptions(graph))
-    }
-}
-
-impl FaultInjectable for AggregateSimBackend {
-    fn execute_with_faults(
-        &self,
-        cluster: &ClusterSpec,
-        graph: &TaskGraph,
-        schedule: &FaultSchedule,
-    ) -> Result<Trace, SimError> {
-        check_schedule(self.name(), schedule)?;
-        Engine::with_model(cluster, SimModel::Aggregate)
-            .run_with_disruptions(graph, &schedule.to_disruptions(graph))
     }
 }
 

@@ -118,10 +118,13 @@ impl FaultSchedule {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid event: negative or
-    /// non-finite times, factors outside `(0, 1]`, slowdowns below 1, or
-    /// drop probabilities outside `[0, 1)`.
+    /// Returns a description of the first invalid field: a negative or
+    /// non-finite retry backoff, negative or non-finite times, factors
+    /// outside `(0, 1]`, slowdowns below 1, drop probabilities outside
+    /// `[0, 1)`, or a backoff or degradation whose wall-clock delay on the
+    /// threaded runtime does not fit a [`Duration`].
     pub fn validate(&self) -> Result<(), String> {
+        self.backoff()?;
         for e in &self.events {
             match *e {
                 FaultEvent::HostCrash { host, at } => {
@@ -143,6 +146,8 @@ impl FaultSchedule {
                             "h{host} degrade period [{from}, {until}] is invalid"
                         ));
                     }
+                    self.frame_delay(factor)
+                        .map_err(|e| format!("h{host} {e}"))?;
                 }
                 FaultEvent::Straggler { device, slowdown } => {
                     if !(slowdown >= 1.0 && slowdown.is_finite()) {
@@ -158,13 +163,29 @@ impl FaultSchedule {
                 }
             }
         }
-        if !(self.retry_backoff >= 0.0 && self.retry_backoff.is_finite()) {
-            return Err(format!(
-                "retry backoff {} must be >= 0 and finite",
-                self.retry_backoff
-            ));
-        }
         Ok(())
+    }
+
+    /// The threaded runtime's base re-transmission backoff.
+    fn backoff(&self) -> Result<Duration, String> {
+        let seconds = self.retry_backoff;
+        Duration::try_from_secs_f64(seconds).map_err(|_| {
+            format!("retry backoff {seconds:?} s must be >= 0, finite and fit a wall-clock delay")
+        })
+    }
+
+    /// The threaded runtime's per-frame delay on a link degraded to
+    /// `factor`: `retry_backoff * (1/factor - 1)` wall seconds, so halving
+    /// the capacity roughly doubles per-frame cost.
+    fn frame_delay(&self, factor: f64) -> Result<Duration, String> {
+        let seconds = self.retry_backoff * (1.0 / factor - 1.0);
+        // NaN is a zero backoff times an infinite 1/factor: no delay.
+        Duration::try_from_secs_f64(seconds.max(0.0)).map_err(|_| {
+            format!(
+                "degrade factor {factor:?} makes a per-frame delay of {seconds:?} s, \
+                 which does not fit a wall-clock delay"
+            )
+        })
     }
 
     /// The hosts crashed by this schedule, ascending and deduplicated.
@@ -270,10 +291,16 @@ impl FaultSchedule {
     /// degradation becomes a per-frame delay of
     /// `retry_backoff * (1/factor - 1)` wall seconds, so halving the
     /// capacity roughly doubles per-frame cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule fails [`validate`](Self::validate), which
+    /// bounds every delay computed here.
     pub fn to_injected(&self, graph: &TaskGraph) -> InjectedFaults {
+        let validated = "validate() bounds every injected delay";
         let mut f = InjectedFaults {
             max_retries: self.max_retries,
-            backoff: Duration::from_secs_f64(self.retry_backoff.max(0.0)),
+            backoff: self.backoff().expect(validated),
             ..InjectedFaults::default()
         };
         for e in &self.events {
@@ -284,8 +311,8 @@ impl FaultSchedule {
                     }
                 }
                 FaultEvent::LinkDegrade { host, factor, .. } => {
-                    let extra = self.retry_backoff.max(0.0) * (1.0 / factor - 1.0);
-                    f.frame_delay.push((host, Duration::from_secs_f64(extra)));
+                    f.frame_delay
+                        .push((host, self.frame_delay(factor).expect(validated)));
                 }
                 FaultEvent::Straggler { device, slowdown } => {
                     f.compute_slowdown.push((device, slowdown));
@@ -425,5 +452,31 @@ mod tests {
         assert!(FaultSchedule::from_json("{not json").is_err());
         let invalid = FaultSchedule::new(0).with_event(FaultEvent::FlowDrop { prob: 2.0 });
         assert!(FaultSchedule::from_json(&invalid.to_json()).is_err());
+    }
+
+    #[test]
+    fn delays_too_long_for_a_duration_are_rejected_naming_the_field() {
+        // Both used to pass validation and then panic in `to_injected`.
+        let backoff = r#"{"seed":0,"events":[],"max_retries":2,"retry_backoff":1e300}"#;
+        let err = FaultSchedule::from_json(backoff).unwrap_err();
+        assert!(err.contains("retry backoff"), "{err}");
+        let degrade = r#"{"seed":0,"events":[{"LinkDegrade":{"host":0,"factor":1e-30,
+            "from":0.0,"until":1.0}}],"max_retries":2,"retry_backoff":0.001}"#;
+        let err = FaultSchedule::from_json(degrade).unwrap_err();
+        assert!(err.contains("h0 degrade factor"), "{err}");
+        // A zero backoff injects no delay, however deep the degradation
+        // (here 1/factor is infinite, and 0 × ∞ is NaN).
+        let s =
+            FaultSchedule::new(0)
+                .with_retry_policy(2, 0.0)
+                .with_event(FaultEvent::LinkDegrade {
+                    host: 0,
+                    factor: 1e-310,
+                    from: 0.0,
+                    until: 1.0,
+                });
+        assert!(s.validate().is_ok());
+        let f = s.to_injected(&graph_with_flows(1));
+        assert_eq!(f.frame_delay, vec![(0, Duration::ZERO)]);
     }
 }

@@ -12,7 +12,7 @@
 //! tasks on the current rayon pool that copy each shard (rank 1, so one
 //! contiguous run) straight into its expert's region behind that region's
 //! lock, optionally under a seeded
-//! [`FaultSchedule`](crossmesh_faults::FaultSchedule) whose `FlowDrop`
+//! [`FaultSchedule`] whose `FlowDrop`
 //! events force per-shard retries. Drop rolls are seeded per unit task
 //! (mirroring the threaded runtime's per-flow rolls), so the outcome is
 //! identical at every lane count and pool width.

@@ -12,7 +12,6 @@
 use crate::engine::Engine;
 use crate::error::SimError;
 use crate::graph::TaskGraph;
-use crate::rates::SimModel;
 use crate::topology::ClusterSpec;
 use crate::trace::Trace;
 use std::fmt::Debug;
@@ -60,23 +59,6 @@ impl Backend for SimBackend {
     }
 }
 
-/// The simulator under the [`SimModel::Aggregate`] contention model: flows
-/// on a resource split its capacity uniformly (`cap / count`) instead of
-/// solving exact max–min fairness. Strictly conservative (never predicts a
-/// faster finish than [`SimBackend`]) and cheap enough for 10k-host sweeps.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AggregateSimBackend;
-
-impl Backend for AggregateSimBackend {
-    fn name(&self) -> &'static str {
-        "sim-aggregate"
-    }
-
-    fn execute(&self, cluster: &ClusterSpec, graph: &TaskGraph) -> Result<Trace, SimError> {
-        Engine::with_model(cluster, SimModel::Aggregate).run(graph)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,16 +74,6 @@ mod tests {
         let via_backend = SimBackend.execute(&c, &g).unwrap();
         assert_eq!(direct, via_backend);
         assert_eq!(SimBackend.name(), "sim");
-    }
-
-    #[test]
-    fn aggregate_backend_runs_and_names_itself() {
-        let c = ClusterSpec::homogeneous(2, 2, LinkParams::new(10.0, 1.0));
-        let mut g = TaskGraph::new();
-        g.add(Work::flow(c.device(0, 0), c.device(1, 0), 5.0), []);
-        let t = AggregateSimBackend.execute(&c, &g).unwrap();
-        assert!(t.makespan() > 0.0);
-        assert_eq!(AggregateSimBackend.name(), "sim-aggregate");
     }
 
     #[test]

@@ -12,17 +12,14 @@
 //! flow set. Same-timestamp completions (within `REL_EPS` relative) are
 //! batched into one cascade, exactly like the pre-refactor engine.
 //!
-//! [`SimModel::Exact`] reproduces progressive-filling max–min fairness;
-//! [`SimModel::Aggregate`] swaps in the dslab-style per-resource
-//! aggregate-throughput approximation (`min_r cap/count`) for coarse
-//! 10k-host sweeps. The frozen pre-refactor engine survives as
-//! [`ReferenceEngine`](crate::reference::ReferenceEngine) and pins this
-//! one in `tests/netsim_equivalence.rs`.
+//! The frozen pre-refactor engine survives as a test-only oracle (the
+//! `reference` module, compiled under `cfg(test)`), and the crate's
+//! `equivalence` proptests pin this engine to it.
 
 use crate::error::SimError;
 use crate::faults::{Disruptions, NicScalePeriod};
 use crate::graph::{TaskGraph, TaskId, Work};
-use crate::rates::{FairShare, SimModel, REL_EPS};
+use crate::rates::{FairShare, REL_EPS};
 use crate::stats::{self, SimStats};
 use crate::topology::{ClusterSpec, DeviceId, HostId};
 use crate::trace::{FaultStats, ResourceUsage, TaskInterval, Trace};
@@ -35,7 +32,6 @@ use std::collections::{BTreeMap, BinaryHeap};
 #[derive(Debug)]
 pub struct Engine<'a> {
     cluster: &'a ClusterSpec,
-    model: SimModel,
 }
 
 /// Timed events. Flow completions are `FlowDrained` entries scheduled at
@@ -132,23 +128,9 @@ impl Ord for QueuedCompute {
 }
 
 impl<'a> Engine<'a> {
-    /// Creates an engine over the given cluster using the exact
-    /// (max–min fair) contention model.
+    /// Creates an engine over the given cluster.
     pub fn new(cluster: &'a ClusterSpec) -> Self {
-        Engine {
-            cluster,
-            model: SimModel::Exact,
-        }
-    }
-
-    /// Creates an engine with an explicit contention model.
-    pub fn with_model(cluster: &'a ClusterSpec, model: SimModel) -> Self {
-        Engine { cluster, model }
-    }
-
-    /// The contention model this engine applies.
-    pub fn model(&self) -> SimModel {
-        self.model
+        Engine { cluster }
     }
 
     /// Runs `graph` to completion and returns the trace.
@@ -170,7 +152,7 @@ impl<'a> Engine<'a> {
     ///
     /// Same as [`Engine::run`].
     pub fn run_stats(&self, graph: &TaskGraph) -> Result<(Trace, SimStats), SimError> {
-        Run::new(self.cluster, graph, &Disruptions::none(), self.model)?.execute()
+        Run::new(self.cluster, graph, &Disruptions::none())?.execute()
     }
 
     /// Runs `graph` under the given injected [`Disruptions`].
@@ -197,7 +179,7 @@ impl<'a> Engine<'a> {
         if let Err(why) = disruptions.validate() {
             panic!("invalid disruptions: {why}");
         }
-        Run::new(self.cluster, graph, disruptions, self.model)?
+        Run::new(self.cluster, graph, disruptions)?
             .execute()
             .map(|(trace, _)| trace)
     }
@@ -276,7 +258,6 @@ impl<'a> Run<'a> {
         cluster: &'a ClusterSpec,
         graph: &'a TaskGraph,
         disruptions: &Disruptions,
-        model: SimModel,
     ) -> Result<Self, SimError> {
         let n = graph.len();
         let mut pending_deps = vec![0usize; n];
@@ -360,7 +341,7 @@ impl<'a> Run<'a> {
             flows: Vec::new(),
             free_slots: Vec::new(),
             active_flows: 0,
-            solver: FairShare::new(capacities, model),
+            solver: FairShare::new(capacities),
             rates_dirty: false,
             changed: Vec::new(),
             route: Vec::new(),
@@ -1137,15 +1118,16 @@ mod tests {
         let fast = g.add(Work::flow(c.device(0, 0), c.device(2, 0), 8.0), []);
         let slow = g.add(Work::flow(c.device(1, 0), c.device(2, 0), 8.0), []);
         let t = Engine::new(&c).run(&g).unwrap();
-        // Receiver NIC is 4 B/s total: fair share gives the slow flow its
-        // full 1 B/s and the fast flow 3 B/s until it finishes.
+        // Receiver NIC is 4 B/s total: max–min gives the slow flow its
+        // full 1 B/s and the fast flow the other 3 B/s (not a uniform
+        // 2 B/s split), so the fast flow finishes at 8/3 s.
         assert!(
             (t.interval(slow).finish - 8.0).abs() < 1e-9,
             "slow NIC limits"
         );
         assert!(
-            t.interval(fast).finish < 8.0,
-            "fast flow must finish earlier: {:?}",
+            (t.interval(fast).finish - 8.0 / 3.0).abs() < 1e-9,
+            "fast flow gets the slow one's unused share: {:?}",
             t.interval(fast)
         );
     }
@@ -1473,81 +1455,7 @@ mod tests {
         let _ = Engine::new(&c).run_with_disruptions(&g, &d);
     }
 
-    // --- SimModel / stats tests (new with the incremental engine) ---
-
-    #[test]
-    fn sim_model_names_round_trip() {
-        assert_eq!(SimModel::parse("exact"), Some(SimModel::Exact));
-        assert_eq!(SimModel::parse("aggregate"), Some(SimModel::Aggregate));
-        assert_eq!(SimModel::parse("bogus"), None);
-        assert_eq!(SimModel::Exact.name(), "exact");
-        assert_eq!(SimModel::Aggregate.name(), "aggregate");
-        assert_eq!(Engine::new(&two_hosts()).model(), SimModel::Exact);
-    }
-
-    #[test]
-    fn aggregate_model_matches_exact_on_symmetric_sharing() {
-        // Two identical flows over one NIC: uniform sharing IS max–min.
-        let c = two_hosts();
-        let mut g = TaskGraph::new();
-        g.add(Work::flow(c.device(0, 0), c.device(1, 0), 2.0), []);
-        g.add(Work::flow(c.device(0, 1), c.device(1, 1), 2.0), []);
-        let exact = Engine::new(&c).run(&g).unwrap();
-        let agg = Engine::with_model(&c, SimModel::Aggregate).run(&g).unwrap();
-        assert!((agg.makespan() - exact.makespan()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn aggregate_model_is_conservative_on_asymmetric_sharing() {
-        // Fast sender (4 B/s) + slow sender (1 B/s) into one 4 B/s
-        // receiver. Exact max–min redistributes the slow flow's unused
-        // share to the fast flow (3 B/s); the aggregate model keeps the
-        // uniform split (2 B/s), so the fast flow finishes later — but
-        // never earlier than exact.
-        let links_fast = LinkParams::new(100.0, 4.0).with_latencies(0.0, 0.0);
-        let links_slow = LinkParams::new(100.0, 1.0).with_latencies(0.0, 0.0);
-        let c = ClusterSpec::new(vec![
-            HostSpec {
-                devices: 1,
-                links: links_fast,
-                device_flops: 1e12,
-            },
-            HostSpec {
-                devices: 1,
-                links: links_slow,
-                device_flops: 1e12,
-            },
-            HostSpec {
-                devices: 1,
-                links: links_fast,
-                device_flops: 1e12,
-            },
-        ]);
-        let mut g = TaskGraph::new();
-        let fast = g.add(Work::flow(c.device(0, 0), c.device(2, 0), 8.0), []);
-        let slow = g.add(Work::flow(c.device(1, 0), c.device(2, 0), 8.0), []);
-        let exact = Engine::new(&c).run(&g).unwrap();
-        let agg = Engine::with_model(&c, SimModel::Aggregate).run(&g).unwrap();
-        // Aggregate: fast = min(4/1, 4/2) = 2 B/s → done at t=4 (exact:
-        // 8/3 s). Slow: 1 B/s → t=8 either way.
-        assert!((agg.interval(fast).finish - 4.0).abs() < 1e-9);
-        assert!((agg.interval(slow).finish - 8.0).abs() < 1e-9);
-        assert!(agg.interval(fast).finish >= exact.interval(fast).finish - 1e-9);
-        assert!(agg.makespan() >= exact.makespan() - 1e-9);
-    }
-
-    #[test]
-    fn aggregate_model_is_deterministic() {
-        let c = two_hosts();
-        let mut g = TaskGraph::new();
-        for i in 0..8 {
-            let src = c.device(0, i % 2);
-            let dst = c.device(1, (i + 1) % 2);
-            g.add(Work::flow(src, dst, 1.0 + i as f64), []);
-        }
-        let e = Engine::with_model(&c, SimModel::Aggregate);
-        assert_eq!(e.run(&g).unwrap(), e.run(&g).unwrap());
-    }
+    // --- stats tests (new with the incremental engine) ---
 
     #[test]
     fn run_stats_counts_events_and_recomputes() {

@@ -1,18 +1,20 @@
 //! The incremental engine against the frozen pre-refactor reference.
 //!
 //! [`ReferenceEngine`] is a verbatim copy of the engine before the
-//! incremental fair-share/indexed-event rewrite (PR 8). These properties
-//! pin the rewrite to it: on random clusters (all fabric models), random
-//! DAGs, and random disruptions, both engines must produce the same
-//! intervals to within `1e-9` relative — the only licensed divergence is
-//! final-ulp rounding, because the old engine summed progressive-filling
-//! deltas across *all* connected components in one global pass while the
-//! new one solves each component in isolation.
+//! incremental fair-share/indexed-event rewrite. These properties pin the
+//! rewrite to it: on random clusters (all fabric models), random DAGs, and
+//! random disruptions, both engines must produce the same intervals to
+//! within `1e-9` relative — the only licensed divergence is final-ulp
+//! rounding, because the old engine summed progressive-filling deltas
+//! across *all* connected components in one global pass while the new one
+//! solves each component in isolation. Both this module and the reference
+//! are compiled only under `cfg(test)`: the oracle is not part of the
+//! production build.
 
-use crossmesh_netsim::reference::ReferenceEngine;
-use crossmesh_netsim::{
-    ClusterSpec, Disruptions, Engine, FabricModel, HostId, LinkParams, NicScalePeriod, SimModel,
-    TaskGraph, TaskId, Work,
+use crate::reference::ReferenceEngine;
+use crate::{
+    ClusterSpec, Disruptions, Engine, FabricModel, HostId, LinkParams, NicScalePeriod, TaskGraph,
+    TaskId, Trace, Work,
 };
 use proptest::prelude::*;
 
@@ -114,11 +116,7 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
 
-fn assert_traces_match(
-    reference: &crossmesh_netsim::Trace,
-    new: &crossmesh_netsim::Trace,
-    n: u32,
-) -> Result<(), TestCaseError> {
+fn assert_traces_match(reference: &Trace, new: &Trace, n: u32) -> Result<(), TestCaseError> {
     prop_assert!(
         close(reference.makespan(), new.makespan()),
         "makespan: reference {} vs incremental {}",
@@ -196,47 +194,13 @@ proptest! {
         assert_traces_match(&reference, &incremental, g.len() as u32)?;
     }
 
-    /// The incremental engine is bit-deterministic in both models.
+    /// The incremental engine is bit-deterministic.
     #[test]
     fn incremental_engine_is_bit_deterministic(rc in cluster_strategy(), tasks in graph_strategy()) {
         let c = build_cluster(rc);
         let g = build_graph(&c, &tasks);
-        for model in [SimModel::Exact, SimModel::Aggregate] {
-            let e = Engine::with_model(&c, model);
-            prop_assert_eq!(e.run(&g).unwrap(), e.run(&g).unwrap());
-        }
-    }
-
-    /// On independent flows the aggregate model is conservative: uniform
-    /// `cap/count` sharing never beats max–min fairness, so no flow
-    /// finishes earlier and the makespan never shrinks.
-    #[test]
-    fn aggregate_is_conservative_on_independent_flows(
-        rc in cluster_strategy(),
-        flows in prop::collection::vec((0u32..64, 0u32..64, 0.1f64..12.0), 1..24),
-    ) {
-        let c = build_cluster(rc);
-        let n = c.num_devices();
-        let mut g = TaskGraph::new();
-        for &(src, dst, bytes) in &flows {
-            let src = src % n;
-            let mut dst = dst % n;
-            if dst == src {
-                dst = (dst + 1) % n;
-            }
-            g.add(Work::flow(src.into(), dst.into(), bytes), []);
-        }
-        let exact = Engine::new(&c).run(&g).unwrap();
-        let agg = Engine::with_model(&c, SimModel::Aggregate).run(&g).unwrap();
-        for i in 0..g.len() as u32 {
-            prop_assert!(
-                agg.interval(TaskId(i)).finish >= exact.interval(TaskId(i)).finish - 1e-9,
-                "flow {i}: aggregate {} beat exact {}",
-                agg.interval(TaskId(i)).finish,
-                exact.interval(TaskId(i)).finish
-            );
-        }
-        prop_assert!(agg.makespan() >= exact.makespan() - 1e-9);
+        let e = Engine::new(&c);
+        prop_assert_eq!(e.run(&g).unwrap(), e.run(&g).unwrap());
     }
 }
 

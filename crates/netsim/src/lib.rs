@@ -44,22 +44,23 @@
 
 mod backend;
 mod engine;
+#[cfg(test)]
+mod equivalence;
 mod error;
 mod faults;
 mod graph;
 mod rates;
-#[doc(hidden)]
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 mod topology;
 mod trace;
 
-pub use backend::{AggregateSimBackend, Backend, SimBackend};
+pub use backend::{Backend, SimBackend};
 pub use engine::Engine;
 pub use error::{FailureKind, SimError};
 pub use faults::{Disruptions, NicScalePeriod};
 pub use graph::{Task, TaskGraph, TaskId, Work};
-pub use rates::SimModel;
 pub use stats::SimStats;
 pub use topology::{ClusterSpec, DeviceId, FabricModel, HostId, HostSpec, LinkParams};
 pub use trace::{FaultStats, ResourceUsage, TaskInterval, Trace, TraceBuilder};

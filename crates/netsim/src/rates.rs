@@ -37,54 +37,15 @@
 //! `f64::INFINITY` up front and never enters a component. The old loop
 //! would never freeze such a flow: `delta` went infinite, tripping a
 //! `debug_assert` in debug builds and spinning forever in release.
-//!
-//! The **aggregate model** ([`SimModel::Aggregate`](crate::SimModel))
-//! replaces water-filling with dslab-style uniform sharing: a flow's rate
-//! is `min_r capacity[r] / count[r]` over its resources. That never
-//! exceeds the exact max–min rate (at the exact solve's freeze point the
-//! frozen flow holds the *largest* rate among the `n` flows crossing the
-//! saturated resource, so its fair share is ≥ `cap/n`), needs only a
-//! one-hop update on changes (no transitive re-solve), and errs toward
-//! longer makespans — a conservative approximation for coarse sweeps.
 
 /// Relative headroom below which a resource counts as saturated, and the
-/// engines treat event times as simultaneous. Shared with both engines.
+/// engine treats event times as simultaneous.
 pub(crate) const REL_EPS: f64 = 1e-9;
-
-/// Which contention model the solver applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimModel {
-    /// Exact max–min fairness by per-component progressive filling.
-    #[default]
-    Exact,
-    /// dslab-style aggregate throughput: each flow gets
-    /// `min_r capacity[r]/count[r]`; cheaper, never above the exact rate.
-    Aggregate,
-}
-
-impl SimModel {
-    /// Stable lowercase name (CLI `--sim-model` values).
-    pub fn name(self) -> &'static str {
-        match self {
-            SimModel::Exact => "exact",
-            SimModel::Aggregate => "aggregate",
-        }
-    }
-
-    /// Parses a CLI `--sim-model` value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "exact" => Some(SimModel::Exact),
-            "aggregate" => Some(SimModel::Aggregate),
-            _ => None,
-        }
-    }
-}
 
 /// Counters the solver accumulates for [`SimStats`](crate::SimStats).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SolverStats {
-    /// Component (or one-hop, in aggregate mode) re-solves performed.
+    /// Component re-solves performed.
     pub recomputes: u64,
     /// Total flows whose rate was recomputed across all re-solves.
     pub flows_resolved: u64,
@@ -97,7 +58,6 @@ pub(crate) struct SolverStats {
 /// engine's slot table.
 #[derive(Debug)]
 pub(crate) struct FairShare {
-    model: SimModel,
     /// Capacity of each resource (mutable under NIC-scale faults).
     caps: Vec<f64>,
     /// Active flows crossing each resource.
@@ -134,10 +94,9 @@ pub(crate) struct FairShare {
 }
 
 impl FairShare {
-    pub fn new(caps: Vec<f64>, model: SimModel) -> Self {
+    pub fn new(caps: Vec<f64>) -> Self {
         let r = caps.len();
         FairShare {
-            model,
             caps,
             count: vec![0; r],
             res_flows: vec![Vec::new(); r],
@@ -245,17 +204,6 @@ impl FairShare {
         if self.dirty_res.is_empty() {
             return;
         }
-        match self.model {
-            SimModel::Exact => self.resolve_exact(changed),
-            SimModel::Aggregate => self.resolve_aggregate(changed),
-        }
-        for i in 0..self.dirty_res.len() {
-            self.dirty_mark[self.dirty_res[i]] = false;
-        }
-        self.dirty_res.clear();
-    }
-
-    fn resolve_exact(&mut self, changed: &mut Vec<u32>) {
         // Components are laid out back to back in `comp_res`/`comp_flows`;
         // their visited marks stay set until every seed is handled, so a
         // seed inside an already solved component is skipped.
@@ -303,6 +251,10 @@ impl FairShare {
         for i in 0..self.comp_flows.len() {
             self.visited_flow[self.comp_flows[i] as usize] = false;
         }
+        for i in 0..self.dirty_res.len() {
+            self.dirty_mark[self.dirty_res[i]] = false;
+        }
+        self.dirty_res.clear();
     }
 
     /// Progressive filling over the component at the tail of
@@ -417,49 +369,6 @@ impl FairShare {
         }
     }
 
-    /// Aggregate model: each flow crossing a dirty resource gets
-    /// `min_r caps[r]/count[r]`. Counts only change on dirty resources, so
-    /// one hop suffices — no transitive component walk.
-    fn resolve_aggregate(&mut self, changed: &mut Vec<u32>) {
-        self.stats.recomputes += 1;
-        let mut touched = 0u64;
-        let mut frontier = 0usize;
-        for seed_i in 0..self.dirty_res.len() {
-            let r = self.dirty_res[seed_i];
-            if self.count[r] > 0 {
-                frontier += 1;
-            }
-            for fi in 0..self.res_flows[r].len() {
-                let slot = self.res_flows[r][fi];
-                let s = slot as usize;
-                if self.visited_flow[s] {
-                    continue;
-                }
-                self.visited_flow[s] = true;
-                touched += 1;
-                let mut rate = f64::INFINITY;
-                for ri in 0..self.flow_res[s].len() {
-                    let rr = self.flow_res[s][ri];
-                    let share = self.caps[rr] / f64::from(self.count[rr]);
-                    if share < rate {
-                        rate = share;
-                    }
-                }
-                self.set_rate(slot, rate, changed);
-            }
-        }
-        for seed_i in 0..self.dirty_res.len() {
-            let r = self.dirty_res[seed_i];
-            for fi in 0..self.res_flows[r].len() {
-                self.visited_flow[self.res_flows[r][fi] as usize] = false;
-            }
-        }
-        self.stats.flows_resolved += touched;
-        if frontier > self.stats.frontier_peak {
-            self.stats.frontier_peak = frontier;
-        }
-    }
-
     fn set_rate(&mut self, slot: u32, rate: f64, changed: &mut Vec<u32>) {
         let s = slot as usize;
         // NaN (fresh slot) compares unequal to everything, so new flows are
@@ -481,7 +390,7 @@ mod tests {
 
     #[test]
     fn two_flows_share_one_resource() {
-        let mut fs = FairShare::new(vec![1.0], SimModel::Exact);
+        let mut fs = FairShare::new(vec![1.0]);
         let mut ch = Vec::new();
         fs.add_flow(0, &[0]);
         fs.add_flow(1, &[0]);
@@ -492,7 +401,7 @@ mod tests {
 
     #[test]
     fn removal_restores_full_rate() {
-        let mut fs = FairShare::new(vec![1.0], SimModel::Exact);
+        let mut fs = FairShare::new(vec![1.0]);
         let mut ch = Vec::new();
         fs.add_flow(0, &[0]);
         fs.add_flow(1, &[0]);
@@ -508,7 +417,7 @@ mod tests {
     fn untouched_component_keeps_cached_rate_bit_for_bit() {
         // Resources 0 and 1 host disjoint components; churning component 1
         // must not touch component 0's solved rate (or report it changed).
-        let mut fs = FairShare::new(vec![3.0, 1.0], SimModel::Exact);
+        let mut fs = FairShare::new(vec![3.0, 1.0]);
         let mut ch = Vec::new();
         fs.add_flow(0, &[0]);
         fs.add_flow(1, &[0]);
@@ -539,7 +448,7 @@ mod tests {
             vec![1],
             vec![3],
         ];
-        let mut inc = FairShare::new(caps.clone(), SimModel::Exact);
+        let mut inc = FairShare::new(caps.clone());
         let mut ch = Vec::new();
         for (s, r) in flows.iter().enumerate() {
             inc.add_flow(s as u32, r);
@@ -551,7 +460,7 @@ mod tests {
         inc.add_flow(2, &flows[2]);
         inc.resolve(&mut ch);
 
-        let mut scratch = FairShare::new(caps, SimModel::Exact);
+        let mut scratch = FairShare::new(caps);
         for (s, r) in flows.iter().enumerate() {
             scratch.add_flow(s as u32, r);
         }
@@ -572,7 +481,7 @@ mod tests {
         // Regression for the pre-refactor hazard: an unconstrained flow
         // made the global loop's delta go infinite (debug assert death in
         // debug builds, infinite loop in release). It now solves instantly.
-        let mut fs = FairShare::new(vec![1.0], SimModel::Exact);
+        let mut fs = FairShare::new(vec![1.0]);
         let mut ch = Vec::new();
         fs.add_flow(0, &[]);
         fs.add_flow(1, &[0]);
@@ -589,7 +498,7 @@ mod tests {
 
     #[test]
     fn capacity_change_rescales_component() {
-        let mut fs = FairShare::new(vec![2.0], SimModel::Exact);
+        let mut fs = FairShare::new(vec![2.0]);
         let mut ch = Vec::new();
         fs.add_flow(0, &[0]);
         fs.add_flow(1, &[0]);
@@ -607,7 +516,7 @@ mod tests {
     fn max_min_redistributes_released_bandwidth() {
         // Flows: a on {0}, b on {0,1}, c on {1}. cap0 = 1, cap1 = 10.
         // b freezes at 0.5 with a; c then fills to 9.5.
-        let mut fs = FairShare::new(vec![1.0, 10.0], SimModel::Exact);
+        let mut fs = FairShare::new(vec![1.0, 10.0]);
         let mut ch = Vec::new();
         fs.add_flow(0, &[0]);
         fs.add_flow(1, &[0, 1]);
@@ -620,32 +529,11 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_rate_is_min_share_and_below_exact() {
-        let caps = vec![1.0, 10.0];
-        let mut agg = FairShare::new(caps.clone(), SimModel::Aggregate);
-        let mut exact = FairShare::new(caps, SimModel::Exact);
-        let flows: Vec<Vec<usize>> = vec![vec![0], vec![0, 1], vec![1]];
-        let mut ch = Vec::new();
-        for (s, r) in flows.iter().enumerate() {
-            agg.add_flow(s as u32, r);
-            exact.add_flow(s as u32, r);
-        }
-        agg.resolve(&mut ch);
-        exact.resolve(&mut ch);
-        // Aggregate: flow 2 shares resource 1 with flow 1 → 5.0, not 9.5.
-        assert_eq!(agg.rate(0), 0.5);
-        assert_eq!(agg.rate(1), 0.5);
-        assert_eq!(agg.rate(2), 5.0);
-        for s in 0..3 {
-            assert!(agg.rate(s) <= exact.rate(s) + 1e-12);
-        }
-    }
-
-    #[test]
-    fn aggregate_updates_are_one_hop() {
+    fn removal_re_solves_the_whole_component() {
         // Chain 0-1-2 over resources {a},{a,b},{b}: removing flow 0 dirties
-        // only resource a, so flow 2 (on b alone) is not re-rated.
-        let mut fs = FairShare::new(vec![1.0, 1.0], SimModel::Aggregate);
+        // only resource a, but flow 1 couples it to b, so flow 2 is re-rated
+        // too (and keeps its 0.5: it still shares b with flow 1).
+        let mut fs = FairShare::new(vec![1.0, 1.0]);
         let mut ch = Vec::new();
         fs.add_flow(0, &[0]);
         fs.add_flow(1, &[0, 1]);
@@ -655,20 +543,16 @@ mod tests {
         let before = fs.stats.flows_resolved;
         fs.remove_flow(0);
         fs.resolve(&mut ch);
-        assert_eq!(
-            fs.stats.flows_resolved - before,
-            1,
-            "only the sharer of resource 0 is examined"
-        );
-        assert!(ch.is_empty(), "its rate stays capped by shared resource 1");
-        assert_eq!(fs.rate(1), 0.5);
+        assert_eq!(fs.stats.flows_resolved - before, 2);
+        assert!(ch.is_empty(), "both rates stay capped by shared resource b");
+        assert_eq!(rates_of(&fs, 3)[1..], [0.5, 0.5]);
     }
 
     #[test]
     fn one_solve_per_component_however_many_seeds_are_dirty() {
         // One inter-host flow dirties all four of its resources; they form
         // one component, which solves once.
-        let mut fs = FairShare::new(vec![1.0, 1.0, 0.5, 0.5], SimModel::Exact);
+        let mut fs = FairShare::new(vec![1.0, 1.0, 0.5, 0.5]);
         let mut ch = Vec::new();
         fs.add_flow(0, &[0, 1, 2, 3]);
         fs.resolve(&mut ch);
@@ -679,7 +563,7 @@ mod tests {
 
     #[test]
     fn disjoint_components_dirtied_in_one_batch_solve_once_each() {
-        let mut fs = FairShare::new(vec![1.0, 1.0, 2.0, 2.0], SimModel::Exact);
+        let mut fs = FairShare::new(vec![1.0, 1.0, 2.0, 2.0]);
         let mut ch = Vec::new();
         fs.add_flow(0, &[0, 1]);
         fs.add_flow(1, &[0, 1]);
@@ -696,7 +580,7 @@ mod tests {
 
     #[test]
     fn slot_reuse_after_removal() {
-        let mut fs = FairShare::new(vec![1.0], SimModel::Exact);
+        let mut fs = FairShare::new(vec![1.0]);
         let mut ch = Vec::new();
         fs.add_flow(0, &[0]);
         fs.resolve(&mut ch);

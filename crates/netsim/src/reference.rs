@@ -5,9 +5,10 @@
 //! change it re-solves max–min rates over *all* flows × *all* resources,
 //! and on every event it linearly scans every active flow for the next
 //! drain time. It is O(F·R) per event and unusable past a few hundred
-//! hosts — which is precisely why it is kept: the equivalence proptests
-//! (`tests/netsim_equivalence.rs`) pin the rewritten engine against this
-//! one on random clusters and task graphs.
+//! hosts — which is precisely why it is kept, as a test-only oracle
+//! compiled under `cfg(test)`: the equivalence proptests (the crate's
+//! `equivalence` module) pin the rewritten engine against this one on
+//! random clusters and task graphs.
 //!
 //! Do not "fix" or optimise this module; its value is that it does not
 //! change. (It retains the latent empty-`resources` infinite-loop hazard
@@ -26,9 +27,8 @@ use std::collections::{BTreeMap, BinaryHeap};
 /// of resources (kept identical to the live engine's).
 const REL_EPS: f64 = 1e-9;
 
-/// The frozen pre-refactor engine. See the module docs: reference and
-/// baseline only — use [`Engine`](crate::Engine) for real runs.
-#[doc(hidden)]
+/// The frozen pre-refactor engine. See the module docs: the equivalence
+/// oracle only — [`Engine`](crate::Engine) runs everything else.
 #[derive(Debug)]
 pub struct ReferenceEngine<'a> {
     cluster: &'a ClusterSpec,

@@ -21,9 +21,9 @@ pub struct SimStats {
     /// Flow-drain events discarded because the flow's rate changed (lazy
     /// invalidation) or the flow was killed after the event was scheduled.
     pub events_stale: u64,
-    /// Fair-share re-solves. Exact model: one per affected component per
-    /// flow-set change (one batch of simultaneous events), however many of
-    /// the component's resources changed. Aggregate model: one per batch.
+    /// Fair-share re-solves: one per affected component per flow-set
+    /// change (one batch of simultaneous events), however many of the
+    /// component's resources changed.
     pub rate_recomputes: u64,
     /// Total flows whose rate was recomputed, summed over all re-solves —
     /// `flows_resolved / rate_recomputes` is the mean bottleneck-set size.

@@ -2,11 +2,11 @@
 //!
 //! Structured observability for the crossmesh workspace: a dependency-free
 //! `tracing`-style facade (spans + events with key/value fields behind a
-//! pluggable [`Collector`]), a [`metrics`] registry (named counters, gauges,
-//! and fixed-bucket histograms, sharded across worker threads and merged
-//! deterministically at drain), and a unified Chrome/Perfetto [`export`]
-//! module that renders both simulator traces and real runtime timelines
-//! into one JSON schema.
+//! pluggable [`Collector`]), a [`metrics`](mod@metrics) registry (named
+//! counters, gauges, and fixed-bucket histograms, sharded across worker
+//! threads and merged deterministically at drain), and a unified
+//! Chrome/Perfetto [`export`] module that renders both simulator traces
+//! and real runtime timelines into one JSON schema.
 //!
 //! ## Zero overhead when disabled
 //!

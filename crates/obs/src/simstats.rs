@@ -1,5 +1,5 @@
 //! Bridge from the netsim engine's performance counters into a
-//! [`MetricsRegistry`](crate::MetricsRegistry).
+//! [`MetricsRegistry`].
 //!
 //! `crossmesh-netsim` cannot depend on this crate (the dependency points
 //! the other way: the export module renders netsim traces), so the engine

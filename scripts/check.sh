@@ -13,6 +13,10 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (-D warnings: a broken intra-doc link fails the gate)"
+# --lib: the crossmesh bin and lib would otherwise collide on one doc path.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

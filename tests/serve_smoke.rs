@@ -518,3 +518,26 @@ fn hostile_sizes_get_an_error_reply_and_the_daemon_keeps_answering() {
     let summary = server.shutdown();
     assert_eq!((summary.completed, summary.failed), (1, 3));
 }
+
+/// A fault schedule whose backoff cannot be a wall-clock `Duration` gets a
+/// `bad fault schedule` reply from a `threads` daemon. It used to pass
+/// validation and panic the worker converting the backoff.
+#[test]
+fn unrepresentable_fault_delays_get_an_error_reply_not_a_worker_panic() {
+    let mut cfg = config(1);
+    cfg.backend = BackendKind::Threads;
+    let server = Server::start(cfg).expect("daemon starts");
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let req = ReshardRequest {
+        faults: Some(r#"{"seed":0,"events":[],"max_retries":2,"retry_backoff":1e300}"#.into()),
+        ..small_request()
+    };
+    match client.reshard("mallory", req).expect("answered") {
+        Response::Error(e) => assert!(e.message.starts_with("bad fault schedule"), "{}", e.message),
+        other => panic!("unexpected reply {other:?}"),
+    }
+    let snap = server.registry().snapshot();
+    assert_eq!(snap.counter("serve.worker_panics"), 0);
+    let summary = server.shutdown();
+    assert_eq!((summary.completed, summary.failed), (0, 1));
+}
