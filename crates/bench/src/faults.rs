@@ -12,7 +12,7 @@
 use crate::cases::TABLE2;
 use crate::table_fmt;
 use crossmesh_core::{EnsemblePlanner, NaivePlanner, Planner, PlannerConfig};
-use crossmesh_faults::{execute_with_repair, FaultEvent, FaultSchedule, RecoveryReport};
+use crossmesh_faults::{execute_with_repair, FaultEvent, FaultSchedule};
 use crossmesh_models::presets;
 use crossmesh_netsim::SimBackend;
 use serde::{Deserialize, Serialize};
@@ -39,13 +39,6 @@ fn planner_config() -> PlannerConfig {
     PlannerConfig::new(presets::p3_cost_params())
 }
 
-/// The end-to-end completion time a user observes: the degraded makespan
-/// when faults bit, the plain makespan otherwise.
-fn seconds(r: &RecoveryReport) -> f64 {
-    r.degraded_makespan
-        .unwrap_or(r.run.report().simulated_seconds)
-}
-
 /// The schedule for one sweep point: a generous retry budget so transient
 /// drops degrade throughput instead of killing the run.
 pub fn drop_schedule(rate: f64) -> FaultSchedule {
@@ -61,48 +54,48 @@ pub fn crash_schedule() -> FaultSchedule {
     FaultSchedule::new(7).with_event(FaultEvent::HostCrash { host: 0, at: 0.0 })
 }
 
-/// Runs `case2` under `schedule` with `planner` + repair.
+/// Runs `case2` under `schedule` with `planner` + repair. Returns the
+/// end-to-end seconds a user observes (the degraded makespan when faults
+/// bit, the plain makespan otherwise), the flow retries absorbed and the
+/// unit tasks failed over.
 ///
 /// # Panics
 ///
 /// Panics if the scenario is unrecoverable (harness bug — `case2` has a
 /// fully replicated source).
-pub fn measure(planner: &dyn Planner, schedule: &FaultSchedule) -> RecoveryReport {
+pub fn measure(planner: &dyn Planner, schedule: &FaultSchedule) -> (f64, u64, usize) {
     let case = &TABLE2[1];
     let (cluster, task) = case.build().expect("case2 builds");
     let plan = planner.plan(&task);
-    execute_with_repair(&plan, &cluster, &SimBackend, schedule, None)
-        .expect("scenario is recoverable")
+    let r = execute_with_repair(&plan, &cluster, &SimBackend, schedule, None)
+        .expect("scenario is recoverable");
+    let seconds = r
+        .degraded_makespan
+        .unwrap_or(r.run.report().simulated_seconds);
+    (seconds, r.retries, r.failovers)
 }
 
 /// Regenerates the degradation sweep.
 pub fn run() -> Vec<Row> {
     let naive = NaivePlanner::new(planner_config());
     let ours = EnsemblePlanner::new(planner_config());
-    let mut rows = Vec::new();
-    for rate in DROP_RATES {
-        let schedule = drop_schedule(rate);
-        let n = measure(&naive, &schedule);
-        let o = measure(&ours, &schedule);
-        rows.push(Row {
-            scenario: format!("drop {:.0}%", rate * 100.0),
-            naive_seconds: seconds(&n),
-            ours_seconds: seconds(&o),
-            ours_retries: o.retries,
-            ours_failovers: o.failovers,
-        });
-    }
-    let schedule = crash_schedule();
-    let n = measure(&naive, &schedule);
-    let o = measure(&ours, &schedule);
-    rows.push(Row {
-        scenario: "crash h0".to_string(),
-        naive_seconds: seconds(&n),
-        ours_seconds: seconds(&o),
-        ours_retries: o.retries,
-        ours_failovers: o.failovers,
-    });
-    rows
+    let scenarios = DROP_RATES
+        .iter()
+        .map(|&rate| (format!("drop {:.0}%", rate * 100.0), drop_schedule(rate)))
+        .chain([("crash h0".to_string(), crash_schedule())]);
+    scenarios
+        .map(|(scenario, schedule)| {
+            let (naive_seconds, _, _) = measure(&naive, &schedule);
+            let (ours_seconds, ours_retries, ours_failovers) = measure(&ours, &schedule);
+            Row {
+                scenario,
+                naive_seconds,
+                ours_seconds,
+                ours_retries,
+                ours_failovers,
+            }
+        })
+        .collect()
 }
 
 /// Renders the sweep table.

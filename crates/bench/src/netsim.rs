@@ -23,7 +23,7 @@
 use crate::table_fmt;
 use crossmesh_core::{EnsemblePlanner, Planner, PlannerConfig};
 use crossmesh_models::presets;
-use crossmesh_netsim::{ClusterSpec, Engine, LinkParams, SimBackend, TaskGraph, TaskId, Work};
+use crossmesh_netsim::{ClusterSpec, Engine, LinkParams, TaskGraph, TaskId, Work};
 use serde::{Deserialize, Serialize};
 
 /// One GPT iteration's shape on an `hosts`-host cluster.
@@ -219,7 +219,7 @@ pub fn work() -> NetsimWork {
     let plan = EnsemblePlanner::new(PlannerConfig::new(presets::p3_cost_params())).plan(&task);
     NetsimWork {
         gate_exact_seconds: plan
-            .execute_with(&SimBackend, &gate_cluster)
+            .execute(&gate_cluster)
             .expect("gate case simulates")
             .simulated_seconds,
         rows: HOSTS.iter().map(|&hosts| measure(hosts)).collect(),

@@ -31,7 +31,7 @@ use crossmesh_mesh::DeviceMesh;
 use crossmesh_models::gpt::GptConfig;
 use crossmesh_models::utransformer::UTransformerConfig;
 use crossmesh_models::{presets, ModelJob, Precision};
-use crossmesh_netsim::{ClusterSpec, LinkParams, SimBackend, TaskGraph, Trace, Work};
+use crossmesh_netsim::{Backend, ClusterSpec, LinkParams, SimBackend, TaskGraph, Trace, Work};
 use crossmesh_obs as obs;
 use crossmesh_pipeline::{
     simulate_with_cache, CommMode, PipelineConfig, ScheduleKind, WeightDelay,
@@ -716,7 +716,7 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
     }
     let warnings = diags.len();
 
-    let run = plan.run_with(&SimBackend, &cluster)?;
+    let run = plan.run(&cluster, |graph| SimBackend.execute(&cluster, graph))?;
     let report = run.report();
 
     // Per-rail spray totals feed the moe.rail.* gauges so --metrics /
@@ -826,45 +826,23 @@ fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
     if let Some(path) = args.get("emit-plan") {
         std::fs::write(path, serde_json::to_string_pretty(plan.assignments())?)?;
     }
-    // The plan is lowered and executed exactly once; the report and the
+    // Without --faults the schedule is empty, which is the clean run. The
+    // plan is lowered and executed exactly once; the report and the
     // exported timeline below both describe that run.
-    let recovery = match args.get("faults") {
+    let faults = args.get("faults");
+    let schedule = match faults {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read --faults {path:?}: {e}"))?;
-            let schedule =
-                FaultSchedule::from_json(&text).map_err(|e| format!("--faults {path:?}: {e}"))?;
-            schedule
-                .validate()
-                .map_err(|e| format!("--faults {path:?}: {e}"))?;
-            // Also validate the compiled mechanical form against the
-            // lowered graph: `to_disruptions` rolls per-flow drops, so
-            // defects invisible in the declarative schedule surface here,
-            // before the cluster commits to execution.
-            let mut graph = TaskGraph::new();
-            plan.lower(&mut graph, &[]);
-            schedule
-                .to_disruptions(&graph)
-                .validate()
-                .map_err(|e| format!("--faults {path:?}: compiled schedule invalid: {e}"))?;
-            Some(execute_with_repair(
-                &plan, &cluster, &*backend, &schedule, None,
-            )?)
+            FaultSchedule::from_json(&text).map_err(|e| format!("--faults {path:?}: {e}"))?
         }
-        None => None,
+        None => FaultSchedule::default(),
     };
-    let clean;
-    let run = match &recovery {
-        Some(r) => &r.run,
-        None => {
-            clean = plan.run_with(&*backend, &cluster)?;
-            &clean
-        }
-    };
-    let report = run.report();
+    let recovery = execute_with_repair(&plan, &cluster, &*backend, &schedule, None)?;
+    let report = recovery.run.report();
 
     if let Some(path) = args.get("trace-out") {
-        std::fs::write(path, timeline(run, &cluster).render())?;
+        std::fs::write(path, timeline(&recovery.run, &cluster).render())?;
     }
 
     let verified = if args.has_flag("verify") {
@@ -879,20 +857,22 @@ fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
             )
             .into());
         }
-        dataplane::execute_and_verify(&plan)?;
+        // Verify the plan that delivered: the repaired one after failover.
+        dataplane::execute_and_verify(recovery.repaired.as_ref().unwrap_or(&plan))?;
         Some(true)
     } else {
         None
     };
 
     if args.has_flag("json") {
-        let faults = recovery.as_ref().map(|r| {
+        // `"faults": null` unless a schedule was given.
+        let faults = faults.map(|_| {
             serde_json::json!({
-                "repaired": r.repaired,
-                "failovers": r.failovers,
-                "excluded_hosts": r.excluded_hosts.iter().map(|h| h.0).collect::<Vec<u32>>(),
-                "retries": r.retries,
-                "degraded_makespan_seconds": r.degraded_makespan,
+                "repaired": recovery.repaired.is_some(),
+                "failovers": recovery.failovers,
+                "excluded_hosts": recovery.excluded_hosts.iter().map(|h| h.0).collect::<Vec<u32>>(),
+                "retries": recovery.retries,
+                "degraded_makespan_seconds": recovery.degraded_makespan,
             })
         });
         let out = serde_json::json!({
@@ -923,8 +903,9 @@ fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
         plan.lower_bound(),
         report.cross_host_bytes / 1e6,
     );
-    if let Some(r) = &recovery {
-        if r.repaired {
+    if faults.is_some() {
+        let r = &recovery;
+        if r.repaired.is_some() {
             let hosts: Vec<String> = r.excluded_hosts.iter().map(|h| h.to_string()).collect();
             out.push_str(&format!(
                 "\nfaults: failed over {} unit tasks around {} ({} retries, degraded makespan {:.6}s)",

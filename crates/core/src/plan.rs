@@ -360,44 +360,32 @@ impl<'t> Plan<'t> {
     }
 
     /// Executes the plan alone on `cluster` with the simulator backend and
-    /// reports the simulated completion time.
+    /// reports the simulated completion time: [`run`](Plan::run) on
+    /// [`SimBackend`], summarized.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors (e.g. the plan references devices not in
-    /// `cluster`).
+    /// As [`run`](Plan::run).
     pub fn execute(&self, cluster: &ClusterSpec) -> Result<ExecutionReport, SimError> {
-        self.execute_with(&SimBackend, cluster)
+        Ok(self
+            .run(cluster, |graph| SimBackend.execute(cluster, graph))?
+            .report())
     }
 
-    /// Executes the plan alone on `cluster` through an arbitrary
-    /// [`Backend`] — the flow-level simulator, or a real execution backend
-    /// such as the threaded runtime. `simulated_seconds` then reports
-    /// whatever clock the backend uses (wall seconds for real backends).
+    /// The one plan runner: statically verifies the plan, lowers it alone
+    /// into a fresh graph with `cluster`'s topology (see
+    /// [`lower_on`](Plan::lower_on)), and runs that graph through `exec` —
+    /// a [`Backend`], or one under an injected fault schedule. On a real
+    /// backend the report's `simulated_seconds` are wall seconds.
     ///
     /// # Errors
     ///
-    /// Propagates backend errors.
-    pub fn execute_with(
+    /// A `check` [`SimError::Backend`] if verification convicts the plan
+    /// (`exec` is then never called), else `exec`'s error.
+    pub fn run(
         &self,
-        backend: &dyn Backend,
         cluster: &ClusterSpec,
-    ) -> Result<ExecutionReport, SimError> {
-        Ok(self.run_with(backend, cluster)?.report())
-    }
-
-    /// [`execute_with`](Plan::execute_with), keeping the lowered graph and
-    /// the trace: statically verifies the plan, lowers it with `cluster`'s
-    /// topology, and runs it on `backend`.
-    ///
-    /// # Errors
-    ///
-    /// A `check` backend error if verification convicts the plan, else
-    /// backend errors.
-    pub fn run_with(
-        &self,
-        backend: &dyn Backend,
-        cluster: &ClusterSpec,
+        exec: impl FnOnce(&TaskGraph) -> Result<Trace, SimError>,
     ) -> Result<PlanRun, SimError> {
         let diags = self.verify(Some(cluster), &|_, _| false);
         if crossmesh_check::has_errors(&diags) {
@@ -409,23 +397,8 @@ impl<'t> Plan<'t> {
                 ),
             });
         }
-        self.run(Some(cluster), |graph| backend.execute(cluster, graph))
-    }
-
-    /// Lowers the plan alone into a fresh graph (with `topology` available
-    /// to topology-aware strategies, see [`lower_on`](Plan::lower_on)) and
-    /// runs it through `exec`, without verifying it first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `exec`'s error.
-    pub fn run(
-        &self,
-        topology: Option<&ClusterSpec>,
-        exec: impl FnOnce(&TaskGraph) -> Result<Trace, SimError>,
-    ) -> Result<PlanRun, SimError> {
         let mut graph = TaskGraph::new();
-        let done = self.lower_on(&mut graph, &[], topology).done;
+        let done = self.lower_on(&mut graph, &[], Some(cluster)).done;
         let trace = exec(&graph)?;
         Ok(PlanRun { graph, trace, done })
     }
@@ -506,6 +479,31 @@ mod tests {
         let sim = plan.execute(&c).unwrap().simulated_seconds;
         let rel = (est - sim).abs() / sim;
         assert!(rel < 0.2, "estimate {est} vs simulated {sim}");
+    }
+
+    #[test]
+    fn the_runner_refuses_an_unverified_plan_before_the_backend_runs() {
+        let (c, t) = setup();
+        let mut plan = plan_for(&t);
+        plan.assignments.pop();
+        let mut ran = false;
+        let err = plan
+            .run(&c, |graph| {
+                ran = true;
+                SimBackend.execute(&c, graph)
+            })
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::Backend {
+                    backend: "check",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(!ran, "the backend ran a convicted plan");
     }
 
     #[test]

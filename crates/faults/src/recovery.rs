@@ -83,13 +83,14 @@ impl From<RepairError> for RecoveryError {
 
 /// The outcome of a fault-tolerant execution.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryReport {
+pub struct RecoveryReport<'t> {
     /// The run that delivered the tensor (the repaired run if failover
     /// happened): lowered graph, trace, and — via [`PlanRun::report`] —
     /// its completion time and traffic.
     pub run: PlanRun,
-    /// True if the first attempt failed and a repaired plan was executed.
-    pub repaired: bool,
+    /// The repaired plan that delivered the tensor, if the first attempt
+    /// failed; `None` when the original plan delivered it.
+    pub repaired: Option<Plan<'t>>,
     /// Unit tasks whose sender changed between the original and the
     /// repaired plan.
     pub failovers: usize,
@@ -136,6 +137,9 @@ pub(crate) fn failed_trace_error(
 
 /// Executes `plan` under `schedule`; on failure, repairs the plan around
 /// the schedule's crashed hosts and re-runs it with the crashes removed.
+/// Both attempts go through the plan runner [`Plan::run`], so each is
+/// verified and lowered with `cluster`'s topology, and an empty schedule
+/// is the clean run bit for bit.
 ///
 /// The returned [`RecoveryReport`] describes the run that delivered the
 /// tensor, plus the degradation accounting: how many unit tasks failed
@@ -157,14 +161,15 @@ pub(crate) fn failed_trace_error(
 ///   (data loss — failover is impossible);
 /// * [`RecoveryError::Sim`] if the failure is not attributable to a
 ///   crashed host (nothing to exclude), if the repaired run fails again,
-///   or on any non-fault backend error.
-pub fn execute_with_repair(
-    plan: &Plan<'_>,
+///   or on any non-fault backend error; a `check`
+///   [`SimError::Backend`] if the verifier convicts either plan.
+pub fn execute_with_repair<'t>(
+    plan: &Plan<'t>,
     cluster: &ClusterSpec,
     backend: &dyn FaultInjectable,
     schedule: &FaultSchedule,
     cache: Option<&PlanCache>,
-) -> Result<RecoveryReport, RecoveryError> {
+) -> Result<RecoveryReport<'t>, RecoveryError> {
     let span = obs::Span::enter(
         obs::Level::Debug,
         "faults.recovery",
@@ -178,9 +183,9 @@ pub fn execute_with_repair(
     metrics.runs.inc();
     metrics.rounds.inc();
     let stats_before = cache.map(|c| c.stats()).unwrap_or_default();
-    // One attempt: lower `plan` and run it under `schedule`.
+    // One attempt: verify and lower `plan`, then run it under `schedule`.
     let attempt = |plan: &Plan<'_>, schedule: &FaultSchedule| {
-        plan.run(None, |graph| {
+        plan.run(cluster, |graph| {
             backend.execute_with_faults(cluster, graph, schedule)
         })
     };
@@ -192,7 +197,7 @@ pub fn execute_with_repair(
                     span.record(&[obs::Field::bool("repaired", false)]);
                     return Ok(RecoveryReport {
                         run,
-                        repaired: false,
+                        repaired: None,
                         failovers: 0,
                         excluded_hosts: Vec::new(),
                         degraded_makespan: stats.degraded_makespan,
@@ -236,9 +241,9 @@ pub fn execute_with_repair(
         Some(c) => c.repair(plan, &exclusions)?,
         None => plan.repair(&exclusions)?,
     };
-    // Statically verify the repaired plan before committing the cluster to
-    // re-execution: every unit still covered, nothing routed through a
-    // crashed host, rings still well-formed.
+    // Beyond the runner's own check, verify the repaired plan under the
+    // exclusions before committing the cluster to re-execution: nothing
+    // may be routed through a crashed host.
     let diags = repaired.verify(Some(cluster), &|d, h| exclusions.excludes(d, h));
     if crossmesh_check::has_errors(&diags) {
         return Err(RecoveryError::Sim(SimError::Backend {
@@ -280,7 +285,7 @@ pub fn execute_with_repair(
     ]);
     Ok(RecoveryReport {
         run,
-        repaired: true,
+        repaired: Some(repaired),
         failovers,
         excluded_hosts,
         degraded_makespan: Some(degraded),
@@ -295,9 +300,10 @@ mod tests {
     use super::*;
     use crate::schedule::FaultEvent;
     use crossmesh_core::{
-        CostParams, DeviceMesh, EnsemblePlanner, Planner, PlannerConfig, ReshardingTask,
+        dataplane, CostParams, DeviceMesh, EnsemblePlanner, Planner, PlannerConfig, ReshardingTask,
+        Strategy, StrategyChoice,
     };
-    use crossmesh_netsim::{LinkParams, SimBackend};
+    use crossmesh_netsim::{Backend, FabricModel, LinkParams, SimBackend};
     use crossmesh_runtime::ThreadedBackend;
 
     fn cluster() -> ClusterSpec {
@@ -350,11 +356,39 @@ mod tests {
         let t = replicated_task(&c);
         let plan = EnsemblePlanner::new(config()).plan(&t);
         let r = execute_with_repair(&plan, &c, &SimBackend, &FaultSchedule::new(0), None).unwrap();
-        assert!(!r.repaired);
+        assert!(r.repaired.is_none());
         assert_eq!(r.failovers, 0);
         assert_eq!(r.retries, 0);
         assert!(r.degraded_makespan.is_none());
         assert!(r.run.report().simulated_seconds > 0.0);
+    }
+
+    #[test]
+    fn an_empty_schedule_is_the_clean_run_for_every_strategy() {
+        // A rails fabric, where the multi-rail spray relays through
+        // co-hosted devices only if the lowering sees the host layout.
+        let c = cluster().with_fabric(FabricModel::RailOptimized {
+            rails: 4,
+            spine_capacity: 1.0,
+        });
+        let t = replicated_task(&c);
+        // Every strategy `crossmesh reshard --strategy` names.
+        for choice in [
+            StrategyChoice::Fixed(Strategy::broadcast()),
+            StrategyChoice::Fixed(Strategy::SendRecv),
+            StrategyChoice::Fixed(Strategy::LocalAllGather),
+            StrategyChoice::Fixed(Strategy::GlobalAllGather),
+            StrategyChoice::Fixed(Strategy::TreeBroadcast { chunks: 64 }),
+            StrategyChoice::Fixed(Strategy::multi_rail(4)),
+            StrategyChoice::AlpaAuto,
+        ] {
+            let plan = EnsemblePlanner::new(config().with_strategy(choice)).plan(&t);
+            let clean = plan.run(&c, |graph| SimBackend.execute(&c, graph)).unwrap();
+            let r = execute_with_repair(&plan, &c, &SimBackend, &FaultSchedule::default(), None)
+                .unwrap();
+            assert!(r.repaired.is_none(), "{choice:?}");
+            assert_eq!(r.run, clean, "{choice:?}");
+        }
     }
 
     #[test]
@@ -364,11 +398,30 @@ mod tests {
         let plan = EnsemblePlanner::new(config()).plan(&t);
         let schedule = FaultSchedule::new(0).with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
         let r = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap();
-        assert!(r.repaired);
+        assert!(r.repaired.is_some());
         assert_eq!(r.excluded_hosts, vec![HostId(0)]);
         assert!(r.failovers > 0);
         let degraded = r.degraded_makespan.unwrap();
         assert!(degraded >= r.run.report().simulated_seconds);
+    }
+
+    #[test]
+    fn the_report_carries_the_repaired_plan_that_delivered() {
+        let c = cluster();
+        let t = replicated_task(&c);
+        let plan = EnsemblePlanner::new(config()).plan(&t);
+        assert!(plan
+            .assignments()
+            .iter()
+            .any(|a| a.sender_host == HostId(0)));
+        let schedule = FaultSchedule::new(0).with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
+        let r = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap();
+        let delivered = r.repaired.expect("the crash forces a failover");
+        assert!(delivered
+            .assignments()
+            .iter()
+            .all(|a| !r.excluded_hosts.contains(&a.sender_host)));
+        dataplane::execute_and_verify(&delivered).unwrap();
     }
 
     #[test]
@@ -381,7 +434,7 @@ mod tests {
             .with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
         let r =
             execute_with_repair(&plan, &c, &ThreadedBackend::threads(), &schedule, None).unwrap();
-        assert!(r.repaired);
+        assert!(r.repaired.is_some());
         assert_eq!(r.excluded_hosts, vec![HostId(0)]);
         assert!(r.failovers > 0);
     }
@@ -453,7 +506,7 @@ mod tests {
             .with_retry_policy(8, 1e-6)
             .with_event(FaultEvent::FlowDrop { prob: 0.2 });
         let r = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap();
-        assert!(!r.repaired);
+        assert!(r.repaired.is_none());
         assert!(r.retries > 0);
     }
 }

@@ -265,7 +265,7 @@ pub fn simulate_schedule(
     );
     pipeline_metrics().iterations.inc();
     let stats_before = cache.map(|c| c.stats()).unwrap_or_default();
-    let mut lowering = Lowering::new(graph, schedule, planner, comm, cache);
+    let mut lowering = Lowering::new(graph, cluster, schedule, planner, comm, cache);
     lowering.run();
     lowering.lower_grad_sync();
     let Lowering { task_graph, .. } = lowering;
@@ -321,6 +321,8 @@ pub fn simulate_schedule(
 
 struct Lowering<'a> {
     graph: &'a StageGraph,
+    /// Topology every resharding lowers with.
+    cluster: &'a ClusterSpec,
     schedule: &'a Schedule,
     comm: CommMode,
     task_graph: TaskGraph,
@@ -346,6 +348,7 @@ struct Lowering<'a> {
 impl<'a> Lowering<'a> {
     fn new(
         graph: &'a StageGraph,
+        cluster: &'a ClusterSpec,
         schedule: &'a Schedule,
         planner: &dyn Planner,
         comm: CommMode,
@@ -376,6 +379,7 @@ impl<'a> Lowering<'a> {
         };
         Lowering {
             graph,
+            cluster,
             schedule,
             comm,
             task_graph: TaskGraph::new(),
@@ -533,7 +537,7 @@ impl<'a> Lowering<'a> {
                 if let Some(&prev) = self.comm_chain.get(&chain_key) {
                     deps.push(prev);
                 }
-                let lowered = plan.lower(&mut self.task_graph, &deps);
+                let lowered = plan.lower_on(&mut self.task_graph, &deps, Some(self.cluster));
                 self.comm_chain.insert(chain_key, lowered.done);
                 let mut per_device: HashMap<DeviceId, Vec<TaskId>> = HashMap::new();
                 for unit in &lowered.per_unit {
@@ -636,6 +640,60 @@ mod tests {
 
     fn run(g: &StageGraph, c: &ClusterSpec, config: PipelineConfig) -> PipelineReport {
         simulate(g, c, &planner(), &config).unwrap()
+    }
+
+    #[test]
+    fn a_multi_rail_edge_lowers_the_relays_the_plan_runner_lowers() {
+        use crossmesh_core::{LoadBalancePlanner, Strategy, StrategyChoice};
+        use crossmesh_netsim::FabricModel;
+
+        let c = cluster().with_fabric(FabricModel::RailOptimized {
+            rails: 2,
+            spine_capacity: 1.0,
+        });
+        let g = two_stage(&c, 1, 1.0, 64);
+        let planner = LoadBalancePlanner::new(
+            PlannerConfig::new(crossmesh_core::CostParams {
+                inter_bw: 1.0,
+                intra_bw: 100.0,
+                inter_latency: 0.0,
+                intra_latency: 0.0,
+            })
+            .with_strategy(StrategyChoice::Fixed(Strategy::multi_rail(2))),
+        );
+        let schedule = build_schedule(ScheduleKind::OneFOneB, 2, 1, WeightDelay::None);
+        let mut lowering = Lowering::new(&g, &c, &schedule, &planner, CommMode::Overlapped, None);
+        lowering.run();
+        let flows = |graph: &TaskGraph| -> Vec<String> {
+            graph
+                .iter()
+                .filter(|(_, t)| matches!(t.work, Work::Flow { .. }))
+                .map(|(_, t)| format!("{:?} {:?}", t.label, t.work))
+                .collect()
+        };
+        // One microbatch: the iteration's flows are exactly those of the
+        // forward and the backward plan, each lowered by the runner.
+        let mut want = Vec::new();
+        for plan in lowering
+            .fwd_plans
+            .iter()
+            .chain(&lowering.bwd_plans)
+            .flatten()
+        {
+            let run = plan.run(&c, |graph| SimBackend.execute(&c, graph)).unwrap();
+            want.extend(flows(&run.graph));
+        }
+        let mut got = flows(&lowering.task_graph);
+        want.sort();
+        got.sort();
+        assert_eq!(got, want);
+        // The spray does relay: the stages sit on different hosts, so an
+        // intra-host hop is a chunk moving to or from a rail relay.
+        let relayed = lowering.task_graph.iter().any(|(_, t)| match t.work {
+            Work::Flow { src, dst, .. } => c.host_of(src) == c.host_of(dst),
+            _ => false,
+        });
+        assert!(relayed, "no intra-host relay hop was lowered");
     }
 
     #[test]

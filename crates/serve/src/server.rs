@@ -21,10 +21,10 @@ use crate::proto::{
     Response, StatsReply, TelemetryReply, TenantStats,
 };
 use crossmesh_core::{planner_for, Plan, PlanCache, PlannerConfig, SenderExclusions, TaskSpec};
-use crossmesh_faults::{execute_with_repair, FaultInjectable, FaultSchedule};
+use crossmesh_faults::{execute_with_repair, FaultInjectable, FaultSchedule, RecoveryError};
 use crossmesh_hb as hb;
 use crossmesh_models::presets;
-use crossmesh_netsim::SimBackend;
+use crossmesh_netsim::{SimBackend, SimError};
 use crossmesh_obs as obs;
 use crossmesh_runtime::{PollListener, ThreadedBackend};
 use parking_lot::{Condvar, Mutex};
@@ -987,49 +987,39 @@ fn run_job(job: &Job, shared: &Arc<Shared>, queue_ms: f64) -> Result<DoneReply, 
     shared.plan_ms.observe(plan_ms);
     shared.plan_window.observe(shared.clock(), plan_ms);
 
+    // Every request runs the recovery loop: a request without a fault
+    // schedule gets the empty one, which is the clean run. Failover
+    // planning reuses the shared plan cache, so repeated (plan,
+    // crashed-hosts) pairs replay.
     let exec_start = Instant::now();
-    let on_exec_error = |e: String| {
-        if e.contains("static verification") {
-            shared.exec_convictions.fetch_add(1, Ordering::Relaxed);
-            shared.dump_flightrec("check-conviction");
-        }
-        format!("execution failed: {e}")
-    };
-
-    // Requests carrying a fault schedule execute under injection with
-    // automatic repair; the repair's failover planning reuses the shared
-    // plan cache, so repeated (plan, crashed-hosts) pairs replay.
+    let schedule = parse_faults(job.req.faults.as_deref())?;
     let backend = shared.cfg.backend.instantiate();
-    let simulated_seconds = match parse_faults(job.req.faults.as_deref())? {
-        Some(schedule) => {
-            let recovery =
-                execute_with_repair(&plan, &cluster, &*backend, &schedule, Some(&shared.cache))
-                    .map_err(|e| on_exec_error(format!("{e}")))?;
-            if recovery.repaired {
-                shared.registry.counter("serve.fault_repairs").inc();
-                shared
-                    .registry
-                    .counter("serve.failovers")
-                    .add(recovery.failovers as u64);
-                obs::event(
-                    obs::Level::Warn,
-                    "serve",
-                    "fault_repair",
-                    &[
-                        obs::Field::u64("failovers", recovery.failovers as u64),
-                        obs::Field::u64("retries", recovery.retries),
-                    ],
-                );
-                shared.dump_flightrec("fault-repair");
+    let recovery = execute_with_repair(&plan, &cluster, &*backend, &schedule, Some(&shared.cache))
+        .map_err(|e| {
+            if is_conviction(&e) {
+                shared.exec_convictions.fetch_add(1, Ordering::Relaxed);
+                shared.dump_flightrec("check-conviction");
             }
-            recovery.run.report().simulated_seconds
-        }
-        None => {
-            plan.execute_with(&*backend, &cluster)
-                .map_err(|e| on_exec_error(format!("{e}")))?
-                .simulated_seconds
-        }
-    };
+            format!("execution failed: {e}")
+        })?;
+    if recovery.repaired.is_some() {
+        shared.registry.counter("serve.fault_repairs").inc();
+        shared
+            .registry
+            .counter("serve.failovers")
+            .add(recovery.failovers as u64);
+        obs::event(
+            obs::Level::Warn,
+            "serve",
+            "fault_repair",
+            &[
+                obs::Field::u64("failovers", recovery.failovers as u64),
+                obs::Field::u64("retries", recovery.retries),
+            ],
+        );
+        shared.dump_flightrec("fault-repair");
+    }
+    let simulated_seconds = recovery.run.report().simulated_seconds;
     let exec_ms = exec_start.elapsed().as_secs_f64() * 1e3;
     shared.exec_ms.observe(exec_ms);
     shared.exec_window.observe(shared.clock(), exec_ms);
@@ -1046,13 +1036,55 @@ fn run_job(job: &Job, shared: &Arc<Shared>, queue_ms: f64) -> Result<DoneReply, 
     })
 }
 
-/// Parses a request's optional inline fault schedule. Empty or
-/// whitespace-only text counts as absent.
-fn parse_faults(text: Option<&str>) -> Result<Option<FaultSchedule>, String> {
+/// Parses a request's optional inline fault schedule. Absent, empty or
+/// whitespace-only text is the empty schedule.
+fn parse_faults(text: Option<&str>) -> Result<FaultSchedule, String> {
     match text {
-        Some(t) if !t.trim().is_empty() => FaultSchedule::from_json(t)
-            .map(Some)
-            .map_err(|e| format!("bad fault schedule: {e}")),
-        _ => Ok(None),
+        Some(t) if !t.trim().is_empty() => {
+            FaultSchedule::from_json(t).map_err(|e| format!("bad fault schedule: {e}"))
+        }
+        _ => Ok(FaultSchedule::default()),
+    }
+}
+
+/// True if the static verifier refused a plan, on the first attempt or
+/// after repair: the convictions `verifier_convictions` counts.
+fn is_conviction(e: &RecoveryError) -> bool {
+    matches!(
+        e,
+        RecoveryError::Sim(SimError::Backend {
+            backend: "check",
+            ..
+        })
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossmesh_netsim::{FailureKind, TaskId};
+
+    #[test]
+    fn convictions_are_counted_by_type_not_by_message() {
+        let check = |message: &str| {
+            RecoveryError::Sim(SimError::Backend {
+                backend: "check",
+                message: message.into(),
+            })
+        };
+        assert!(is_conviction(&check(
+            "plan failed static verification:\nerror [plan.coverage.missing]"
+        )));
+        assert!(is_conviction(&check(
+            "repaired plan failed static verification:\nerror [plan.exclusion]"
+        )));
+        // A runtime failure is not a conviction, whatever its text says.
+        let failed = RecoveryError::Sim(SimError::TaskFailed {
+            backend: "threads",
+            task: TaskId(0),
+            kind: FailureKind::Transport,
+            detail: "peer reset during static verification".into(),
+        });
+        assert!(!is_conviction(&failed));
     }
 }

@@ -69,5 +69,16 @@ cargo run --offline --release -p crossmesh-cli -- "${reshard_case[@]}" \
     --backend threads --trace-out "$trace_dir/threads.json" > /dev/null
 cargo run --offline --release -p crossmesh-cli -- validate-trace \
     --trace "$trace_dir/sim.json" --against "$trace_dir/threads.json"
+# An empty fault schedule is the clean run, byte for byte, even for the
+# multi-rail spray whose relays depend on the host layout.
+printf '%s' '{"seed":0,"events":[],"max_retries":3,"retry_backoff":0.001}' \
+    > "$trace_dir/empty.json"
+rail_case=(reshard --src-spec S0RR --dst-spec RS0R --src-mesh 2x4 --dst-mesh 2x4
+           --shape 64x64x64 --strategy multi_rail)
+cargo run --offline --release -p crossmesh-cli -- "${rail_case[@]}" \
+    --trace-out "$trace_dir/clean.json" > /dev/null
+cargo run --offline --release -p crossmesh-cli -- "${rail_case[@]}" \
+    --faults "$trace_dir/empty.json" --trace-out "$trace_dir/empty-faults.json" > /dev/null
+cmp "$trace_dir/clean.json" "$trace_dir/empty-faults.json"
 
 echo "All checks passed."
