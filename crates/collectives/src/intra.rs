@@ -11,9 +11,8 @@
 //! round-robin load balancing among equally-near holders.
 
 use crate::ring::RingResult;
-use crossmesh_mesh::{DeviceMesh, Layout, MeshError, ShardingSpec};
-use crossmesh_netsim::{DeviceId, TaskGraph, TaskId, Work};
-use std::collections::HashMap;
+use crossmesh_mesh::{DeviceMesh, Layout, MeshError, ShardingSpec, Tile};
+use crossmesh_netsim::{Label, TaskGraph, TaskId, Work};
 
 /// Lowers the conversion of a tensor on `mesh` from `src_spec` to
 /// `dst_spec` into `graph`, gated by `ready` (typically the producing
@@ -34,12 +33,16 @@ pub fn lower_intra_mesh_resharding(
     let src_layout = Layout::new(mesh, src_spec, shape)?;
     let dst_layout = Layout::new(mesh, dst_spec, shape)?;
 
-    // Holder list per unique source slice, for nearest-replica selection.
-    let mut received: HashMap<DeviceId, Vec<TaskId>> = HashMap::new();
-    let mut round_robin: HashMap<usize, usize> = HashMap::new();
-
     let slices = src_layout.unique_slices();
+    // Round-robin cursor per unique source slice, for spreading fetches
+    // over equally-near holders.
+    let mut round_robin = vec![0usize; slices.len()];
+    // Fetches land device by device, in mesh order: the flows into the
+    // k-th device are received[first[k]..first[k + 1]].
+    let mut received: Vec<TaskId> = Vec::new();
+    let mut first: Vec<usize> = Vec::with_capacity(mesh.num_devices() + 1);
     for coord in mesh.coords() {
+        first.push(received.len());
         let device = mesh.device(coord);
         let host = mesh.host(coord);
         let own = src_layout.tile_at(coord);
@@ -47,25 +50,19 @@ pub fn lower_intra_mesh_resharding(
         if want.is_empty() {
             continue;
         }
-        for (slice_idx, (slice, holders)) in slices.iter().enumerate() {
-            let Some(inter) = want.intersect(slice) else {
+        for ((slice, holders), rr) in slices.iter().zip(&mut round_robin) {
+            let Some(volume) = missing_overlap(want, slice, own) else {
                 continue;
             };
-            // Already local?
-            if own.contains(&inter) {
-                continue;
-            }
-            let bytes = inter.volume() * elem_bytes;
+            let bytes = volume * elem_bytes;
             // Nearest holder: same host first, then round-robin.
-            let holder_devices: Vec<DeviceId> = holders.iter().map(|&c| mesh.device(c)).collect();
             let local = holders
                 .iter()
-                .position(|&c| mesh.host(c) == host && mesh.device(c) != device);
+                .find(|&&c| mesh.host(c) == host && mesh.device(c) != device);
             let src_device = match local {
-                Some(i) => holder_devices[i],
+                Some(&c) => mesh.device(c),
                 None => {
-                    let rr = round_robin.entry(slice_idx).or_insert(0);
-                    let pick = holder_devices[*rr % holder_devices.len()];
+                    let pick = mesh.device(holders[*rr % holders.len()]);
                     *rr += 1;
                     pick
                 }
@@ -73,25 +70,25 @@ pub fn lower_intra_mesh_resharding(
             if src_device == device {
                 continue;
             }
-            let f = graph.add_labeled(
+            received.push(graph.add_labeled(
                 Work::flow(src_device, device, bytes as f64),
                 ready.iter().copied(),
-                Some(format!("intra {src_device}->{device}")),
-            );
-            received.entry(device).or_default().push(f);
+                Label::new("intra d{}->d{}", [src_device.0, device.0]),
+            ));
         }
     }
+    first.push(received.len());
 
-    let done_per_device: Vec<TaskId> = mesh
-        .coords()
-        .map(|c| {
-            let device = mesh.device(c);
-            let deps = received
-                .remove(&device)
-                .unwrap_or_default()
-                .into_iter()
-                .chain(ready.iter().copied());
-            graph.add(Work::Marker, deps)
+    let done_per_device: Vec<TaskId> = first
+        .windows(2)
+        .map(|w| {
+            graph.add(
+                Work::Marker,
+                received[w[0]..w[1]]
+                    .iter()
+                    .copied()
+                    .chain(ready.iter().copied()),
+            )
         })
         .collect();
     let done = graph.add(Work::Marker, done_per_device.iter().copied());
@@ -99,6 +96,25 @@ pub fn lower_intra_mesh_resharding(
         done_per_device,
         done,
     })
+}
+
+/// The volume of `want ∩ slice`, unless that overlap is empty or `own`
+/// already holds all of it. Computed dimension by dimension, so no tile is
+/// built per fetch.
+fn missing_overlap(want: &Tile, slice: &Tile, own: &Tile) -> Option<u64> {
+    assert_eq!(want.rank(), slice.rank(), "tile ranks differ");
+    let mut volume = 1;
+    let mut held = true;
+    for d in 0..want.rank() {
+        let (w, s, o) = (want.range(d), slice.range(d), own.range(d));
+        let (start, end) = (w.start.max(s.start), w.end.min(s.end));
+        if start >= end {
+            return None;
+        }
+        volume *= end - start;
+        held &= o.start <= start && end <= o.end;
+    }
+    (!held).then_some(volume)
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 
 use crate::ring::ring_all_gather;
 use crate::strategy::Strategy;
-use crossmesh_mesh::UnitTask;
-use crossmesh_netsim::{ClusterSpec, DeviceId, HostId, TaskGraph, TaskId, Work};
-use std::collections::BTreeMap;
+use crossmesh_mesh::{Receiver, UnitTask};
+use crossmesh_netsim::{ClusterSpec, DeviceId, HostId, Label, TaskGraph, TaskId, Work};
+use std::ops::Range;
 
 /// Handles into the lowered communication fragment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +66,7 @@ pub fn lower_unit_task_on(
         };
     }
 
+    let unit = task.index as u32;
     let bytes = task.bytes as f64;
     let bytes_per_elem = bytes / task.slice.volume() as f64;
 
@@ -79,7 +80,7 @@ pub fn lower_unit_task_on(
                     let f = graph.add_labeled(
                         Work::flow(sender, r.device, needed),
                         deps.iter().copied(),
-                        Some(format!("sr u{} {}->{}", task.index, sender, r.device)),
+                        Label::new("sr u{} d{}->d{}", [unit, sender.0, r.device.0]),
                     );
                     (r.device, f)
                 })
@@ -88,35 +89,34 @@ pub fn lower_unit_task_on(
         Strategy::LocalAllGather => {
             // One copy of the slice per receiver host, scattered over its
             // receiver devices, reassembled by an intra-host all-gather.
-            let mut by_host: BTreeMap<HostId, Vec<DeviceId>> = BTreeMap::new();
-            for r in &task.receivers {
-                by_host.entry(r.host).or_default().push(r.device);
-            }
-            let mut out = Vec::new();
-            for devices in by_host.values() {
-                let n = devices.len();
-                if n == 1 {
+            let mut ordered: Vec<&Receiver> = task.receivers.iter().collect();
+            ordered.sort_by_key(|r| r.host);
+            let mut out = Vec::with_capacity(ordered.len());
+            let (mut devices, mut parts, mut ready) = (Vec::new(), Vec::new(), Vec::new());
+            for group in ordered.chunk_by(|a, b| a.host == b.host) {
+                if let &[r] = group {
                     let f = graph.add_labeled(
-                        Work::flow(sender, devices[0], bytes),
+                        Work::flow(sender, r.device, bytes),
                         deps.iter().copied(),
-                        Some(format!("la u{} copy", task.index)),
+                        Label::new("la u{} copy", [unit]),
                     );
-                    out.push((devices[0], f));
+                    out.push((r.device, f));
                     continue;
                 }
-                let part = bytes / n as f64;
-                let scatter: Vec<TaskId> = devices
-                    .iter()
-                    .map(|&d| {
-                        graph.add_labeled(
-                            Work::flow(sender, d, part),
-                            deps.iter().copied(),
-                            Some(format!("la u{} scatter", task.index)),
-                        )
-                    })
-                    .collect();
-                let ready: Vec<Vec<TaskId>> = scatter.iter().map(|&f| vec![f]).collect();
-                let ring = ring_all_gather(graph, devices, &vec![part; n], &ready);
+                devices.clear();
+                devices.extend(group.iter().map(|r| r.device));
+                let part = bytes / devices.len() as f64;
+                ready.clear();
+                ready.extend(devices.iter().map(|&d| {
+                    [graph.add_labeled(
+                        Work::flow(sender, d, part),
+                        deps.iter().copied(),
+                        Label::new("la u{} scatter", [unit]),
+                    )]
+                }));
+                parts.clear();
+                parts.resize(devices.len(), part);
+                let ring = ring_all_gather(graph, &devices, &parts, &ready);
                 out.extend(devices.iter().copied().zip(ring.done_per_device));
             }
             out
@@ -124,26 +124,29 @@ pub fn lower_unit_task_on(
         Strategy::GlobalAllGather => {
             // Scatter over all receivers (host-grouped order), then a
             // global ring all-gather that may cross hosts.
-            let mut ordered: Vec<&crossmesh_mesh::Receiver> = task.receivers.iter().collect();
+            let mut ordered: Vec<&Receiver> = task.receivers.iter().collect();
             ordered.sort_by_key(|r| (r.host, r.device));
             let devices: Vec<DeviceId> = ordered.iter().map(|r| r.device).collect();
-            let n = devices.len();
-            if n == 1 {
-                let f = graph.add(Work::flow(sender, devices[0], bytes), deps.iter().copied());
-                vec![(devices[0], f)]
+            if let &[device] = devices.as_slice() {
+                let f = graph.add_labeled(
+                    Work::flow(sender, device, bytes),
+                    deps.iter().copied(),
+                    Label::new("ga u{} copy", [unit]),
+                );
+                vec![(device, f)]
             } else {
+                let n = devices.len();
                 let part = bytes / n as f64;
-                let scatter: Vec<TaskId> = devices
+                let ready: Vec<[TaskId; 1]> = devices
                     .iter()
                     .map(|&d| {
-                        graph.add_labeled(
+                        [graph.add_labeled(
                             Work::flow(sender, d, part),
                             deps.iter().copied(),
-                            Some(format!("ga u{} scatter", task.index)),
-                        )
+                            Label::new("ga u{} scatter", [unit]),
+                        )]
                     })
                     .collect();
-                let ready: Vec<Vec<TaskId>> = scatter.iter().map(|&f| vec![f]).collect();
                 let ring = ring_all_gather(graph, &devices, &vec![part; n], &ready);
                 devices.into_iter().zip(ring.done_per_device).collect()
             }
@@ -185,12 +188,13 @@ fn lower_broadcast(
     chunks: u32,
     deps: &[TaskId],
 ) -> Vec<(DeviceId, TaskId)> {
-    let mut ordered: Vec<&crossmesh_mesh::Receiver> = task.receivers.iter().collect();
+    let mut ordered: Vec<&Receiver> = task.receivers.iter().collect();
     ordered.sort_by_key(|r| (r.host != sender_host, r.host, r.device));
     let ring: Vec<DeviceId> = std::iter::once(sender)
         .chain(ordered.iter().map(|r| r.device))
         .collect();
     let hops = ring.len() - 1;
+    let unit = task.index as u32;
     let bytes = task.bytes as f64;
     // No point cutting more chunks than bytes; keep at least one.
     let k = chunks.max(1).min(bytes.max(1.0) as u32).max(1) as usize;
@@ -199,23 +203,15 @@ fn lower_broadcast(
     // last_on_hop[i]: previous chunk's flow on hop i (serialises the link);
     // the per-chunk chain serialises store-and-forward.
     let mut last_on_hop: Vec<Option<TaskId>> = vec![None; hops];
-    let mut last_into_receiver: Vec<TaskId> = Vec::new();
+    let mut last_into_receiver: Vec<TaskId> = Vec::with_capacity(hops);
     for j in 0..k {
         let mut prev_hop: Option<TaskId> = None;
-        last_into_receiver.clear();
         for (i, hop) in last_on_hop.iter_mut().enumerate() {
-            let mut fdeps: Vec<TaskId> = Vec::new();
-            match prev_hop {
-                Some(p) => fdeps.push(p),
-                None => fdeps.extend(deps.iter().copied()),
-            }
-            if let Some(l) = *hop {
-                fdeps.push(l);
-            }
+            let first = prev_hop.as_ref().map_or(deps, std::slice::from_ref);
             let f = graph.add_labeled(
                 Work::flow(ring[i], ring[i + 1], chunk_bytes),
-                fdeps,
-                Some(format!("bc u{} c{j} h{i}", task.index)),
+                first.iter().copied().chain(*hop),
+                Label::new("bc u{} c{} h{}", [unit, j as u32, i as u32]),
             );
             *hop = Some(f);
             prev_hop = Some(f);
@@ -330,7 +326,14 @@ fn lower_multi_rail(
     // Residual-capacity spray state, shared across this unit's receivers:
     // bytes already assigned per rail.
     let mut rail_bytes = vec![0.0f64; rails];
-    let mut out = Vec::new();
+    let unit = task.index as u32;
+    // A chunk's path has at most three hops (sender → sender-host relay →
+    // receiver-host relay → receiver); last flow per (rail, hop) for link
+    // serialization, reset per receiver.
+    const MAX_HOPS: usize = 3;
+    let mut last_on_hop: Vec<Option<TaskId>> = vec![None; rails * MAX_HOPS];
+    let mut finals: Vec<TaskId> = Vec::new();
+    let mut out = Vec::with_capacity(task.receivers.len());
     for r in &task.receivers {
         let needed = r.needed.volume() as f64 * bytes_per_elem;
         if r.host == sender_host {
@@ -338,16 +341,14 @@ fn lower_multi_rail(
             let f = graph.add_labeled(
                 Work::flow(sender, r.device, needed),
                 deps.iter().copied(),
-                Some(format!("mr u{} local {}->{}", task.index, sender, r.device)),
+                Label::new("mr u{} local d{}->d{}", [unit, sender.0, r.device.0]),
             );
             out.push((r.device, f));
             continue;
         }
         let k = chunks.max(1).min(needed.max(1.0) as u32).max(1) as usize;
         let chunk_bytes = needed / k as f64;
-        // last flow per (rail, hop) for link serialization.
-        let mut last_on_hop: BTreeMap<(usize, usize), TaskId> = BTreeMap::new();
-        let mut finals: Vec<TaskId> = Vec::new();
+        last_on_hop.fill(None);
         for j in 0..k {
             let rail = rail_bytes
                 .iter()
@@ -358,34 +359,33 @@ fn lower_multi_rail(
             rail_bytes[rail] += chunk_bytes;
             let relay_src = relay_for(sender_host, rail, sender);
             let relay_dst = relay_for(r.host, rail, r.device);
-            let mut path = vec![sender];
+            let mut path = [sender; MAX_HOPS + 1];
+            let mut len = 1;
             for d in [relay_src, relay_dst, r.device] {
-                if *path.last().expect("non-empty") != d {
-                    path.push(d);
+                if path[len - 1] != d {
+                    path[len] = d;
+                    len += 1;
                 }
             }
             let mut prev_hop: Option<TaskId> = None;
-            for (hop, pair) in path.windows(2).enumerate() {
-                let mut fdeps: Vec<TaskId> = Vec::new();
-                match prev_hop {
-                    Some(p) => fdeps.push(p),
-                    None => fdeps.extend(deps.iter().copied()),
-                }
-                if let Some(&l) = last_on_hop.get(&(rail, hop)) {
-                    fdeps.push(l);
-                }
+            for (hop, pair) in path[..len].windows(2).enumerate() {
+                let first = prev_hop.as_ref().map_or(deps, std::slice::from_ref);
+                let last = &mut last_on_hop[rail * MAX_HOPS + hop];
                 let f = graph.add_labeled(
                     Work::flow(pair[0], pair[1], chunk_bytes),
-                    fdeps,
-                    Some(format!("mr u{} c{j} r{rail} h{hop}", task.index)),
+                    first.iter().copied().chain(*last),
+                    Label::new(
+                        "mr u{} c{} r{} h{}",
+                        [unit, j as u32, rail as u32, hop as u32],
+                    ),
                 );
-                last_on_hop.insert((rail, hop), f);
+                *last = Some(f);
                 prev_hop = Some(f);
             }
             finals.push(prev_hop.expect("path has at least one hop"));
         }
         // The receiver holds its slice when every sprayed chunk landed.
-        let done = graph.add(Work::Marker, finals);
+        let done = graph.add(Work::Marker, finals.drain(..));
         out.push((r.device, done));
     }
     out
@@ -402,106 +402,79 @@ fn lower_tree_broadcast(
     chunks: u32,
     deps: &[TaskId],
 ) -> Vec<(DeviceId, TaskId)> {
-    // Group receivers by host, sender-host receivers first (they hang off
-    // the root directly over fast links).
-    let mut by_host: Vec<(HostId, Vec<DeviceId>)> = Vec::new();
-    {
-        let mut ordered: Vec<&crossmesh_mesh::Receiver> = task.receivers.iter().collect();
-        ordered.sort_by_key(|r| (r.host != sender_host, r.host, r.device));
-        for r in ordered {
-            match by_host.last_mut() {
-                Some((h, devs)) if *h == r.host => devs.push(r.device),
-                _ => by_host.push((r.host, vec![r.device])),
-            }
+    // Receivers by host, sender-host receivers first (they hang off the
+    // root directly over fast links).
+    let mut ordered: Vec<&Receiver> = task.receivers.iter().collect();
+    ordered.sort_by_key(|r| (r.host != sender_host, r.host, r.device));
+    let devices: Vec<DeviceId> = ordered.iter().map(|r| r.device).collect();
+    // Tree nodes: 0 is the sender's own host (root); remote receiver
+    // hosts follow in order. nodes[i] = (device that relays for node i,
+    // positions in `devices` of its intra-host chain).
+    let mut nodes: Vec<(DeviceId, Range<usize>)> = vec![(sender, 0..0)];
+    let mut start = 0;
+    for group in ordered.chunk_by(|a, b| a.host == b.host) {
+        let end = start + group.len();
+        if group[0].host == sender_host {
+            nodes[0].1 = start..end;
+        } else {
+            nodes.push((devices[start], start + 1..end));
         }
+        start = end;
     }
+    let n = nodes.len();
+    let unit = task.index as u32;
     let bytes = task.bytes as f64;
     let k = chunks.max(1).min(bytes.max(1.0) as u32).max(1) as usize;
     let chunk_bytes = bytes / k as f64;
 
-    // Tree nodes: 0 is the sender's own host (root); remote receiver
-    // hosts follow in order. node_rep[i] = device that relays for node i.
-    let local = by_host
-        .iter()
-        .position(|(h, _)| *h == sender_host)
-        .map(|i| by_host[i].clone());
-    let remote: Vec<(HostId, Vec<DeviceId>)> = by_host
-        .iter()
-        .filter(|(h, _)| *h != sender_host)
-        .cloned()
-        .collect();
-
-    // arrival[j][node]: task delivering chunk j to the node's rep (root:
-    // the external deps). Chains: per-edge and per-intra-hop serialization.
-    let mut completions: Vec<(DeviceId, TaskId)> = Vec::new();
-    // last flow per (parent node, child node) edge and per intra-host hop.
-    let mut last_on_edge: std::collections::HashMap<(usize, usize), TaskId> =
-        std::collections::HashMap::new();
-    let mut last_intra: std::collections::HashMap<(usize, usize), TaskId> =
-        std::collections::HashMap::new();
-    // arrivals of the previous chunk per node (None for root).
-    let n_remote = remote.len();
-    let mut arrival: Vec<Option<TaskId>> = vec![None; n_remote + 1];
+    let mut completions: Vec<(DeviceId, TaskId)> = Vec::with_capacity(devices.len());
+    // Last flow per tree edge (indexed by its child node) and per
+    // intra-host hop (indexed by the receiving device's position).
+    let mut last_on_edge: Vec<Option<TaskId>> = vec![None; n];
+    let mut last_intra: Vec<Option<TaskId>> = vec![None; devices.len()];
+    // arrival[node]: the flow that delivered the previous chunk to the
+    // node's relay (None for the root, whose gate is the external deps).
+    let mut arrival: Vec<Option<TaskId>> = vec![None; n];
+    let mut next_arrival: Vec<Option<TaskId>> = vec![None; n];
     for j in 0..k {
-        let mut next_arrival: Vec<Option<TaskId>> = vec![None; n_remote + 1];
-        for node in 0..=n_remote {
-            let rep: DeviceId = if node == 0 {
-                sender
-            } else {
-                remote[node - 1].1[0]
-            };
-            let parent_arrived: Vec<TaskId> = if node == 0 {
-                if j == 0 {
-                    deps.to_vec()
-                } else {
-                    Vec::new()
-                }
-            } else {
-                arrival[node].into_iter().collect()
+        next_arrival.fill(None);
+        for (node, (rep, chain)) in nodes.iter().enumerate() {
+            let parent_arrived: &[TaskId] = match (node, j) {
+                (0, 0) => deps,
+                (0, _) => &[],
+                _ => arrival[node].as_slice(),
             };
             // Relay to children in the host tree.
             for c in [2 * node + 1, 2 * node + 2] {
-                if c > n_remote {
+                if c >= n {
                     continue;
                 }
-                let child_rep = remote[c - 1].1[0];
-                let mut fdeps = parent_arrived.clone();
-                if let Some(&l) = last_on_edge.get(&(node, c)) {
-                    fdeps.push(l);
-                }
+                let child_rep = nodes[c].0;
                 let f = graph.add_labeled(
-                    Work::flow(rep, child_rep, chunk_bytes),
-                    fdeps,
-                    Some(format!("tb u{} c{j} {node}->{c}", task.index)),
+                    Work::flow(*rep, child_rep, chunk_bytes),
+                    parent_arrived.iter().copied().chain(last_on_edge[c]),
+                    Label::new("tb u{} c{} {}->{}", [unit, j as u32, node as u32, c as u32]),
                 );
-                last_on_edge.insert((node, c), f);
+                last_on_edge[c] = Some(f);
                 next_arrival[c] = Some(f);
                 if j == k - 1 {
                     completions.push((child_rep, f));
                 }
             }
             // Intra-host chain from the rep through local receivers.
-            let locals: &[DeviceId] = if node == 0 {
-                local.as_ref().map(|(_, d)| d.as_slice()).unwrap_or(&[])
-            } else {
-                &remote[node - 1].1[1..]
-            };
-            let mut prev_dev = rep;
+            let mut prev_dev = *rep;
             let mut prev_task: Option<TaskId> = None;
-            for (hop, &dev) in locals.iter().enumerate() {
-                let mut fdeps: Vec<TaskId> = match prev_task {
-                    Some(t) => vec![t],
-                    None => parent_arrived.clone(),
-                };
-                if let Some(&l) = last_intra.get(&(node, hop)) {
-                    fdeps.push(l);
-                }
+            for pos in chain.clone() {
+                let dev = devices[pos];
+                let first = prev_task
+                    .as_ref()
+                    .map_or(parent_arrived, std::slice::from_ref);
                 let f = graph.add_labeled(
                     Work::flow(prev_dev, dev, chunk_bytes),
-                    fdeps,
-                    Some(format!("tb u{} c{j} local", task.index)),
+                    first.iter().copied().chain(last_intra[pos]),
+                    Label::new("tb u{} c{} local", [unit, j as u32]),
                 );
-                last_intra.insert((node, hop), f);
+                last_intra[pos] = Some(f);
                 prev_dev = dev;
                 prev_task = Some(f);
                 if j == k - 1 {
@@ -509,7 +482,7 @@ fn lower_tree_broadcast(
                 }
             }
         }
-        arrival = next_arrival;
+        std::mem::swap(&mut arrival, &mut next_arrival);
     }
     completions
 }

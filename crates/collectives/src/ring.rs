@@ -1,6 +1,6 @@
 //! Ring collectives lowered onto the simulator.
 
-use crossmesh_netsim::{DeviceId, TaskGraph, TaskId, Work};
+use crossmesh_netsim::{DeviceId, Label, TaskGraph, TaskId, Work};
 
 /// The completion handles of a ring collective.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,11 +41,11 @@ pub struct RingResult {
 ///
 /// Panics if the three slices have different lengths or are empty, or if a
 /// participant repeats.
-pub fn ring_all_gather(
+pub fn ring_all_gather<R: AsRef<[TaskId]>>(
     graph: &mut TaskGraph,
     participants: &[DeviceId],
     part_bytes: &[f64],
-    part_ready: &[Vec<TaskId>],
+    part_ready: &[R],
 ) -> RingResult {
     let n = participants.len();
     assert!(n > 0, "ring needs at least one participant");
@@ -57,56 +57,47 @@ pub fn ring_all_gather(
         sorted.dedup();
         assert_eq!(sorted.len(), n, "ring participants must be distinct");
     }
+    let ready = |i: usize| part_ready[i].as_ref().iter().copied();
 
     if n == 1 {
-        let done = graph.add(Work::Marker, part_ready[0].iter().copied());
+        let done = graph.add(Work::Marker, ready(0));
         return RingResult {
             done_per_device: vec![done],
             done,
         };
     }
 
-    // prev_step[i]: the flow participant i sent in the previous step (the
-    // part it will have just forwarded); recv_of[i]: everything i received.
-    let mut prev_step: Vec<TaskId> = Vec::new();
-    let mut received: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+    // sent[s * n + i]: the flow participant i sends at step s.
+    let mut sent: Vec<TaskId> = Vec::with_capacity((n - 1) * n);
     for s in 0..n - 1 {
-        let mut this_step = Vec::with_capacity(n);
         for i in 0..n {
             let next = (i + 1) % n;
             // The part i sends at step s is part (i - s) mod n.
             let part = (i + n - s % n) % n;
-            let mut deps: Vec<TaskId> = Vec::new();
-            if s == 0 {
-                deps.extend(part_ready[i].iter().copied());
-            } else {
-                // It received this part from its predecessor last step...
-                let pred = (i + n - 1) % n;
-                deps.push(prev_step[pred]);
-                // ...and lockstep with its own previous send.
-                deps.push(prev_step[i]);
-            }
-            let flow = graph.add_labeled(
-                Work::flow(participants[i], participants[next], part_bytes[part]),
-                deps,
-                Some(format!(
-                    "ag[s{s}] {}->{}",
-                    participants[i], participants[next]
-                )),
+            let work = Work::flow(participants[i], participants[next], part_bytes[part]);
+            let label = Label::new(
+                "ag[s{}] d{}->d{}",
+                [s as u32, participants[i].0, participants[next].0],
             );
-            received[next].push(flow);
-            this_step.push(flow);
+            let flow = if s == 0 {
+                graph.add_labeled(work, ready(i), label)
+            } else {
+                // It received this part from its predecessor last step,
+                // and sends in lockstep with its own previous send.
+                let pred = (i + n - 1) % n;
+                let last = (s - 1) * n;
+                graph.add_labeled(work, [sent[last + pred], sent[last + i]], label)
+            };
+            sent.push(flow);
         }
-        prev_step = this_step;
     }
 
+    // Participant i receives every step's flow from its predecessor.
     let done_per_device: Vec<TaskId> = (0..n)
         .map(|i| {
-            let deps = received[i]
-                .iter()
-                .copied()
-                .chain(part_ready[i].iter().copied());
-            graph.add(Work::Marker, deps)
+            let pred = (i + n - 1) % n;
+            let received = (0..n - 1).map(|s| sent[s * n + pred]);
+            graph.add(Work::Marker, received.chain(ready(i)))
         })
         .collect();
     let done = graph.add(Work::Marker, done_per_device.iter().copied());
@@ -124,49 +115,44 @@ pub fn ring_all_gather(
 ///
 /// Panics if `participants` is empty or repeats, or if `ready` length
 /// differs from the participant count.
-pub fn ring_all_reduce(
+pub fn ring_all_reduce<R: AsRef<[TaskId]>>(
     graph: &mut TaskGraph,
     participants: &[DeviceId],
     total_bytes: f64,
-    ready: &[Vec<TaskId>],
+    ready: &[R],
 ) -> RingResult {
     let n = participants.len();
     assert!(n > 0, "ring needs at least one participant");
     assert_eq!(ready.len(), n, "one ready set per participant");
     if n == 1 {
-        let done = graph.add(Work::Marker, ready[0].iter().copied());
+        let done = graph.add(Work::Marker, ready[0].as_ref().iter().copied());
         return RingResult {
             done_per_device: vec![done],
             done,
         };
     }
     let chunk = total_bytes / n as f64;
-    // Reduce-scatter: N-1 rounds of neighbour exchanges.
-    let mut prev: Vec<TaskId> = Vec::new();
+    // Reduce-scatter: N-1 rounds of neighbour exchanges; sent[s * n + i]
+    // is the flow participant i sends in round s.
+    let mut sent: Vec<TaskId> = Vec::with_capacity((n - 1) * n);
     for s in 0..n - 1 {
-        let mut this = Vec::with_capacity(n);
         for i in 0..n {
             let next = (i + 1) % n;
-            let mut deps: Vec<TaskId> = Vec::new();
-            if s == 0 {
-                deps.extend(ready[i].iter().copied());
+            let work = Work::flow(participants[i], participants[next], chunk);
+            let label = Label::new("rs[s{}]", [s as u32]);
+            let flow = if s == 0 {
+                graph.add_labeled(work, ready[i].as_ref().iter().copied(), label)
             } else {
                 let pred = (i + n - 1) % n;
-                deps.push(prev[pred]);
-                deps.push(prev[i]);
-            }
-            this.push(graph.add_labeled(
-                Work::flow(participants[i], participants[next], chunk),
-                deps,
-                Some(format!("rs[s{s}]")),
-            ));
+                let last = (s - 1) * n;
+                graph.add_labeled(work, [sent[last + pred], sent[last + i]], label)
+            };
+            sent.push(flow);
         }
-        prev = this;
     }
     // All-gather phase on the reduced chunks.
-    let part_ready: Vec<Vec<TaskId>> = (0..n)
-        .map(|i| vec![prev[(i + n - 1) % n], prev[i]])
-        .collect();
+    let prev = &sent[(n - 2) * n..];
+    let part_ready: Vec<[TaskId; 2]> = (0..n).map(|i| [prev[(i + n - 1) % n], prev[i]]).collect();
     ring_all_gather(graph, participants, &vec![chunk; n], &part_ready)
 }
 
@@ -177,34 +163,35 @@ pub fn ring_all_reduce(
 ///
 /// Panics if `bytes` is not square with the participant count, or if
 /// `ready` length differs.
-pub fn all_to_all(
+pub fn all_to_all<R: AsRef<[TaskId]>>(
     graph: &mut TaskGraph,
     participants: &[DeviceId],
     bytes: &[Vec<f64>],
-    ready: &[Vec<TaskId>],
+    ready: &[R],
 ) -> RingResult {
     let n = participants.len();
     assert!(n > 0, "all-to-all needs at least one participant");
     assert_eq!(bytes.len(), n, "bytes matrix must be n x n");
     assert_eq!(ready.len(), n, "one ready set per participant");
-    let mut received: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+    let ready = |i: usize| ready[i].as_ref().iter().copied();
+    // sent[i * n + j]: the flow from participant i to participant j.
+    let mut sent: Vec<Option<TaskId>> = vec![None; n * n];
     for i in 0..n {
         assert_eq!(bytes[i].len(), n, "bytes matrix must be n x n");
         for j in 0..n {
             if i == j || bytes[i][j] <= 0.0 {
                 continue;
             }
-            let f = graph.add(
+            sent[i * n + j] = Some(graph.add(
                 Work::flow(participants[i], participants[j], bytes[i][j]),
-                ready[i].iter().copied(),
-            );
-            received[j].push(f);
+                ready(i),
+            ));
         }
     }
     let done_per_device: Vec<TaskId> = (0..n)
-        .map(|i| {
-            let deps = received[i].iter().copied().chain(ready[i].iter().copied());
-            graph.add(Work::Marker, deps)
+        .map(|j| {
+            let received = (0..n).filter_map(|i| sent[i * n + j]);
+            graph.add(Work::Marker, received.chain(ready(j)))
         })
         .collect();
     let done = graph.add(Work::Marker, done_per_device.iter().copied());

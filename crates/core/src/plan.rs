@@ -232,13 +232,19 @@ impl<'t> Plan<'t> {
     ) -> LoweredPlan {
         let mut last_on_host: BTreeMap<HostId, TaskId> = BTreeMap::new();
         let mut per_unit = Vec::with_capacity(self.assignments.len());
+        let mut unit_deps: Vec<TaskId> = Vec::new();
         for a in &self.assignments {
             let unit = &self.task.units()[a.unit];
             let hosts = involved_hosts(unit, a.sender_host);
-            let mut unit_deps: Vec<TaskId> = deps.to_vec();
+            unit_deps.clear();
+            unit_deps.extend_from_slice(deps);
+            // One unit is often the last on several of these hosts: list
+            // it once.
             for h in &hosts {
                 if let Some(&m) = last_on_host.get(h) {
-                    unit_deps.push(m);
+                    if !unit_deps.contains(&m) {
+                        unit_deps.push(m);
+                    }
                 }
             }
             let lowered =
@@ -674,6 +680,30 @@ mod tests {
             },
         ];
         Plan::new(&t, assignments, params());
+    }
+
+    #[test]
+    fn lowering_lists_each_predecessor_once() {
+        // Every unit reaches both receiver hosts, so each unit after the
+        // first follows the same predecessor on two of its hosts.
+        let (c, _) = setup();
+        let a = DeviceMesh::from_cluster(&c, 0, (2, 2), "A").unwrap();
+        let b = DeviceMesh::from_cluster(&c, 2, (2, 2), "B").unwrap();
+        let (from, to) = ("S0R".parse().unwrap(), "RR".parse().unwrap());
+        let t = ReshardingTask::new(a, from, b, to, &[8, 8], 1).unwrap();
+        let mut g = TaskGraph::new();
+        plan_for(&t).lower_on(&mut g, &[], Some(&c));
+        for (id, task) in g.iter() {
+            let mut distinct = task.deps.to_vec();
+            distinct.sort();
+            distinct.dedup();
+            assert_eq!(
+                distinct.len(),
+                task.deps.len(),
+                "{id} waits on {:?}",
+                task.deps
+            );
+        }
     }
 
     #[test]

@@ -264,7 +264,7 @@ impl<'a> Run<'a> {
         let mut dependents_at = vec![0usize; n + 1];
         for (id, task) in graph.iter() {
             pending_deps[id.0 as usize] = task.deps.len();
-            for d in &task.deps {
+            for d in task.deps {
                 dependents_at[d.0 as usize + 1] += 1;
             }
             // Validate devices up front so errors surface before any event.
@@ -293,7 +293,7 @@ impl<'a> Run<'a> {
         let mut cursor = dependents_at.clone();
         let mut dependents = vec![TaskId(0); dependents_at[n]];
         for (id, task) in graph.iter() {
-            for d in &task.deps {
+            for d in task.deps {
                 let c = &mut cursor[d.0 as usize];
                 dependents[*c] = id;
                 *c += 1;

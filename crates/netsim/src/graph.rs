@@ -73,19 +73,107 @@ impl Work {
     }
 }
 
-/// A node of the DAG: its work plus the tasks it depends on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Task {
+/// A task's trace name, kept as the numbers its producer already holds.
+///
+/// A label is a static template whose `{}` holes are filled, in order,
+/// with up to four numbers: `Label::new("bc u{} c{} h{}", [3, 5, 1])` reads
+/// `bc u3 c5 h1`. Building one formats and allocates nothing; the name is
+/// rendered through [`Display`](fmt::Display) only when a trace is
+/// exported. The simulator never looks inside a label, so the producer
+/// owns its vocabulary.
+///
+/// # Example
+///
+/// ```
+/// use crossmesh_netsim::Label;
+///
+/// let label = Label::new("ag[s{}] d{}->d{}", [0, 4, 5]);
+/// assert_eq!(label.to_string(), "ag[s0] d4->d5");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Label {
+    template: &'static str,
+    args: [u32; 4],
+}
+
+impl Label {
+    /// A label rendering `template` with its `{}` holes filled by `args`;
+    /// more than four numbers do not compile.
+    pub fn new<const N: usize>(template: &'static str, args: [u32; N]) -> Label {
+        const { assert!(N <= 4, "a label holds at most four numbers") };
+        let mut all = [0; 4];
+        all[..N].copy_from_slice(&args);
+        Label {
+            template,
+            args: all,
+        }
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut parts = self.template.split("{}");
+        f.write_str(parts.next().unwrap_or_default())?;
+        for (i, part) in parts.enumerate() {
+            match self.args.get(i) {
+                Some(arg) => write!(f, "{arg}")?,
+                None => f.write_str("{}")?,
+            }
+            f.write_str(part)?;
+        }
+        Ok(())
+    }
+}
+
+impl Serialize for Label {
+    fn serialize(&self) -> serde::Value {
+        (self.template, self.args.to_vec()).serialize()
+    }
+}
+
+/// Deserializing leaks the template string: a label is `Copy`, so its
+/// template must be `'static`. Only test fixtures read graphs back.
+impl Deserialize for Label {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let (template, numbers): (&'static str, Vec<u32>) = Deserialize::deserialize(v)?;
+        let mut args = [0; 4];
+        if numbers.len() > args.len() {
+            return Err(serde::Error::custom("a label holds at most four numbers"));
+        }
+        args[..numbers.len()].copy_from_slice(&numbers);
+        Ok(Label { template, args })
+    }
+}
+
+/// One task of a [`TaskGraph`], borrowed from it: its work, the tasks it
+/// depends on, and its trace label.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Task<'g> {
     /// The work performed.
     pub work: Work,
     /// Tasks that must complete before this one starts.
-    pub deps: Vec<TaskId>,
-    /// Optional human-readable label, surfaced in traces.
-    pub label: Option<String>,
+    pub deps: &'g [TaskId],
+    /// Optional name, rendered only when a trace is exported.
+    pub label: Option<Label>,
+}
+
+/// A task as the graph stores it: its dependencies live in the graph's
+/// one shared arena, at `deps_from..deps_to`.
+#[derive(Debug, Clone, PartialEq)]
+struct Node {
+    work: Work,
+    label: Option<Label>,
+    deps_from: u32,
+    deps_to: u32,
 }
 
 /// A DAG of [`Task`]s, acyclic by construction: dependencies must refer to
 /// already-added tasks.
+///
+/// Every task's dependencies are stored back to back in one arena indexed
+/// by per-task offsets (compressed sparse rows), and labels are `Copy`, so
+/// adding a task allocates nothing beyond the amortized growth of two
+/// vectors.
 ///
 /// # Example
 ///
@@ -97,11 +185,13 @@ pub struct Task {
 /// let send = graph.add(Work::flow(DeviceId(0), DeviceId(1), 1e6), [produce]);
 /// graph.add(Work::compute(DeviceId(1), 2.0), [send]);
 /// assert_eq!(graph.len(), 3);
+/// assert_eq!(graph.task(send).deps, [produce]);
 /// assert_eq!(graph.total_flow_bytes(), 1e6);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGraph {
-    tasks: Vec<Task>,
+    nodes: Vec<Node>,
+    deps: Vec<TaskId>,
 }
 
 impl TaskGraph {
@@ -110,12 +200,14 @@ impl TaskGraph {
         TaskGraph::default()
     }
 
-    /// Creates an empty graph with room for `tasks` tasks — worth it when
-    /// generating cluster-scale workloads (a 10k-host sweep adds ~100k
-    /// tasks) so the arena never reallocates mid-build.
+    /// Creates an empty graph with room for `tasks` tasks and twice as
+    /// many dependency edges — worth it when generating cluster-scale
+    /// workloads (a 10k-host sweep adds ~100k tasks) so the arenas never
+    /// reallocate mid-build.
     pub fn with_capacity(tasks: usize) -> Self {
         TaskGraph {
-            tasks: Vec::with_capacity(tasks),
+            nodes: Vec::with_capacity(tasks),
+            deps: Vec::with_capacity(2 * tasks),
         }
     }
 
@@ -127,10 +219,11 @@ impl TaskGraph {
     /// keeps the graph acyclic by construction), or if a duration/byte count
     /// is negative or non-finite.
     pub fn add(&mut self, work: Work, deps: impl IntoIterator<Item = TaskId>) -> TaskId {
-        self.add_labeled(work, deps, None::<String>)
+        self.push(work, deps, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Adds a task with a label (see [`TaskGraph::add`]).
+    /// Adds a task with a trace label (see [`TaskGraph::add`]).
     ///
     /// # Panics
     ///
@@ -139,50 +232,65 @@ impl TaskGraph {
         &mut self,
         work: Work,
         deps: impl IntoIterator<Item = TaskId>,
-        label: Option<impl Into<String>>,
+        label: Label,
     ) -> TaskId {
-        let id = TaskId(self.tasks.len() as u32);
-        let deps: Vec<TaskId> = deps.into_iter().collect();
-        for d in &deps {
-            assert!(
-                d.0 < id.0,
-                "dependency {d} of task {id} must be added before it"
-            );
-        }
+        self.push(work, deps, Some(label))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Appends a task, or explains why it would break the graph's
+    /// invariants (and leaves the graph unchanged).
+    fn push(
+        &mut self,
+        work: Work,
+        deps: impl IntoIterator<Item = TaskId>,
+        label: Option<Label>,
+    ) -> Result<TaskId, String> {
         match work {
-            Work::Compute { seconds, .. } => assert!(
-                seconds >= 0.0 && seconds.is_finite(),
-                "compute duration must be non-negative and finite"
-            ),
-            Work::ComputeFlops { flops, .. } => assert!(
-                flops >= 0.0 && flops.is_finite(),
-                "compute flops must be non-negative and finite"
-            ),
-            Work::Flow { bytes, src, dst } => {
-                assert!(
-                    bytes >= 0.0 && bytes.is_finite(),
-                    "flow bytes must be non-negative and finite"
-                );
-                assert_ne!(src, dst, "flow source and destination must differ");
+            Work::Compute { seconds, .. } if !(seconds >= 0.0 && seconds.is_finite()) => {
+                return Err("compute duration must be non-negative and finite".into())
             }
-            Work::Marker => {}
+            Work::ComputeFlops { flops, .. } if !(flops >= 0.0 && flops.is_finite()) => {
+                return Err("compute flops must be non-negative and finite".into())
+            }
+            Work::Flow { bytes, .. } if !(bytes >= 0.0 && bytes.is_finite()) => {
+                return Err("flow bytes must be non-negative and finite".into())
+            }
+            Work::Flow { src, dst, .. } if src == dst => {
+                return Err(format!(
+                    "flow source and destination must differ (both {src})"
+                ))
+            }
+            _ => {}
         }
-        self.tasks.push(Task {
+        let id = TaskId(self.nodes.len() as u32);
+        let from = self.deps.len();
+        for d in deps {
+            if d.0 >= id.0 {
+                self.deps.truncate(from);
+                return Err(format!(
+                    "dependency {d} of task {id} must be added before it"
+                ));
+            }
+            self.deps.push(d);
+        }
+        self.nodes.push(Node {
             work,
-            deps,
-            label: label.map(Into::into),
+            label,
+            deps_from: from as u32,
+            deps_to: self.deps.len() as u32,
         });
-        id
+        Ok(id)
     }
 
     /// Number of tasks in the graph.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.nodes.len()
     }
 
     /// True if the graph has no tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.nodes.is_empty()
     }
 
     /// The task with the given id.
@@ -190,53 +298,71 @@ impl TaskGraph {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.0 as usize]
+    pub fn task(&self, id: TaskId) -> Task<'_> {
+        self.view(&self.nodes[id.0 as usize])
+    }
+
+    fn view<'g>(&'g self, node: &Node) -> Task<'g> {
+        Task {
+            work: node.work,
+            deps: &self.deps[node.deps_from as usize..node.deps_to as usize],
+            label: node.label,
+        }
     }
 
     /// Iterates over `(id, task)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (TaskId, &Task)> {
-        self.tasks
+    pub fn iter(&self) -> impl Iterator<Item = (TaskId, Task<'_>)> {
+        self.nodes
             .iter()
             .enumerate()
-            .map(|(i, t)| (TaskId(i as u32), t))
+            .map(|(i, node)| (TaskId(i as u32), self.view(node)))
     }
 
     /// Total bytes of all flows in the graph.
     pub fn total_flow_bytes(&self) -> f64 {
-        self.tasks
+        self.nodes
             .iter()
-            .map(|t| match t.work {
+            .map(|n| match n.work {
                 Work::Flow { bytes, .. } => bytes,
                 _ => 0.0,
             })
             .sum()
     }
+}
 
-    /// Merges `other` into `self`, offsetting its task ids. Returns a
-    /// function-like mapping of old ids to new ids (as a vector indexed by
-    /// old id).
-    pub fn extend_from(&mut self, other: &TaskGraph) -> Vec<TaskId> {
-        let offset = self.tasks.len() as u32;
-        let mut mapping = Vec::with_capacity(other.tasks.len());
-        for t in &other.tasks {
-            let mut t = t.clone();
-            for d in &mut t.deps {
-                *d = TaskId(d.0 + offset);
-            }
-            self.tasks.push(t);
-            mapping.push(TaskId(mapping.len() as u32 + offset));
-        }
-        mapping
+/// The serialized form of one task: the graph serializes as a list of
+/// these and deserializes through the same checks as [`TaskGraph::add`].
+#[derive(Serialize, Deserialize)]
+struct TaskRecord {
+    work: Work,
+    deps: Vec<TaskId>,
+    label: Option<Label>,
+}
+
+impl Serialize for TaskGraph {
+    fn serialize(&self) -> serde::Value {
+        let records: Vec<TaskRecord> = self
+            .iter()
+            .map(|(_, t)| TaskRecord {
+                work: t.work,
+                deps: t.deps.to_vec(),
+                label: t.label,
+            })
+            .collect();
+        records.serialize()
     }
 }
 
-impl<'a> IntoIterator for &'a TaskGraph {
-    type Item = (TaskId, &'a Task);
-    type IntoIter = Box<dyn Iterator<Item = (TaskId, &'a Task)> + 'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+impl Deserialize for TaskGraph {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let records: Vec<TaskRecord> = Deserialize::deserialize(v)?;
+        let mut graph = TaskGraph::with_capacity(records.len());
+        for r in records {
+            graph
+                .push(r.work, r.deps, r.label)
+                .map_err(serde::Error::custom)?;
+        }
+        Ok(graph)
     }
 }
 
@@ -252,7 +378,7 @@ mod tests {
         assert_eq!(a, TaskId(0));
         assert_eq!(b, TaskId(1));
         assert_eq!(g.len(), 2);
-        assert_eq!(g.task(b).deps, vec![a]);
+        assert_eq!(g.task(b).deps, [a]);
     }
 
     #[test]
@@ -286,23 +412,26 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_offsets_dependencies() {
-        let mut a = TaskGraph::new();
-        a.add(Work::Marker, []);
-
-        let mut b = TaskGraph::new();
-        let x = b.add(Work::Marker, []);
-        b.add(Work::compute(DeviceId(0), 1.0), [x]);
-
-        let mapping = a.extend_from(&b);
-        assert_eq!(mapping, vec![TaskId(1), TaskId(2)]);
-        assert_eq!(a.task(TaskId(2)).deps, vec![TaskId(1)]);
+    fn deserializing_checks_what_add_checks() {
+        let mut g = TaskGraph::new();
+        let a = g.add(Work::Marker, []);
+        g.add_labeled(
+            Work::compute(DeviceId(0), 1.0),
+            [a],
+            Label::new("s{} F{}", [0, 3]),
+        );
+        let mut v = g.serialize();
+        assert_eq!(TaskGraph::deserialize(&v).unwrap(), g);
+        // Point the first task at the second: a cycle `add` cannot build.
+        v.as_array_mut().unwrap()[0]["deps"] = vec![TaskId(1)].serialize();
+        let err = TaskGraph::deserialize(&v).unwrap_err().to_string();
+        assert!(err.contains("must be added before"), "{err}");
     }
 
     #[test]
     fn labels_are_preserved() {
         let mut g = TaskGraph::new();
-        let id = g.add_labeled(Work::Marker, [], Some("barrier"));
-        assert_eq!(g.task(id).label.as_deref(), Some("barrier"));
+        let id = g.add_labeled(Work::Marker, [], Label::new("barrier", []));
+        assert_eq!(g.task(id).label, Some(Label::new("barrier", [])));
     }
 }

@@ -60,7 +60,7 @@ pub use backend::{Backend, SimBackend};
 pub use engine::Engine;
 pub use error::{FailureKind, SimError};
 pub use faults::{Disruptions, NicScalePeriod};
-pub use graph::{Task, TaskGraph, TaskId, Work};
+pub use graph::{Label, Task, TaskGraph, TaskId, Work};
 pub use stats::SimStats;
 pub use topology::{ClusterSpec, DeviceId, FabricModel, HostId, HostSpec, LinkParams};
 pub use trace::{FaultStats, ResourceUsage, TaskInterval, Trace, TraceBuilder};

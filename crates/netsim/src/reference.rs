@@ -194,7 +194,7 @@ impl<'a> Run<'a> {
         let mut dependents = vec![Vec::new(); n];
         for (id, task) in graph.iter() {
             pending_deps[id.0 as usize] = task.deps.len();
-            for d in &task.deps {
+            for d in task.deps {
                 dependents[d.0 as usize].push(id);
             }
             let check = |dev: DeviceId| -> Result<(), SimError> {

@@ -99,7 +99,7 @@ proptest! {
         for (id, task) in g.iter() {
             let iv = t1.interval(id);
             prop_assert!(iv.finish >= iv.start - 1e-9);
-            for d in &task.deps {
+            for d in task.deps {
                 prop_assert!(
                     t1.interval(*d).finish <= iv.start + 1e-9,
                     "task {} started before dep {} finished", id, d

@@ -5,7 +5,7 @@ use crate::stage::StageGraph;
 use crossmesh_collectives::estimate_unit_task;
 use crossmesh_core::{CostParams, Plan, PlanCache, Planner};
 use crossmesh_netsim::{
-    Backend, ClusterSpec, DeviceId, SimBackend, SimError, TaskGraph, TaskId, Work,
+    Backend, ClusterSpec, DeviceId, Label, SimBackend, SimError, TaskGraph, TaskId, Work,
 };
 use crossmesh_obs as obs;
 use serde::{Deserialize, Serialize};
@@ -145,10 +145,32 @@ pub fn auto_weight_delay(graph: &StageGraph, params: &CostParams) -> WeightDelay
 
 /// Handles of one lowered resharding instance.
 struct CommInstance {
-    /// Tasks each destination device must wait for (overlapped mode).
-    per_device: HashMap<DeviceId, Vec<TaskId>>,
+    /// (destination device, task it must wait for) in overlapped mode,
+    /// sorted by device; one device's tasks keep their lowering order.
+    per_device: Vec<(DeviceId, TaskId)>,
     /// Joins the whole transfer.
     done: TaskId,
+}
+
+impl CommInstance {
+    /// The tasks `device` must wait for in overlapped mode.
+    fn waits_of(&self, device: DeviceId) -> impl Iterator<Item = TaskId> + '_ {
+        let from = self.per_device.partition_point(|&(d, _)| d < device);
+        self.per_device[from..]
+            .iter()
+            .take_while(move |&&(d, _)| d == device)
+            .map(|&(_, t)| t)
+    }
+}
+
+/// The trace label of `op` on stage `s`.
+fn op_label(s: usize, op: Op) -> Label {
+    let s = s as u32;
+    match op {
+        Op::Forward(mb) => Label::new("s{} F{}", [s, mb as u32]),
+        Op::BackwardAct(mb) => Label::new("s{} B{}", [s, mb as u32]),
+        Op::BackwardWeight(mb) => Label::new("s{} W{}", [s, mb as u32]),
+    }
 }
 
 /// Simulates one training iteration of `graph` on `cluster`.
@@ -343,6 +365,8 @@ struct Lowering<'a> {
     /// issue in order, like collectives on one NCCL communicator. Maps the
     /// pair to the previous instance's completion.
     comm_chain: HashMap<(Vec<crossmesh_netsim::HostId>, Vec<crossmesh_netsim::HostId>), TaskId>,
+    /// Scratch list of one compute task's dependencies.
+    deps: Vec<TaskId>,
 }
 
 impl<'a> Lowering<'a> {
@@ -394,6 +418,7 @@ impl<'a> Lowering<'a> {
             fwd_plans,
             bwd_plans,
             comm_chain: HashMap::new(),
+            deps: Vec::new(),
         }
     }
 
@@ -448,26 +473,20 @@ impl<'a> Lowering<'a> {
         };
         let mut tasks = Vec::with_capacity(stage.mesh.num_devices());
         for (d, &dev) in stage.mesh.devices().iter().enumerate() {
-            let mut deps: Vec<TaskId> = Vec::new();
-            if let Some(prev) = self.last_on_device[s][d] {
-                deps.push(prev);
-            }
+            self.deps.clear();
+            self.deps.extend(self.last_on_device[s][d]);
             for &(fwd, e, mb) in &comm_keys {
                 let store = if fwd { &self.fwd_comm } else { &self.bwd_comm };
                 let inst = &store[&(e, mb)];
                 match self.comm {
-                    CommMode::Overlapped => {
-                        if let Some(ids) = inst.per_device.get(&dev) {
-                            deps.extend(ids.iter().copied());
-                        }
-                    }
-                    CommMode::Synchronous | CommMode::Signal => deps.push(inst.done),
+                    CommMode::Overlapped => self.deps.extend(inst.waits_of(dev)),
+                    CommMode::Synchronous | CommMode::Signal => self.deps.push(inst.done),
                 }
             }
             let t = self.task_graph.add_labeled(
                 Work::compute(dev, seconds),
-                deps,
-                Some(format!("{} {}", stage.name, op)),
+                self.deps.iter().copied(),
+                op_label(s, op),
             );
             self.last_on_device[s][d] = Some(t);
             tasks.push(t);
@@ -515,10 +534,10 @@ impl<'a> Lowering<'a> {
                 let f = self.task_graph.add_labeled(
                     Work::flow(src, dst, 0.0),
                     producers.iter().copied(),
-                    Some("signal"),
+                    Label::new("signal", []),
                 );
                 CommInstance {
-                    per_device: HashMap::new(),
+                    per_device: Vec::new(),
                     done: f,
                 }
             }
@@ -539,12 +558,12 @@ impl<'a> Lowering<'a> {
                 }
                 let lowered = plan.lower_on(&mut self.task_graph, &deps, Some(self.cluster));
                 self.comm_chain.insert(chain_key, lowered.done);
-                let mut per_device: HashMap<DeviceId, Vec<TaskId>> = HashMap::new();
-                for unit in &lowered.per_unit {
-                    for &(dev, t) in &unit.receiver_done {
-                        per_device.entry(dev).or_default().push(t);
-                    }
-                }
+                let mut per_device: Vec<(DeviceId, TaskId)> = lowered
+                    .per_unit
+                    .iter()
+                    .flat_map(|unit| unit.receiver_done.iter().copied())
+                    .collect();
+                per_device.sort_by_key(|&(dev, _)| dev);
                 CommInstance {
                     per_device,
                     done: lowered.done,
@@ -571,7 +590,7 @@ impl<'a> Lowering<'a> {
                 continue;
             };
             for group in stage.grad_sync_groups() {
-                let ready: Vec<Vec<TaskId>> = group
+                let ready: Vec<&[TaskId]> = group
                     .iter()
                     .map(|dev| {
                         let idx = stage
@@ -580,7 +599,7 @@ impl<'a> Lowering<'a> {
                             .iter()
                             .position(|d| d == dev)
                             .expect("group devices belong to the stage mesh");
-                        self.last_on_device[s][idx].into_iter().collect()
+                        self.last_on_device[s][idx].as_slice()
                     })
                     .collect();
                 crossmesh_collectives::ring_all_reduce(

@@ -768,7 +768,7 @@ fn run(
             roots.push(id.0);
         }
         pending.push(AtomicUsize::new(task.deps.len()));
-        for dep in &task.deps {
+        for dep in task.deps {
             dependents[dep.0 as usize].push(id.0);
         }
     }

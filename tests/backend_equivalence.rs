@@ -283,7 +283,7 @@ proptest! {
         for (id, t) in graph.iter() {
             let iv = trace.interval(id);
             prop_assert!(iv.finish >= iv.start, "task {} runs backwards", id);
-            for dep in &t.deps {
+            for dep in t.deps {
                 prop_assert!(
                     trace.interval(*dep).finish <= iv.start,
                     "dependency {} of {} finished after it started",

@@ -8,7 +8,7 @@ use crossmesh::models::gpt::GptConfig;
 use crossmesh::models::partition::{OpChain, OpNode};
 use crossmesh::models::utransformer::UTransformerConfig;
 use crossmesh::models::Precision;
-use crossmesh::netsim::{ClusterSpec, LinkParams, TaskGraph, Work};
+use crossmesh::netsim::{ClusterSpec, Label, LinkParams, TaskGraph, Work};
 use crossmesh::pipeline::{CommMode, PipelineConfig, ScheduleKind, WeightDelay};
 
 fn roundtrip<T>(value: &T) -> T
@@ -61,7 +61,7 @@ fn cluster_and_graph_roundtrip() {
     g.add_labeled(
         Work::flow(c.device(0, 0), c.device(1, 0), 64.0),
         [t],
-        Some("payload"),
+        Label::new("payload", []),
     );
     assert_eq!(roundtrip(&g), g);
 }
