@@ -9,9 +9,10 @@
 //! `tests/race_detector.rs`.
 
 use crossmesh_check::race::RaceDetector;
+use crossmesh_faults::FaultSchedule;
 use crossmesh_hb as hb;
 use crossmesh_mesh::DeviceMesh;
-use crossmesh_moe::{execute_reference, execute_threaded, A2aTask, RoutingConfig};
+use crossmesh_moe::{execute, A2aTask, RoutingConfig};
 use crossmesh_netsim::{ClusterSpec, LinkParams};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -56,21 +57,22 @@ fn workload() -> A2aTask {
 /// uses the instrumented pool.
 pub fn work() -> SeamWork {
     let a2a = workload();
-    let reference = execute_reference(&a2a).expect("reference executes");
+    let clean = FaultSchedule::default();
+    let reference = execute(&a2a, 1, &clean).expect("reference executes");
     // A pool of the workload's own width, whatever the host has: a
     // one-thread pool runs lanes inline and emits no fork/join edges.
     let workers = rayon::ThreadPoolBuilder::new()
         .num_threads(LANES)
         .build()
         .expect("pool builds");
-    let execute = || workers.install(|| execute_threaded(&a2a, LANES));
+    let run = || workers.install(|| execute(&a2a, LANES, &clean));
 
-    let disarmed = execute().expect("disarmed run executes");
+    let disarmed = run().expect("disarmed run executes");
 
     let detector = Arc::new(RaceDetector::new());
     let serial = hb::test_lock();
     let installed = hb::install(detector.clone());
-    let armed = execute().expect("armed run executes");
+    let armed = run().expect("armed run executes");
     drop(installed);
     drop(serial);
 

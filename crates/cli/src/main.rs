@@ -622,7 +622,7 @@ fn check_races(args: &Args) -> Result<String, Box<dyn Error>> {
 /// replays the plan on the byte-exact expert-shard data plane.
 fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
     use crossmesh_models::moe::GptMoeConfig;
-    use crossmesh_moe::{execute_reference, execute_threaded, A2aTask, RoutingConfig};
+    use crossmesh_moe::{execute, A2aTask, RoutingConfig};
     use crossmesh_netsim::FabricModel;
 
     let hosts: u32 = args.get_parsed("hosts", 8u32)?;
@@ -753,8 +753,9 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
     }
 
     let verified = if args.has_flag("verify") {
-        let reference = execute_reference(&a2a)?;
-        let threaded = execute_threaded(&a2a, 4)?;
+        let clean = FaultSchedule::default();
+        let reference = execute(&a2a, 1, &clean)?;
+        let threaded = execute(&a2a, 4, &clean)?;
         if reference != threaded {
             return Err("threaded delivery diverged from the reference data plane".into());
         }

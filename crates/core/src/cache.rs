@@ -72,18 +72,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Hits as a fraction of all lookups (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A thread-safe, content-addressed cache of resharding plans.
 ///
 /// Keys combine the [`ReshardingTask::cache_signature`], the
@@ -148,33 +136,19 @@ impl PlanCache {
     /// Plans `task` with `planner`, serving a cached result when this
     /// exact (task, planner) pair was planned before.
     pub fn plan<'t, P: Planner + ?Sized>(&self, planner: &P, task: &'t ReshardingTask) -> Plan<'t> {
-        self.plan_with_exclusions(planner, task, &SenderExclusions::none())
+        self.plan_with_exclusions_outcome(planner, task, &SenderExclusions::none())
             .expect("empty exclusions cannot cause data loss")
+            .0
     }
 
     /// Plans `task` with the excluded senders removed, serving a cached
     /// result when this exact (task, exclusions, planner) triple was
-    /// planned before. The returned plan is bound to the *original* task,
-    /// exactly like [`plan_with_exclusions`].
-    ///
-    /// # Errors
-    ///
-    /// [`RepairError::DataLoss`] if a unit task loses every replica holder.
-    pub fn plan_with_exclusions<'t, P: Planner + ?Sized>(
-        &self,
-        planner: &P,
-        task: &'t ReshardingTask,
-        exclusions: &SenderExclusions,
-    ) -> Result<Plan<'t>, RepairError> {
-        self.plan_with_exclusions_outcome(planner, task, exclusions)
-            .map(|(plan, _)| plan)
-    }
-
-    /// Like [`plan_with_exclusions`](PlanCache::plan_with_exclusions), but
-    /// also reports whether this call was served from the cache. Counter
-    /// deltas cannot answer that under concurrency (another worker's hit
-    /// may land between two reads); the daemon tags every response with
-    /// this per-call outcome instead.
+    /// planned before, and reports whether this call was served from the
+    /// cache. The returned plan is bound to the *original* task, exactly
+    /// like [`plan_with_exclusions`]. Counter deltas cannot answer the hit
+    /// question under concurrency (another worker's hit may land between
+    /// two reads); the daemon tags every response with this per-call
+    /// outcome instead.
     ///
     /// # Errors
     ///
@@ -308,7 +282,7 @@ impl PlanCache {
                 task.elem_bytes(),
                 &views,
                 None,
-                &|d, h| exclusions.excludes(d, h),
+                &|_, h| exclusions.excludes(h),
             );
             if crossmesh_check::has_errors(&diags) {
                 let shard = self.shard(key);
@@ -372,7 +346,6 @@ mod tests {
         assert_eq!(cold.assignments(), warm.assignments());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!(s.hit_rate() > 0.4);
     }
 
     #[test]
@@ -394,9 +367,9 @@ mod tests {
         let cache = PlanCache::new();
         let _ = cache.plan(&planner, &t);
         let dead = HostId(0);
-        let excl = SenderExclusions::none().with_host(dead);
-        let repaired = cache
-            .plan_with_exclusions(&planner, &t, &excl)
+        let excl = SenderExclusions::for_hosts([dead]);
+        let (repaired, _) = cache
+            .plan_with_exclusions_outcome(&planner, &t, &excl)
             .expect("replicas survive");
         assert!(repaired.assignments().iter().all(|a| a.sender_host != dead));
         assert_eq!(
@@ -405,7 +378,9 @@ mod tests {
             "exclusions must not hit the base key"
         );
         // Replaying the same exclusions IS a hit, still avoiding the host.
-        let again = cache.plan_with_exclusions(&planner, &t, &excl).unwrap();
+        let (again, _) = cache
+            .plan_with_exclusions_outcome(&planner, &t, &excl)
+            .unwrap();
         assert_eq!(again.assignments(), repaired.assignments());
         assert_eq!(cache.stats().hits, 1);
     }
@@ -416,7 +391,7 @@ mod tests {
         let planner = EnsemblePlanner::new(config());
         let cache = PlanCache::new();
         let plan = planner.plan(&t);
-        let excl = SenderExclusions::none().with_host(HostId(1));
+        let excl = SenderExclusions::for_hosts([HostId(1)]);
         let a = cache.repair(&plan, &excl).unwrap();
         let b = cache.repair(&plan, &excl).unwrap();
         assert_eq!(a.assignments(), b.assignments());

@@ -438,9 +438,11 @@ pub struct Delivery<'a> {
     pub holder: Option<(DeviceId, &'a Tile)>,
 }
 
-/// Seeded transmission drops: each delivery's attempts are rolled from a
-/// generator seeded by `seed` and the unit index — never by lane count or
-/// thread interleaving — so the outcome is identical at every width.
+/// Seeded transmission drops, the one drop rule of every execution path:
+/// each delivery's attempts are rolled from a generator seeded by `seed`
+/// and the delivery's id (unit index or flow task id) — never by lane
+/// count or thread interleaving — so the outcome is identical at every
+/// width.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DropRoll {
     /// Seed of the fault schedule.
@@ -452,16 +454,16 @@ pub struct DropRoll {
 }
 
 impl DropRoll {
-    fn roll(&self, unit: usize) -> Result<(), DataPlaneError> {
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x9e37_79b9u64.wrapping_add(unit as u64));
-        let mut attempts = 1u32;
-        while rng.gen_f64() < self.prob {
-            if attempts > self.max_retries {
-                return Err(DataPlaneError::Dropped { unit, attempts });
-            }
-            attempts += 1;
+    /// How many leading transmission attempts of delivery `id` are
+    /// dropped: attempts are rolled while they drop, up to one past the
+    /// retry budget (enough to exhaust it).
+    pub fn drops(&self, id: u64) -> u32 {
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x9e37_79b9u64.wrapping_add(id));
+        let mut count = 0u32;
+        while count <= self.max_retries && rng.gen_f64() < self.prob {
+            count += 1;
         }
-        Ok(())
+        count
     }
 }
 
@@ -491,7 +493,10 @@ fn run_lane(
     let mut delivered = 0u64;
     for d in lane {
         if let Some(drops) = drops {
-            drops.roll(d.unit.index)?;
+            let (unit, attempts) = (d.unit.index, drops.drops(d.unit.index as u64));
+            if attempts > drops.max_retries {
+                return Err(DataPlaneError::Dropped { unit, attempts });
+            }
         }
         let slice = &d.unit.slice;
         let fresh;

@@ -1,22 +1,21 @@
 //! Sender exclusions: which replica holders a planner must avoid.
 //!
-//! Fault recovery feeds the set of crashed hosts (or individually failed
-//! devices) in here; planners then solve the same §3.2 problem with those
-//! senders removed from every unit task's replica set `N_i`. If some
-//! `N_i` empties, the slice's data no longer exists anywhere on the
-//! source mesh and repair reports [`RepairError::DataLoss`] instead of
-//! silently producing a plan that cannot deliver the tensor.
+//! Fault recovery feeds the set of crashed hosts in here; planners then
+//! solve the same §3.2 problem with those senders removed from every unit
+//! task's replica set `N_i`. If some `N_i` empties, the slice's data no
+//! longer exists anywhere on the source mesh and repair reports
+//! [`RepairError::DataLoss`] instead of silently producing a plan that
+//! cannot deliver the tensor.
 
-use crossmesh_netsim::{DeviceId, HostId};
+use crossmesh_netsim::HostId;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// A set of senders that planning must avoid: whole hosts (crashes) and
-/// individual devices (e.g. a wedged NIC queue).
+/// A set of senders that planning must avoid: every device on a crashed
+/// host.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct SenderExclusions {
     hosts: BTreeSet<HostId>,
-    devices: BTreeSet<DeviceId>,
 }
 
 impl SenderExclusions {
@@ -29,32 +28,17 @@ impl SenderExclusions {
     pub fn for_hosts<I: IntoIterator<Item = HostId>>(hosts: I) -> Self {
         SenderExclusions {
             hosts: hosts.into_iter().collect(),
-            devices: BTreeSet::new(),
         }
     }
 
-    /// Returns a copy that also excludes every device on `host`.
-    #[must_use]
-    pub fn with_host(mut self, host: HostId) -> Self {
-        self.hosts.insert(host);
-        self
-    }
-
-    /// Returns a copy that also excludes the single device `device`.
-    #[must_use]
-    pub fn with_device(mut self, device: DeviceId) -> Self {
-        self.devices.insert(device);
-        self
-    }
-
-    /// True if the replica `(device, host)` may not be used as a sender.
-    pub fn excludes(&self, device: DeviceId, host: HostId) -> bool {
-        self.hosts.contains(&host) || self.devices.contains(&device)
+    /// True if replicas on `host` may not be used as senders.
+    pub fn excludes(&self, host: HostId) -> bool {
+        self.hosts.contains(&host)
     }
 
     /// True if nothing is excluded.
     pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty() && self.devices.is_empty()
+        self.hosts.is_empty()
     }
 
     /// The excluded hosts, ascending.
@@ -68,8 +52,7 @@ impl fmt::Display for SenderExclusions {
         if self.is_empty() {
             return write!(f, "none");
         }
-        let mut parts: Vec<String> = self.hosts.iter().map(|h| h.to_string()).collect();
-        parts.extend(self.devices.iter().map(|d| d.to_string()));
+        let parts: Vec<String> = self.hosts.iter().map(|h| h.to_string()).collect();
         write!(f, "{}", parts.join(","))
     }
 }
@@ -106,25 +89,18 @@ mod tests {
 
     #[test]
     fn host_exclusion_covers_its_devices() {
-        let e = SenderExclusions::none().with_host(HostId(1));
-        assert!(e.excludes(DeviceId(7), HostId(1)));
-        assert!(!e.excludes(DeviceId(7), HostId(0)));
+        let e = SenderExclusions::for_hosts([HostId(1)]);
+        assert!(e.excludes(HostId(1)));
+        assert!(!e.excludes(HostId(0)));
         assert!(!e.is_empty());
         assert_eq!(e.excluded_hosts().collect::<Vec<_>>(), vec![HostId(1)]);
-    }
-
-    #[test]
-    fn device_exclusion_is_host_independent() {
-        let e = SenderExclusions::none().with_device(DeviceId(3));
-        assert!(e.excludes(DeviceId(3), HostId(0)));
-        assert!(!e.excludes(DeviceId(4), HostId(0)));
     }
 
     #[test]
     fn empty_excludes_nothing() {
         let e = SenderExclusions::none();
         assert!(e.is_empty());
-        assert!(!e.excludes(DeviceId(0), HostId(0)));
+        assert!(!e.excludes(HostId(0)));
         assert_eq!(e.to_string(), "none");
     }
 

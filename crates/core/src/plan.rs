@@ -213,17 +213,10 @@ impl<'t> Plan<'t> {
     /// with dependency chains: each unit task waits for the previous task
     /// (in plan order) on each host it touches.
     ///
-    /// Topology-blind form of [`lower_on`](Plan::lower_on): strategies
-    /// that consult the cluster (multi-rail spray) degrade to their
-    /// topology-free lowering.
-    pub fn lower(&self, graph: &mut TaskGraph, deps: &[TaskId]) -> LoweredPlan {
-        self.lower_on(graph, deps, None)
-    }
-
-    /// Lowers the plan into `graph` with the cluster topology available to
-    /// topology-aware strategies: [`Strategy::MultiRail`] draws its NVLink
-    /// rail relays from `cluster`'s host layout. Pass `None` to lower
-    /// without a topology.
+    /// `cluster` is the topology for topology-aware strategies:
+    /// [`Strategy::MultiRail`] draws its NVLink rail relays from its host
+    /// layout. With `None`, strategies that consult the cluster degrade to
+    /// their topology-free lowering.
     pub fn lower_on(
         &self,
         graph: &mut TaskGraph,
@@ -288,7 +281,7 @@ impl<'t> Plan<'t> {
         let mut patched = Vec::with_capacity(self.assignments.len());
         let mut orphans = Vec::new();
         for a in &self.assignments {
-            if exclusions.excludes(a.sender, a.sender_host) {
+            if exclusions.excludes(a.sender_host) {
                 orphans.push(*a);
             } else {
                 let unit = &self.task.units()[a.unit];
@@ -567,13 +560,14 @@ mod tests {
             .collect();
         let plan = Plan::new(&t, assignments, params());
         let mut graph = TaskGraph::new();
-        let lowered = plan.lower(&mut graph, &[]);
+        let lowered = plan.lower_on(&mut graph, &[], None);
         let trace = Engine::new(&c).run(&graph).unwrap();
         // Receiver hosts are disjoint (unit 0 -> host 2, unit 1 -> host 3)
         // and senders are distinct hosts, so they CAN overlap.
         let i0 = trace.interval(lowered.per_unit[0].done);
         let i1 = trace.interval(lowered.per_unit[1].done);
-        assert!(i0.overlaps(&i1) || i0.finish <= i1.start || i1.finish <= i0.start);
+        let overlap = i0.start < i1.finish && i1.start < i0.finish;
+        assert!(overlap || i0.finish <= i1.start || i1.finish <= i0.start);
         assert!(trace.interval(lowered.done).finish > 0.0);
     }
 
@@ -601,7 +595,7 @@ mod tests {
         let (c, t) = replicated_task();
         let plan = plan_for(&t);
         let dead = HostId(0);
-        let e = crate::SenderExclusions::none().with_host(dead);
+        let e = crate::SenderExclusions::for_hosts([dead]);
         let repaired = plan.repair(&e).unwrap();
         // Full coverage, no excluded senders.
         assert_eq!(repaired.assignments().len(), t.units().len());
@@ -625,7 +619,7 @@ mod tests {
         // S0R source on a (2,2) mesh: each slice lives on one host only.
         let plan = plan_for(&t);
         let doomed = plan.assignments()[0].sender_host;
-        let e = crate::SenderExclusions::none().with_host(doomed);
+        let e = crate::SenderExclusions::for_hosts([doomed]);
         let err = plan.repair(&e).unwrap_err();
         assert!(matches!(err, crate::RepairError::DataLoss { .. }));
     }
@@ -637,7 +631,7 @@ mod tests {
         // it wildly.
         let (_, t) = replicated_task();
         let plan = plan_for(&t);
-        let e = crate::SenderExclusions::none().with_host(HostId(0));
+        let e = crate::SenderExclusions::for_hosts([HostId(0)]);
         let repaired = plan.repair(&e).unwrap();
         let total: f64 = repaired
             .assignments()

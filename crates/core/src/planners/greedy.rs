@@ -635,7 +635,7 @@ mod tests {
             &[24, 8, 8],
         );
         let t = full
-            .excluding(&SenderExclusions::none().with_host(HostId(0)))
+            .excluding(&SenderExclusions::for_hosts([HostId(0)]))
             .unwrap();
         assert!(t.units().iter().all(|u| u.sender_hosts() == [HostId(1)]));
         assert_matches_old_loop(&RandomizedGreedyPlanner::default(), &t);

@@ -257,7 +257,7 @@ mod tests {
         let t = task("RS1R", "S0RR", &[8, 8, 8]);
         let planner = EnsemblePlanner::new(config());
         let dead = HostId(0);
-        let excl = SenderExclusions::none().with_host(dead);
+        let excl = SenderExclusions::for_hosts([dead]);
         let plan = plan_with_exclusions(&planner, &t, &excl).unwrap();
         assert_eq!(plan.assignments().len(), t.units().len());
         assert!(plan.assignments().iter().all(|a| a.sender_host != dead));
@@ -269,7 +269,7 @@ mod tests {
     fn plan_with_exclusions_reports_data_loss() {
         let t = task("S0RR", "S0RR", &[8, 8, 8]);
         let planner = NaivePlanner::new(config());
-        let excl = SenderExclusions::none().with_host(HostId(0));
+        let excl = SenderExclusions::for_hosts([HostId(0)]);
         let err = plan_with_exclusions(&planner, &t, &excl).unwrap_err();
         assert!(matches!(err, RepairError::DataLoss { .. }));
     }

@@ -179,7 +179,7 @@ impl ReshardingTask {
             return Ok(filtered);
         }
         for unit in &mut filtered.units {
-            unit.senders.retain(|&(d, h)| !exclusions.excludes(d, h));
+            unit.senders.retain(|&(_, h)| !exclusions.excludes(h));
             if unit.senders.is_empty() {
                 return Err(RepairError::DataLoss { unit: unit.index });
             }
@@ -246,7 +246,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let e = SenderExclusions::none().with_host(crossmesh_netsim::HostId(0));
+        let e = SenderExclusions::for_hosts([crossmesh_netsim::HostId(0)]);
         let filtered = t.excluding(&e).unwrap();
         for unit in filtered.units() {
             assert!(!unit.senders.is_empty());
@@ -275,7 +275,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let e = SenderExclusions::none().with_host(crossmesh_netsim::HostId(0));
+        let e = SenderExclusions::for_hosts([crossmesh_netsim::HostId(0)]);
         let err = t.excluding(&e).unwrap_err();
         assert!(matches!(err, RepairError::DataLoss { .. }));
     }

@@ -244,7 +244,7 @@ pub fn execute_with_repair<'t>(
     // Beyond the runner's own check, verify the repaired plan under the
     // exclusions before committing the cluster to re-execution: nothing
     // may be routed through a crashed host.
-    let diags = repaired.verify(Some(cluster), &|d, h| exclusions.excludes(d, h));
+    let diags = repaired.verify(Some(cluster), &|_, h| exclusions.excludes(h));
     if crossmesh_check::has_errors(&diags) {
         return Err(RecoveryError::Sim(SimError::Backend {
             backend: "check",

@@ -10,9 +10,9 @@
 //! [`Disruptions`] / [`InjectedFaults`], and therefore the same outcome,
 //! on every backend.
 
+use crossmesh_core::dataplane::DropRoll;
 use crossmesh_netsim::{DeviceId, Disruptions, HostId, NicScalePeriod, TaskGraph, Work};
 use crossmesh_runtime::InjectedFaults;
-use rand::{rngs::SmallRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -212,9 +212,11 @@ impl FaultSchedule {
         s
     }
 
-    /// Per-attempt drop probability combined across every
-    /// [`FaultEvent::FlowDrop`] event (independent drops).
-    fn drop_probability(&self) -> f64 {
+    /// The schedule's drop rule: every [`FaultEvent::FlowDrop`] event
+    /// combined as independent drops (per-attempt probability
+    /// `1 - Π(1 - p)`), rolled from the schedule seed under its retry
+    /// budget. `None` when nothing is ever dropped.
+    pub fn drop_roll(&self) -> Option<DropRoll> {
         let keep: f64 = self
             .events
             .iter()
@@ -223,34 +225,27 @@ impl FaultSchedule {
                 _ => None,
             })
             .product();
-        1.0 - keep
+        let prob = 1.0 - keep;
+        (prob > 0.0).then_some(DropRoll {
+            seed: self.seed,
+            prob,
+            max_retries: self.max_retries,
+        })
     }
 
-    /// Rolls the drop count for every flow task in `graph`: attempt `k`
-    /// of a flow is dropped while the per-flow generator (seeded from the
-    /// schedule seed and the task id) rolls below the combined drop
-    /// probability, capped at one past the retry budget (enough to
-    /// exhaust it). Deterministic per `(seed, graph)`.
+    /// Rolls the drop count of every flow task in `graph` with
+    /// [`drop_roll`](Self::drop_roll), keyed by task id. Deterministic per
+    /// `(seed, graph)`.
     fn roll_drops(&self, graph: &TaskGraph) -> BTreeMap<u32, u32> {
-        let prob = self.drop_probability();
-        let mut drops = BTreeMap::new();
-        if prob <= 0.0 {
-            return drops;
-        }
-        for (id, task) in graph.iter() {
-            if !matches!(task.work, Work::Flow { .. }) {
-                continue;
-            }
-            let mut rng = SmallRng::seed_from_u64(self.seed ^ (0x9e37_79b9 + u64::from(id.0)));
-            let mut count = 0u32;
-            while count <= self.max_retries && rng.gen_f64() < prob {
-                count += 1;
-            }
-            if count > 0 {
-                drops.insert(id.0, count);
-            }
-        }
-        drops
+        let Some(roll) = self.drop_roll() else {
+            return BTreeMap::new();
+        };
+        graph
+            .iter()
+            .filter(|(_, task)| matches!(task.work, Work::Flow { .. }))
+            .map(|(id, _)| (id.0, roll.drops(u64::from(id.0))))
+            .filter(|&(_, count)| count > 0)
+            .collect()
     }
 
     /// Compiles the schedule to the simulator's mechanical

@@ -7,56 +7,46 @@
 //! shards from that rule, and `verify_destination` proves each expert's
 //! assembled region byte-identical to truth.
 //!
-//! [`execute_reference`] delivers the unit tasks sequentially — the
-//! oracle; [`execute_threaded`] deals them round-robin into `pool` lanes,
+//! [`execute`] deals the unit tasks round-robin into `pool` lanes: one
+//! lane runs inline, in order — the sequential oracle — and several are
 //! tasks on the current rayon pool that copy each shard (rank 1, so one
 //! contiguous run) straight into its expert's region behind that region's
-//! lock, optionally under a seeded
-//! [`FaultSchedule`] whose `FlowDrop`
-//! events force per-shard retries. Drop rolls are seeded per unit task
-//! (mirroring the threaded runtime's per-flow rolls), so the outcome is
-//! identical at every lane count and pool width.
+//! lock. A [`FaultSchedule`]'s `FlowDrop` events force per-shard retries
+//! under the schedule's own drop rule ([`FaultSchedule::drop_roll`]), the
+//! one the simulator and the threaded runtime roll per flow; the empty
+//! schedule is the clean run. Drop rolls are seeded per unit task, so the
+//! outcome is identical at every lane count and pool width.
 
 use crate::a2a::A2aTask;
-use crossmesh_core::dataplane::{deliver, DataPlaneError, DataPlaneReport, Delivery, DropRoll};
-use crossmesh_faults::{FaultEvent, FaultSchedule};
+use crossmesh_core::dataplane::{deliver, DataPlaneError, DataPlaneReport, Delivery};
+use crossmesh_faults::FaultSchedule;
 
-/// Delivers every unit task sequentially and verifies the destinations.
-///
-/// # Errors
-///
-/// Any placement defect.
-pub fn execute_reference(a2a: &A2aTask) -> Result<DataPlaneReport, DataPlaneError> {
-    execute_threaded_with_faults(a2a, 1, None)
-}
-
-/// [`execute_threaded_with_faults`] without fault injection.
+/// [`execute`] under the empty fault schedule.
 ///
 /// # Errors
 ///
 /// Any placement defect.
 pub fn execute_threaded(a2a: &A2aTask, pool: usize) -> Result<DataPlaneReport, DataPlaneError> {
-    execute_threaded_with_faults(a2a, pool, None)
+    execute(a2a, pool, &FaultSchedule::default())
 }
 
 /// Executes the all-to-all on `pool` lanes (unit tasks are dealt
 /// round-robin across them; one lane runs inline, several are tasks on the
 /// current rayon pool), then verifies the destinations.
 ///
-/// Under a fault schedule with `FlowDrop` events, each shard's
-/// transmission attempts are rolled from a generator seeded by
-/// `schedule.seed` and the unit index — never by pool width or thread
-/// interleaving — so the delivered bytes are identical across pool
-/// widths, faults or not. The strongest `FlowDrop` probability applies.
+/// Each shard's transmission attempts are rolled from the `faults` drop
+/// rule, seeded by `faults.seed` and the unit index — never by pool width
+/// or thread interleaving — so the delivered bytes are identical across
+/// pool widths, faults or not.
 ///
 /// # Errors
 ///
 /// [`DataPlaneError::Dropped`] when a shard exhausts its retry budget and
 /// any placement defect.
-pub fn execute_threaded_with_faults(
+pub fn execute(
     a2a: &A2aTask,
     pool: usize,
-    faults: Option<&FaultSchedule>,
+    faults: &FaultSchedule,
 ) -> Result<DataPlaneReport, DataPlaneError> {
     let pool = pool.max(1);
     let lanes: Vec<Vec<Delivery<'_>>> = (0..pool)
@@ -65,23 +55,12 @@ pub fn execute_threaded_with_faults(
             units.map(|unit| Delivery { unit, holder: None }).collect()
         })
         .collect();
-    let drops = faults.and_then(|f| {
-        let prob = f.events.iter().fold(0.0, |p, e| match e {
-            FaultEvent::FlowDrop { prob } => f64::max(p, *prob),
-            _ => p,
-        });
-        (prob > 0.0).then_some(DropRoll {
-            seed: f.seed,
-            prob,
-            max_retries: f.max_retries,
-        })
-    });
     deliver(
         a2a.task().shape(),
         1,
         a2a.destination_tiles().iter().cloned(),
         &lanes,
-        drops,
+        faults.drop_roll(),
     )
 }
 
@@ -89,6 +68,7 @@ pub fn execute_threaded_with_faults(
 mod tests {
     use super::*;
     use crate::routing::RoutingConfig;
+    use crossmesh_faults::FaultEvent;
     use crossmesh_mesh::DeviceMesh;
     use crossmesh_netsim::{ClusterSpec, LinkParams};
 
@@ -109,7 +89,7 @@ mod tests {
     #[test]
     fn reference_delivers_every_shard() {
         let a2a = skewed_a2a();
-        let report = execute_reference(&a2a).unwrap();
+        let report = execute(&a2a, 1, &FaultSchedule::default()).unwrap();
         assert_eq!(report.delivered_bytes, a2a.total_bytes());
         assert_eq!(report.destination.len(), a2a.destination_tiles().len());
     }
@@ -117,7 +97,7 @@ mod tests {
     #[test]
     fn threaded_matches_reference_at_every_pool_width() {
         let a2a = skewed_a2a();
-        let reference = execute_reference(&a2a).unwrap();
+        let reference = execute(&a2a, 1, &FaultSchedule::default()).unwrap();
         for pool in [1, 2, 4, 7] {
             let threaded = execute_threaded(&a2a, pool).unwrap();
             assert_eq!(threaded, reference, "pool width {pool} diverged");
@@ -127,12 +107,12 @@ mod tests {
     #[test]
     fn faults_retry_without_changing_the_bytes() {
         let a2a = skewed_a2a();
-        let reference = execute_reference(&a2a).unwrap();
+        let reference = execute(&a2a, 1, &FaultSchedule::default()).unwrap();
         let schedule = FaultSchedule::new(42)
             .with_event(FaultEvent::FlowDrop { prob: 0.2 })
             .with_retry_policy(6, 1e-3);
         for pool in [1, 4] {
-            let faulty = execute_threaded_with_faults(&a2a, pool, Some(&schedule)).unwrap();
+            let faulty = execute(&a2a, pool, &schedule).unwrap();
             assert_eq!(faulty, reference, "pool width {pool} diverged under faults");
         }
     }
@@ -143,7 +123,31 @@ mod tests {
         let schedule = FaultSchedule::new(1)
             .with_event(FaultEvent::FlowDrop { prob: 1.0 })
             .with_retry_policy(2, 1e-3);
-        let err = execute_threaded_with_faults(&a2a, 2, Some(&schedule)).unwrap_err();
+        let err = execute(&a2a, 2, &schedule).unwrap_err();
         assert!(matches!(err, DataPlaneError::Dropped { .. }), "{err}");
+    }
+
+    #[test]
+    fn drop_events_combine_like_the_schedule_says() {
+        // Two independent 0.5 drops are one 0.75 drop, not the stronger
+        // 0.5 of the two.
+        let a2a = skewed_a2a();
+        let with = |events: &[f64]| {
+            events
+                .iter()
+                .fold(FaultSchedule::new(9), |s, &prob| {
+                    s.with_event(FaultEvent::FlowDrop { prob })
+                })
+                .with_retry_policy(0, 1e-3)
+        };
+        let two = with(&[0.5, 0.5]);
+        assert_eq!(two.drop_roll().map(|r| r.prob), Some(0.75));
+        for pool in [1, 4] {
+            assert_eq!(
+                execute(&a2a, pool, &two),
+                execute(&a2a, pool, &with(&[0.75])),
+                "pool width {pool}"
+            );
+        }
     }
 }

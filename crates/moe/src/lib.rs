@@ -16,9 +16,10 @@
 //!   [`ReshardingTask`](crossmesh_core::ReshardingTask) so every planner,
 //!   the plan cache, the static verifier, and the simulator apply
 //!   unchanged;
-//! * [`dataplane`] executes an all-to-all on real buffers — a sequential
-//!   reference and the same deliveries dealt into lanes on the pool — and
-//!   proves the delivered expert shards byte-identical to ground truth.
+//! * [`dataplane`] executes an all-to-all on real buffers — one entry
+//!   point whose one-lane run is the sequential oracle, optionally under a
+//!   fault schedule — and proves the delivered expert shards
+//!   byte-identical to ground truth.
 //!
 //! The `plan.a2a.*` rules in `crossmesh-check` consume
 //! [`A2aTask::pairs`] to prove a plan delivers every expert shard exactly
@@ -29,5 +30,5 @@ pub mod dataplane;
 pub mod routing;
 
 pub use a2a::{A2aDirection, A2aTask};
-pub use dataplane::{execute_reference, execute_threaded, execute_threaded_with_faults};
+pub use dataplane::execute;
 pub use routing::{routing_matrix, RoutingConfig};

@@ -1059,8 +1059,8 @@ mod tests {
         g.add(Work::flow(c.device(0, 0), c.device(0, 1), 100.0), []);
         let t = Engine::new(&c).run(&g).unwrap();
         assert_eq!(t.usage().total_cross_host_bytes(), 7.0);
-        assert_eq!(t.usage().sent_by(crate::HostId(0)), 7.0);
-        assert_eq!(t.usage().received_by(crate::HostId(1)), 7.0);
+        assert_eq!(t.usage().host_sent, BTreeMap::from([(0, 7.0)]));
+        assert_eq!(t.usage().host_received, BTreeMap::from([(1, 7.0)]));
     }
 
     #[test]
@@ -1269,7 +1269,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add(Work::flow(c.device(0, 0), c.device(1, 0), 5.0), []);
         let t = Engine::new(&c).run(&g).unwrap();
-        assert!(t.fault_stats().is_clean());
+        assert_eq!(t.fault_stats(), &FaultStats::default());
         assert!(t.failed_tasks().is_empty());
     }
 

@@ -368,17 +368,6 @@ impl ClusterSpec {
         &self.fabric
     }
 
-    /// The aggregate inter-host fabric capacity, if the cluster models a
-    /// flat fabric with an oversubscribed core (see
-    /// [`ClusterSpec::with_fabric_capacity`]). Multi-tier fabrics return
-    /// `None` — their capacities are per-link, not aggregate.
-    pub fn fabric_capacity(&self) -> Option<f64> {
-        match self.fabric {
-            FabricModel::Flat { capacity } => capacity,
-            _ => None,
-        }
-    }
-
     /// The local index of `device` on its host (its position among the
     /// host's devices).
     ///
@@ -388,11 +377,6 @@ impl ClusterSpec {
     pub fn local_index(&self, device: DeviceId) -> u32 {
         let host = self.host_of(device);
         device.0 - self.host_base[host.0 as usize]
-    }
-
-    /// The rail plane `device`'s NIC sits on, for rail-optimized fabrics.
-    pub fn rail_of(&self, device: DeviceId) -> Option<u32> {
-        self.fabric.rails().map(|k| self.local_index(device) % k)
     }
 
     /// Capacities of the fabric resource slots the engine appends after the
@@ -730,7 +714,7 @@ mod tests {
     fn default_fabric_is_unbounded_flat() {
         let c = cluster();
         assert!(c.fabric().is_unbounded());
-        assert_eq!(c.fabric_capacity(), None);
+        assert_eq!(c.fabric(), &FabricModel::Flat { capacity: None });
         assert!(c.fabric_slot_capacities().is_empty());
         let mut route = Vec::new();
         c.fabric_route(DeviceId(0), DeviceId(4), 10, &mut route);
@@ -742,7 +726,12 @@ mod tests {
     fn flat_capped_fabric_has_one_slot() {
         let c = cluster().with_fabric_capacity(3.0);
         assert!(!c.fabric().is_unbounded());
-        assert_eq!(c.fabric_capacity(), Some(3.0));
+        assert_eq!(
+            c.fabric(),
+            &FabricModel::Flat {
+                capacity: Some(3.0)
+            }
+        );
         assert_eq!(c.fabric_slot_capacities(), vec![3.0]);
         let mut route = Vec::new();
         c.fabric_route(DeviceId(0), DeviceId(4), 24, &mut route);
@@ -756,10 +745,7 @@ mod tests {
             rails: 2,
             spine_capacity: 5.0,
         });
-        assert_eq!(c.rail_of(DeviceId(0)), Some(0));
-        assert_eq!(c.rail_of(DeviceId(1)), Some(1));
-        assert_eq!(c.rail_of(DeviceId(5)), Some(1)); // host 1, local 1
-                                                     // Slots: send 3×2, recv 3×2, spine -> 13 slots.
+        // Slots: send 3×2, recv 3×2, spine -> 13 slots.
         let slots = c.fabric_slot_capacities();
         assert_eq!(slots.len(), 13);
         assert_eq!(slots[12], 5.0);

@@ -1,7 +1,7 @@
 //! Execution traces produced by the engine.
 
 use crate::graph::{TaskGraph, Work};
-use crate::topology::{ClusterSpec, DeviceId, HostId};
+use crate::topology::{ClusterSpec, HostId};
 use crate::TaskId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -20,11 +20,6 @@ impl TaskInterval {
     pub fn duration(&self) -> f64 {
         self.finish - self.start
     }
-
-    /// True if `self` and `other` overlap on a set of positive measure.
-    pub fn overlaps(&self, other: &TaskInterval) -> bool {
-        self.start < other.finish && other.start < self.finish
-    }
 }
 
 /// Bytes moved through each host NIC over a run.
@@ -37,16 +32,6 @@ pub struct ResourceUsage {
 }
 
 impl ResourceUsage {
-    /// Bytes sent by `host` across the network.
-    pub fn sent_by(&self, host: HostId) -> f64 {
-        self.host_sent.get(&host.0).copied().unwrap_or(0.0)
-    }
-
-    /// Bytes received by `host` across the network.
-    pub fn received_by(&self, host: HostId) -> f64 {
-        self.host_received.get(&host.0).copied().unwrap_or(0.0)
-    }
-
     /// Total inter-host traffic (sum over senders).
     pub fn total_cross_host_bytes(&self) -> f64 {
         self.host_sent.values().sum()
@@ -90,16 +75,6 @@ pub struct FaultStats {
     pub degraded_makespan: Option<f64>,
 }
 
-impl FaultStats {
-    /// True if no fault left any mark on the run.
-    pub fn is_clean(&self) -> bool {
-        self.retries == 0
-            && self.failovers == 0
-            && self.dropped_flows == 0
-            && self.degraded_makespan.is_none()
-    }
-}
-
 /// The result of a simulation run: per-task intervals plus aggregates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
@@ -117,7 +92,6 @@ pub struct TraceBuilder {
     intervals: Vec<TaskInterval>,
     usage: ResourceUsage,
     faults: FaultStats,
-    failed_tasks: Vec<TaskId>,
 }
 
 impl TraceBuilder {
@@ -127,7 +101,6 @@ impl TraceBuilder {
             intervals: Vec::with_capacity(tasks),
             usage: ResourceUsage::default(),
             faults: FaultStats::default(),
-            failed_tasks: Vec::new(),
         }
     }
 
@@ -162,18 +135,9 @@ impl TraceBuilder {
         self.faults = faults;
     }
 
-    /// Marks `task` as failed (it never completed; its interval is
-    /// whatever was recorded, typically zero-length).
-    pub fn record_failed_task(&mut self, task: TaskId) {
-        self.failed_tasks.push(task);
-    }
-
     /// Finalizes the trace; the makespan is the latest recorded finish.
     pub fn build(self) -> Trace {
-        let mut failed = self.failed_tasks;
-        failed.sort_unstable();
-        failed.dedup();
-        Trace::faulted(self.intervals, self.usage, self.faults, failed)
+        Trace::faulted(self.intervals, self.usage, self.faults, Vec::new())
     }
 }
 
@@ -278,15 +242,6 @@ impl Trace {
         }
         total
     }
-
-    /// Convenience: the busy seconds of one device (compute only).
-    pub fn device_busy_seconds(&self, graph: &TaskGraph, device: DeviceId) -> f64 {
-        graph
-            .iter()
-            .filter(|(_, t)| t.work.compute_device() == Some(device))
-            .map(|(id, _)| self.interval(id).duration())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +265,6 @@ mod tests {
         assert!((util[&d0.0] - 2.0 / 5.0).abs() < 1e-9);
         assert!((util[&d1.0] - 1.0 / 5.0).abs() < 1e-9);
         assert!((t.cross_host_comm_seconds(&g, &c) - 4.0).abs() < 1e-9);
-        assert!((t.device_busy_seconds(&g, d0) - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -345,25 +299,7 @@ mod tests {
             Vec::new(),
         );
         assert_eq!(t.makespan(), 3.0);
-        assert!(t.fault_stats().is_clean());
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let a = TaskInterval {
-            start: 0.0,
-            finish: 1.0,
-        };
-        let b = TaskInterval {
-            start: 0.9,
-            finish: 2.0,
-        };
-        let c = TaskInterval {
-            start: 1.0,
-            finish: 2.0,
-        };
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c), "touching intervals do not overlap");
+        assert_eq!(t.fault_stats(), &FaultStats::default());
     }
 
     #[test]
@@ -371,9 +307,9 @@ mod tests {
         let mut u = ResourceUsage::default();
         u.record(HostId(0), HostId(1), 10.0);
         u.record(HostId(0), HostId(2), 5.0);
-        assert_eq!(u.sent_by(HostId(0)), 15.0);
-        assert_eq!(u.received_by(HostId(1)), 10.0);
-        assert_eq!(u.received_by(HostId(3)), 0.0);
+        assert_eq!(u.host_sent.get(&0), Some(&15.0));
+        assert_eq!(u.host_received.get(&1), Some(&10.0));
+        assert_eq!(u.host_received.get(&3), None);
         assert_eq!(u.total_cross_host_bytes(), 15.0);
     }
 }

@@ -638,11 +638,22 @@ mod tests {
     /// A 2-stage pipeline with per-microbatch forward time `f` and an edge
     /// carrying `bytes` (replicated -> replicated for simplicity).
     fn two_stage(c: &ClusterSpec, m: usize, f: f64, bytes: u64) -> StageGraph {
+        two_stage_with(c, m, f, bytes, |s| s)
+    }
+
+    /// [`two_stage`] with `tweak` applied to both stages.
+    fn two_stage_with(
+        c: &ClusterSpec,
+        m: usize,
+        f: f64,
+        bytes: u64,
+        tweak: impl Fn(Stage) -> Stage,
+    ) -> StageGraph {
         let m0 = DeviceMesh::from_cluster(c, 0, (1, 2), "s0").unwrap();
         let m1 = DeviceMesh::from_cluster(c, 1, (1, 2), "s1").unwrap();
         let mut g = StageGraph::new(m);
-        let a = g.add_stage(Stage::new("s0", m0, f).with_backward(f, f));
-        let b = g.add_stage(Stage::new("s1", m1, f).with_backward(f, f));
+        let a = g.add_stage(tweak(Stage::new("s0", m0, f).with_backward(f, f)));
+        let b = g.add_stage(tweak(Stage::new("s1", m1, f).with_backward(f, f)));
         g.connect(
             a,
             b,
@@ -892,7 +903,7 @@ mod tests {
     #[test]
     fn grad_sync_extends_the_iteration() {
         let c = cluster();
-        let mut g = two_stage(&c, 4, 1.0, 1);
+        let g = two_stage(&c, 4, 1.0, 1);
         let base = run(
             &g,
             &c,
@@ -905,10 +916,7 @@ mod tests {
         .iteration_seconds;
         // Add a 100-byte gradient all-reduce over each stage's 2-device
         // axis (intra-host, 100 B/s): 2*(2-1)/2 * 100 / 100 = 1s extra.
-        for s in 0..2 {
-            let stage = g.stages()[s].clone().with_grad_sync(1, 100.0);
-            *g.stage_mut(s) = stage;
-        }
+        let g = two_stage_with(&c, 4, 1.0, 1, |s| s.with_grad_sync(1, 100.0));
         let synced = run(
             &g,
             &c,

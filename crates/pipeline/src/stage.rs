@@ -212,16 +212,6 @@ impl StageGraph {
         self.stages.len() - 1
     }
 
-    /// Mutable access to stage `s` (e.g. to attach gradient sync after
-    /// construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn stage_mut(&mut self, s: usize) -> &mut Stage {
-        &mut self.stages[s]
-    }
-
     /// Connects stage `from` to stage `to` (`from < to`) with `tensor`,
     /// building both the forward activation resharding and the reverse
     /// gradient resharding. Returns the edge index.
@@ -300,19 +290,6 @@ impl StageGraph {
     pub fn num_microbatches(&self) -> usize {
         self.num_microbatches
     }
-
-    /// Total model FLOPs per iteration, if stage costs were built from a
-    /// FLOP model — here simply the summed compute seconds, exposed for
-    /// reporting convenience.
-    pub fn total_compute_seconds(&self) -> f64 {
-        self.stages
-            .iter()
-            .map(|s| {
-                (s.forward_seconds + s.backward_act_seconds + s.backward_weight_seconds)
-                    * self.num_microbatches as f64
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -388,15 +365,5 @@ mod tests {
         assert_eq!(s.backward_act_seconds, 1.5);
         assert_eq!(s.backward_weight_seconds, 0.5);
         assert_eq!(s.activation_bytes, 10.0);
-    }
-
-    #[test]
-    fn total_compute_seconds_scales_with_microbatches() {
-        let (m0, m1) = meshes();
-        let mut g = StageGraph::new(3);
-        g.add_stage(Stage::new("a", m0, 1.0));
-        g.add_stage(Stage::new("b", m1, 2.0));
-        // (1+1+1 + 2+2+2) * 3 microbatches
-        assert_eq!(g.total_compute_seconds(), 27.0);
     }
 }

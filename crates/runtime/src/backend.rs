@@ -123,16 +123,6 @@ pub struct InjectedFaults {
     pub backoff: Duration,
 }
 
-impl InjectedFaults {
-    /// True if this value injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.dead_hosts.is_empty()
-            && self.compute_slowdown.is_empty()
-            && self.frame_delay.is_empty()
-            && self.flow_drops.is_empty()
-    }
-}
-
 /// A [`Backend`] that executes task graphs for real on OS threads.
 ///
 /// Construct with [`ThreadedBackend::threads`] or
@@ -235,11 +225,13 @@ impl Backend for ThreadedBackend {
     }
 }
 
-/// Commands for compute and send threads.
-enum Cmd {
-    Run(u32),
-    Quit,
-}
+/// A compute worker's queue entry: the task and its wall occupancy.
+/// `None` tells the worker to quit.
+type ComputeJob = Option<(u32, Duration)>;
+
+/// A send worker's queue entry: the flow task, its destination device and
+/// its bytes. `None` tells the worker to quit.
+type SendJob = Option<(u32, u32, u64)>;
 
 /// Messages on a device's inbound frame queue.
 enum Inbound {
@@ -403,8 +395,8 @@ struct Shared {
     start_ns: Vec<AtomicU64>,
     finish_ns: Vec<AtomicU64>,
     /// Per device: compute queue and send queue.
-    compute_tx: Vec<Sender<Cmd>>,
-    send_tx: Vec<Sender<Cmd>>,
+    compute_tx: Vec<Sender<ComputeJob>>,
+    send_tx: Vec<Sender<SendJob>>,
     /// Per device: inbound frame queue (bounded; this is the backpressure).
     inbound_tx: Vec<SyncSender<Inbound>>,
     /// Per device: frames currently queued (enqueued by senders/readers,
@@ -464,15 +456,34 @@ impl Shared {
         self.hb_pending_edge(t) + 2 * self.kinds.len() as u64
     }
 
-    /// Accounts one frame landing on `dst`'s inbound queue. Every frame
-    /// passes through exactly one enqueue (the channel path directly, the
-    /// TCP path via its reader thread), so `runtime.frames` counts
-    /// deliveries and the histogram samples the post-enqueue depth.
-    fn note_enqueued(&self, dst: u32) {
+    /// Puts one frame on `dst`'s bounded inbound queue. Blocks under
+    /// backpressure but aborts once the run is finished, so a failed run
+    /// never wedges a sender or a TCP reader. Every frame passes through
+    /// exactly one enqueue (the channel path directly, the TCP path via
+    /// its reader thread), so `runtime.frames` counts deliveries and the
+    /// histogram samples the post-enqueue depth.
+    fn enqueue(&self, dst: u32, mut msg: Inbound) -> Result<(), String> {
+        hb::release(self.hb_inbound_chan(dst as usize));
+        loop {
+            match self.inbound_tx[dst as usize].try_send(msg) {
+                Ok(()) => break,
+                Err(TrySendError::Full(m)) => {
+                    if self.monitor.is_finished() {
+                        return Err("run aborted while queue was full".into());
+                    }
+                    msg = m;
+                    thread::sleep(Duration::from_micros(20));
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    return Err(format!("receiver d{dst} hung up"));
+                }
+            }
+        }
         let depth = self.queue_depth[dst as usize].fetch_add(1, Ordering::Relaxed) + 1;
         let m = runtime_metrics();
         m.frames.inc();
         m.queue_depth.observe(depth as f64);
+        Ok(())
     }
 
     /// Accounts the receive worker of `device` draining one frame.
@@ -521,15 +532,15 @@ impl Shared {
                 self.finish_ns[t as usize].store(now, Ordering::Release);
                 done.push(t);
             }
-            Kind::Compute { .. } => {
+            Kind::Compute { wall } => {
                 let dev = self.executor_device(t);
                 hb::release(self.hb_compute_chan(dev));
-                let _ = self.compute_tx[dev].send(Cmd::Run(t));
+                let _ = self.compute_tx[dev].send(Some((t, wall)));
             }
-            Kind::Flow { .. } => {
+            Kind::Flow { dst, bytes } => {
                 let dev = self.executor_device(t);
                 hb::release(self.hb_send_chan(dev));
-                let _ = self.send_tx[dev].send(Cmd::Run(t));
+                let _ = self.send_tx[dev].send(Some((t, dst, bytes)));
             }
         }
     }
@@ -540,11 +551,20 @@ impl Shared {
         self.task_device[t as usize] as usize
     }
 
-    /// True if the injected fault set declares `device`'s host crashed.
-    fn device_is_dead(&self, device: u32) -> bool {
-        self.faults
-            .dead_hosts
-            .contains(&self.device_host[device as usize])
+    /// The dead-host path of compute and send alike: if one of `devices`
+    /// sits on a host the injected fault set declares crashed, times `t`
+    /// out with [`FailureKind::HostCrash`] (`what` names the task) and
+    /// returns true.
+    fn crashed(&self, t: u32, what: &str, devices: &[u32]) -> bool {
+        let dead = devices
+            .iter()
+            .map(|&d| self.device_host[d as usize])
+            .find(|h| self.faults.dead_hosts.contains(h));
+        if let Some(host) = dead {
+            let message = format!("{what} t{t} timed out: host h{host} is down");
+            self.time_out(t, FailureKind::HostCrash, message);
+        }
+        dead.is_some()
     }
 
     /// Injected compute slowdown factor for `device` (1.0 when absent).
@@ -567,18 +587,19 @@ impl Shared {
             .map(|&(_, d)| d)
     }
 
-    /// Emulates a per-flow timeout against a dead peer: sleeps out the
-    /// full retry budget (bounded exponential backoff), bailing early if
-    /// the run already ended.
-    fn wait_out_retry_budget(&self) {
+    /// Fails `t` the way a per-flow timeout does: sleeps out the full
+    /// retry budget (bounded exponential backoff, cut short if the run
+    /// already ended), then records the failure.
+    fn time_out(&self, t: u32, kind: FailureKind, message: String) {
         let mut delay = self.faults.backoff;
         for _ in 0..=self.faults.max_retries {
             if self.monitor.is_finished() {
-                return;
+                break;
             }
             thread::sleep(delay);
             delay = delay.saturating_mul(2);
         }
+        self.monitor.fail(RunFailure::task(t, kind, message));
     }
 
     /// Dispatches every task with no dependencies. Roots come from the
@@ -594,9 +615,8 @@ impl Shared {
         self.drain_completions(&mut done);
     }
 
-    /// Delivers one frame of `flow` to `dst`, via channel or socket.
-    /// Blocks under backpressure but aborts once the run is finished, so
-    /// a failed run never wedges a sender.
+    /// Delivers one frame of `flow` to `dst`, via channel or socket, with
+    /// the backpressure of [`enqueue`](Shared::enqueue).
     fn send_frame(
         &self,
         src: u32,
@@ -625,31 +645,13 @@ impl Shared {
             write_full(&mut stream, &payload, &self.monitor)?;
             return Ok(());
         }
-        let mut msg = Inbound::Data {
+        let msg = Inbound::Data {
             flow,
             payload,
             last,
             attempt,
         };
-        hb::release(self.hb_inbound_chan(dst as usize));
-        loop {
-            match self.inbound_tx[dst as usize].try_send(msg) {
-                Ok(()) => {
-                    self.note_enqueued(dst);
-                    return Ok(());
-                }
-                Err(TrySendError::Full(m)) => {
-                    if self.monitor.is_finished() {
-                        return Err("run aborted while queue was full".into());
-                    }
-                    msg = m;
-                    thread::sleep(Duration::from_micros(20));
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    return Err(format!("receiver d{dst} hung up"));
-                }
-            }
-        }
+        self.enqueue(dst, msg)
     }
 }
 
@@ -827,7 +829,7 @@ fn run(
         workers.push(spawn_named(
             format!("cm-d{d}-compute"),
             Arc::clone(&shared),
-            move |sh| compute_worker(rx, sh),
+            move |sh| compute_worker(d as u32, rx, sh),
         ));
     }
     for (d, rx) in send_rx.into_iter().enumerate() {
@@ -861,25 +863,18 @@ fn run(
     // fabric), then the inbound queues; readers notice the finished flag
     // on their next I/O timeout tick.
     for tx in &shared.compute_tx {
-        let _ = tx.send(Cmd::Quit);
+        let _ = tx.send(None);
     }
     for tx in &shared.send_tx {
-        let _ = tx.send(Cmd::Quit);
+        let _ = tx.send(None);
     }
     for w in workers {
         let _ = w.join();
     }
+    // A live receive worker drains its queue, and a finished one has
+    // hung up, so this blocking send always returns.
     for tx in &shared.inbound_tx {
-        let mut msg = Inbound::Quit;
-        loop {
-            match tx.try_send(msg) {
-                Ok(()) | Err(TrySendError::Disconnected(_)) => break,
-                Err(TrySendError::Full(m)) => {
-                    msg = m;
-                    thread::sleep(Duration::from_micros(50));
-                }
-            }
-        }
+        let _ = tx.send(Inbound::Quit);
     }
     for w in recv_workers {
         let _ = w.join();
@@ -1021,6 +1016,22 @@ fn tcp_reader(mut stream: TcpStream, shared: &Shared) {
             ));
             return;
         }
+        // The frame must name a flow task bound for the frame's device:
+        // past this check the receive worker trusts both.
+        let names_its_flow = |&kind: &Kind| matches!(kind, Kind::Flow { dst: to, .. } if to == dst);
+        let bad = if dst as usize >= shared.inbound_tx.len() {
+            Some(format!("tcp frame for unknown device d{dst}"))
+        } else if !shared.kinds.get(flow as usize).is_some_and(names_its_flow) {
+            Some(format!("tcp frame names t{flow}, not a flow to d{dst}"))
+        } else {
+            None
+        };
+        if let Some(message) = bad {
+            shared
+                .monitor
+                .fail(RunFailure::task(flow, FailureKind::Graph, message));
+            return;
+        }
         let mut payload = vec![0u8; len];
         if len > 0 {
             match read_full(&mut stream, &mut payload, &shared.monitor) {
@@ -1035,36 +1046,15 @@ fn tcp_reader(mut stream: TcpStream, shared: &Shared) {
                 }
             }
         }
-        if dst as usize >= shared.inbound_tx.len() {
-            shared.monitor.fail(RunFailure::task(
-                flow,
-                FailureKind::Graph,
-                format!("tcp frame for unknown device d{dst}"),
-            ));
-            return;
-        }
-        let mut msg = Inbound::Data {
+        let msg = Inbound::Data {
             flow,
             payload: Bytes::from(payload),
             last,
             attempt,
         };
-        hb::release(shared.hb_inbound_chan(dst as usize));
-        loop {
-            match shared.inbound_tx[dst as usize].try_send(msg) {
-                Ok(()) => {
-                    shared.note_enqueued(dst);
-                    break;
-                }
-                Err(TrySendError::Full(m)) => {
-                    if shared.monitor.is_finished() {
-                        return;
-                    }
-                    msg = m;
-                    thread::sleep(Duration::from_micros(20));
-                }
-                Err(TrySendError::Disconnected(_)) => return,
-            }
+        // Only a finished run or a hung-up receiver refuses a frame.
+        if shared.enqueue(dst, msg).is_err() {
+            return;
         }
     }
 }
@@ -1072,29 +1062,11 @@ fn tcp_reader(mut stream: TcpStream, shared: &Shared) {
 /// Runs compute tasks serially: wait out the calibrated wall duration
 /// (stretched by any injected straggler factor), then release dependents.
 /// A task landing on a crashed host times out and fails the run.
-fn compute_worker(rx: Receiver<Cmd>, shared: &Shared) {
-    while let Ok(Cmd::Run(t)) = rx.recv() {
-        hb::acquire(shared.hb_compute_chan(shared.executor_device(t)));
+fn compute_worker(device: u32, rx: Receiver<ComputeJob>, shared: &Shared) {
+    while let Ok(Some((t, wall))) = rx.recv() {
+        hb::acquire(shared.hb_compute_chan(device as usize));
         shared.record_start(t);
-        let Kind::Compute { wall } = shared.kinds[t as usize] else {
-            shared.monitor.fail(RunFailure::task(
-                t,
-                FailureKind::Graph,
-                format!("task t{t} queued on the wrong worker"),
-            ));
-            return;
-        };
-        let device = shared.task_device[t as usize];
-        if shared.device_is_dead(device) {
-            shared.wait_out_retry_budget();
-            shared.monitor.fail(RunFailure::task(
-                t,
-                FailureKind::HostCrash,
-                format!(
-                    "compute t{t} timed out: host h{} is down",
-                    shared.device_host[device as usize]
-                ),
-            ));
+        if shared.crashed(t, "compute", &[device]) {
             return;
         }
         precise_wait(wall.mul_f64(shared.slowdown(device)));
@@ -1122,43 +1094,18 @@ fn precise_wait(d: Duration) {
 /// delayed, flows touching dead hosts time out after the retry budget,
 /// and each dropped attempt puts one partial frame on the wire, backs
 /// off exponentially, then re-sends under a higher attempt number.
-fn send_worker(device: u32, rx: Receiver<Cmd>, shared: &Shared) {
-    while let Ok(Cmd::Run(t)) = rx.recv() {
+fn send_worker(device: u32, rx: Receiver<SendJob>, shared: &Shared) {
+    while let Ok(Some((t, dst, bytes))) = rx.recv() {
         hb::acquire(shared.hb_send_chan(device as usize));
         shared.record_start(t);
-        let Kind::Flow { dst, bytes } = shared.kinds[t as usize] else {
-            shared.monitor.fail(RunFailure::task(
-                t,
-                FailureKind::Graph,
-                format!("task t{t} queued on the wrong worker"),
-            ));
-            return;
-        };
-        if shared.device_is_dead(device) || shared.device_is_dead(dst) {
-            let host = if shared.device_is_dead(device) {
-                shared.device_host[device as usize]
-            } else {
-                shared.device_host[dst as usize]
-            };
-            shared.wait_out_retry_budget();
-            shared.monitor.fail(RunFailure::task(
-                t,
-                FailureKind::HostCrash,
-                format!("flow t{t} timed out: host h{host} is down"),
-            ));
+        if shared.crashed(t, "flow", &[device, dst]) {
             return;
         }
         let drops = shared.faults.flow_drops.get(&t).copied().unwrap_or(0);
-        if drops > shared.faults.max_retries {
-            shared.wait_out_retry_budget();
-            shared.monitor.fail(RunFailure::task(
-                t,
-                FailureKind::RetriesExhausted,
-                format!(
-                    "flow t{t} dropped {drops} times, retry budget is {}",
-                    shared.faults.max_retries
-                ),
-            ));
+        let budget = shared.faults.max_retries;
+        if drops > budget {
+            let message = format!("flow t{t} dropped {drops} times, retry budget is {budget}");
+            shared.time_out(t, FailureKind::RetriesExhausted, message);
             return;
         }
         runtime_metrics().flows.inc();
@@ -1178,51 +1125,38 @@ fn send_worker(device: u32, rx: Receiver<Cmd>, shared: &Shared) {
         }
         let delay = shared.frame_delay(device);
         let mut backoff = shared.faults.backoff;
-        for a in 0..drops {
-            let n = bytes.min(shared.chunk_bytes as u64) as usize;
-            if let Some(d) = delay {
-                thread::sleep(d);
-            }
-            let partial = shared.zero.slice(0..n);
-            if let Err(e) =
-                shared.send_frame(device, dst, t, partial, false, a.min(u8::MAX as u32) as u8)
-            {
-                if !shared.monitor.is_finished() {
-                    shared.monitor.fail(RunFailure::task(
-                        t,
-                        FailureKind::Transport,
-                        format!("flow t{t}: {e}"),
-                    ));
+        for attempt in 0..=drops {
+            // A dropped attempt puts its first frame on the wire, never
+            // marked last; the surviving one sends every frame.
+            let dropped = attempt < drops;
+            let mut left = bytes;
+            loop {
+                let n = left.min(shared.chunk_bytes as u64);
+                let last = !dropped && n == left;
+                if let Some(d) = delay {
+                    thread::sleep(d);
                 }
-                return;
-            }
-            thread::sleep(backoff);
-            backoff = backoff.saturating_mul(2);
-            shared.retries.fetch_add(1, Ordering::Relaxed);
-        }
-        let attempt = drops.min(u8::MAX as u32) as u8;
-        let mut left = bytes;
-        loop {
-            let n = left.min(shared.chunk_bytes as u64) as usize;
-            let last = left <= shared.chunk_bytes as u64;
-            let payload = shared.zero.slice(0..n);
-            if let Some(d) = delay {
-                thread::sleep(d);
-            }
-            if let Err(e) = shared.send_frame(device, dst, t, payload, last, attempt) {
-                if !shared.monitor.is_finished() {
-                    shared.monitor.fail(RunFailure::task(
-                        t,
-                        FailureKind::Transport,
-                        format!("flow t{t}: {e}"),
-                    ));
+                let (payload, tag) = (shared.zero.slice(0..n as usize), attempt.min(255) as u8);
+                if let Err(e) = shared.send_frame(device, dst, t, payload, last, tag) {
+                    if !shared.monitor.is_finished() {
+                        shared.monitor.fail(RunFailure::task(
+                            t,
+                            FailureKind::Transport,
+                            format!("flow t{t}: {e}"),
+                        ));
+                    }
+                    return;
                 }
-                return;
+                if dropped || last {
+                    break;
+                }
+                left -= n;
             }
-            if last {
-                break;
+            if dropped {
+                thread::sleep(backoff);
+                backoff = backoff.saturating_mul(2);
+                shared.retries.fetch_add(1, Ordering::Relaxed);
             }
-            left -= n as u64;
         }
         if obs::enabled() {
             obs::event(
@@ -1266,16 +1200,8 @@ fn recv_worker(device: u32, rx: Receiver<Inbound>, shared: &Shared) {
                 entry.1 += payload.len() as u64;
                 if last {
                     let (_, got) = progress.remove(&flow).unwrap_or((attempt, 0));
-                    let want = match shared.kinds[flow as usize] {
-                        Kind::Flow { bytes, .. } => bytes,
-                        _ => {
-                            shared.monitor.fail(RunFailure::task(
-                                flow,
-                                FailureKind::Graph,
-                                format!("frame for non-flow task t{flow}"),
-                            ));
-                            return;
-                        }
+                    let Kind::Flow { bytes: want, .. } = shared.kinds[flow as usize] else {
+                        unreachable!("senders frame flows and tcp readers check every frame")
                     };
                     if got != want {
                         shared.monitor.fail(RunFailure::task(
@@ -1503,7 +1429,7 @@ mod tests {
         let i = trace.interval(t);
         // 1 simulated second at 1e-3 scale is 1 ms; slowed 5x it is >= 5 ms.
         assert!(i.finish - i.start >= 5e-3);
-        assert!(trace.fault_stats().is_clean());
+        assert_eq!(trace.fault_stats(), &FaultStats::default());
     }
 
     #[test]
@@ -1605,10 +1531,18 @@ mod tests {
     /// A shared state with no devices and no tasks: enough structure for
     /// driving individual workers directly in failure-path tests.
     fn bare_shared() -> Arc<Shared> {
-        Arc::new(Shared {
+        shared_with(Vec::new(), 0).0
+    }
+
+    /// A shared state with the given tasks and `devices` inbound queues
+    /// (returned, so frames the reader accepts stay queued), and no
+    /// workers.
+    fn shared_with(kinds: Vec<Kind>, devices: usize) -> (Arc<Shared>, Vec<Receiver<Inbound>>) {
+        let (inbound_tx, inbound_rx) = (0..devices).map(|_| mpsc::sync_channel(4)).unzip();
+        let shared = Arc::new(Shared {
             monitor: Monitor::new(1),
             t0: Instant::now(),
-            kinds: Vec::new(),
+            kinds,
             task_device: Vec::new(),
             roots: Vec::new(),
             pending: Vec::new(),
@@ -1617,8 +1551,8 @@ mod tests {
             finish_ns: Vec::new(),
             compute_tx: Vec::new(),
             send_tx: Vec::new(),
-            inbound_tx: Vec::new(),
-            queue_depth: Vec::new(),
+            inbound_tx,
+            queue_depth: (0..devices).map(|_| AtomicI64::new(0)).collect(),
             tcp_writers: HashMap::new(),
             device_host: Vec::new(),
             zero: Bytes::new(),
@@ -1626,7 +1560,8 @@ mod tests {
             faults: Arc::new(InjectedFaults::default()),
             retries: AtomicU64::new(0),
             hb_base: hb::fresh_ids(1),
-        })
+        });
+        (shared, inbound_rx)
     }
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
@@ -1650,6 +1585,44 @@ mod tests {
         assert_eq!(err.task, Some(7));
         assert_eq!(err.kind, FailureKind::Graph);
         assert!(err.message.contains("unknown device d3"), "{}", err.message);
+    }
+
+    #[test]
+    fn tcp_frame_for_an_unknown_flow_fails_the_run() {
+        let flow_to_d0 = Kind::Flow { dst: 0, bytes: 0 };
+        let (shared, _inbound) = shared_with(vec![flow_to_d0], 1);
+        let (mut out, inc) = loopback_pair();
+        out.write_all(&encode_header(0, 7, 0, true, 0)).unwrap();
+        drop(out);
+        tcp_reader(inc, &shared);
+        let err = shared
+            .monitor
+            .take_error()
+            .expect("reader reports a failure");
+        assert_eq!(err.task, Some(7));
+        assert_eq!(err.kind, FailureKind::Graph);
+        assert!(err.message.contains("t7"), "{}", err.message);
+    }
+
+    #[test]
+    fn tcp_frame_naming_another_devices_flow_fails_the_run() {
+        // Task 0 is a flow to d1 and task 1 a marker: a frame for d0 may
+        // name neither.
+        let kinds = vec![Kind::Flow { dst: 1, bytes: 0 }, Kind::Marker];
+        for flow in [0, 1] {
+            let (shared, _inbound) = shared_with(kinds.clone(), 2);
+            let (mut out, inc) = loopback_pair();
+            out.write_all(&encode_header(0, flow, 0, true, 0)).unwrap();
+            drop(out);
+            tcp_reader(inc, &shared);
+            let err = shared
+                .monitor
+                .take_error()
+                .expect("reader reports a failure");
+            assert_eq!(err.task, Some(flow));
+            assert_eq!(err.kind, FailureKind::Graph);
+            assert!(err.message.contains(&format!("t{flow}")), "{}", err.message);
+        }
     }
 
     #[test]

@@ -13,6 +13,14 @@
 //! [`Trace`](crossmesh_netsim::Trace) type the simulator produces, so
 //! planners, reports, and the timeline exporter work unchanged.
 //!
+//! Each worker's queue carries the work that worker needs (a compute
+//! task's wall occupancy, a flow's destination and size), and every frame
+//! — sent over a channel or read off a socket — lands on its receiver
+//! through one backpressured enqueue. A TCP frame is checked at that
+//! boundary: it must name a flow task bound for the frame's device, or
+//! the run fails with a [`FailureKind::Graph`](crossmesh_netsim::FailureKind)
+//! error naming the flow.
+//!
 //! Two entry points:
 //!
 //! * [`ThreadedBackend`] — implements

@@ -80,14 +80,6 @@ impl TokenBucket {
             Err(Duration::from_secs_f64(deficit / self.rate))
         }
     }
-
-    /// Tokens currently available (after a refill to `now`).
-    pub fn available(&mut self, now: Instant) -> f64 {
-        let elapsed = now.saturating_duration_since(self.last_refill);
-        self.last_refill = now;
-        self.tokens = (self.tokens + elapsed.as_secs_f64() * self.rate).min(self.capacity);
-        self.tokens
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +115,11 @@ mod tests {
         let t0 = Instant::now();
         let mut b = TokenBucket::new(100.0, 2.0, t0);
         let later = t0 + Duration::from_secs(60);
-        assert!((b.available(later) - 2.0).abs() < 1e-9);
+        // Exactly the 2-token capacity is back: two are admitted and the
+        // third waits out a whole token at 100 tokens/s.
+        assert!(b.try_acquire(later).is_ok());
+        assert!(b.try_acquire(later).is_ok());
+        assert_eq!(b.try_acquire(later), Err(Duration::from_millis(10)));
     }
 
     #[test]

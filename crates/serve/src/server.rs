@@ -557,24 +557,15 @@ impl Server {
         &self.shared.registry
     }
 
-    /// Flags the daemon for shutdown, as if a permitted remote `Shutdown`
-    /// request had arrived. [`run_until_shutdown`](Server::run_until_shutdown)
-    /// observes the flag; callers driving the server directly just call
-    /// [`shutdown`](Server::shutdown).
-    pub fn request_shutdown(&self) {
-        self.shared.shutdown_requested.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a shutdown has been requested (remotely or via
-    /// [`request_shutdown`](Server::request_shutdown)). Lets a driver run
-    /// its own wait loop with a deadline.
+    /// Whether a permitted remote `Shutdown` request has arrived. Lets a
+    /// driver run its own wait loop with a deadline; callers driving the
+    /// server directly just call [`shutdown`](Server::shutdown).
     pub fn shutdown_requested(&self) -> bool {
         self.shared.shutdown_requested.load(Ordering::SeqCst)
     }
 
-    /// Blocks until a shutdown is requested (remotely, or via
-    /// [`request_shutdown`](Server::request_shutdown) from another thread
-    /// holding a reference), then drains and returns the summary.
+    /// Blocks until a permitted remote `Shutdown` request arrives, then
+    /// drains and returns the summary.
     pub fn run_until_shutdown(self) -> ServeSummary {
         while !self.shutdown_requested() {
             thread::sleep(Duration::from_millis(25));

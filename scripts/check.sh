@@ -69,6 +69,11 @@ cargo run --offline --release -p crossmesh-cli -- "${reshard_case[@]}" \
     --backend threads --trace-out "$trace_dir/threads.json" > /dev/null
 cargo run --offline --release -p crossmesh-cli -- validate-trace \
     --trace "$trace_dir/sim.json" --against "$trace_dir/threads.json"
+# The tcp backend moves the inter-host frames over real loopback sockets.
+cargo run --offline --release -p crossmesh-cli -- "${reshard_case[@]}" \
+    --backend tcp --trace-out "$trace_dir/tcp.json" > /dev/null
+cargo run --offline --release -p crossmesh-cli -- validate-trace \
+    --trace "$trace_dir/tcp.json" --against "$trace_dir/sim.json"
 # An empty fault schedule is the clean run, byte for byte, even for the
 # multi-rail spray whose relays depend on the host layout.
 printf '%s' '{"seed":0,"events":[],"max_retries":3,"retry_backoff":0.001}' \
@@ -80,5 +85,9 @@ cargo run --offline --release -p crossmesh-cli -- "${rail_case[@]}" \
 cargo run --offline --release -p crossmesh-cli -- "${rail_case[@]}" \
     --faults "$trace_dir/empty.json" --trace-out "$trace_dir/empty-faults.json" > /dev/null
 cmp "$trace_dir/clean.json" "$trace_dir/empty-faults.json"
+
+echo "==> moe all-to-all smoke (one-lane oracle against 4 lanes, byte-exact)"
+cargo run --offline --release -p crossmesh-cli -- moe --verify --json > "$trace_dir/moe.json"
+grep -q '"data_plane_verified": true' "$trace_dir/moe.json"
 
 echo "All checks passed."

@@ -26,7 +26,7 @@ use crossmesh::core::dataplane::{deliver, Delivery, DropRoll};
 use crossmesh::core::{EnsemblePlanner, NaivePlanner, Planner, PlannerConfig, ReshardingTask};
 use crossmesh::faults::{FaultEvent, FaultSchedule};
 use crossmesh::mesh::{DeviceMesh, DimSharding, Layout, ShardingSpec, Tile};
-use crossmesh::moe::{execute_reference, execute_threaded_with_faults, A2aTask, RoutingConfig};
+use crossmesh::moe::{execute, A2aTask, RoutingConfig};
 use crossmesh::netsim::{Backend, ClusterSpec, DeviceId, LinkParams, SimBackend, TaskGraph};
 use crossmesh::runtime::{execute_plan, ThreadedBackend};
 use proptest::prelude::*;
@@ -276,7 +276,7 @@ proptest! {
         let (cluster, task) = build(&p);
         let plan = EnsemblePlanner::new(config()).plan(&task);
         let mut graph = TaskGraph::new();
-        let lowered = plan.lower(&mut graph, &[]);
+        let lowered = plan.lower_on(&mut graph, &[], None);
 
         let sim_trace = SimBackend.execute(&cluster, &graph).unwrap();
         let trace = ThreadedBackend::threads().execute(&cluster, &graph).unwrap();
@@ -319,17 +319,17 @@ proptest! {
     ) {
         let a2a = a2a_case(hosts_per_side, devices, tokens, token_bytes, skew, seed);
 
-        let reference = execute_reference(&a2a)
+        let reference = execute(&a2a, 1, &FaultSchedule::default())
             .map_err(|e| TestCaseError::fail(format!("reference: {e}")))?;
         prop_assert_eq!(reference.delivered_bytes, a2a.total_bytes());
         let faults = FaultSchedule::new(seed)
             .with_event(FaultEvent::FlowDrop { prob: 0.2 })
             .with_retry_policy(6, 1e-3);
         for pool in [1usize, 4] {
-            let clean = execute_threaded_with_faults(&a2a, pool, None)
+            let clean = execute(&a2a, pool, &FaultSchedule::default())
                 .map_err(|e| TestCaseError::fail(format!("pool {pool}: {e}")))?;
             prop_assert_eq!(&clean, &reference, "pool {} diverged", pool);
-            let faulty = execute_threaded_with_faults(&a2a, pool, Some(&faults))
+            let faulty = execute(&a2a, pool, &faults)
                 .map_err(|e| TestCaseError::fail(format!("pool {pool} faults: {e}")))?;
             prop_assert_eq!(&faulty, &reference, "pool {} with faults diverged", pool);
         }

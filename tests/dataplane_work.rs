@@ -7,10 +7,11 @@
 //! it reads them.
 
 use crossmesh::core::{dataplane, EnsemblePlanner, Planner, PlannerConfig, ReshardingTask};
+use crossmesh::faults::FaultSchedule;
 use crossmesh::mesh::DeviceMesh;
 use crossmesh::models::moe::GptMoeConfig;
 use crossmesh::models::{presets, Precision};
-use crossmesh::moe::{execute_reference, execute_threaded, A2aTask, RoutingConfig};
+use crossmesh::moe::{execute, A2aTask, RoutingConfig};
 use crossmesh::netsim::{ClusterSpec, FabricModel, LinkParams};
 use crossmesh::runtime;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,6 +72,7 @@ fn copies_are_pinned_and_no_thread_is_started() {
     let (small, big, a2a) = (reshard(&[16, 16, 16]), reshard(&[128, 128, 64]), dispatch());
     let (small, big) = (planner.plan(&small), planner.plan(&big));
     let shards = a2a.pairs().len() as u64;
+    let clean = FaultSchedule::default();
 
     // (what runs, copy_runs, copied_bytes), each on one lane and on several.
     // A destination tile takes a unit's slice as one run per index of its
@@ -94,8 +96,8 @@ fn copies_are_pinned_and_no_thread_is_started() {
         (
             "moe dispatch",
             [
-                Box::new(|| execute_reference(&a2a).unwrap().delivered_bytes),
-                Box::new(|| execute_threaded(&a2a, 4).unwrap().delivered_bytes),
+                Box::new(|| execute(&a2a, 1, &clean).unwrap().delivered_bytes),
+                Box::new(|| execute(&a2a, 4, &clean).unwrap().delivered_bytes),
             ],
             shards,
             a2a.total_bytes(),

@@ -44,7 +44,7 @@ fn export_on(backend: &dyn Backend) -> String {
     let task = small_task(&cluster);
     let plan = EnsemblePlanner::new(config()).plan(&task);
     let mut graph = TaskGraph::new();
-    plan.lower(&mut graph, &[]);
+    plan.lower_on(&mut graph, &[], None);
     let trace = backend.execute(&cluster, &graph).expect("run executes");
     let mut export = TraceExport::new();
     export.push_run(&graph, &trace, &cluster, RunKind::Primary, 0.0);

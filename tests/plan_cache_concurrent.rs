@@ -65,8 +65,8 @@ fn serial_reference(
     let mut plans = Vec::new();
     for task in tasks {
         for excl in exclusions {
-            let plan = cache
-                .plan_with_exclusions(&planner, task, excl)
+            let (plan, _) = cache
+                .plan_with_exclusions_outcome(&planner, task, excl)
                 .expect("replicated sources survive one exclusion");
             plans.push(plan.assignments().to_vec());
         }
@@ -79,7 +79,7 @@ fn concurrent_hammering_matches_serial_hit_miss_semantics() {
     let tasks = Arc::new(tasks());
     let exclusions = [
         SenderExclusions::none(),
-        SenderExclusions::none().with_host(HostId(0)),
+        SenderExclusions::for_hosts([HostId(0)]),
     ];
     let reference = serial_reference(&tasks, &exclusions);
     let distinct_keys = tasks.len() * exclusions.len();
@@ -102,8 +102,12 @@ fn concurrent_hammering_matches_serial_hit_miss_semantics() {
                         for i in 0..tasks.len() * exclusions.len() {
                             let k = (i + t + r) % (tasks.len() * exclusions.len());
                             let (ti, ei) = (k / exclusions.len(), k % exclusions.len());
-                            let plan = cache
-                                .plan_with_exclusions(&*planner, &tasks[ti], &exclusions[ei])
+                            let (plan, _) = cache
+                                .plan_with_exclusions_outcome(
+                                    &*planner,
+                                    &tasks[ti],
+                                    &exclusions[ei],
+                                )
                                 .expect("no data loss");
                             assert_eq!(
                                 plan.assignments(),
@@ -159,9 +163,9 @@ fn invalidation_under_concurrency_never_serves_an_excluded_sender() {
                 for r in 0..8 {
                     let task = &tasks[(t + r) % tasks.len()];
                     if (t + r) % 2 == 0 {
-                        let excl = SenderExclusions::none().with_host(dead);
-                        let plan = cache
-                            .plan_with_exclusions(&*planner, task, &excl)
+                        let excl = SenderExclusions::for_hosts([dead]);
+                        let (plan, _) = cache
+                            .plan_with_exclusions_outcome(&*planner, task, &excl)
                             .expect("replicas survive");
                         assert!(
                             plan.assignments().iter().all(|a| a.sender_host != dead),
@@ -194,7 +198,7 @@ proptest! {
         let tasks = Arc::new(tasks());
         let exclusions = [
             SenderExclusions::none(),
-            SenderExclusions::none().with_host(HostId(0)),
+            SenderExclusions::for_hosts([HostId(0)]),
         ];
         let reference = serial_reference(&tasks, &exclusions);
         let cache = Arc::new(PlanCache::new());
@@ -212,8 +216,8 @@ proptest! {
                 thread::spawn(move || {
                     for k in order {
                         let (ti, ei) = (k / exclusions.len(), k % exclusions.len());
-                        let plan = cache
-                            .plan_with_exclusions(&*planner, &tasks[ti], &exclusions[ei])
+                        let (plan, _) = cache
+                            .plan_with_exclusions_outcome(&*planner, &tasks[ti], &exclusions[ei])
                             .expect("no data loss");
                         assert_eq!(plan.assignments(), &reference[k][..]);
                     }

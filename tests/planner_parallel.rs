@@ -214,9 +214,9 @@ proptest! {
 
         let baseline = cache.plan(&planner, &task);
         let hits_before = cache.stats().hits;
-        let excl = SenderExclusions::none().with_host(HostId(dead));
-        let repaired = cache
-            .plan_with_exclusions(&planner, &task, &excl)
+        let excl = SenderExclusions::for_hosts([HostId(dead)]);
+        let (repaired, _) = cache
+            .plan_with_exclusions_outcome(&planner, &task, &excl)
             .expect("fully replicated source cannot lose data");
         prop_assert_eq!(
             cache.stats().hits, hits_before,

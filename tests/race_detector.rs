@@ -18,9 +18,10 @@
 use crossmesh::check::race::{run_armed, run_clean, run_defect, Defect, RaceDetector};
 use crossmesh::check::schedules::sweep;
 use crossmesh::core::{dataplane, NaivePlanner, Planner, PlannerConfig, TaskSpec};
+use crossmesh::faults::FaultSchedule;
 use crossmesh::hb;
 use crossmesh::mesh::DeviceMesh;
-use crossmesh::moe::{execute_reference, execute_threaded, A2aTask, RoutingConfig};
+use crossmesh::moe::{execute, A2aTask, RoutingConfig};
 use crossmesh::netsim::{Backend, ClusterSpec, LinkParams, TaskGraph, Work};
 use crossmesh::runtime::{execute_plan, ThreadedBackend};
 use proptest::prelude::*;
@@ -136,11 +137,12 @@ fn moe_dataplane_is_race_clean_and_byte_identical() {
         ..RoutingConfig::default()
     };
     let a2a = A2aTask::dispatch(&tokens, &experts, &cfg.bytes_matrix(4, 4));
-    let reference = execute_reference(&a2a).expect("reference executes");
+    let clean = FaultSchedule::default();
+    let reference = execute(&a2a, 1, &clean).expect("reference executes");
 
     for seed in [0u64, 7] {
         let diags = run_armed(seed, || {
-            let threaded = execute_threaded(&a2a, 4).expect("threaded executes");
+            let threaded = execute(&a2a, 4, &clean).expect("threaded executes");
             assert_eq!(threaded, reference, "seed {seed}: byte oracle diverged");
         });
         assert!(diags.is_empty(), "seed {seed}: {diags:?}");

@@ -54,7 +54,6 @@ fn cluster_and_graph_roundtrip() {
         .with_fabric_capacity(5e9);
     let back = roundtrip(&c);
     assert_eq!(back, c);
-    assert_eq!(back.fabric_capacity(), Some(5e9));
 
     let mut g = TaskGraph::new();
     let t = g.add(Work::compute(c.device(0, 0), 1.0), []);
