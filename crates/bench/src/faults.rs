@@ -12,9 +12,8 @@
 use crate::cases::TABLE2;
 use crate::table_fmt;
 use crossmesh_core::{EnsemblePlanner, NaivePlanner, Planner, PlannerConfig};
-use crossmesh_faults::{execute_with_repair, FaultEvent, FaultSchedule};
+use crossmesh_faults::{execute_with_repair, BackendKind, FaultEvent, FaultSchedule};
 use crossmesh_models::presets;
-use crossmesh_netsim::SimBackend;
 use serde::{Deserialize, Serialize};
 
 /// Per-attempt flow-drop probabilities swept by [`run`].
@@ -67,7 +66,7 @@ pub fn measure(planner: &dyn Planner, schedule: &FaultSchedule) -> (f64, u64, us
     let case = &TABLE2[1];
     let (cluster, task) = case.build().expect("case2 builds");
     let plan = planner.plan(&task);
-    let r = execute_with_repair(&plan, &cluster, &SimBackend, schedule, None)
+    let r = execute_with_repair(&plan, &cluster, BackendKind::Sim, schedule, None)
         .expect("scenario is recoverable");
     let seconds = r
         .degraded_makespan

@@ -15,10 +15,9 @@
 
 use crate::table_fmt;
 use crossmesh_core::{LoadBalancePlanner, Planner, PlannerConfig, Strategy, StrategyChoice};
-use crossmesh_mesh::DeviceMesh;
-use crossmesh_models::moe::GptMoeConfig;
-use crossmesh_moe::{A2aTask, RoutingConfig};
-use crossmesh_netsim::{ClusterSpec, FabricModel, LinkParams};
+use crossmesh_models::moe::{a2a_cluster, a2a_strategy, GptMoeConfig, A2A_STRATEGIES, FABRICS};
+use crossmesh_moe::{A2aDirection, A2aTask};
+use crossmesh_netsim::ClusterSpec;
 use serde::{Deserialize, Serialize};
 
 /// Hosts in the swept cluster (half tokens, half experts).
@@ -67,87 +66,15 @@ pub struct Report {
     pub rail_speedups: Vec<RailSpeedup>,
 }
 
-/// The swept fabric models over the common host/NIC geometry.
-fn topologies() -> Vec<(&'static str, FabricModel)> {
-    let nic = 1.25e9;
-    vec![
-        (
-            "rails",
-            FabricModel::RailOptimized {
-                rails: DEVICES_PER_HOST,
-                spine_capacity: nic,
-            },
-        ),
-        (
-            "flat",
-            FabricModel::Flat {
-                capacity: Some(f64::from(HOSTS) * nic / 2.0),
-            },
-        ),
-        (
-            "fat-tree",
-            FabricModel::FatTree {
-                pod_hosts: HOSTS / 2,
-                oversubscription: 4.0,
-            },
-        ),
-        (
-            "torus",
-            FabricModel::Torus2D {
-                rows: 2,
-                cols: HOSTS / 2,
-                link_capacity: nic,
-            },
-        ),
-    ]
-}
-
-/// The swept strategies.
-fn strategies() -> Vec<(&'static str, Strategy)> {
-    vec![
-        // One chunk per rail: an a2a already has per-pair parallelism, so
-        // extra chunking only multiplies per-hop latency.
-        (
-            "multi_rail",
-            Strategy::MultiRail {
-                rails: DEVICES_PER_HOST,
-                chunks: DEVICES_PER_HOST,
-            },
-        ),
-        ("send_recv", Strategy::SendRecv),
-        ("broadcast", Strategy::broadcast()),
-    ]
-}
-
-/// The cluster for one fabric model.
-fn cluster(fabric: FabricModel) -> ClusterSpec {
-    ClusterSpec::homogeneous(
-        HOSTS,
-        DEVICES_PER_HOST,
-        LinkParams::new(100e9, 1.25e9).with_latencies(5e-6, 25e-6),
-    )
-    .with_fabric(fabric)
-}
-
-/// The seeded routing draw at one skew: the GPT-MoE case-1 gate geometry
-/// scaled down so a sweep cell simulates in milliseconds.
-fn routing(skew: f64, smoke: bool) -> RoutingConfig {
-    let model = GptMoeConfig::case1().with_skew(skew).with_seed(17);
-    RoutingConfig {
-        tokens_per_device: if smoke { 64 } else { 256 },
-        ..model.routing()
-    }
-}
-
-/// Builds the dispatch all-to-all for one skew on `cluster`.
+/// The dispatch all-to-all at one skew on `cluster`: the GPT-MoE case-1
+/// gate geometry scaled down so a sweep cell simulates in milliseconds.
 fn dispatch(c: &ClusterSpec, skew: f64, smoke: bool) -> A2aTask {
-    let half = (HOSTS / 2) as usize;
-    let per = DEVICES_PER_HOST as usize;
-    let tokens = DeviceMesh::from_cluster(c, 0, (half, per), "moe-tokens").expect("mesh fits");
-    let experts = DeviceMesh::from_cluster(c, half, (half, per), "moe-experts").expect("mesh fits");
-    let senders = half * per;
-    let bytes = routing(skew, smoke).bytes_matrix(senders, senders);
-    A2aTask::dispatch(&tokens, &experts, &bytes)
+    let tokens_per_device = if smoke { 64 } else { 256 };
+    GptMoeConfig::case1()
+        .with_skew(skew)
+        .with_seed(17)
+        .a2a(c, A2aDirection::Dispatch, tokens_per_device)
+        .expect("mesh fits")
 }
 
 /// Measures one cell: plan with the fixed strategy, verify (generic +
@@ -162,20 +89,8 @@ pub fn measure(c: &ClusterSpec, a2a: &A2aTask, strategy: Strategy) -> (f64, u64,
         PlannerConfig::default().with_strategy(StrategyChoice::Fixed(strategy)),
     );
     let plan = planner.plan(a2a.task());
-    let mut diags = plan.verify(Some(c), &|_, _| false);
-    let views: Vec<_> = plan
-        .assignments()
-        .iter()
-        .map(crossmesh_core::Assignment::as_view)
-        .collect();
-    diags.extend(crossmesh_check::verify::verify_a2a(
-        a2a.pairs(),
-        a2a.task().units(),
-        a2a.task().elem_bytes(),
-        &views,
-        Some(c),
-    ));
-    let convictions = diags
+    let convictions = a2a
+        .verify(&plan, c)
         .iter()
         .filter(|d| d.severity == crossmesh_check::Severity::Error)
         .count();
@@ -190,16 +105,18 @@ pub fn measure(c: &ClusterSpec, a2a: &A2aTask, strategy: Strategy) -> (f64, u64,
 /// Runs the sweep. `smoke` trims it to the rail fabric at one skew with a
 /// smaller routing draw for the module test.
 pub fn run(smoke: bool) -> Report {
-    let topos = topologies();
-    let topos = if smoke { &topos[..1] } else { &topos[..] };
+    let topos: &[&str] = if smoke { &FABRICS[..1] } else { &FABRICS };
     let skews: &[f64] = if smoke { &SKEWS[1..2] } else { &SKEWS };
+    let params = PlannerConfig::default().params;
 
     let mut rows = Vec::new();
-    for (topo_name, fabric) in topos {
-        let c = cluster(*fabric);
+    for &topo_name in topos {
+        let c = a2a_cluster(topo_name, HOSTS, DEVICES_PER_HOST, &params).expect("a swept fabric");
         for &skew in skews {
             let a2a = dispatch(&c, skew, smoke);
-            for (strat_name, strategy) in strategies() {
+            for strat_name in A2A_STRATEGIES {
+                let strategy =
+                    a2a_strategy(strat_name, DEVICES_PER_HOST).expect("a swept strategy");
                 let (makespan, cross, convictions) = measure(&c, &a2a, strategy);
                 rows.push(Row {
                     topology: topo_name,

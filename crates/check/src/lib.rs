@@ -35,7 +35,7 @@
 //! execute a plan with `Error` diagnostics; CI fails on any lint finding).
 //!
 //! This crate sits *below* `crossmesh-core` in the dependency graph — it
-//! sees plans as slices of [`verify::AssignmentView`]s and schedules as
+//! sees plans as slices of [`verify::Assignment`]s and schedules as
 //! slices of [`verify::ScheduleOp`]s — so the planner, the plan cache, and
 //! the fault-recovery loop can all call the verifier without a cycle.
 

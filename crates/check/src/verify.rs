@@ -4,12 +4,12 @@
 //! shape, ordering, cross-stage deadlock freedom) without executing
 //! anything.
 //!
-//! The verifier deliberately does *not* consume `crossmesh-core` types:
-//! `core::Plan::new` panics on malformed input, which is the right contract
-//! for planner output but useless for checking a plan deserialized from a
-//! file. [`AssignmentView`] is the raw, unvalidated shape — the CLI `check`
-//! subcommand feeds it straight from JSON, and `crossmesh-core` converts
-//! its own `Assignment`s into it before every execution.
+//! The plan entry, [`Assignment`], is defined here and re-exported as
+//! `crossmesh_core::Assignment`, so the verifier reads the planner's own
+//! entries. It carries no validity promise: `core::Plan::new` panics on
+//! malformed input, which is the right contract for planner output, while
+//! the CLI `check` subcommand feeds a list deserialized from a file
+//! straight into [`verify_plan`].
 
 use crate::{record_run, Diagnostic, Rule, TileDiff};
 use crossmesh_collectives::Strategy;
@@ -18,14 +18,14 @@ use crossmesh_netsim::{ClusterSpec, DeviceId, HostId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// The raw shape of one plan entry: which replica sends unit `unit`, with
-/// which strategy. Mirrors `crossmesh-core`'s `Assignment` field for field
-/// (and deserializes from the same JSON), but carries no validity promise.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AssignmentView {
+/// One scheduled unit task: which replica sends unit `unit`, and with
+/// what strategy. Nothing here promises the entry is valid; that is what
+/// [`verify_plan`] checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct Assignment {
     /// Index of the unit task this entry schedules.
     pub unit: usize,
-    /// The chosen sender device.
+    /// The chosen sender device (one of the unit task's replicas).
     pub sender: DeviceId,
     /// Host owning `sender`.
     pub sender_host: HostId,
@@ -48,7 +48,7 @@ pub fn verify_plan(
     units: &[UnitTask],
     shape: &[u64],
     elem_bytes: u64,
-    assignments: &[AssignmentView],
+    assignments: &[Assignment],
     cluster: Option<&ClusterSpec>,
     excluded: &dyn Fn(DeviceId, HostId) -> bool,
 ) -> Vec<Diagnostic> {
@@ -216,7 +216,7 @@ pub fn verify_a2a(
     pairs: &[A2aPairView],
     units: &[UnitTask],
     elem_bytes: u64,
-    assignments: &[AssignmentView],
+    assignments: &[Assignment],
     cluster: Option<&ClusterSpec>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
@@ -394,7 +394,7 @@ pub struct RingSpec {
 /// receivers sorted host-contiguously starting with the sender's host, and
 /// the effective chunk count clamped exactly as the lowering clamps it.
 /// Returns `None` for non-ring strategies.
-pub fn ring_spec(unit: &UnitTask, a: &AssignmentView) -> Option<RingSpec> {
+pub fn ring_spec(unit: &UnitTask, a: &Assignment) -> Option<RingSpec> {
     let chunks = match a.strategy {
         Strategy::Broadcast { chunks } => chunks,
         _ => return None,
@@ -499,7 +499,7 @@ pub fn verify_ring(
 /// parameters must be usable.
 fn capacity_rules(
     unit: &UnitTask,
-    a: &AssignmentView,
+    a: &Assignment,
     pos: usize,
     cluster: &ClusterSpec,
 ) -> Vec<Diagnostic> {
@@ -832,8 +832,8 @@ mod tests {
         }
     }
 
-    fn view(unit: usize, sender: u32, host: u32) -> AssignmentView {
-        AssignmentView {
+    fn view(unit: usize, sender: u32, host: u32) -> Assignment {
+        Assignment {
             unit,
             sender: DeviceId(sender),
             sender_host: HostId(host),
@@ -934,7 +934,7 @@ mod tests {
                 (5, 1, Tile::new([3..4, 0..4])),
             ],
         );
-        let a = AssignmentView {
+        let a = Assignment {
             unit: 0,
             sender: DeviceId(0),
             sender_host: HostId(0),
@@ -1027,7 +1027,7 @@ mod tests {
     /// Two senders on host 0, two expert devices on host 1; every pair
     /// ships 8 bytes. Unit `i*2+j` carries pair (sender i → expert j).
     #[allow(clippy::single_range_in_vec_init)]
-    fn a2a_fixture() -> (Vec<UnitTask>, Vec<AssignmentView>, Vec<A2aPairView>) {
+    fn a2a_fixture() -> (Vec<UnitTask>, Vec<Assignment>, Vec<A2aPairView>) {
         let mut units = Vec::new();
         let mut pairs = Vec::new();
         let mut plan = Vec::new();
@@ -1054,7 +1054,7 @@ mod tests {
                     dst_host: HostId(1),
                     bytes: 8,
                 });
-                plan.push(AssignmentView {
+                plan.push(Assignment {
                     unit: u,
                     sender: DeviceId(s),
                     sender_host: HostId(0),
@@ -1080,7 +1080,7 @@ mod tests {
 
         // Duplicated pair.
         let mut duplicated = plan.clone();
-        duplicated.push(plan[0].clone());
+        duplicated.push(plan[0]);
         let diags = verify_a2a(&pairs, &units, 1, &duplicated, None);
         assert!(
             diags.iter().any(|d| d.rule == Rule::A2aDuplicatePair),
@@ -1132,7 +1132,7 @@ mod tests {
             bytes: 64,
         }];
         let assign = |rails: u32| {
-            vec![AssignmentView {
+            vec![Assignment {
                 unit: 0,
                 sender: DeviceId(0),
                 sender_host: HostId(0),

@@ -20,14 +20,12 @@ mod args;
 
 use args::Args;
 use crossmesh_autoshard::{search, AutoShardProblem};
-use crossmesh_check::verify::AssignmentView;
 use crossmesh_core::{
-    build_meshes, dataplane, parse_shape, planner_for, CostParams, EnsemblePlanner,
+    build_meshes, dataplane, parse_shape, planner_for, Assignment, CostParams, EnsemblePlanner,
     LoadBalancePlanner, PlanCache, PlanRun, Planner, PlannerConfig, Strategy, StrategyChoice,
     TaskSpec,
 };
-use crossmesh_faults::{execute_with_repair, FaultSchedule};
-use crossmesh_mesh::DeviceMesh;
+use crossmesh_faults::{execute_with_repair, BackendKind, FaultSchedule};
 use crossmesh_models::gpt::GptConfig;
 use crossmesh_models::utransformer::UTransformerConfig;
 use crossmesh_models::{presets, ModelJob, Precision};
@@ -36,7 +34,6 @@ use crossmesh_obs as obs;
 use crossmesh_pipeline::{
     simulate_with_cache, CommMode, PipelineConfig, ScheduleKind, WeightDelay,
 };
-use crossmesh_serve::BackendKind;
 use std::error::Error;
 use std::process::ExitCode;
 
@@ -440,14 +437,14 @@ fn check(args: &Args) -> Result<String, Box<dyn Error>> {
     let (task, cluster) = spec.build()?;
     let plan_text = std::fs::read_to_string(plan_path)
         .map_err(|e| format!("cannot read --plan {plan_path:?}: {e}"))?;
-    let views: Vec<AssignmentView> =
+    let assignments: Vec<Assignment> =
         serde_json::from_str(&plan_text).map_err(|e| format!("--plan {plan_path:?}: {e}"))?;
 
     let diags = crossmesh_check::verify::verify_plan(
         task.units(),
         task.shape(),
         task.elem_bytes(),
-        &views,
+        &assignments,
         Some(&cluster),
         &|_, _| false,
     );
@@ -458,7 +455,7 @@ fn check(args: &Args) -> Result<String, Box<dyn Error>> {
                 format!(
                     "check: OK — {} unit tasks, {} assignments, 0 diagnostics",
                     task.units().len(),
-                    views.len()
+                    assignments.len()
                 )
             } else {
                 crossmesh_check::render_text(&diags)
@@ -467,12 +464,16 @@ fn check(args: &Args) -> Result<String, Box<dyn Error>> {
         other => return Err(format!("unknown --format {other:?}").into()),
     };
     if crossmesh_check::has_errors(&diags) {
-        // Findings are the output, not a usage error: print them and exit
-        // non-zero without the usage banner.
-        println!("{body}");
-        std::process::exit(1);
+        exit_with_findings(&body);
     }
     Ok(body)
+}
+
+/// Prints a check's findings and exits 1: findings are the output, not a
+/// usage error, so no usage banner follows them.
+fn exit_with_findings(findings: &str) -> ! {
+    println!("{findings}");
+    std::process::exit(1);
 }
 
 /// `crossmesh check --races`: run the happens-before race detector's
@@ -608,9 +609,7 @@ fn check_races(args: &Args) -> Result<String, Box<dyn Error>> {
         other => return Err(format!("unknown --format {other:?}").into()),
     };
     if failed {
-        // Misses are the output, not a usage error.
-        println!("{body}");
-        std::process::exit(1);
+        exit_with_findings(&body);
     }
     Ok(body)
 }
@@ -621,9 +620,8 @@ fn check_races(args: &Args) -> Result<String, Box<dyn Error>> {
 /// half of the cluster, expert hosts the second; `--verify` additionally
 /// replays the plan on the byte-exact expert-shard data plane.
 fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
-    use crossmesh_models::moe::GptMoeConfig;
-    use crossmesh_moe::{execute, A2aTask, RoutingConfig};
-    use crossmesh_netsim::FabricModel;
+    use crossmesh_models::moe::{a2a_cluster, a2a_strategy, GptMoeConfig};
+    use crossmesh_moe::{execute, A2aDirection};
 
     let hosts: u32 = args.get_parsed("hosts", 8u32)?;
     if hosts < 2 || !hosts.is_multiple_of(2) {
@@ -632,87 +630,31 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
     let gpus: u32 = args.get_parsed("gpus-per-host", 4u32)?;
     let params = cost_params(args)?;
     let fabric_name = args.get_or("fabric", "rails");
-    let fabric = match fabric_name {
-        "rails" => FabricModel::RailOptimized {
-            rails: gpus,
-            spine_capacity: params.inter_bw,
-        },
-        "flat" => FabricModel::Flat {
-            capacity: Some(f64::from(hosts) * params.inter_bw / 2.0),
-        },
-        "fat-tree" => FabricModel::FatTree {
-            pod_hosts: hosts / 2,
-            oversubscription: 4.0,
-        },
-        "torus" => FabricModel::Torus2D {
-            rows: 2,
-            cols: hosts / 2,
-            link_capacity: params.inter_bw,
-        },
-        other => return Err(format!("unknown fabric {other:?}").into()),
-    };
-    let cluster = ClusterSpec::homogeneous(
-        hosts,
-        gpus,
-        LinkParams::new(params.intra_bw, params.inter_bw)
-            .with_latencies(params.intra_latency, params.inter_latency),
-    )
-    .with_fabric(fabric);
-
-    let half = (hosts / 2) as usize;
-    let per = gpus as usize;
-    let tokens_mesh = DeviceMesh::from_cluster(&cluster, 0, (half, per), "moe-tokens")?;
-    let experts_mesh = DeviceMesh::from_cluster(&cluster, half, (half, per), "moe-experts")?;
+    let cluster = a2a_cluster(fabric_name, hosts, gpus, &params)?;
 
     let skew: f64 = args.get_parsed("skew", 1.0)?;
     let seed: u64 = args.get_parsed("seed", 17)?;
-    let model = GptMoeConfig::case1().with_skew(skew).with_seed(seed);
-    let routing = RoutingConfig {
-        tokens_per_device: args.get_parsed("tokens", 64u64)?,
-        ..model.routing()
-    };
-    let senders = half * per;
-    let bytes = routing.bytes_matrix(senders, senders);
-    let a2a = match args.get_or("direction", "dispatch") {
-        "dispatch" => A2aTask::dispatch(&tokens_mesh, &experts_mesh, &bytes),
-        "combine" => A2aTask::combine(&tokens_mesh, &experts_mesh, &bytes),
+    let tokens: u64 = args.get_parsed("tokens", 64u64)?;
+    let direction = match args.get_or("direction", "dispatch") {
+        "dispatch" => A2aDirection::Dispatch,
+        "combine" => A2aDirection::Combine,
         other => return Err(format!("unknown --direction {other:?}").into()),
     };
+    let a2a = GptMoeConfig::case1()
+        .with_skew(skew)
+        .with_seed(seed)
+        .a2a(&cluster, direction, tokens)?;
 
     let strategy_name = args.get_or("strategy", "multi_rail");
-    let strategy = match strategy_name {
-        // One chunk per rail: the a2a's per-pair parallelism already
-        // fills the fabric; finer chunking only multiplies hop latency.
-        "multi_rail" => Strategy::MultiRail {
-            rails: gpus,
-            chunks: gpus,
-        },
-        "send_recv" => Strategy::SendRecv,
-        "broadcast" => Strategy::broadcast(),
-        other => return Err(format!("unknown strategy {other:?}").into()),
-    };
+    let strategy = a2a_strategy(strategy_name, gpus)?;
     let planner = LoadBalancePlanner::new(
         PlannerConfig::new(params).with_strategy(StrategyChoice::Fixed(strategy)),
     );
     let plan = planner.plan(a2a.task());
 
-    let mut diags = plan.verify(Some(&cluster), &|_, _| false);
-    let views: Vec<AssignmentView> = plan
-        .assignments()
-        .iter()
-        .map(crossmesh_core::Assignment::as_view)
-        .collect();
-    diags.extend(crossmesh_check::verify::verify_a2a(
-        a2a.pairs(),
-        a2a.task().units(),
-        a2a.task().elem_bytes(),
-        &views,
-        Some(&cluster),
-    ));
+    let diags = a2a.verify(&plan, &cluster);
     if crossmesh_check::has_errors(&diags) {
-        // Convictions are the output, not a usage error.
-        println!("{}", crossmesh_check::render_text(&diags));
-        std::process::exit(1);
+        exit_with_findings(&crossmesh_check::render_text(&diags));
     }
     let warnings = diags.len();
 
@@ -819,7 +761,7 @@ fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
     let config = PlannerConfig::new(params)
         .with_strategy(strategy_choice(args.get_or("strategy", "broadcast"))?);
     let planner = planner_for(args.get_or("planner", "ours"), config, seed_arg(args)?)?;
-    let backend = BackendKind::parse(args.get_or("backend", "sim"))?.instantiate();
+    let backend = BackendKind::parse(args.get_or("backend", "sim"))?;
     let plan = planner.plan(&task);
     if let Some(path) = args.get("emit-task") {
         std::fs::write(path, serde_json::to_string_pretty(&spec)?)?;
@@ -839,7 +781,7 @@ fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
         }
         None => FaultSchedule::default(),
     };
-    let recovery = execute_with_repair(&plan, &cluster, &*backend, &schedule, None)?;
+    let recovery = execute_with_repair(&plan, &cluster, backend, &schedule, None)?;
     let report = recovery.run.report();
 
     if let Some(path) = args.get("trace-out") {
@@ -968,7 +910,7 @@ fn pipeline(args: &Args) -> Result<String, Box<dyn Error>> {
         "signal" => CommMode::Signal,
         other => return Err(format!("unknown comm mode {other:?}").into()),
     };
-    let backend = BackendKind::parse(args.get_or("backend", "sim"))?.instantiate();
+    let backend = BackendKind::parse(args.get_or("backend", "sim"))?;
     let planner = EnsemblePlanner::new(PlannerConfig::new(presets::p3_cost_params()));
     let config = PipelineConfig {
         schedule,
@@ -987,7 +929,7 @@ fn pipeline(args: &Args) -> Result<String, Box<dyn Error>> {
             &cluster,
             &planner,
             &config,
-            &*backend,
+            &backend,
             Some(&cache),
         )?;
         hits += r.plan_cache_hits;
@@ -1460,7 +1402,7 @@ mod tests {
             planner_for(p, cfg, Some(42)).unwrap();
         }
         for b in ["sim", "threads", "tcp"] {
-            assert_eq!(BackendKind::parse(b).unwrap().instantiate().name(), b);
+            assert_eq!(BackendKind::parse(b).unwrap().name(), b);
         }
         assert!(BackendKind::parse("nope").is_err());
     }
@@ -1586,6 +1528,37 @@ mod tests {
         assert!(run(toks("validate-trace --trace /nonexistent.json")).is_err());
         let _ = std::fs::remove_file(&sim);
         let _ = std::fs::remove_file(&thr);
+    }
+
+    #[test]
+    fn emitted_plans_round_trip_through_check() {
+        let dir = std::env::temp_dir();
+        let task = dir.join("crossmesh_cli_roundtrip_task.json");
+        let plan = dir.join("crossmesh_cli_roundtrip_plan.json");
+        run(toks(&format!(
+            "reshard --src-spec RS0R --dst-spec S0RR --src-mesh 2x4 --dst-mesh 2x4 \
+             --shape 64x64x8 --strategy tree_broadcast --emit-task {} --emit-plan {}",
+            task.display(),
+            plan.display()
+        )))
+        .unwrap();
+        let check = |format: &str| {
+            run(toks(&format!(
+                "check --task {} --plan {} --format {format}",
+                task.display(),
+                plan.display()
+            )))
+            .unwrap()
+        };
+        // The default flat fabric draws one warning; nothing is an error.
+        let diags: Vec<serde_json::Value> = serde_json::from_str(&check("json")).unwrap();
+        assert!(
+            diags.iter().all(|d| d["severity"] == "Warning"),
+            "{diags:?}"
+        );
+        assert!(!check("text").contains("error"));
+        let _ = std::fs::remove_file(&task);
+        let _ = std::fs::remove_file(&plan);
     }
 
     #[test]

@@ -432,17 +432,18 @@ fn lower_tree_broadcast(
     // intra-host hop (indexed by the receiving device's position).
     let mut last_on_edge: Vec<Option<TaskId>> = vec![None; n];
     let mut last_intra: Vec<Option<TaskId>> = vec![None; devices.len()];
-    // arrival[node]: the flow that delivered the previous chunk to the
-    // node's relay (None for the root, whose gate is the external deps).
+    // arrival[node]: the flow that delivered chunk `j` to the node's relay
+    // (unused for the root, whose gate is the external deps). A parent's
+    // index is below its child's, so the parent sets it earlier in the
+    // same pass, before the child relays that chunk on.
     let mut arrival: Vec<Option<TaskId>> = vec![None; n];
-    let mut next_arrival: Vec<Option<TaskId>> = vec![None; n];
     for j in 0..k {
-        next_arrival.fill(None);
         for (node, (rep, chain)) in nodes.iter().enumerate() {
+            let relayed = arrival[node];
             let parent_arrived: &[TaskId] = match (node, j) {
                 (0, 0) => deps,
                 (0, _) => &[],
-                _ => arrival[node].as_slice(),
+                _ => relayed.as_slice(),
             };
             // Relay to children in the host tree.
             for c in [2 * node + 1, 2 * node + 2] {
@@ -456,7 +457,7 @@ fn lower_tree_broadcast(
                     Label::new("tb u{} c{} {}->{}", [unit, j as u32, node as u32, c as u32]),
                 );
                 last_on_edge[c] = Some(f);
-                next_arrival[c] = Some(f);
+                arrival[c] = Some(f);
                 if j == k - 1 {
                     completions.push((child_rep, f));
                 }
@@ -482,7 +483,6 @@ fn lower_tree_broadcast(
                 }
             }
         }
-        std::mem::swap(&mut arrival, &mut next_arrival);
     }
     completions
 }
@@ -604,6 +604,76 @@ mod tests {
         assert_eq!(lowered.receiver_done.len(), task.receivers.len());
         let t = Engine::new(&c).run(&g).unwrap();
         assert!(t.interval(lowered.done).finish > 0.0);
+    }
+
+    /// The chunk a tree-broadcast flow carries, read off its label
+    /// (`tb u{unit} c{chunk} ...`).
+    fn tree_chunk(g: &TaskGraph, id: TaskId) -> u32 {
+        let label = g
+            .task(id)
+            .label
+            .expect("tree flows are labeled")
+            .to_string();
+        let chunk = label.split(' ').nth(2).expect("tb u c ...");
+        chunk[1..].parse().expect("chunk number")
+    }
+
+    #[test]
+    fn tree_relays_forward_a_chunk_only_after_it_arrived() {
+        let c = cluster(8, 2);
+        let task = multicast_task(&c, 64, 7, 2);
+        let sender = task.senders[0].0;
+        let mut g = TaskGraph::new();
+        lower_unit_task(
+            &mut g,
+            &task,
+            sender,
+            Strategy::TreeBroadcast { chunks: 8 },
+            &[],
+        );
+        let trace = Engine::new(&c).run(&g).unwrap();
+        let flows: Vec<(TaskId, DeviceId, DeviceId, u32)> = g
+            .iter()
+            .filter_map(|(id, t)| match t.work {
+                Work::Flow { src, dst, .. } => Some((id, src, dst, tree_chunk(&g, id))),
+                _ => None,
+            })
+            .collect();
+        let mut relays = 0;
+        for &(relay, src, _, chunk) in flows.iter().filter(|f| f.1 != sender) {
+            let delivered = flows
+                .iter()
+                .find(|&&(_, _, dst, j)| dst == src && j == chunk)
+                .expect("a relay received the chunk it forwards");
+            assert!(
+                trace.interval(relay).start >= trace.interval(delivered.0).finish,
+                "{} starts before {} delivered its chunk",
+                g.task(relay).label.unwrap(),
+                g.task(delivered.0).label.unwrap(),
+            );
+            relays += 1;
+        }
+        assert!(relays > 0);
+    }
+
+    #[test]
+    fn tree_makespan_grows_with_each_tree_level() {
+        // Root plus `hosts` receiver hosts form a binary heap of depth
+        // floor(log2(hosts + 1)); every new level adds a relay stage.
+        let c = cluster(10, 2);
+        let depth = |hosts: u32| (hosts + 1).ilog2();
+        let mut prev: Option<(u32, f64)> = None;
+        for hosts in 1..=9 {
+            let task = multicast_task(&c, 64, hosts, 2);
+            let t = run(&c, &task, Strategy::TreeBroadcast { chunks: 8 });
+            if let Some((h, before)) = prev {
+                assert!(t >= before, "{hosts} hosts: {t} < {before} at {h} hosts");
+                if depth(hosts) > depth(h) {
+                    assert!(t > before, "a new tree level at {hosts} hosts took no time");
+                }
+            }
+            prev = Some((hosts, t));
+        }
     }
 
     #[test]

@@ -275,12 +275,11 @@ impl PlanCache {
             guard.get(&key).cloned()
         };
         if let Some(entry) = entry {
-            let views: Vec<_> = entry.assignments.iter().map(Assignment::as_view).collect();
             let diags = crossmesh_check::verify::verify_plan(
                 task.units(),
                 task.shape(),
                 task.elem_bytes(),
-                &views,
+                &entry.assignments,
                 None,
                 &|_, h| exclusions.excludes(h),
             );

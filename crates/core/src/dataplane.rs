@@ -22,7 +22,6 @@
 //! MoE all-to-all executors only build the delivery list.
 
 use crate::plan::{Assignment, Plan};
-use bytes::Bytes;
 use crossmesh_check::TileDiff;
 use crossmesh_hb as hb;
 use crossmesh_mesh::{Layout, Tile, UnitTask};
@@ -187,7 +186,7 @@ pub struct TileBuffer {
     /// Element width in bytes (1–8).
     pub elem_bytes: usize,
     /// `tile.volume() * elem_bytes` bytes, row-major within the tile.
-    pub data: Bytes,
+    pub data: Vec<u8>,
 }
 
 impl TileBuffer {
@@ -215,7 +214,7 @@ impl TileBuffer {
         TileBuffer {
             tile: tile.clone(),
             elem_bytes,
-            data: Bytes::from(data),
+            data,
         }
     }
 
@@ -421,7 +420,7 @@ pub fn verify_destination(
         let tile = TileBuffer {
             tile: buf.tile,
             elem_bytes: width,
-            data: Bytes::from(buf.data),
+            data: buf.data,
         };
         destination.insert(device.0, tile);
     }
@@ -718,7 +717,7 @@ mod tests {
         TileBuffer {
             tile: tile.clone(),
             elem_bytes,
-            data: Bytes::from(data),
+            data,
         }
     }
 
@@ -731,7 +730,7 @@ mod tests {
         TileBuffer {
             tile: sub.clone(),
             elem_bytes: buf.elem_bytes,
-            data: Bytes::from(data),
+            data,
         }
     }
 
@@ -792,7 +791,7 @@ mod tests {
             let got = TileBuffer {
                 tile: tile.clone(),
                 elem_bytes,
-                data: Bytes::from(self.data),
+                data: self.data,
             };
             let want = oracle_materialize(&tile, shape, elem_bytes);
             if got.data != want.data {
@@ -900,10 +899,8 @@ mod tests {
             if let Some(shared) = holder.intersect(&dest) {
                 let mut again = oracle_extract(&held, &shared);
                 if let Some(flip) = flip {
-                    let mut bytes = again.data.to_vec();
-                    let at = flip as usize % bytes.len();
-                    bytes[at] ^= 0x5a;
-                    again.data = Bytes::from(bytes);
+                    let at = flip as usize % again.data.len();
+                    again.data[at] ^= 0x5a;
                 }
                 let conflict = |offset| DataPlaneError::Conflict {
                     device,
@@ -1078,7 +1075,7 @@ mod tests {
         let nines = TileBuffer {
             tile: tile.clone(),
             elem_bytes: 1,
-            data: Bytes::from(vec![9u8; 4]),
+            data: vec![9u8; 4],
         };
         bad.write(&nines, &tile, DeviceId(2)).unwrap();
         let err = verify_destination(&[2, 2], [(DeviceId(2), bad)]).unwrap_err();
@@ -1096,12 +1093,12 @@ mod tests {
         // truth; a hole further on outranks it.
         let (n, bad) = (3 * TRUTH_CHUNK as u64, 2 * TRUTH_CHUNK + 7);
         let row = Tile::new([100..100 + n]);
-        let mut bytes = TileBuffer::materialize(&row, &[2 * n], 2).data.to_vec();
+        let mut bytes = TileBuffer::materialize(&row, &[2 * n], 2).data;
         bytes[2 * bad + 1] ^= 1;
         let piece = TileBuffer {
             tile: row.clone(),
             elem_bytes: 2,
-            data: Bytes::from(bytes),
+            data: bytes,
         };
         let mut long = DestinationBuffer::new(row.clone(), 2);
         long.write(&piece, &row, DeviceId(3)).unwrap();
@@ -1143,12 +1140,12 @@ mod tests {
         // A column crossing unwritten row 4 and written rows 5 and 6,
         // wrong at (6, 3): tile row 2, column 1.
         let column = Tile::new([4..7, 3..4]);
-        let mut bytes = TileBuffer::materialize(&column, &shape, 2).data.to_vec();
+        let mut bytes = TileBuffer::materialize(&column, &shape, 2).data;
         bytes[2 * 2] ^= 0xff;
         let piece = TileBuffer {
             tile: column,
             elem_bytes: 2,
-            data: Bytes::from(bytes),
+            data: bytes,
         };
         let err = buf.write(&piece, &piece.tile, DeviceId(9)).unwrap_err();
         let want = DataPlaneError::Conflict {

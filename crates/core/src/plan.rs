@@ -4,39 +4,14 @@
 use crate::exclusions::{RepairError, SenderExclusions};
 use crate::planners::{plan_with_exclusions, replica_on, EnsemblePlanner, PlannerConfig};
 use crate::task::ReshardingTask;
-use crossmesh_collectives::{
-    estimate_unit_task, lower_unit_task_on, CostParams, LoweredComm, Strategy,
-};
+use crossmesh_collectives::{estimate_unit_task, lower_unit_task_on, CostParams, LoweredComm};
 use crossmesh_netsim::{
     Backend, ClusterSpec, DeviceId, HostId, SimBackend, SimError, TaskGraph, TaskId, Trace, Work,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One scheduled unit task: which replica sends, and with what strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Assignment {
-    /// Index into [`ReshardingTask::units`].
-    pub unit: usize,
-    /// The chosen sender device (one of the unit task's replicas).
-    pub sender: DeviceId,
-    /// Host of `sender`.
-    pub sender_host: HostId,
-    /// Communication strategy for this unit task.
-    pub strategy: Strategy,
-}
-
-impl Assignment {
-    /// This assignment as the checker's dependency-free mirror type.
-    pub fn as_view(&self) -> crossmesh_check::verify::AssignmentView {
-        crossmesh_check::verify::AssignmentView {
-            unit: self.unit,
-            sender: self.sender,
-            sender_host: self.sender_host,
-            strategy: self.strategy,
-        }
-    }
-}
+pub use crossmesh_check::verify::Assignment;
 
 /// The lowered form of a plan inside a larger task graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,9 +189,10 @@ impl<'t> Plan<'t> {
     /// (in plan order) on each host it touches.
     ///
     /// `cluster` is the topology for topology-aware strategies:
-    /// [`Strategy::MultiRail`] draws its NVLink rail relays from its host
-    /// layout. With `None`, strategies that consult the cluster degrade to
-    /// their topology-free lowering.
+    /// [`Strategy::MultiRail`](crossmesh_collectives::Strategy::MultiRail)
+    /// draws its NVLink rail relays from its host layout. With `None`,
+    /// strategies that consult the cluster degrade to their topology-free
+    /// lowering.
     pub fn lower_on(
         &self,
         graph: &mut TaskGraph,
@@ -347,12 +323,11 @@ impl<'t> Plan<'t> {
         cluster: Option<&ClusterSpec>,
         excluded: &dyn Fn(DeviceId, HostId) -> bool,
     ) -> Vec<crossmesh_check::Diagnostic> {
-        let views: Vec<_> = self.assignments.iter().map(Assignment::as_view).collect();
         crossmesh_check::verify::verify_plan(
             self.task.units(),
             self.task.shape(),
             self.task.elem_bytes(),
-            &views,
+            &self.assignments,
             cluster,
             excluded,
         )
@@ -416,6 +391,7 @@ pub(crate) fn involved_hosts(unit: &crossmesh_mesh::UnitTask, sender_host: HostI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossmesh_collectives::Strategy;
     use crossmesh_mesh::DeviceMesh;
     use crossmesh_netsim::{Engine, LinkParams};
 

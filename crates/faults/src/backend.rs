@@ -1,105 +1,94 @@
-//! Fault-injecting execution: one [`FaultSchedule`] drives any backend.
+//! The one backend handle: [`BackendKind`] names the engine that runs a
+//! lowered task graph, clean or under a [`FaultSchedule`].
 //!
-//! [`FaultInjectable`] is the seam: the simulator realizes a schedule as
-//! first-class engine events ([`Disruptions`](crossmesh_netsim::Disruptions)),
-//! the threaded runtime as injected wall-clock delays, drops, and dead
-//! hosts ([`InjectedFaults`](crossmesh_runtime::InjectedFaults)).
-//! [`FaultyBackend`] then packages a backend plus a schedule back into a
-//! plain [`Backend`], so everything written against that trait (plan
-//! execution, benches, the CLI) runs under faults unchanged.
+//! The simulator realizes a schedule as first-class engine events
+//! ([`Disruptions`](crossmesh_netsim::Disruptions)), the threaded runtime
+//! as injected wall-clock delays, drops, and dead hosts
+//! ([`InjectedFaults`](crossmesh_runtime::InjectedFaults)). As a plain
+//! [`Backend`] it runs clean, so everything written against that trait
+//! (plan execution, pipelines, benches) takes a `BackendKind` unchanged.
 
-use crate::recovery::failed_trace_error;
 use crate::schedule::FaultSchedule;
 use crossmesh_netsim::{Backend, ClusterSpec, Engine, SimBackend, SimError, TaskGraph, Trace};
 use crossmesh_runtime::ThreadedBackend;
 
-/// A backend that can execute a task graph under a fault schedule.
-pub trait FaultInjectable: Backend {
-    /// Executes `graph` with `schedule` injected.
+/// Which execution backend runs a graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackendKind {
+    /// Flow-level simulator (fast, deterministic; the default).
+    Sim,
+    /// Real multi-threaded execution with in-process channels.
+    Threads,
+    /// Threads plus TCP loopback for inter-host flows.
+    Tcp,
+}
+
+impl BackendKind {
+    /// Parses the CLI's backend names (`sim`, `threads`, `tcp`).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the unknown backend.
+    pub fn parse(name: &str) -> Result<BackendKind, String> {
+        match name {
+            "sim" => Ok(BackendKind::Sim),
+            "threads" => Ok(BackendKind::Threads),
+            "tcp" => Ok(BackendKind::Tcp),
+            other => Err(format!("unknown backend {other:?}")),
+        }
+    }
+
+    /// Executes `graph` with `schedule` injected; the empty schedule is
+    /// the clean run.
     ///
     /// Backends differ in how failures surface: the simulator completes
     /// the run and reports failed tasks via
     /// [`Trace::failed_tasks`](crossmesh_netsim::Trace::failed_tasks)
     /// (with the partial timeline intact), while the threaded runtime
-    /// aborts on the first failure with [`SimError::TaskFailed`]. Use
-    /// [`FaultyBackend`] for a uniform fail-with-error view.
+    /// aborts on the first failure with [`SimError::TaskFailed`].
     ///
     /// # Errors
     ///
     /// Backend errors, plus [`SimError::Backend`] if the schedule fails
     /// [`FaultSchedule::validate`].
-    fn execute_with_faults(
-        &self,
-        cluster: &ClusterSpec,
-        graph: &TaskGraph,
-        schedule: &FaultSchedule,
-    ) -> Result<Trace, SimError>;
-}
-
-fn check_schedule(backend: &'static str, schedule: &FaultSchedule) -> Result<(), SimError> {
-    schedule.validate().map_err(|message| SimError::Backend {
-        backend,
-        message: format!("invalid fault schedule: {message}"),
-    })
-}
-
-impl FaultInjectable for SimBackend {
-    fn execute_with_faults(
-        &self,
+    pub fn execute_with_faults(
+        self,
         cluster: &ClusterSpec,
         graph: &TaskGraph,
         schedule: &FaultSchedule,
     ) -> Result<Trace, SimError> {
-        check_schedule(self.name(), schedule)?;
-        Engine::new(cluster).run_with_disruptions(graph, &schedule.to_disruptions(graph))
-    }
-}
-
-impl FaultInjectable for ThreadedBackend {
-    fn execute_with_faults(
-        &self,
-        cluster: &ClusterSpec,
-        graph: &TaskGraph,
-        schedule: &FaultSchedule,
-    ) -> Result<Trace, SimError> {
-        check_schedule(self.name(), schedule)?;
-        self.clone()
+        schedule.validate().map_err(|message| SimError::Backend {
+            backend: self.name(),
+            message: format!("invalid fault schedule: {message}"),
+        })?;
+        let runtime = match self {
+            BackendKind::Sim => {
+                return Engine::new(cluster)
+                    .run_with_disruptions(graph, &schedule.to_disruptions(graph))
+            }
+            BackendKind::Threads => ThreadedBackend::threads(),
+            BackendKind::Tcp => ThreadedBackend::tcp(),
+        };
+        runtime
             .with_faults(schedule.to_injected(graph))
             .execute(cluster, graph)
     }
 }
 
-/// A [`Backend`] decorator that injects a fault schedule into every run.
-///
-/// Failures become errors on every backend: if the inner backend reports
-/// failed tasks in its trace (the simulator's style), the first one is
-/// converted to [`SimError::TaskFailed`], matching the threaded
-/// runtime's abort-on-failure behavior.
-#[derive(Debug, Clone)]
-pub struct FaultyBackend<B> {
-    inner: B,
-    schedule: FaultSchedule,
-}
-
-impl<B: FaultInjectable> FaultyBackend<B> {
-    /// Wraps `inner` so every execution runs under `schedule`.
-    pub fn new(inner: B, schedule: FaultSchedule) -> Self {
-        FaultyBackend { inner, schedule }
-    }
-}
-
-impl<B: FaultInjectable> Backend for FaultyBackend<B> {
+impl Backend for BackendKind {
     fn name(&self) -> &'static str {
-        self.inner.name()
+        match self {
+            BackendKind::Sim => "sim",
+            BackendKind::Threads => "threads",
+            BackendKind::Tcp => "tcp",
+        }
     }
 
     fn execute(&self, cluster: &ClusterSpec, graph: &TaskGraph) -> Result<Trace, SimError> {
-        let trace = self
-            .inner
-            .execute_with_faults(cluster, graph, &self.schedule)?;
-        match failed_trace_error(self.inner.name(), &self.schedule, &trace, graph.len()) {
-            Some(e) => Err(e),
-            None => Ok(trace),
+        match self {
+            BackendKind::Sim => SimBackend.execute(cluster, graph),
+            BackendKind::Threads => ThreadedBackend::threads().execute(cluster, graph),
+            BackendKind::Tcp => ThreadedBackend::tcp().execute(cluster, graph),
         }
     }
 }
@@ -126,28 +115,22 @@ mod tests {
         let c = cluster();
         let g = flow_graph(&c);
         let plain = SimBackend.execute(&c, &g).unwrap();
-        let wrapped = FaultyBackend::new(SimBackend, FaultSchedule::new(0));
-        let faulty = wrapped.execute(&c, &g).unwrap();
-        assert_eq!(plain.makespan(), faulty.makespan());
-        assert_eq!(wrapped.name(), "sim");
+        let faulty = BackendKind::Sim
+            .execute_with_faults(&c, &g, &FaultSchedule::new(0))
+            .unwrap();
+        assert_eq!(plain, faulty);
+        assert_eq!(BackendKind::Sim.execute(&c, &g).unwrap(), plain);
     }
 
     #[test]
-    fn a_crash_surfaces_as_task_failed_on_the_simulator() {
+    fn a_crash_fails_tasks_in_the_simulator_trace() {
         let c = cluster();
         let g = flow_graph(&c);
         let schedule = FaultSchedule::new(0).with_event(FaultEvent::HostCrash { host: 1, at: 0.0 });
-        let err = FaultyBackend::new(SimBackend, schedule)
-            .execute(&c, &g)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::TaskFailed {
-                backend: "sim",
-                kind: FailureKind::HostCrash,
-                ..
-            }
-        ));
+        let trace = BackendKind::Sim
+            .execute_with_faults(&c, &g, &schedule)
+            .unwrap();
+        assert!(!trace.failed_tasks().is_empty());
     }
 
     #[test]
@@ -157,8 +140,8 @@ mod tests {
         let schedule = FaultSchedule::new(0)
             .with_retry_policy(1, 1e-4)
             .with_event(FaultEvent::HostCrash { host: 1, at: 0.0 });
-        let err = FaultyBackend::new(ThreadedBackend::threads(), schedule)
-            .execute(&c, &g)
+        let err = BackendKind::Threads
+            .execute_with_faults(&c, &g, &schedule)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -175,10 +158,13 @@ mod tests {
         let c = cluster();
         let g = flow_graph(&c);
         let schedule = FaultSchedule::new(0).with_event(FaultEvent::FlowDrop { prob: 2.0 });
-        let err = SimBackend
-            .execute_with_faults(&c, &g, &schedule)
-            .unwrap_err();
-        assert!(matches!(err, SimError::Backend { backend: "sim", .. }));
+        for backend in [BackendKind::Sim, BackendKind::Threads] {
+            let err = backend.execute_with_faults(&c, &g, &schedule).unwrap_err();
+            assert!(
+                matches!(err, SimError::Backend { backend: b, .. } if b == backend.name()),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -192,8 +178,8 @@ mod tests {
             from: 0.0,
             until: 100.0,
         });
-        let degraded = FaultyBackend::new(SimBackend, schedule)
-            .execute(&c, &g)
+        let degraded = BackendKind::Sim
+            .execute_with_faults(&c, &g, &schedule)
             .unwrap();
         assert!(degraded.makespan() > plain.makespan());
         assert!(degraded.failed_tasks().is_empty());

@@ -3,9 +3,9 @@
 //!
 //! One seeded [`FaultSchedule`] — host crashes, NIC degradation windows,
 //! compute stragglers, probabilistic flow drops — drives every backend
-//! through the [`FaultInjectable`] seam: the flow-level simulator realizes
-//! it as engine events, the threaded/TCP runtime as injected wall-clock
-//! delays, drops, and dead hosts. All randomness is resolved once, per
+//! through [`BackendKind::execute_with_faults`]: the flow-level simulator
+//! realizes it as engine events, the threaded/TCP runtime as injected
+//! wall-clock delays, drops, and dead hosts. All randomness is resolved once, per
 //! `(seed, task id)`, when the schedule is compiled against a task graph,
 //! so the same schedule yields the same outcome on every backend.
 //!
@@ -20,6 +20,6 @@ mod backend;
 mod recovery;
 mod schedule;
 
-pub use backend::{FaultInjectable, FaultyBackend};
+pub use backend::BackendKind;
 pub use recovery::{execute_with_repair, RecoveryError, RecoveryReport};
 pub use schedule::{FaultEvent, FaultSchedule};

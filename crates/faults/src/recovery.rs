@@ -8,10 +8,10 @@
 //! ([`FaultSchedule::without_crashes`]). Receiver-host crashes are out of
 //! scope — the destination mesh must survive; only senders fail over.
 
-use crate::backend::FaultInjectable;
+use crate::backend::BackendKind;
 use crate::schedule::FaultSchedule;
 use crossmesh_core::{Plan, PlanCache, PlanRun, RepairError, SenderExclusions};
-use crossmesh_netsim::{ClusterSpec, FailureKind, HostId, SimError, Trace};
+use crossmesh_netsim::{Backend, ClusterSpec, FailureKind, HostId, SimError, Trace};
 use crossmesh_obs as obs;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -108,10 +108,10 @@ pub struct RecoveryReport<'t> {
     pub plan_cache_misses: u64,
 }
 
-/// The error [`FaultyBackend`](crate::FaultyBackend) raises for a trace
-/// with failed tasks (`None` for a clean one), so trace-style (simulator)
-/// and abort-style (runtime) backends report failures identically.
-pub(crate) fn failed_trace_error(
+/// The error a trace with failed tasks stands for (`None` for a clean
+/// one), so trace-style (simulator) and abort-style (runtime) backends
+/// report failures identically.
+fn failed_trace_error(
     backend: &'static str,
     schedule: &FaultSchedule,
     trace: &Trace,
@@ -166,7 +166,7 @@ pub(crate) fn failed_trace_error(
 pub fn execute_with_repair<'t>(
     plan: &Plan<'t>,
     cluster: &ClusterSpec,
-    backend: &dyn FaultInjectable,
+    backend: BackendKind,
     schedule: &FaultSchedule,
     cache: Option<&PlanCache>,
 ) -> Result<RecoveryReport<'t>, RecoveryError> {
@@ -303,8 +303,7 @@ mod tests {
         dataplane, CostParams, DeviceMesh, EnsemblePlanner, Planner, PlannerConfig, ReshardingTask,
         Strategy, StrategyChoice,
     };
-    use crossmesh_netsim::{Backend, FabricModel, LinkParams, SimBackend};
-    use crossmesh_runtime::ThreadedBackend;
+    use crossmesh_netsim::{FabricModel, LinkParams, SimBackend};
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::homogeneous(5, 4, LinkParams::new(100.0, 1.0).with_latencies(0.0, 0.0))
@@ -355,7 +354,8 @@ mod tests {
         let c = cluster();
         let t = replicated_task(&c);
         let plan = EnsemblePlanner::new(config()).plan(&t);
-        let r = execute_with_repair(&plan, &c, &SimBackend, &FaultSchedule::new(0), None).unwrap();
+        let r =
+            execute_with_repair(&plan, &c, BackendKind::Sim, &FaultSchedule::new(0), None).unwrap();
         assert!(r.repaired.is_none());
         assert_eq!(r.failovers, 0);
         assert_eq!(r.retries, 0);
@@ -384,8 +384,9 @@ mod tests {
         ] {
             let plan = EnsemblePlanner::new(config().with_strategy(choice)).plan(&t);
             let clean = plan.run(&c, |graph| SimBackend.execute(&c, graph)).unwrap();
-            let r = execute_with_repair(&plan, &c, &SimBackend, &FaultSchedule::default(), None)
-                .unwrap();
+            let r =
+                execute_with_repair(&plan, &c, BackendKind::Sim, &FaultSchedule::default(), None)
+                    .unwrap();
             assert!(r.repaired.is_none(), "{choice:?}");
             assert_eq!(r.run, clean, "{choice:?}");
         }
@@ -397,7 +398,7 @@ mod tests {
         let t = replicated_task(&c);
         let plan = EnsemblePlanner::new(config()).plan(&t);
         let schedule = FaultSchedule::new(0).with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
-        let r = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap();
+        let r = execute_with_repair(&plan, &c, BackendKind::Sim, &schedule, None).unwrap();
         assert!(r.repaired.is_some());
         assert_eq!(r.excluded_hosts, vec![HostId(0)]);
         assert!(r.failovers > 0);
@@ -415,7 +416,7 @@ mod tests {
             .iter()
             .any(|a| a.sender_host == HostId(0)));
         let schedule = FaultSchedule::new(0).with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
-        let r = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap();
+        let r = execute_with_repair(&plan, &c, BackendKind::Sim, &schedule, None).unwrap();
         let delivered = r.repaired.expect("the crash forces a failover");
         assert!(delivered
             .assignments()
@@ -432,8 +433,7 @@ mod tests {
         let schedule = FaultSchedule::new(0)
             .with_retry_policy(1, 1e-4)
             .with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
-        let r =
-            execute_with_repair(&plan, &c, &ThreadedBackend::threads(), &schedule, None).unwrap();
+        let r = execute_with_repair(&plan, &c, BackendKind::Threads, &schedule, None).unwrap();
         assert!(r.repaired.is_some());
         assert_eq!(r.excluded_hosts, vec![HostId(0)]);
         assert!(r.failovers > 0);
@@ -447,15 +447,17 @@ mod tests {
         let schedule = FaultSchedule::new(0).with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
         let cache = crossmesh_core::PlanCache::new();
 
-        let uncached = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap();
-        let cold = execute_with_repair(&plan, &c, &SimBackend, &schedule, Some(&cache)).unwrap();
+        let uncached = execute_with_repair(&plan, &c, BackendKind::Sim, &schedule, None).unwrap();
+        let cold =
+            execute_with_repair(&plan, &c, BackendKind::Sim, &schedule, Some(&cache)).unwrap();
         assert_eq!((cold.plan_cache_hits, cold.plan_cache_misses), (0, 1));
         assert_eq!(cold.run, uncached.run);
         assert_eq!(cold.failovers, uncached.failovers);
 
         // The second identical failure replays the repair from the cache
         // and the served plan still routes around the crashed host.
-        let warm = execute_with_repair(&plan, &c, &SimBackend, &schedule, Some(&cache)).unwrap();
+        let warm =
+            execute_with_repair(&plan, &c, BackendKind::Sim, &schedule, Some(&cache)).unwrap();
         assert_eq!((warm.plan_cache_hits, warm.plan_cache_misses), (1, 0));
         assert_eq!(warm.run, cold.run);
         assert_eq!(warm.excluded_hosts, vec![HostId(0)]);
@@ -468,7 +470,7 @@ mod tests {
         let t = unreplicated_task(&c);
         let plan = EnsemblePlanner::new(config()).plan(&t);
         let schedule = FaultSchedule::new(0).with_event(FaultEvent::HostCrash { host: 0, at: 0.0 });
-        let err = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap_err();
+        let err = execute_with_repair(&plan, &c, BackendKind::Sim, &schedule, None).unwrap_err();
         assert!(matches!(
             err,
             RecoveryError::Repair(RepairError::DataLoss { .. })
@@ -487,7 +489,7 @@ mod tests {
         let schedule = FaultSchedule::new(1)
             .with_retry_policy(0, 1e-4)
             .with_event(FaultEvent::FlowDrop { prob: 0.99 });
-        let err = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap_err();
+        let err = execute_with_repair(&plan, &c, BackendKind::Sim, &schedule, None).unwrap_err();
         assert!(matches!(
             err,
             RecoveryError::Sim(SimError::TaskFailed {
@@ -505,7 +507,7 @@ mod tests {
         let schedule = FaultSchedule::new(1)
             .with_retry_policy(8, 1e-6)
             .with_event(FaultEvent::FlowDrop { prob: 0.2 });
-        let r = execute_with_repair(&plan, &c, &SimBackend, &schedule, None).unwrap();
+        let r = execute_with_repair(&plan, &c, BackendKind::Sim, &schedule, None).unwrap();
         assert!(r.repaired.is_none());
         assert!(r.retries > 0);
     }

@@ -113,13 +113,6 @@ impl Layout {
             .map(|(t, coords)| (t.clone(), coords))
             .collect()
     }
-
-    /// Total elements held across all devices (counting replicas once per
-    /// holder). Equals tensor volume times the replication factor when the
-    /// division is even.
-    pub fn total_held_elements(&self) -> u64 {
-        self.tiles.iter().map(Tile::volume).sum()
-    }
 }
 
 fn tile_for(mesh: &DeviceMesh, spec: &ShardingSpec, shape: &[u64], coord: MeshCoord) -> Tile {

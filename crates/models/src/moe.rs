@@ -6,10 +6,89 @@
 //! traffic from the batch geometry and bridges to
 //! [`crossmesh_moe::RoutingConfig`] so benchmarks draw the same seeded,
 //! skewed routing matrices the data plane executes.
+//!
+//! It also defines the MoE all-to-all experiment that `crossmesh moe` runs
+//! one cell of and the `moe` sweep of `BENCH_paper.json` runs in full: the
+//! fabric table ([`FABRICS`], [`a2a_cluster`]), the strategy table
+//! ([`A2A_STRATEGIES`], [`a2a_strategy`]) and the token/expert mesh split
+//! ([`GptMoeConfig::a2a`]).
 
 use crate::gpt::GptConfig;
-use crossmesh_moe::RoutingConfig;
+use crossmesh_core::{CostParams, Strategy};
+use crossmesh_mesh::{DeviceMesh, MeshError};
+use crossmesh_moe::{A2aDirection, A2aTask, RoutingConfig};
+use crossmesh_netsim::{ClusterSpec, FabricModel, LinkParams};
 use serde::{Deserialize, Serialize};
+
+/// The fabric models of the all-to-all experiment, by the names
+/// [`a2a_cluster`] takes, in sweep order.
+pub const FABRICS: [&str; 4] = ["rails", "flat", "fat-tree", "torus"];
+
+/// The all-to-all strategies of the experiment, by the names
+/// [`a2a_strategy`] takes, in sweep order.
+pub const A2A_STRATEGIES: [&str; 3] = ["multi_rail", "send_recv", "broadcast"];
+
+/// The experiment's cluster: `hosts` hosts of `gpus` devices (and, on the
+/// rail fabric, `gpus` rails) with `params`' links, wired by the fabric
+/// named `fabric` (one of [`FABRICS`]).
+///
+/// # Errors
+///
+/// A message naming an unknown fabric.
+pub fn a2a_cluster(
+    fabric: &str,
+    hosts: u32,
+    gpus: u32,
+    params: &CostParams,
+) -> Result<ClusterSpec, String> {
+    let nic = params.inter_bw;
+    let fabric = match fabric {
+        "rails" => FabricModel::RailOptimized {
+            rails: gpus,
+            spine_capacity: nic,
+        },
+        "flat" => FabricModel::Flat {
+            capacity: Some(f64::from(hosts) * nic / 2.0),
+        },
+        "fat-tree" => FabricModel::FatTree {
+            pod_hosts: hosts / 2,
+            oversubscription: 4.0,
+        },
+        "torus" => FabricModel::Torus2D {
+            rows: 2,
+            cols: hosts / 2,
+            link_capacity: nic,
+        },
+        other => return Err(format!("unknown fabric {other:?}")),
+    };
+    Ok(ClusterSpec::homogeneous(
+        hosts,
+        gpus,
+        LinkParams::new(params.intra_bw, nic)
+            .with_latencies(params.intra_latency, params.inter_latency),
+    )
+    .with_fabric(fabric))
+}
+
+/// The strategy named `name` (one of [`A2A_STRATEGIES`]) on hosts with
+/// `rails` rails.
+///
+/// # Errors
+///
+/// A message naming an unknown strategy.
+pub fn a2a_strategy(name: &str, rails: u32) -> Result<Strategy, String> {
+    Ok(match name {
+        // One chunk per rail: the a2a's per-pair parallelism already
+        // fills the fabric; finer chunking only multiplies hop latency.
+        "multi_rail" => Strategy::MultiRail {
+            rails,
+            chunks: rails,
+        },
+        "send_recv" => Strategy::SendRecv,
+        "broadcast" => Strategy::broadcast(),
+        other => return Err(format!("unknown strategy {other:?}")),
+    })
+}
 
 /// A GPT trunk with MoE FFN layers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,6 +168,34 @@ impl GptMoeConfig {
             skew: self.skew,
             seed: self.seed,
         }
+    }
+
+    /// The all-to-all of one MoE layer on `cluster`, with `tokens_per_device`
+    /// tokens per device drawn through this gate: token devices fill the
+    /// first half of the hosts, expert devices the second.
+    ///
+    /// # Errors
+    ///
+    /// A mesh error if the cluster has fewer than two hosts.
+    pub fn a2a(
+        &self,
+        cluster: &ClusterSpec,
+        direction: A2aDirection,
+        tokens_per_device: u64,
+    ) -> Result<A2aTask, MeshError> {
+        let half = (cluster.num_hosts() / 2) as usize;
+        let per = (cluster.num_devices() / cluster.num_hosts()) as usize;
+        let tokens = DeviceMesh::from_cluster(cluster, 0, (half, per), "moe-tokens")?;
+        let experts = DeviceMesh::from_cluster(cluster, half, (half, per), "moe-experts")?;
+        let routing = RoutingConfig {
+            tokens_per_device,
+            ..self.routing()
+        };
+        let bytes = routing.bytes_matrix(half * per, half * per);
+        Ok(match direction {
+            A2aDirection::Dispatch => A2aTask::dispatch(&tokens, &experts, &bytes),
+            A2aDirection::Combine => A2aTask::combine(&tokens, &experts, &bytes),
+        })
     }
 
     /// Upper bound on one layer's all-to-all payload per microbatch,

@@ -135,11 +135,6 @@ impl OpChain {
         self.ops.iter().map(|o| o.forward_flops).sum()
     }
 
-    /// Total parameters.
-    pub fn total_params(&self) -> u64 {
-        self.ops.iter().map(|o| o.params).sum()
-    }
-
     /// Partitions the chain into `pp` FLOP-balanced stages, places stage
     /// `i` on host `i` of `cluster` (all its devices, a `(1, d)` mesh),
     /// chooses boundary specs per `sharding`, and returns a simulatable

@@ -15,11 +15,12 @@
 //! * the data plane reuses `crossmesh-core`'s destination buffers — each
 //!   expert's region is one contiguous tile.
 
-use crossmesh_check::verify::A2aPairView;
+use crossmesh_check::verify::{verify_a2a, A2aPairView};
+use crossmesh_check::Diagnostic;
 use crossmesh_collectives::{multi_rail_spray, Strategy};
 use crossmesh_core::{Plan, ReshardingTask};
 use crossmesh_mesh::{DeviceMesh, Receiver, ShardingSpec, Tile, UnitTask};
-use crossmesh_netsim::DeviceId;
+use crossmesh_netsim::{ClusterSpec, DeviceId};
 use serde::{Deserialize, Serialize};
 
 /// Which half of the MoE layer the all-to-all implements.
@@ -200,6 +201,22 @@ impl A2aTask {
     /// Total wire payload in bytes.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
+    }
+
+    /// Statically verifies `plan` as this all-to-all on `cluster`: the
+    /// generic `plan.*` rules ([`Plan::verify`]) followed by the
+    /// `plan.a2a.*` rules. An empty vector means the plan delivers every
+    /// expert shard exactly once within capacity.
+    pub fn verify(&self, plan: &Plan<'_>, cluster: &ClusterSpec) -> Vec<Diagnostic> {
+        let mut diags = plan.verify(Some(cluster), &|_, _| false);
+        diags.extend(verify_a2a(
+            &self.pairs,
+            self.task.units(),
+            self.task.elem_bytes(),
+            plan.assignments(),
+            Some(cluster),
+        ));
+        diags
     }
 
     /// Per-rail byte totals for `plan`'s [`Strategy::MultiRail`]

@@ -1,5 +1,5 @@
 //! Collectors: the pluggable sinks behind the facade, plus a few stock
-//! implementations (stderr logger, counting, in-memory timeline, fan-out).
+//! implementations (stderr logger, counting, fan-out).
 
 use crate::{Event, Field, Level, SpanId};
 use std::collections::HashMap;
@@ -167,85 +167,6 @@ impl Collector for CountingCollector {
     }
 }
 
-/// One record captured by [`TimelineCollector`].
-#[derive(Debug, Clone)]
-pub struct Sample {
-    pub level: Level,
-    pub target: String,
-    pub name: String,
-    pub fields: Vec<Field>,
-}
-
-impl Sample {
-    /// The value of field `key` as `f64`, if present and numeric.
-    pub fn field_f64(&self, key: &str) -> Option<f64> {
-        self.fields.iter().find(|f| f.key == key).and_then(|f| {
-            use crate::Value::*;
-            match &f.value {
-                U64(v) => Some(*v as f64),
-                I64(v) => Some(*v as f64),
-                F64(v) => Some(*v),
-                _ => None,
-            }
-        })
-    }
-}
-
-/// Records events in memory (capped) so the CLI can fold runtime queue
-/// depths and per-flow instants into the exported timeline.
-pub struct TimelineCollector {
-    samples: Mutex<Vec<Sample>>,
-    dropped: AtomicU64,
-    cap: usize,
-}
-
-impl Default for TimelineCollector {
-    fn default() -> Self {
-        TimelineCollector::new()
-    }
-}
-
-impl TimelineCollector {
-    /// A collector keeping at most 100k samples (first-come, first-kept).
-    pub fn new() -> TimelineCollector {
-        TimelineCollector::with_capacity(100_000)
-    }
-
-    pub fn with_capacity(cap: usize) -> TimelineCollector {
-        TimelineCollector {
-            samples: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-            cap,
-        }
-    }
-
-    /// Drains the captured samples.
-    pub fn take(&self) -> Vec<Sample> {
-        std::mem::take(&mut *self.samples.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Samples dropped once the capacity was reached.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-impl Collector for TimelineCollector {
-    fn on_event(&self, event: &Event<'_>) {
-        let mut samples = self.samples.lock().unwrap_or_else(|e| e.into_inner());
-        if samples.len() >= self.cap {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        samples.push(Sample {
-            level: event.level,
-            target: event.target.to_string(),
-            name: event.name.to_string(),
-            fields: event.fields.to_vec(),
-        });
-    }
-}
-
 /// Forwards every record to each child collector. A record is delivered to
 /// a child only if that child wants it; the fan-out itself wants a record
 /// if any child does.
@@ -318,24 +239,6 @@ mod tests {
         c.on_span_close(SpanId(1), "t", "s");
         assert_eq!((c.events(), c.spans(), c.closed()), (1, 1, 1));
         assert_eq!(c.total(), 2);
-    }
-
-    #[test]
-    fn timeline_collector_caps_and_reads_fields() {
-        let c = TimelineCollector::with_capacity(2);
-        for i in 0..3u64 {
-            c.on_event(&Event {
-                level: Level::Debug,
-                target: "runtime.queue",
-                name: "depth",
-                fields: &[Field::u64("depth", i), Field::str("host", "h0")],
-            });
-        }
-        let samples = c.take();
-        assert_eq!(samples.len(), 2);
-        assert_eq!(c.dropped(), 1);
-        assert_eq!(samples[1].field_f64("depth"), Some(1.0));
-        assert_eq!(samples[1].field_f64("host"), None);
     }
 
     #[test]

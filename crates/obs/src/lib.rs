@@ -35,7 +35,7 @@ pub mod simstats;
 pub mod slo;
 mod span;
 
-pub use collect::{Collector, CountingCollector, Fanout, StderrLogger, TimelineCollector};
+pub use collect::{Collector, CountingCollector, Fanout, StderrLogger};
 pub use metrics::{
     metrics, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SlidingWindowHistogram,
 };

@@ -452,12 +452,6 @@ impl SlidingWindowHistogram {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The rolling window's span in seconds.
-    pub fn window_secs(&self) -> f64 {
-        let inner = self.lock();
-        inner.slot_secs * inner.slots as f64
-    }
-
     /// Records `value` at time `now_s` (seconds on the caller's clock).
     pub fn observe(&self, now_s: f64, value: f64) {
         let mut inner = self.lock();

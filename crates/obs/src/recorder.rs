@@ -1,5 +1,5 @@
 //! Flight recorder: an always-on, per-thread-sharded bounded ring buffer
-//! retaining the last N spans, events, and metric deltas, dumped to a
+//! retaining the last N spans and events, dumped to a
 //! Perfetto-compatible JSON file when something goes wrong.
 //!
 //! The recorder implements [`Collector`], so it rides the facade's
@@ -59,10 +59,6 @@ enum RecordKind {
     SpanClose {
         id: u64,
         name: &'static str,
-    },
-    Metric {
-        name: String,
-        value: f64,
     },
 }
 
@@ -132,15 +128,6 @@ impl FlightRecorder {
         ring.records.push_back(Record { seq, ts_us, kind });
     }
 
-    /// Records a metric delta (`name`, `value`) into the ring, so counter
-    /// movements show up as `C` tracks in the dump alongside spans.
-    pub fn record_metric(&self, name: &str, value: f64) {
-        self.push(RecordKind::Metric {
-            name: name.to_string(),
-            value,
-        });
-    }
-
     /// Total records ever pushed (retained or since evicted).
     pub fn recorded(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
@@ -166,8 +153,8 @@ impl FlightRecorder {
     /// Renders the retained records as a Perfetto-compatible timeline:
     /// matched span open/close pairs become complete (`X`) events on
     /// their shard's thread row, free-standing events become instants,
-    /// metric deltas become counter tracks, and the trigger itself is
-    /// marked with a `dump: <trigger>` instant. The rings are snapshotted,
+    /// the eviction count becomes a `flightrec.dropped` counter track, and
+    /// the trigger itself is marked with a `dump: <trigger>` instant. The rings are snapshotted,
     /// not cleared — overlapping triggers each get the full recent window.
     pub fn dump(&self, trigger: &str) -> String {
         let mut records: Vec<(usize, Record)> = Vec::new();
@@ -229,9 +216,6 @@ impl FlightRecorder {
                         );
                     }
                 },
-                RecordKind::Metric { name, value } => {
-                    export.add_counter(name.clone(), &[(record.ts_us, *value)]);
-                }
             }
         }
         // Spans still open when the dump fired extend to the dump edge.
@@ -343,8 +327,17 @@ mod tests {
     use super::*;
     use crate::{collect, export, Field};
 
+    /// Pushes one event record, as an installed recorder does per event.
+    fn tick(rec: &FlightRecorder) {
+        rec.push(RecordKind::Event {
+            level: Level::Debug,
+            target: "test",
+            name: "tick",
+        });
+    }
+
     #[test]
-    fn records_spans_events_and_metrics_into_a_valid_dump() {
+    fn records_spans_and_events_into_a_valid_dump() {
         let rec = Arc::new(FlightRecorder::new());
         let _lock = collect::test_lock();
         {
@@ -353,7 +346,6 @@ mod tests {
             crate::event(Level::Debug, "runtime", "tick", &[Field::u64("n", 1)]);
             drop(span);
         }
-        rec.record_metric("serve.queue_depth", 3.0);
         assert!(rec.recorded() >= 3);
 
         let json = rec.dump("unit-test");
@@ -362,7 +354,7 @@ mod tests {
         assert!(summary.phases.contains("X"), "span pair becomes X");
         assert!(summary.phases.contains("i"));
         assert!(summary.phases.contains("C"));
-        assert!(summary.counter_tracks.contains("serve.queue_depth"));
+        assert!(summary.counter_tracks.contains("flightrec.dropped"));
         assert!(json.contains("planner: search"));
         assert!(json.contains("dump: unit-test"));
     }
@@ -370,26 +362,31 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_keeps_the_newest_records() {
         let rec = FlightRecorder::with_capacity(SHARDS * 4);
-        for i in 0..100u64 {
-            rec.record_metric("m", i as f64);
+        for _ in 0..100 {
+            tick(&rec);
         }
         // This thread writes one shard, so exactly cap_per_shard survive.
         assert_eq!(rec.recorded(), 100);
         assert_eq!(rec.dropped(), 100 - 4);
-        let json = rec.dump("bounded");
-        assert!(json.contains("\"value\":99"), "newest record retained");
-        assert!(!json.contains("\"value\":5,"), "oldest records evicted");
+        let kept: Vec<u64> = rec.shards[shard_index()]
+            .lock()
+            .records
+            .iter()
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(kept, [96, 97, 98, 99], "the newest records are retained");
+        export::validate(&rec.dump("bounded")).expect("bounded dump validates");
     }
 
     #[test]
     fn concurrent_recording_never_loses_more_than_the_cap() {
         let rec = Arc::new(FlightRecorder::with_capacity(100_000));
         std::thread::scope(|s| {
-            for t in 0..4 {
+            for _ in 0..4 {
                 let rec = Arc::clone(&rec);
                 s.spawn(move || {
-                    for i in 0..1000 {
-                        rec.record_metric("thread", (t * 1000 + i) as f64);
+                    for _ in 0..1000 {
+                        tick(&rec);
                     }
                 });
             }
@@ -404,7 +401,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("flightrec-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let rec = FlightRecorder::new();
-        rec.record_metric("x", 1.0);
+        tick(&rec);
         let p1 = rec.dump_to_dir(&dir, "slo breach!").unwrap();
         let p2 = rec.dump_to_dir(&dir, "slo breach!").unwrap();
         assert!(p1.file_name().unwrap().to_str().unwrap() == "flightrec-slo-breach--0001.json");

@@ -77,11 +77,6 @@ impl Span {
         Span { inner: None }
     }
 
-    /// Whether this span is actually being observed.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Attaches follow-up fields to an open span (no-op when disabled).
     pub fn record(&self, fields: &[Field]) {
         if let Some(inner) = &self.inner {
@@ -108,7 +103,7 @@ mod tests {
     #[test]
     fn disabled_span_reports_nothing() {
         let s = Span::disabled();
-        assert!(!s.is_enabled());
+        assert!(s.inner.is_none());
         s.record(&[Field::u64("ignored", 1)]);
     }
 
@@ -119,7 +114,7 @@ mod tests {
         {
             let _g = crate::install(c.clone());
             let span = Span::enter(Level::Debug, "test", "region", &[Field::u64("n", 2)]);
-            assert!(span.is_enabled());
+            assert!(span.inner.is_some());
             span.record(&[Field::bool("mid", true)]);
         }
         assert_eq!(c.spans(), 1);
@@ -129,7 +124,7 @@ mod tests {
     #[test]
     fn span_ids_are_unique() {
         let _lock = collect::test_lock();
-        let c = Arc::new(crate::collect::TimelineCollector::new());
+        let c = Arc::new(CountingCollector::new());
         let _g = crate::install(c.clone());
         let a = Span::enter(Level::Info, "test", "a", &[]);
         let b = Span::enter(Level::Info, "test", "b", &[]);

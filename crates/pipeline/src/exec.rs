@@ -949,7 +949,23 @@ mod tests {
     #[test]
     fn straggler_aware_schedule_is_no_worse_under_an_injected_straggler() {
         use crate::schedule::build_straggler_schedule;
-        use crossmesh_faults::{FaultEvent, FaultSchedule, FaultyBackend};
+        use crossmesh_faults::{BackendKind, FaultEvent, FaultSchedule};
+
+        /// The simulator with the straggler schedule injected into every run.
+        #[derive(Debug)]
+        struct Straggling(FaultSchedule);
+        impl Backend for Straggling {
+            fn name(&self) -> &'static str {
+                "sim"
+            }
+            fn execute(
+                &self,
+                cluster: &ClusterSpec,
+                graph: &TaskGraph,
+            ) -> Result<crossmesh_netsim::Trace, SimError> {
+                BackendKind::Sim.execute_with_faults(cluster, graph, &self.0)
+            }
+        }
 
         let c = cluster();
         let m = 8;
@@ -963,7 +979,7 @@ mod tests {
                 slowdown,
             });
         }
-        let backend = FaultyBackend::new(SimBackend, faults);
+        let backend = Straggling(faults);
         let vanilla = simulate_schedule(
             &g,
             &c,

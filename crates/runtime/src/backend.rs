@@ -5,11 +5,11 @@
 //! * one **compute thread** per device runs `Compute`/`ComputeFlops` tasks
 //!   serially (FIFO in ready order, like the simulator's device queues),
 //!   occupying wall time with a calibrated sleep+spin;
-//! * one **send thread** per device chunks each `Flow` into framed
-//!   [`Bytes`] payloads and pushes them to the destination device —
-//!   through a bounded in-process channel (intra-host, zero-copy) or a
+//! * one **send thread** per device chunks each `Flow` into frames and
+//!   pushes them to the destination device — through a bounded in-process
+//!   channel (intra-host; a frame is its length, nothing is copied) or a
 //!   real TCP loopback socket (inter-host, on the [`ThreadedBackend::tcp`]
-//!   transport);
+//!   transport, where the frame's zero bytes really cross the socket);
 //! * one **receive thread** per device counts delivered bytes per flow and
 //!   completes the flow task when its final frame arrives;
 //! * `Marker` tasks complete inline, instantly, on whichever thread
@@ -29,7 +29,6 @@
 //! `race.write-write`). Disarmed, each emission is one relaxed atomic
 //! load and a predicted branch.
 
-use bytes::Bytes;
 use crossmesh_hb as hb;
 use crossmesh_netsim::{
     Backend, ClusterSpec, DeviceId, FailureKind, FaultStats, SimError, TaskGraph, TaskId, Trace,
@@ -235,9 +234,11 @@ type SendJob = Option<(u32, u32, u64)>;
 
 /// Messages on a device's inbound frame queue.
 enum Inbound {
+    /// `len` payload bytes of `flow` arrived; the receiver counts them
+    /// and reads nothing else of the frame.
     Data {
         flow: u32,
-        payload: Bytes,
+        len: usize,
         last: bool,
         attempt: u8,
     },
@@ -407,9 +408,9 @@ struct Shared {
     tcp_writers: HashMap<(u32, u32), Mutex<TcpStream>>,
     /// Device -> host, for routing.
     device_host: Vec<u32>,
-    /// Shared all-zero payload buffer, sliced per frame (zero-copy on the
-    /// channel path).
-    zero: Bytes,
+    /// One all-zero chunk the TCP senders write each frame's payload
+    /// from.
+    zero: Vec<u8>,
     chunk_bytes: usize,
     /// Faults the workers interpret (empty by default).
     faults: Arc<InjectedFaults>,
@@ -622,7 +623,7 @@ impl Shared {
         src: u32,
         dst: u32,
         flow: u32,
-        payload: Bytes,
+        len: usize,
         last: bool,
         attempt: u8,
     ) -> Result<(), String> {
@@ -640,14 +641,14 @@ impl Shared {
                 .get(&(sh, dh))
                 .expect("a connection exists for every host pair");
             let mut stream = stream.lock();
-            let hdr = encode_header(dst, flow, payload.len() as u32, last, attempt);
+            let hdr = encode_header(dst, flow, len as u32, last, attempt);
             write_full(&mut stream, &hdr, &self.monitor)?;
-            write_full(&mut stream, &payload, &self.monitor)?;
+            write_full(&mut stream, &self.zero[..len], &self.monitor)?;
             return Ok(());
         }
         let msg = Inbound::Data {
             flow,
-            payload,
+            len,
             last,
             attempt,
         };
@@ -817,7 +818,7 @@ fn run(
         queue_depth: (0..num_devices).map(|_| AtomicI64::new(0)).collect(),
         tcp_writers,
         device_host,
-        zero: Bytes::from(vec![0u8; backend.chunk_bytes]),
+        zero: vec![0u8; backend.chunk_bytes],
         chunk_bytes: backend.chunk_bytes,
         faults: Arc::clone(&backend.faults),
         retries: AtomicU64::new(0),
@@ -986,9 +987,12 @@ fn header_u32(hdr: &[u8], at: usize) -> u32 {
 }
 
 /// Forwards frames from one TCP connection to the destination devices'
-/// inbound queues until the peer closes or the run ends.
+/// inbound queues until the peer closes or the run ends. Each payload is
+/// drained into one per-connection scratch chunk: only its length travels
+/// on.
 fn tcp_reader(mut stream: TcpStream, shared: &Shared) {
     let mut hdr = [0u8; FRAME_HEADER];
+    let mut scratch = vec![0u8; shared.chunk_bytes];
     loop {
         match read_full(&mut stream, &mut hdr, &shared.monitor) {
             Ok(true) => {}
@@ -1032,9 +1036,8 @@ fn tcp_reader(mut stream: TcpStream, shared: &Shared) {
                 .fail(RunFailure::task(flow, FailureKind::Graph, message));
             return;
         }
-        let mut payload = vec![0u8; len];
         if len > 0 {
-            match read_full(&mut stream, &mut payload, &shared.monitor) {
+            match read_full(&mut stream, &mut scratch[..len], &shared.monitor) {
                 Ok(true) => {}
                 Ok(false) | Err(_) => {
                     shared.monitor.fail(RunFailure::task(
@@ -1048,7 +1051,7 @@ fn tcp_reader(mut stream: TcpStream, shared: &Shared) {
         }
         let msg = Inbound::Data {
             flow,
-            payload: Bytes::from(payload),
+            len,
             last,
             attempt,
         };
@@ -1136,8 +1139,8 @@ fn send_worker(device: u32, rx: Receiver<SendJob>, shared: &Shared) {
                 if let Some(d) = delay {
                     thread::sleep(d);
                 }
-                let (payload, tag) = (shared.zero.slice(0..n as usize), attempt.min(255) as u8);
-                if let Err(e) = shared.send_frame(device, dst, t, payload, last, tag) {
+                let tag = attempt.min(255) as u8;
+                if let Err(e) = shared.send_frame(device, dst, t, n as usize, last, tag) {
                     if !shared.monitor.is_finished() {
                         shared.monitor.fail(RunFailure::task(
                             t,
@@ -1184,7 +1187,7 @@ fn recv_worker(device: u32, rx: Receiver<Inbound>, shared: &Shared) {
         match msg {
             Inbound::Data {
                 flow,
-                payload,
+                len,
                 last,
                 attempt,
             } => {
@@ -1197,7 +1200,7 @@ fn recv_worker(device: u32, rx: Receiver<Inbound>, shared: &Shared) {
                 } else if attempt < entry.0 {
                     continue; // stale frame from a dropped attempt
                 }
-                entry.1 += payload.len() as u64;
+                entry.1 += len as u64;
                 if last {
                     let (_, got) = progress.remove(&flow).unwrap_or((attempt, 0));
                     let Kind::Flow { bytes: want, .. } = shared.kinds[flow as usize] else {
@@ -1555,7 +1558,7 @@ mod tests {
             queue_depth: (0..devices).map(|_| AtomicI64::new(0)).collect(),
             tcp_writers: HashMap::new(),
             device_host: Vec::new(),
-            zero: Bytes::new(),
+            zero: Vec::new(),
             chunk_bytes: 1,
             faults: Arc::new(InjectedFaults::default()),
             retries: AtomicU64::new(0),

@@ -42,8 +42,9 @@ pub mod server;
 
 pub use admission::{AdmissionConfig, TokenBucket};
 pub use client::Client;
+pub use crossmesh_faults::BackendKind;
 pub use proto::{
     DoneReply, ErrorReply, RejectedReply, Request, RequestBody, ReshardRequest, Response,
     StatsReply, TelemetryReply, TenantStats,
 };
-pub use server::{BackendKind, ServeConfig, ServeSummary, Server};
+pub use server::{ServeConfig, ServeSummary, Server};

@@ -21,12 +21,12 @@ use crate::proto::{
     Response, StatsReply, TelemetryReply, TenantStats,
 };
 use crossmesh_core::{planner_for, Plan, PlanCache, PlannerConfig, SenderExclusions, TaskSpec};
-use crossmesh_faults::{execute_with_repair, FaultInjectable, FaultSchedule, RecoveryError};
+use crossmesh_faults::{execute_with_repair, BackendKind, FaultSchedule, RecoveryError};
 use crossmesh_hb as hb;
 use crossmesh_models::presets;
-use crossmesh_netsim::{SimBackend, SimError};
+use crossmesh_netsim::SimError;
 use crossmesh_obs as obs;
-use crossmesh_runtime::{PollListener, ThreadedBackend};
+use crossmesh_runtime::PollListener;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
@@ -42,42 +42,6 @@ use std::time::{Duration, Instant};
 /// dump. Fires once per spike: the streak must be broken by an admission
 /// before another dump can trigger.
 const SHED_SPIKE_STREAK: u64 = 16;
-
-/// Which execution backend serves requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Flow-level simulator (fast, deterministic; the default).
-    Sim,
-    /// Real multi-threaded execution with in-process channels.
-    Threads,
-    /// Threads plus TCP loopback for inter-host flows.
-    Tcp,
-}
-
-impl BackendKind {
-    /// Parses the CLI's backend names.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown backend.
-    pub fn parse(name: &str) -> Result<BackendKind, String> {
-        match name {
-            "sim" => Ok(BackendKind::Sim),
-            "threads" => Ok(BackendKind::Threads),
-            "tcp" => Ok(BackendKind::Tcp),
-            other => Err(format!("unknown backend {other:?}")),
-        }
-    }
-
-    /// The backend this kind names.
-    pub fn instantiate(self) -> Box<dyn FaultInjectable> {
-        match self {
-            BackendKind::Sim => Box::new(SimBackend),
-            BackendKind::Threads => Box::new(ThreadedBackend::threads()),
-            BackendKind::Tcp => Box::new(ThreadedBackend::tcp()),
-        }
-    }
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -150,14 +114,16 @@ impl Conn {
     }
 }
 
-/// Per-tenant dispatch state, all guarded by the dispatch lock.
+/// Per-tenant dispatch state, all guarded by the dispatch lock. The
+/// outcome counters are the registry's `serve.tenant.{t}.*` handles, bumped
+/// under the lock, so stats replies and telemetry read the same numbers.
 struct TenantState {
     bucket: TokenBucket,
     queue: VecDeque<Job>,
-    accepted: u64,
-    rejected: u64,
-    completed: u64,
-    failed: u64,
+    accepted: obs::Counter,
+    rejected: obs::Counter,
+    completed: obs::Counter,
+    failed: obs::Counter,
 }
 
 /// Everything behind the dispatch lock: tenant queues plus the
@@ -318,16 +284,11 @@ impl Shared {
         let ts = self.started.elapsed().as_secs_f64() * 1e6;
         let (depth, completed) = {
             let st = self.dispatch.lock();
-            let done: u64 = st.tenants.values().map(|t| t.completed).sum();
+            let done: u64 = st.tenants.values().map(|t| t.completed.get()).sum();
             (st.queued as f64, done as f64)
         };
         self.queue_depth.set(depth);
         self.samples.lock().push((ts, depth, completed));
-    }
-
-    fn tenant_counter(&self, tenant: &str, which: &str) -> obs::Counter {
-        self.registry
-            .counter(&format!("serve.tenant.{tenant}.{which}"))
     }
 
     /// Total verifier convictions: execute-time failures plus cache
@@ -353,20 +314,18 @@ impl Shared {
         };
         let st = self.dispatch.lock();
         for (name, t) in &st.tenants {
-            reply.accepted += t.accepted;
-            reply.rejected += t.rejected;
-            reply.completed += t.completed;
-            reply.failed += t.failed;
-            reply.tenants.insert(
-                name.clone(),
-                TenantStats {
-                    accepted: t.accepted,
-                    rejected: t.rejected,
-                    completed: t.completed,
-                    failed: t.failed,
-                    queue_depth: t.queue.len(),
-                },
-            );
+            let stats = TenantStats {
+                accepted: t.accepted.get(),
+                rejected: t.rejected.get(),
+                completed: t.completed.get(),
+                failed: t.failed.get(),
+                queue_depth: t.queue.len(),
+            };
+            reply.accepted += stats.accepted;
+            reply.rejected += stats.rejected;
+            reply.completed += stats.completed;
+            reply.failed += stats.failed;
+            reply.tenants.insert(name.clone(), stats);
         }
         reply
     }
@@ -782,26 +741,22 @@ fn admit(id: u64, tenant: String, req: ReshardRequest, conn: &Arc<Conn>, shared:
     let now = Instant::now();
     let verdict = {
         let mut st = shared.dispatch.lock();
+        let cfg = shared.cfg.admission;
+        let t = st
+            .tenants
+            .entry(tenant.clone())
+            .or_insert_with(|| new_tenant(&cfg, now, &shared.registry, &tenant));
         if shared.draining.load(Ordering::SeqCst) {
-            let t = st
-                .tenants
-                .entry(tenant.clone())
-                .or_insert_with(|| new_tenant(&shared.cfg.admission, now));
-            t.rejected += 1;
+            t.rejected.inc();
             Err(("shutting_down".to_string(), 1000))
         } else {
-            let cfg = shared.cfg.admission;
-            let t = st
-                .tenants
-                .entry(tenant.clone())
-                .or_insert_with(|| new_tenant(&cfg, now));
             match t.bucket.try_acquire(now) {
                 Err(wait) => {
-                    t.rejected += 1;
+                    t.rejected.inc();
                     Err(("rate_limited".to_string(), wait.as_millis() as u64 + 1))
                 }
                 Ok(()) if t.queue.len() >= cfg.queue_depth => {
-                    t.rejected += 1;
+                    t.rejected.inc();
                     // Hint: one bucket period — by then at least one slot
                     // should have drained.
                     Err((
@@ -810,7 +765,7 @@ fn admit(id: u64, tenant: String, req: ReshardRequest, conn: &Arc<Conn>, shared:
                     ))
                 }
                 Ok(()) => {
-                    t.accepted += 1;
+                    t.accepted.inc();
                     // Admission-queue access point for `check::race`: every
                     // push/pop must stay under the dispatch lock.
                     hb::write(hb::object_id(&shared.dispatch));
@@ -831,13 +786,11 @@ fn admit(id: u64, tenant: String, req: ReshardRequest, conn: &Arc<Conn>, shared:
     match verdict {
         Ok(()) => {
             shared.shed_streak.store(0, Ordering::Relaxed);
-            shared.tenant_counter(&tenant, "accepted").inc();
             shared.sample();
             shared.work.notify_one();
         }
         Err((reason, retry_after_ms)) => {
             shared.registry.counter("serve.shed").inc();
-            shared.tenant_counter(&tenant, "rejected").inc();
             let streak = shared.shed_streak.fetch_add(1, Ordering::Relaxed) + 1;
             if streak == SHED_SPIKE_STREAK {
                 obs::event(
@@ -860,14 +813,20 @@ fn admit(id: u64, tenant: String, req: ReshardRequest, conn: &Arc<Conn>, shared:
     }
 }
 
-fn new_tenant(cfg: &AdmissionConfig, now: Instant) -> TenantState {
+fn new_tenant(
+    cfg: &AdmissionConfig,
+    now: Instant,
+    registry: &obs::MetricsRegistry,
+    tenant: &str,
+) -> TenantState {
+    let counter = |which: &str| registry.counter(&format!("serve.tenant.{tenant}.{which}"));
     TenantState {
         bucket: TokenBucket::new(cfg.rate, cfg.burst, now),
         queue: VecDeque::new(),
-        accepted: 0,
-        rejected: 0,
-        completed: 0,
-        failed: 0,
+        accepted: counter("accepted"),
+        rejected: counter("rejected"),
+        completed: counter("completed"),
+        failed: counter("failed"),
     }
 }
 
@@ -896,13 +855,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         if catch_unwind(AssertUnwindSafe(|| process(job, shared))).is_err() {
             shared.registry.counter("serve.worker_panics").inc();
             shared.dump_flightrec("worker-panic");
-            {
-                let mut st = shared.dispatch.lock();
-                if let Some(t) = st.tenants.get_mut(&tenant) {
-                    t.failed += 1;
-                }
+            if let Some(t) = shared.dispatch.lock().tenants.get(&tenant) {
+                t.failed.inc();
             }
-            shared.tenant_counter(&tenant, "failed").inc();
             conn.send(&Response::Error(ErrorReply {
                 id,
                 message: "internal error: worker panicked (flight recorder dumped)".into(),
@@ -929,19 +884,13 @@ fn process(job: Job, shared: &Arc<Shared>) {
             }),
         ),
     };
-    {
-        let mut st = shared.dispatch.lock();
-        if let Some(t) = st.tenants.get_mut(&job.tenant) {
-            if ok {
-                t.completed += 1;
-            } else {
-                t.failed += 1;
-            }
+    if let Some(t) = shared.dispatch.lock().tenants.get(&job.tenant) {
+        if ok {
+            t.completed.inc();
+        } else {
+            t.failed.inc();
         }
     }
-    shared
-        .tenant_counter(&job.tenant, if ok { "completed" } else { "failed" })
-        .inc();
     job.conn.send(&resp);
 }
 
@@ -984,15 +933,20 @@ fn run_job(job: &Job, shared: &Arc<Shared>, queue_ms: f64) -> Result<DoneReply, 
     // crashed-hosts) pairs replay.
     let exec_start = Instant::now();
     let schedule = parse_faults(job.req.faults.as_deref())?;
-    let backend = shared.cfg.backend.instantiate();
-    let recovery = execute_with_repair(&plan, &cluster, &*backend, &schedule, Some(&shared.cache))
-        .map_err(|e| {
-            if is_conviction(&e) {
-                shared.exec_convictions.fetch_add(1, Ordering::Relaxed);
-                shared.dump_flightrec("check-conviction");
-            }
-            format!("execution failed: {e}")
-        })?;
+    let recovery = execute_with_repair(
+        &plan,
+        &cluster,
+        shared.cfg.backend,
+        &schedule,
+        Some(&shared.cache),
+    )
+    .map_err(|e| {
+        if is_conviction(&e) {
+            shared.exec_convictions.fetch_add(1, Ordering::Relaxed);
+            shared.dump_flightrec("check-conviction");
+        }
+        format!("execution failed: {e}")
+    })?;
     if recovery.repaired.is_some() {
         shared.registry.counter("serve.fault_repairs").inc();
         shared

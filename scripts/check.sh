@@ -29,7 +29,7 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 echo "==> determinism lint (hash iteration / wall clock / unwrap rules)"
 cargo run --offline --release -p crossmesh-check --bin crossmesh-lint
 
-echo "==> seeded-fault serve smoke (flight-recorder dump validates)"
+echo "==> seeded-fault serve smoke (flight-recorder dump validates, netsim counters flushed)"
 fault_dir="$(mktemp -d)"
 trace_dir="$(mktemp -d)"
 fault_pid=
@@ -43,7 +43,7 @@ printf '%s' '{"seed":0,"events":[{"HostCrash":{"host":0,"at":0.0}}],"max_retries
     > "$fault_dir/faults.json"
 cargo run --offline --release -p crossmesh-cli -- serve \
     --workers 1 --allow-remote-shutdown --max-seconds 120 \
-    --flightrec-dir "$fault_dir" \
+    --flightrec-dir "$fault_dir" --metrics-out "$fault_dir/metrics.txt" \
     --addr-out "$fault_dir/addr" > "$fault_dir/serve.log" 2>&1 &
 fault_pid=$!
 for _ in $(seq 1 100); do [ -s "$fault_dir/addr" ] && break; sleep 0.1; done
@@ -59,6 +59,10 @@ fault_pid=
 dump="$(ls "$fault_dir"/flightrec-fault-repair-*.json | head -1)"
 [ -n "$dump" ] || { echo "no flight-recorder dump produced"; exit 1; }
 cargo run --offline --release -p crossmesh-cli -- validate-trace --trace "$dump"
+# The daemon flushes its registry at shutdown with the simulator's
+# counters synced in: the repaired reshard ran the engine.
+grep -Eq '^netsim\.events_processed [1-9][0-9]*$' "$fault_dir/metrics.txt" \
+    || { echo "metrics file reports no netsim events"; cat "$fault_dir/metrics.txt"; exit 1; }
 
 echo "==> unified timeline export, one schema across backends"
 reshard_case=(reshard --src-spec RR --dst-spec S01R --src-mesh 2x4 --dst-mesh 2x4
@@ -86,8 +90,13 @@ cargo run --offline --release -p crossmesh-cli -- "${rail_case[@]}" \
     --faults "$trace_dir/empty.json" --trace-out "$trace_dir/empty-faults.json" > /dev/null
 cmp "$trace_dir/clean.json" "$trace_dir/empty-faults.json"
 
-echo "==> moe all-to-all smoke (one-lane oracle against 4 lanes, byte-exact)"
+echo "==> moe all-to-all smoke (one-lane oracle against 4 lanes, byte-exact; every fabric)"
 cargo run --offline --release -p crossmesh-cli -- moe --verify --json > "$trace_dir/moe.json"
 grep -q '"data_plane_verified": true' "$trace_dir/moe.json"
+for fabric in rails flat fat-tree torus; do
+    cargo run --offline --release -p crossmesh-cli -- moe --fabric "$fabric" --json \
+        > "$trace_dir/moe-$fabric.json"
+    grep -q "\"fabric\": \"$fabric\"" "$trace_dir/moe-$fabric.json"
+done
 
 echo "All checks passed."

@@ -9,9 +9,9 @@ use crossmesh::core::{
     dataplane, EnsemblePlanner, NaivePlanner, Planner, PlannerConfig, ReshardingTask,
     SenderExclusions,
 };
-use crossmesh::faults::{FaultEvent, FaultInjectable, FaultSchedule};
+use crossmesh::faults::{BackendKind, FaultEvent, FaultSchedule};
 use crossmesh::mesh::{DeviceMesh, DimSharding, ShardingSpec};
-use crossmesh::netsim::{ClusterSpec, HostId, LinkParams, SimBackend, TaskGraph, Work};
+use crossmesh::netsim::{ClusterSpec, HostId, LinkParams, TaskGraph, Work};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -227,8 +227,8 @@ proptest! {
     ) {
         let c = sim_cluster();
         let g = build_graph(&c, &nodes);
-        let first = SimBackend.execute_with_faults(&c, &g, &schedule).unwrap();
-        let second = SimBackend.execute_with_faults(&c, &g, &schedule).unwrap();
+        let first = BackendKind::Sim.execute_with_faults(&c, &g, &schedule).unwrap();
+        let second = BackendKind::Sim.execute_with_faults(&c, &g, &schedule).unwrap();
         prop_assert_eq!(first, second);
     }
 

@@ -140,12 +140,11 @@ fn verify_views(
     task: &ReshardingTask,
     assignments: &[Assignment],
 ) -> Vec<crossmesh::check::Diagnostic> {
-    let views: Vec<_> = assignments.iter().map(Assignment::as_view).collect();
     verify_plan(
         task.units(),
         task.shape(),
         task.elem_bytes(),
-        &views,
+        assignments,
         None,
         &|_, _| false,
     )
@@ -230,7 +229,7 @@ proptest! {
         let plan = planner.plan(&task);
         for a in plan.assignments() {
             let unit = &task.units()[a.unit];
-            let Some(ring) = ring_spec(unit, &a.as_view()) else {
+            let Some(ring) = ring_spec(unit, a) else {
                 continue;
             };
             if ring.hops.len() < 3 {
