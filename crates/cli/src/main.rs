@@ -22,14 +22,13 @@ use args::Args;
 use crossmesh_autoshard::{search, AutoShardProblem};
 use crossmesh_core::{
     build_meshes, dataplane, parse_shape, planner_for, Assignment, CostParams, EnsemblePlanner,
-    LoadBalancePlanner, PlanCache, PlanRun, Planner, PlannerConfig, Strategy, StrategyChoice,
-    TaskSpec,
+    LoadBalancePlanner, PlanCache, Planner, PlannerConfig, Strategy, StrategyChoice, TaskSpec,
 };
 use crossmesh_faults::{execute_with_repair, BackendKind, FaultSchedule};
 use crossmesh_models::gpt::GptConfig;
 use crossmesh_models::utransformer::UTransformerConfig;
 use crossmesh_models::{presets, ModelJob, Precision};
-use crossmesh_netsim::{Backend, ClusterSpec, LinkParams, SimBackend, TaskGraph, Trace, Work};
+use crossmesh_netsim::{Backend, ClusterSpec, LinkParams, SimBackend};
 use crossmesh_obs as obs;
 use crossmesh_pipeline::{
     simulate_with_cache, CommMode, PipelineConfig, ScheduleKind, WeightDelay,
@@ -238,20 +237,15 @@ fn run(tokens: Vec<String>) -> Result<String, Box<dyn Error>> {
             .install(dispatch),
     }?;
     // --metrics-out snapshots the whole registry to a file after any
-    // non-serve command, netsim counters folded in first so the file is
-    // never missing the engine's share. (The serve daemon owns the same
-    // flag itself: it flushes at shutdown, after its workers are done.)
+    // non-serve command. (The serve daemon owns the same flag itself: it
+    // flushes at shutdown, after its workers are done.)
     if args.command.as_deref() != Some("serve") {
         if let Some(path) = args.get("metrics-out") {
-            obs::sync_netsim_metrics(obs::metrics());
             std::fs::write(path, obs::metrics().render_text())
                 .map_err(|e| format!("cannot write --metrics-out {path:?}: {e}"))?;
         }
     }
     if args.has_flag("metrics") {
-        // Fold the netsim engine's cumulative counters in before rendering
-        // so simulator-backed commands report netsim.* alongside the rest.
-        obs::sync_netsim_metrics(obs::metrics());
         let text = obs::metrics().render_text();
         return Ok(format!("{out}\n\n== metrics ==\n{}", text.trim_end()));
     }
@@ -298,47 +292,6 @@ fn validate_trace(args: &Args) -> Result<String, Box<dyn Error>> {
         return Ok(serde_json::to_string_pretty(&out)?);
     }
     Ok(lines.join("\n"))
-}
-
-/// The number of in-flight flows over time, derived from the executed
-/// trace — rendered as a Perfetto counter track so both backends' exports
-/// carry a `C`-phase series.
-fn inflight_flow_samples(graph: &TaskGraph, trace: &Trace) -> Vec<(f64, f64)> {
-    let mut deltas: Vec<(f64, f64)> = Vec::new();
-    for (id, task) in graph.iter() {
-        if let Work::Flow { .. } = task.work {
-            let interval = trace.interval(id);
-            deltas.push((interval.start * 1e6, 1.0));
-            deltas.push((interval.finish * 1e6, -1.0));
-        }
-    }
-    deltas.sort_by(|a, b| a.partial_cmp(b).expect("trace timestamps are finite"));
-    let mut level = 0.0;
-    let mut samples = vec![(0.0, 0.0)];
-    for (ts, delta) in deltas {
-        level += delta;
-        samples.push((ts, level));
-    }
-    samples
-}
-
-/// The unified timeline of one executed plan: same JSON schema whichever
-/// backend ran — host/device rows, compute/comm complete events, marker
-/// instants, and an in-flight-flow counter track.
-fn timeline(run: &PlanRun, cluster: &ClusterSpec) -> obs::export::TraceExport {
-    let mut export = obs::export::TraceExport::new();
-    export.push_run(
-        &run.graph,
-        &run.trace,
-        cluster,
-        obs::export::RunKind::Primary,
-        0.0,
-    );
-    export.add_counter(
-        "comm.inflight_flows",
-        &inflight_flow_samples(&run.graph, &run.trace),
-    );
-    export
 }
 
 fn autospec(args: &Args) -> Result<String, Box<dyn Error>> {
@@ -624,9 +577,6 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
     use crossmesh_moe::{execute, A2aDirection};
 
     let hosts: u32 = args.get_parsed("hosts", 8u32)?;
-    if hosts < 2 || !hosts.is_multiple_of(2) {
-        return Err("--hosts must be even: half token hosts, half expert hosts".into());
-    }
     let gpus: u32 = args.get_parsed("gpus-per-host", 4u32)?;
     let params = cost_params(args)?;
     let fabric_name = args.get_or("fabric", "rails");
@@ -687,7 +637,7 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
     if let Some(path) = args.get("trace-out") {
         // Same unified timeline as `reshard --trace-out`, plus a static
         // per-rail byte-load counter track for the spray decision.
-        let mut export = timeline(&run, &cluster);
+        let mut export = run.trace.export(&run.graph, &cluster);
         for (i, b) in rail_bytes.iter().enumerate() {
             export.add_counter(format!("moe.rail.{i}.bytes"), &[(0.0, *b)]);
         }
@@ -785,7 +735,8 @@ fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
     let report = recovery.run.report();
 
     if let Some(path) = args.get("trace-out") {
-        std::fs::write(path, timeline(&recovery.run, &cluster).render())?;
+        let run = &recovery.run;
+        std::fs::write(path, run.trace.export(&run.graph, &cluster).render())?;
     }
 
     let verified = if args.has_flag("verify") {
@@ -872,7 +823,11 @@ fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
 
 fn pipeline(args: &Args) -> Result<String, Box<dyn Error>> {
     let model = args.get("model").ok_or("missing --model")?;
+    // 0 stands for the model's own default, which only an absent flag asks for.
     let microbatches: usize = args.get_parsed("microbatches", 0)?;
+    if microbatches == 0 && args.get("microbatches").is_some() {
+        return Err("--microbatches must be at least 1".into());
+    }
     let (name, job, cluster): (&str, ModelJob, ClusterSpec) = match model {
         "gpt-case1" | "gpt-case2" => {
             let cluster = presets::aws_p3_8xlarge(2, Precision::Fp16);
@@ -917,7 +872,10 @@ fn pipeline(args: &Args) -> Result<String, Box<dyn Error>> {
         comm,
         weight_delay: WeightDelay::None,
     };
-    let iterations = args.get_parsed("iterations", 1usize)?.max(1);
+    let iterations = args.get_parsed("iterations", 1usize)?;
+    if iterations == 0 {
+        return Err("--iterations must be at least 1".into());
+    }
     // One plan cache across all iterations: every iteration after the
     // first replays its resharding plans instead of re-planning them.
     let cache = PlanCache::new();
@@ -1194,6 +1152,26 @@ mod tests {
         assert!(run(toks("moe --strategy nope")).is_err());
         assert!(run(toks("moe --direction nope")).is_err());
         assert!(run(toks("moe --hosts 3")).is_err());
+    }
+
+    /// `run`'s error for `args`, which must be refused.
+    fn refusal(args: &str) -> String {
+        run(toks(args)).expect_err(args).to_string()
+    }
+
+    #[test]
+    fn moe_refuses_zero_hosts_as_an_uneven_split() {
+        assert!(refusal("moe --hosts 0").contains("positive even host count"));
+    }
+
+    #[test]
+    fn moe_refuses_hosts_without_devices() {
+        assert!(refusal("moe --gpus-per-host 0").contains("at least one device per host"));
+    }
+
+    #[test]
+    fn moe_refuses_zero_tokens() {
+        assert!(refusal("moe --tokens 0").contains("at least one token per device"));
     }
 
     #[test]
@@ -1558,6 +1536,54 @@ mod tests {
         );
         assert!(!check("text").contains("error"));
         let _ = std::fs::remove_file(&task);
+        let _ = std::fs::remove_file(&plan);
+    }
+
+    #[test]
+    fn pipeline_refuses_zero_microbatches_and_iterations() {
+        for flag in ["microbatches", "iterations"] {
+            let err = refusal(&format!("pipeline --model gpt-case1 --{flag} 0"));
+            assert!(
+                err.contains(&format!("--{flag} must be at least 1")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn reshard_refuses_a_bandwidth_that_is_not_positive_and_finite() {
+        for bw in ["0", "nan", "inf"] {
+            let err = refusal(&format!(
+                "reshard --src-spec RS0R --dst-spec S0RR --src-mesh 2x4 --dst-mesh 2x4 \
+                 --shape 64x64x8 --inter-bw {bw}"
+            ));
+            assert!(err.contains("inter_bw"), "{bw}: {err}");
+        }
+    }
+
+    #[test]
+    fn check_task_refuses_a_file_with_a_zero_bandwidth() {
+        let dir = std::env::temp_dir();
+        let path = dir.join("crossmesh_cli_zero_bw_task.json");
+        let plan = dir.join("crossmesh_cli_zero_bw_plan.json");
+        run(toks(&format!(
+            "reshard --src-spec RS0R --dst-spec S0RR --src-mesh 2x4 --dst-mesh 2x4 \
+             --shape 64x64x8 --emit-task {} --emit-plan {}",
+            path.display(),
+            plan.display()
+        )))
+        .unwrap();
+        let mut task: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        task["inter_bw"] = serde_json::json!(0.0);
+        std::fs::write(&path, serde_json::to_string(&task).unwrap()).unwrap();
+        let err = refusal(&format!(
+            "check --task {} --plan {}",
+            path.display(),
+            plan.display()
+        ));
+        assert!(err.contains("inter_bw"), "{err}");
+        let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&plan);
     }
 

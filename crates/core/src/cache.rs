@@ -55,13 +55,14 @@ struct Entry {
 /// bits are uniform enough to index with a mask.
 const SHARDS: usize = 16;
 
-/// Hit/miss/size counters of a [`PlanCache`], taken with
-/// [`stats`](PlanCache::stats).
+/// Hit/miss/size counters of a [`PlanCache`] since it was built, taken
+/// with [`stats`](PlanCache::stats): *views* over the cache's private
+/// metrics registry (see [`PlanCache::registry`]). A shared cache counts
+/// every caller's lookups, so a caller that wants its own share counts
+/// the per-call outcomes that [`plan_with_exclusions_outcome`] and
+/// [`repair`](PlanCache::repair) return.
 ///
-/// Since the observability rework these are *views* over the cache's
-/// private metrics registry (see [`PlanCache::registry`]); the struct is
-/// kept so existing callers and the `PipelineReport` / `RecoveryReport`
-/// delta fields keep working unchanged.
+/// [`plan_with_exclusions_outcome`]: PlanCache::plan_with_exclusions_outcome
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -174,18 +175,22 @@ impl PlanCache {
     }
 
     /// Repairs `plan` around `exclusions` (see [`Plan::repair`]), caching
-    /// the result. The key includes the incumbent plan's assignments: the
-    /// repair's *patch* candidate keeps surviving slots, so two different
-    /// incumbent plans can repair differently.
+    /// the result, and reports whether this call was served from the
+    /// cache (as [`plan_with_exclusions_outcome`] does). The key includes
+    /// the incumbent plan's assignments: the repair's *patch* candidate
+    /// keeps surviving slots, so two different incumbent plans can repair
+    /// differently.
     ///
     /// # Errors
     ///
     /// [`RepairError::DataLoss`] if a unit task loses every replica holder.
+    ///
+    /// [`plan_with_exclusions_outcome`]: PlanCache::plan_with_exclusions_outcome
     pub fn repair<'t>(
         &self,
         plan: &Plan<'t>,
         exclusions: &SenderExclusions,
-    ) -> Result<Plan<'t>, RepairError> {
+    ) -> Result<(Plan<'t>, bool), RepairError> {
         let task = plan.task();
         let mut h = DefaultHasher::new();
         "repair".hash(&mut h);
@@ -199,11 +204,11 @@ impl PlanCache {
         let key = h.finish();
 
         if let Some(repaired) = self.lookup(key, task, exclusions) {
-            return Ok(repaired);
+            return Ok((repaired, true));
         }
         let repaired = plan.repair(exclusions)?;
         self.insert(key, &repaired);
-        Ok(repaired)
+        Ok((repaired, false))
     }
 
     /// Counters since construction (or the last [`clear`](PlanCache::clear)),
@@ -225,8 +230,8 @@ impl PlanCache {
     }
 
     /// The cache's private metrics registry. Holds `plan_cache.hits`,
-    /// `plan_cache.misses`, and `plan_cache.invalidations`; [`stats`]
-    /// (and through it the report delta fields) are views over it.
+    /// `plan_cache.misses`, and `plan_cache.invalidations`; [`stats`] is
+    /// a view over it.
     ///
     /// [`stats`]: PlanCache::stats
     pub fn registry(&self) -> &obs::MetricsRegistry {
@@ -391,9 +396,10 @@ mod tests {
         let cache = PlanCache::new();
         let plan = planner.plan(&t);
         let excl = SenderExclusions::for_hosts([HostId(1)]);
-        let a = cache.repair(&plan, &excl).unwrap();
-        let b = cache.repair(&plan, &excl).unwrap();
+        let (a, a_hit) = cache.repair(&plan, &excl).unwrap();
+        let (b, b_hit) = cache.repair(&plan, &excl).unwrap();
         assert_eq!(a.assignments(), b.assignments());
+        assert_eq!((a_hit, b_hit), (false, true));
         assert_eq!(cache.stats().hits, 1);
         assert!(a.assignments().iter().all(|x| x.sender_host != HostId(1)));
     }

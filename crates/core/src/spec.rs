@@ -51,8 +51,9 @@ pub struct TaskSpec {
 pub enum TaskSpecError {
     /// A mesh or shape string does not parse.
     Malformed(String),
-    /// The meshes exceed `MAX_HOSTS` / `MAX_DEVICES_PER_HOST`, or the
-    /// tensor's byte size is zero or overflows `u64`.
+    /// The meshes exceed `MAX_HOSTS` / `MAX_DEVICES_PER_HOST`, the
+    /// tensor's byte size is zero or overflows `u64`, or a bandwidth is
+    /// not positive and finite or a latency not non-negative and finite.
     OutOfBounds(String),
     /// A spec does not parse, or meshes, specs and shape are inconsistent.
     Mesh(MeshError),
@@ -156,6 +157,19 @@ impl TaskSpec {
                 self.shape, self.elem_bytes
             )));
         }
+        for (field, value, zero_ok) in [
+            ("inter_bw", self.inter_bw, false),
+            ("intra_bw", self.intra_bw, false),
+            ("inter_latency", self.inter_latency, true),
+            ("intra_latency", self.intra_latency, true),
+        ] {
+            if !value.is_finite() || value < 0.0 || (value == 0.0 && !zero_ok) {
+                let want = if zero_ok { "non-negative" } else { "positive" };
+                return Err(TaskSpecError::OutOfBounds(format!(
+                    "{field} {value} must be {want} and finite"
+                )));
+            }
+        }
         let links = LinkParams::new(self.intra_bw, self.inter_bw)
             .with_latencies(self.intra_latency, self.inter_latency);
         let (cluster, src, dst) = build_meshes(&self.src_mesh, &self.dst_mesh, links)?;
@@ -235,6 +249,37 @@ mod tests {
             zero.build().unwrap_err(),
             TaskSpecError::OutOfBounds(_)
         ));
+    }
+
+    #[test]
+    fn hostile_link_parameters_are_typed_errors_not_panics() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for (field, value) in [
+            ("inter_bw", 0.0),
+            ("inter_bw", -1.0),
+            ("inter_bw", nan),
+            ("intra_bw", 0.0),
+            ("intra_bw", inf),
+            ("inter_latency", -1e-6),
+            ("inter_latency", inf),
+            ("intra_latency", nan),
+        ] {
+            let mut s = spec("1x2", "1x2", "8x8");
+            *match field {
+                "inter_bw" => &mut s.inter_bw,
+                "intra_bw" => &mut s.intra_bw,
+                "inter_latency" => &mut s.inter_latency,
+                _ => &mut s.intra_latency,
+            } = value;
+            match s.build().unwrap_err() {
+                TaskSpecError::OutOfBounds(msg) => assert!(msg.starts_with(field), "{msg}"),
+                other => panic!("{field} = {value}: {other}"),
+            }
+        }
+        // Zero latency is a valid (idealised) link.
+        let mut s = spec("1x2", "1x2", "8x8");
+        (s.inter_latency, s.intra_latency) = (0.0, 0.0);
+        assert!(s.build().is_ok());
     }
 
     #[test]

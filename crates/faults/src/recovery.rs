@@ -152,8 +152,8 @@ fn failed_trace_error(
 /// cache key, so a cached entry can never assign an excluded sender; the
 /// cache re-checks that invariant on every hit anyway. The report's
 /// [`plan_cache_hits`](RecoveryReport::plan_cache_hits) /
-/// [`plan_cache_misses`](RecoveryReport::plan_cache_misses) are the
-/// deltas this call contributed to the cache's counters.
+/// [`plan_cache_misses`](RecoveryReport::plan_cache_misses) count this
+/// call's own lookups, however many other callers share the cache.
 ///
 /// # Errors
 ///
@@ -182,7 +182,6 @@ pub fn execute_with_repair<'t>(
     let metrics = recovery_metrics();
     metrics.runs.inc();
     metrics.rounds.inc();
-    let stats_before = cache.map(|c| c.stats()).unwrap_or_default();
     // One attempt: verify and lower `plan`, then run it under `schedule`.
     let attempt = |plan: &Plan<'_>, schedule: &FaultSchedule| {
         plan.run(cluster, |graph| {
@@ -237,9 +236,12 @@ pub fn execute_with_repair<'t>(
             )],
         );
     }
-    let repaired = match cache {
-        Some(c) => c.repair(plan, &exclusions)?,
-        None => plan.repair(&exclusions)?,
+    let (repaired, lookups) = match cache {
+        Some(c) => {
+            let (repaired, hit) = c.repair(plan, &exclusions)?;
+            (repaired, if hit { (1, 0) } else { (0, 1) })
+        }
+        None => (plan.repair(&exclusions)?, (0, 0)),
     };
     // Beyond the runner's own check, verify the repaired plan under the
     // exclusions before committing the cluster to re-execution: nothing
@@ -275,7 +277,6 @@ pub fn execute_with_repair<'t>(
         .filter(|a| original.get(&a.unit) != Some(&a.sender))
         .count();
     let degraded = wasted + run.report().simulated_seconds;
-    let stats_after = cache.map(|c| c.stats()).unwrap_or_default();
     metrics.failovers.add(failovers as u64);
     metrics.degraded_makespan.set(degraded);
     span.record(&[
@@ -290,8 +291,8 @@ pub fn execute_with_repair<'t>(
         excluded_hosts,
         degraded_makespan: Some(degraded),
         retries,
-        plan_cache_hits: stats_after.hits - stats_before.hits,
-        plan_cache_misses: stats_after.misses - stats_before.misses,
+        plan_cache_hits: lookups.0,
+        plan_cache_misses: lookups.1,
     })
 }
 

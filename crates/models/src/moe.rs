@@ -15,7 +15,7 @@
 
 use crate::gpt::GptConfig;
 use crossmesh_core::{CostParams, Strategy};
-use crossmesh_mesh::{DeviceMesh, MeshError};
+use crossmesh_mesh::DeviceMesh;
 use crossmesh_moe::{A2aDirection, A2aTask, RoutingConfig};
 use crossmesh_netsim::{ClusterSpec, FabricModel, LinkParams};
 use serde::{Deserialize, Serialize};
@@ -34,13 +34,23 @@ pub const A2A_STRATEGIES: [&str; 3] = ["multi_rail", "send_recv", "broadcast"];
 ///
 /// # Errors
 ///
-/// A message naming an unknown fabric.
+/// A message naming an unknown fabric, a host count that does not split
+/// into equal non-empty token and expert halves, or hosts without devices.
 pub fn a2a_cluster(
     fabric: &str,
     hosts: u32,
     gpus: u32,
     params: &CostParams,
 ) -> Result<ClusterSpec, String> {
+    if hosts == 0 || !hosts.is_multiple_of(2) {
+        return Err(format!(
+            "{hosts} hosts do not split into token and expert halves: \
+             the all-to-all needs a positive even host count"
+        ));
+    }
+    if gpus == 0 {
+        return Err("the all-to-all needs at least one device per host".into());
+    }
     let nic = params.inter_bw;
     let fabric = match fabric {
         "rails" => FabricModel::RailOptimized {
@@ -176,13 +186,17 @@ impl GptMoeConfig {
     ///
     /// # Errors
     ///
-    /// A mesh error if the cluster has fewer than two hosts.
+    /// A message if `tokens_per_device` is zero, a mesh error if the
+    /// cluster has fewer than two hosts.
     pub fn a2a(
         &self,
         cluster: &ClusterSpec,
         direction: A2aDirection,
         tokens_per_device: u64,
-    ) -> Result<A2aTask, MeshError> {
+    ) -> Result<A2aTask, Box<dyn std::error::Error>> {
+        if tokens_per_device == 0 {
+            return Err("the all-to-all needs at least one token per device".into());
+        }
         let half = (cluster.num_hosts() / 2) as usize;
         let per = (cluster.num_devices() / cluster.num_hosts()) as usize;
         let tokens = DeviceMesh::from_cluster(cluster, 0, (half, per), "moe-tokens")?;

@@ -19,6 +19,10 @@
 //! The simulator is fully deterministic: no wall-clock time and no
 //! randomness are consulted anywhere.
 //!
+//! It reports through `crossmesh-obs` like every layer above it: each run
+//! adds its [`SimStats`] to the process-wide `netsim.*` metrics, and
+//! [`Trace::export`] lays a run out as the unified timeline.
+//!
 //! # Example
 //!
 //! ```
@@ -52,7 +56,7 @@ mod graph;
 mod rates;
 #[cfg(test)]
 mod reference;
-pub mod stats;
+mod stats;
 mod topology;
 mod trace;
 

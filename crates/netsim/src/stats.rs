@@ -1,19 +1,19 @@
 //! Engine performance counters.
 //!
 //! Every run tallies a [`SimStats`] (events processed, rate re-solves,
-//! saturation-frontier peak, …) available through
-//! [`Engine::run_stats`](crate::Engine::run_stats) and, cumulatively
-//! across all runs in the process, through [`cumulative`]. The cumulative
-//! counters are plain relaxed atomics — cheap enough to update
-//! unconditionally — so callers that hold a metrics registry (the CLI,
-//! `bench`, the serve daemon via `crossmesh-obs`) can publish
-//! `netsim.events_processed` / `netsim.rate_recomputes` /
-//! `netsim.frontier_size` without this crate depending on the obs stack
-//! (obs depends on netsim, not the reverse).
+//! saturation-frontier peak, …), returned by
+//! [`Engine::run_stats`](crate::Engine::run_stats) and added to the
+//! process-wide `crossmesh-obs` registry ([`obs::metrics`]) at the end of
+//! the run, like every other layer's counters: `netsim.events_processed`,
+//! `netsim.events_stale`, `netsim.rate_recomputes` and
+//! `netsim.flows_resolved` sum over all runs, and the
+//! `netsim.frontier_size` / `netsim.peak_active_flows` gauges hold the
+//! largest value any run reached.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crossmesh_obs as obs;
+use std::sync::OnceLock;
 
-/// Counters from one engine run (or, via [`cumulative`], all runs so far).
+/// Counters from one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Heap events popped and acted on (compute/latency/fault/flow-drain).
@@ -34,55 +34,75 @@ pub struct SimStats {
     pub peak_active_flows: usize,
 }
 
-static EVENTS: AtomicU64 = AtomicU64::new(0);
-static STALE: AtomicU64 = AtomicU64::new(0);
-static RECOMPUTES: AtomicU64 = AtomicU64::new(0);
-static RESOLVED: AtomicU64 = AtomicU64::new(0);
-static FRONTIER: AtomicUsize = AtomicUsize::new(0);
-static PEAK_FLOWS: AtomicUsize = AtomicUsize::new(0);
-
-/// Folds one run's counters into the process-wide totals. Called by the
-/// engine at the end of every run.
-pub(crate) fn record(s: &SimStats) {
-    EVENTS.fetch_add(s.events_processed, Ordering::Relaxed);
-    STALE.fetch_add(s.events_stale, Ordering::Relaxed);
-    RECOMPUTES.fetch_add(s.rate_recomputes, Ordering::Relaxed);
-    RESOLVED.fetch_add(s.flows_resolved, Ordering::Relaxed);
-    FRONTIER.fetch_max(s.frontier_size, Ordering::Relaxed);
-    PEAK_FLOWS.fetch_max(s.peak_active_flows, Ordering::Relaxed);
-}
-
-/// Snapshot of the process-wide totals: counters sum over every engine
-/// run so far; `frontier_size` and `peak_active_flows` are maxima.
-pub fn cumulative() -> SimStats {
-    SimStats {
-        events_processed: EVENTS.load(Ordering::Relaxed),
-        events_stale: STALE.load(Ordering::Relaxed),
-        rate_recomputes: RECOMPUTES.load(Ordering::Relaxed),
-        flows_resolved: RESOLVED.load(Ordering::Relaxed),
-        frontier_size: FRONTIER.load(Ordering::Relaxed),
-        peak_active_flows: PEAK_FLOWS.load(Ordering::Relaxed),
+impl SimStats {
+    /// Adds this run's counters to the global registry's `netsim.*`
+    /// counters and raises its two gauges to this run's peaks. The
+    /// handles are looked up once per process, so a run after the first
+    /// allocates nothing here.
+    pub(crate) fn publish(&self) {
+        static HANDLES: OnceLock<([obs::Counter; 4], [obs::Gauge; 2])> = OnceLock::new();
+        let (counters, gauges) = HANDLES.get_or_init(|| {
+            let m = obs::metrics();
+            (
+                [
+                    "netsim.events_processed",
+                    "netsim.events_stale",
+                    "netsim.rate_recomputes",
+                    "netsim.flows_resolved",
+                ]
+                .map(|name| m.counter(name)),
+                ["netsim.frontier_size", "netsim.peak_active_flows"].map(|name| m.gauge(name)),
+            )
+        });
+        let totals = [
+            self.events_processed,
+            self.events_stale,
+            self.rate_recomputes,
+            self.flows_resolved,
+        ];
+        for (counter, n) in counters.iter().zip(totals) {
+            counter.add(n);
+        }
+        for (gauge, peak) in gauges
+            .iter()
+            .zip([self.frontier_size, self.peak_active_flows])
+        {
+            gauge.raise(peak as f64);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{ClusterSpec, Engine, LinkParams, TaskGraph, Work};
+    use crossmesh_obs as obs;
 
     #[test]
-    fn record_accumulates_and_maxes() {
-        let before = cumulative();
-        record(&SimStats {
-            events_processed: 3,
-            events_stale: 1,
-            rate_recomputes: 2,
-            flows_resolved: 5,
-            frontier_size: 1,
-            peak_active_flows: 4,
-        });
-        let after = cumulative();
-        assert_eq!(after.events_processed, before.events_processed + 3);
-        assert_eq!(after.rate_recomputes, before.rate_recomputes + 2);
-        assert!(after.peak_active_flows >= 4);
+    fn a_run_raises_the_global_netsim_metrics_by_its_own_stats() {
+        let c = ClusterSpec::homogeneous(2, 2, LinkParams::new(10.0, 1.0));
+        let mut g = TaskGraph::new();
+        g.add(Work::flow(c.device(0, 0), c.device(1, 0), 4.0), []);
+        g.add(Work::flow(c.device(0, 1), c.device(1, 1), 4.0), []);
+        let published = || obs::metrics().snapshot_prefixed("netsim.");
+        let before = published();
+        let (_, s) = Engine::new(&c).run_stats(&g).unwrap();
+        let after = published();
+        // Other tests run engines concurrently, so the totals grow by at
+        // least this run's share.
+        for (name, n) in [
+            ("netsim.events_processed", s.events_processed),
+            ("netsim.events_stale", s.events_stale),
+            ("netsim.rate_recomputes", s.rate_recomputes),
+            ("netsim.flows_resolved", s.flows_resolved),
+        ] {
+            assert!(after.counter(name) >= before.counter(name) + n, "{name}");
+        }
+        assert!(s.events_processed > 0 && s.peak_active_flows == 2, "{s:?}");
+        assert!(after.gauges["netsim.peak_active_flows"] >= 2.0);
+        assert!(after.gauges["netsim.frontier_size"] >= s.frontier_size as f64);
+        assert!(after
+            .counters
+            .keys()
+            .all(|name| name.starts_with("netsim.")));
     }
 }

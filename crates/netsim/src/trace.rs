@@ -1,8 +1,9 @@
-//! Execution traces produced by the engine.
+//! Execution traces produced by the engine, and their timeline export.
 
 use crate::graph::{TaskGraph, Work};
 use crate::topology::{ClusterSpec, HostId};
 use crate::TaskId;
+use crossmesh_obs::export::TraceExport;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -242,6 +243,61 @@ impl Trace {
         }
         total
     }
+
+    /// The unified timeline of `graph` executed as this trace on
+    /// `cluster`, whichever backend ran it: one process row per host and
+    /// one thread row per device, compute tasks and flows as complete
+    /// events, markers as instants on the first device row, and the
+    /// number of in-flight flows as the `comm.inflight_flows` counter
+    /// track. Task labels are rendered here, on export, and nowhere else.
+    pub fn export(&self, graph: &TaskGraph, cluster: &ClusterSpec) -> TraceExport {
+        let mut export = TraceExport::new();
+        for h in 0..cluster.num_hosts() {
+            export.add_process(h, format!("host {h}"));
+            for d in cluster.devices_on(HostId(h)) {
+                export.add_thread(h, d.0, format!("device {}", d.0));
+            }
+        }
+        // (timestamp, +1 / -1) as each flow starts and finishes.
+        let mut inflight: Vec<(f64, f64)> = Vec::new();
+        for (id, task) in graph.iter() {
+            let interval = self.interval(id);
+            let ts_us = interval.start * 1e6;
+            let name = match (task.label, task.work) {
+                (Some(label), _) => label.to_string(),
+                (None, Work::Flow { dst, bytes, .. }) => {
+                    format!("flow {id} -> {dst} ({bytes:.0} B)")
+                }
+                (None, Work::Marker) => format!("marker {id}"),
+                (None, _) => format!("compute {id}"),
+            };
+            let (device, cat) = match task.work {
+                Work::Compute { device, .. } | Work::ComputeFlops { device, .. } => {
+                    (device, "compute")
+                }
+                Work::Flow { src, .. } => {
+                    inflight.push((ts_us, 1.0));
+                    inflight.push((interval.finish * 1e6, -1.0));
+                    (src, "comm")
+                }
+                Work::Marker => {
+                    export.add_instant(name, "marker", ts_us, 0, 0);
+                    continue;
+                }
+            };
+            let (pid, dur_us) = (cluster.host_of(device).0, interval.duration() * 1e6);
+            export.add_complete(name, cat, ts_us, dur_us, pid, device.0);
+        }
+        inflight.sort_by(|a, b| a.partial_cmp(b).expect("trace timestamps are finite"));
+        let mut level = 0.0;
+        let mut samples = vec![(0.0, 0.0)];
+        for (ts, delta) in inflight {
+            level += delta;
+            samples.push((ts, level));
+        }
+        export.add_counter("comm.inflight_flows", &samples);
+        export
+    }
 }
 
 #[cfg(test)]
@@ -300,6 +356,45 @@ mod tests {
         );
         assert_eq!(t.makespan(), 3.0);
         assert_eq!(t.fault_stats(), &FaultStats::default());
+    }
+
+    #[test]
+    fn export_validates_and_carries_all_row_kinds() {
+        let c = ClusterSpec::homogeneous(2, 2, LinkParams::new(10.0, 1.0));
+        let mut g = TaskGraph::new();
+        let f = g.add_labeled(
+            Work::flow(c.device(0, 0), c.device(1, 0), 5.0),
+            [],
+            crate::Label::new("payload", []),
+        );
+        g.add(Work::compute(c.device(1, 0), 1.0), [f]);
+        g.add_labeled(Work::Marker, [], crate::Label::new("epoch", []));
+        let t = Engine::new(&c).run(&g).unwrap();
+        let json = t.export(&g, &c).render();
+        let summary = crossmesh_obs::export::validate(&json).expect("export validates");
+        for phase in ["M", "X", "i", "C"] {
+            assert!(summary.phases.contains(phase), "{phase}");
+        }
+        for cat in ["comm", "compute", "marker"] {
+            assert!(summary.categories.contains(cat), "{cat}");
+        }
+        assert_eq!(
+            summary.counter_tracks.iter().collect::<Vec<_>>(),
+            ["comm.inflight_flows"]
+        );
+        // Two hosts of two devices each named; the flow on (h0, d0), the
+        // compute on (h1, d2).
+        assert!(summary.device_rows.contains(&(0, 0)));
+        assert!(summary.device_rows.contains(&(1, 2)));
+        assert!(json.contains("\"name\":\"payload\""));
+        assert!(json.contains("\"name\":\"epoch\""));
+        // One flow in flight from its start to its finish.
+        assert_eq!(json.matches("\"args\":{\"value\":1}").count(), 1);
+        assert_eq!(
+            t.export(&g, &c).render(),
+            json,
+            "rendering is deterministic"
+        );
     }
 
     #[test]

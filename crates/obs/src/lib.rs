@@ -5,8 +5,13 @@
 //! pluggable [`Collector`]), a [`metrics`](mod@metrics) registry (named
 //! counters, gauges, and fixed-bucket histograms, sharded across worker
 //! threads and merged deterministically at drain), and a unified
-//! Chrome/Perfetto [`export`] module that renders both simulator traces
-//! and real runtime timelines into one JSON schema.
+//! Chrome/Perfetto [`export`] module that renders simulator traces, real
+//! runtime timelines and daemon timelines into one JSON schema.
+//!
+//! The crate is a leaf: it depends on no other layer, so every layer
+//! reports into it the same way. The flow-level simulator adds each run's
+//! engine counters to the process-wide registry's `netsim.*` metrics, and
+//! lays its traces out through [`export::TraceExport`] itself.
 //!
 //! ## Zero overhead when disabled
 //!
@@ -31,7 +36,6 @@ pub mod collect;
 pub mod export;
 pub mod metrics;
 pub mod recorder;
-pub mod simstats;
 pub mod slo;
 mod span;
 
@@ -40,7 +44,6 @@ pub use metrics::{
     metrics, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SlidingWindowHistogram,
 };
 pub use recorder::FlightRecorder;
-pub use simstats::sync_netsim_metrics;
 pub use slo::{SloBreach, SloMonitor, SloRule};
 pub use span::{Span, SpanId};
 

@@ -13,6 +13,7 @@
 //! per-cache statistics stay isolated).
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -85,7 +86,8 @@ impl Counter {
     }
 }
 
-/// A last-write-wins `f64` gauge.
+/// An `f64` gauge: last write wins through [`set`](Gauge::set), or a
+/// running maximum through [`raise`](Gauge::raise).
 #[derive(Clone)]
 pub struct Gauge {
     bits: Arc<AtomicU64>,
@@ -100,6 +102,16 @@ impl Gauge {
 
     pub fn set(&self, value: f64) {
         self.bits.store(value.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Raises the gauge to `value` if that is larger, so concurrent
+    /// writers leave the maximum of their values.
+    pub fn raise(&self, value: f64) {
+        let _ = self
+            .bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                (value > f64::from_bits(cur)).then_some(value.to_bits())
+            });
     }
 
     pub fn get(&self) -> f64 {
@@ -283,9 +295,18 @@ impl MetricsRegistry {
 
     /// Drains every metric into a deterministic, name-ordered snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        self.snapshot_prefixed("")
+    }
+
+    /// Drains the metrics whose names start with `prefix` (e.g. the
+    /// `netsim.` slice) into a name-ordered snapshot.
+    pub fn snapshot_prefixed(&self, prefix: &str) -> MetricsSnapshot {
         let metrics = self.lock();
         let mut snap = MetricsSnapshot::default();
-        for (name, metric) in metrics.iter() {
+        let slice = metrics
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(name, _)| name.starts_with(prefix));
+        for (name, metric) in slice {
             match metric {
                 Metric::Counter(c) => {
                     snap.counters.insert(name.clone(), c.get());
@@ -600,6 +621,11 @@ mod tests {
         g.set(3.5);
         g.set(-1.25);
         assert_eq!(g.get(), -1.25);
+        // `raise` keeps the maximum, whatever order the values arrive in.
+        for v in [-2.0, 4.0, 1.0] {
+            g.raise(v);
+        }
+        assert_eq!(g.get(), 4.0);
     }
 
     #[test]

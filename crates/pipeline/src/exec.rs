@@ -3,7 +3,7 @@
 use crate::schedule::{build_schedule, Op, Schedule, ScheduleKind, WeightDelay};
 use crate::stage::StageGraph;
 use crossmesh_collectives::estimate_unit_task;
-use crossmesh_core::{CostParams, Plan, PlanCache, Planner};
+use crossmesh_core::{CostParams, Plan, PlanCache, Planner, SenderExclusions};
 use crossmesh_netsim::{
     Backend, ClusterSpec, DeviceId, Label, SimBackend, SimError, TaskGraph, TaskId, Work,
 };
@@ -202,8 +202,8 @@ pub fn simulate(
 /// carry that backend's clock — and with an optional [`PlanCache`]:
 /// resharding plans are looked up by content before running the planner,
 /// so repeated iterations (or edges resharding identical tensors) plan
-/// once. The report's `plan_cache_hits`/`plan_cache_misses` carry this
-/// call's share of the cache traffic.
+/// once. The report's `plan_cache_hits`/`plan_cache_misses` count this
+/// call's own lookups, however many other callers share the cache.
 ///
 /// # Errors
 ///
@@ -286,11 +286,14 @@ pub fn simulate_schedule(
         ],
     );
     pipeline_metrics().iterations.inc();
-    let stats_before = cache.map(|c| c.stats()).unwrap_or_default();
     let mut lowering = Lowering::new(graph, cluster, schedule, planner, comm, cache);
     lowering.run();
     lowering.lower_grad_sync();
-    let Lowering { task_graph, .. } = lowering;
+    let Lowering {
+        task_graph,
+        plan_cache_lookups,
+        ..
+    } = lowering;
 
     let trace = backend.execute(cluster, &task_graph)?;
     let peak_live: Vec<usize> = (0..num_stages)
@@ -308,7 +311,6 @@ pub fn simulate_schedule(
     } else {
         utilization.values().sum::<f64>() / utilization.len() as f64
     };
-    let stats_after = cache.map(|c| c.stats()).unwrap_or_default();
     let iteration = trace.makespan();
     // Per-stage bubble: the mean idle time of the stage's devices over the
     // iteration — what the schedule failed to hide behind compute.
@@ -336,8 +338,8 @@ pub fn simulate_schedule(
         comm_busy_seconds: trace.cross_host_comm_seconds(&task_graph, cluster),
         mean_device_utilization,
         tasks_lowered: task_graph.len(),
-        plan_cache_hits: stats_after.hits - stats_before.hits,
-        plan_cache_misses: stats_after.misses - stats_before.misses,
+        plan_cache_hits: plan_cache_lookups[0],
+        plan_cache_misses: plan_cache_lookups[1],
     })
 }
 
@@ -367,6 +369,8 @@ struct Lowering<'a> {
     comm_chain: HashMap<(Vec<crossmesh_netsim::HostId>, Vec<crossmesh_netsim::HostId>), TaskId>,
     /// Scratch list of one compute task's dependencies.
     deps: Vec<TaskId>,
+    /// This call's plan-cache lookups: `[hits, misses]`.
+    plan_cache_lookups: [u64; 2],
 }
 
 impl<'a> Lowering<'a> {
@@ -379,8 +383,15 @@ impl<'a> Lowering<'a> {
         cache: Option<&PlanCache>,
     ) -> Self {
         let n = graph.stages().len();
-        let plan_task = |task: &'a crossmesh_core::ReshardingTask| match cache {
-            Some(c) => c.plan(planner, task),
+        let mut plan_cache_lookups = [0; 2];
+        let mut plan_task = |task: &'a crossmesh_core::ReshardingTask| match cache {
+            Some(c) => {
+                let (plan, hit) = c
+                    .plan_with_exclusions_outcome(planner, task, &SenderExclusions::none())
+                    .expect("empty exclusions cannot cause data loss");
+                plan_cache_lookups[usize::from(!hit)] += 1;
+                plan
+            }
             None => planner.plan(task),
         };
         let (fwd_plans, bwd_plans) = match comm {
@@ -419,6 +430,7 @@ impl<'a> Lowering<'a> {
             bwd_plans,
             comm_chain: HashMap::new(),
             deps: Vec::new(),
+            plan_cache_lookups,
         }
     }
 
@@ -1042,6 +1054,48 @@ mod tests {
             (0, 0)
         );
         assert_eq!(uncached.iteration_seconds, first.iteration_seconds);
+    }
+
+    /// Simulates after another worker's lookup lands on the shared cache
+    /// in the middle of the call.
+    #[derive(Debug)]
+    struct Neighbour<'a> {
+        cache: &'a PlanCache,
+        graph: &'a StageGraph,
+    }
+
+    impl Backend for Neighbour<'_> {
+        fn name(&self) -> &'static str {
+            "sim"
+        }
+
+        fn execute(
+            &self,
+            cluster: &ClusterSpec,
+            graph: &TaskGraph,
+        ) -> Result<crossmesh_netsim::Trace, SimError> {
+            self.cache.plan(&planner(), &self.graph.edges()[0].forward);
+            SimBackend.execute(cluster, graph)
+        }
+    }
+
+    #[test]
+    fn cache_counts_are_the_calls_own_under_a_shared_cache() {
+        let (c, cache, p, cfg) = (
+            cluster(),
+            PlanCache::new(),
+            planner(),
+            PipelineConfig::ours(),
+        );
+        let g = two_stage(&c, 6, 1.0, 2);
+        let cold = simulate_with_cache(&g, &c, &p, &cfg, &SimBackend, Some(&cache)).unwrap();
+        let neighbour = Neighbour {
+            cache: &cache,
+            graph: &g,
+        };
+        let warm = simulate_with_cache(&g, &c, &p, &cfg, &neighbour, Some(&cache)).unwrap();
+        let lookups = cold.plan_cache_hits + cold.plan_cache_misses;
+        assert_eq!((warm.plan_cache_hits, warm.plan_cache_misses), (lookups, 0));
     }
 
     #[test]

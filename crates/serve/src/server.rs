@@ -176,7 +176,8 @@ struct Shared {
     /// invalidations separately in its own registry).
     exec_convictions: AtomicU64,
     started: Instant,
-    /// `(ts_us, queue_depth, completed)` samples for the timeline export.
+    /// `(ts_us, queue_depth, completed)` samples for the timeline export,
+    /// recorded only when [`ServeConfig::trace_out`] is set.
     samples: Mutex<Vec<(f64, f64, f64)>>,
     queue_depth: obs::Gauge,
     queue_ms: obs::Histogram,
@@ -252,16 +253,18 @@ impl Shared {
     }
 
     /// Renders the full Prometheus-style exposition: the daemon and
-    /// plan-cache registries plus the rolling-window latency summaries.
-    /// Syncs the netsim engine counters first so `netsim.*` metrics are
-    /// current, and evaluates the SLO rules so `obs.slo.*` counters in
-    /// the exposition reflect this scrape.
+    /// plan-cache registries, the `netsim.*` slice of the process-wide
+    /// registry (every engine run in the process adds to it), and the
+    /// rolling-window latency summaries.
+    /// Evaluates the SLO rules first so `obs.slo.*` counters in the
+    /// exposition reflect this scrape.
     fn telemetry_text(&self) -> String {
-        obs::sync_netsim_metrics(&self.registry);
         self.evaluate_slo();
         let now = self.clock();
         let mut text = self.registry.snapshot().render_prometheus();
         text.push_str(&self.cache.registry().snapshot().render_prometheus());
+        let netsim = obs::metrics().snapshot_prefixed("netsim.");
+        text.push_str(&netsim.render_prometheus());
         text.push_str(
             &self
                 .queue_window
@@ -280,15 +283,18 @@ impl Shared {
         text
     }
 
+    /// Updates the `serve.queue_depth` gauge, and records a timeline
+    /// sample when there is a timeline file to write it to.
     fn sample(&self) {
-        let ts = self.started.elapsed().as_secs_f64() * 1e6;
-        let (depth, completed) = {
-            let st = self.dispatch.lock();
-            let done: u64 = st.tenants.values().map(|t| t.completed.get()).sum();
-            (st.queued as f64, done as f64)
-        };
+        let st = self.dispatch.lock();
+        let depth = st.queued as f64;
         self.queue_depth.set(depth);
-        self.samples.lock().push((ts, depth, completed));
+        if self.cfg.trace_out.is_some() {
+            let completed: u64 = st.tenants.values().map(|t| t.completed.get()).sum();
+            drop(st);
+            let ts = self.started.elapsed().as_secs_f64() * 1e6;
+            self.samples.lock().push((ts, depth, completed as f64));
+        }
     }
 
     /// Total verifier convictions: execute-time failures plus cache
@@ -553,12 +559,12 @@ impl Server {
             let _ = r.join();
         }
         shared.sample();
-        // Phase 3: flush observability outputs. Sync the netsim engine
-        // counters first so `netsim.*` metrics are current in the dump.
+        // Phase 3: flush observability outputs, the simulator's share of
+        // the work included.
         if let Some(path) = &shared.cfg.metrics_out {
-            obs::sync_netsim_metrics(&shared.registry);
             let mut text = shared.registry.render_text();
             text.push_str(&shared.cache.registry().render_text());
+            text.push_str(&obs::metrics().snapshot_prefixed("netsim.").render_text());
             let _ = std::fs::write(path, text);
         }
         if let Some(path) = &shared.cfg.trace_out {
@@ -1031,5 +1037,33 @@ mod tests {
             detail: "peer reset during static verification".into(),
         });
         assert!(!is_conviction(&failed));
+    }
+
+    #[test]
+    fn a_daemon_without_a_timeline_file_keeps_no_samples() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("daemon starts");
+        let mut client = crate::Client::connect(server.addr()).expect("connects");
+        let request = ReshardRequest {
+            src_spec: "RS0R".into(),
+            dst_spec: "S0RR".into(),
+            src_mesh: "2x4".into(),
+            dst_mesh: "2x4".into(),
+            shape: "64x64x8".into(),
+            elem_bytes: 4,
+            planner: "ours".into(),
+            seed: None,
+            faults: None,
+        };
+        for _ in 0..4 {
+            let reply = client.reshard("t", request.clone()).expect("answered");
+            assert!(matches!(reply, Response::Done(_)), "{reply:?}");
+        }
+        assert!(server.shared.samples.lock().is_empty());
+        let summary = server.shutdown();
+        assert_eq!(summary.completed, 4);
     }
 }

@@ -17,6 +17,14 @@ echo "==> cargo doc (-D warnings: a broken intra-doc link fails the gate)"
 # --lib: the crossmesh bin and lib would otherwise collide on one doc path.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
+echo "==> crate graph (obs is a leaf: every layer, the simulator too, reports into it)"
+obs_deps="$(cargo tree --offline -p crossmesh-obs -e normal)"
+if grep -q crossmesh-netsim <<<"$obs_deps"; then
+    echo "crossmesh-obs depends on crossmesh-netsim:"
+    echo "$obs_deps"
+    exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
@@ -59,8 +67,8 @@ fault_pid=
 dump="$(ls "$fault_dir"/flightrec-fault-repair-*.json | head -1)"
 [ -n "$dump" ] || { echo "no flight-recorder dump produced"; exit 1; }
 cargo run --offline --release -p crossmesh-cli -- validate-trace --trace "$dump"
-# The daemon flushes its registry at shutdown with the simulator's
-# counters synced in: the repaired reshard ran the engine.
+# The daemon's shutdown flush carries the simulator's netsim.* counters:
+# the repaired reshard ran the engine.
 grep -Eq '^netsim\.events_processed [1-9][0-9]*$' "$fault_dir/metrics.txt" \
     || { echo "metrics file reports no netsim events"; cat "$fault_dir/metrics.txt"; exit 1; }
 

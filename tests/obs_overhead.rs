@@ -7,7 +7,7 @@
 use crossmesh::core::{EnsemblePlanner, Planner, PlannerConfig, ReshardingTask};
 use crossmesh::mesh::{DeviceMesh, ShardingSpec};
 use crossmesh::netsim::{Backend, ClusterSpec, LinkParams, SimBackend, TaskGraph};
-use crossmesh::obs::{self, export::RunKind, export::TraceExport, CountingCollector};
+use crossmesh::obs::{self, CountingCollector};
 use crossmesh::runtime::ThreadedBackend;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -37,8 +37,8 @@ fn small_task(cluster: &ClusterSpec) -> ReshardingTask {
 }
 
 /// Lowers the plan for [`small_task`] and executes it on `backend`,
-/// returning the rendered unified export (with a counter track so every
-/// Chrome phase — M, X, i, C — is present).
+/// returning the rendered unified export (its in-flight-flow counter
+/// track makes every Chrome phase — M, X, i, C — present).
 fn export_on(backend: &dyn Backend) -> String {
     let cluster = ClusterSpec::homogeneous(4, 2, LinkParams::new(100.0, 1.0));
     let task = small_task(&cluster);
@@ -46,10 +46,7 @@ fn export_on(backend: &dyn Backend) -> String {
     let mut graph = TaskGraph::new();
     plan.lower_on(&mut graph, &[], None);
     let trace = backend.execute(&cluster, &graph).expect("run executes");
-    let mut export = TraceExport::new();
-    export.push_run(&graph, &trace, &cluster, RunKind::Primary, 0.0);
-    export.add_counter("comm.inflight_flows", &[(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]);
-    export.render()
+    trace.export(&graph, &cluster).render()
 }
 
 /// Golden-schema test: one sim run and one threads-backend run render
