@@ -21,8 +21,9 @@ mod args;
 use args::Args;
 use crossmesh_autoshard::{search, AutoShardProblem};
 use crossmesh_core::{
-    build_meshes, dataplane, parse_shape, planner_for, Assignment, CostParams, EnsemblePlanner,
-    LoadBalancePlanner, PlanCache, Planner, PlannerConfig, Strategy, StrategyChoice, TaskSpec,
+    build_meshes, check_link_param, dataplane, parse_shape, planner_for, Assignment, CostParams,
+    EnsemblePlanner, LoadBalancePlanner, PlanCache, Planner, PlannerConfig, Strategy,
+    StrategyChoice, TaskSpec,
 };
 use crossmesh_faults::{execute_with_repair, BackendKind, FaultSchedule};
 use crossmesh_models::gpt::GptConfig;
@@ -327,6 +328,9 @@ fn cost_params(args: &Args) -> Result<CostParams, Box<dyn Error>> {
     let mut p = presets::p3_cost_params();
     p.inter_bw = args.get_parsed("inter-bw", p.inter_bw)?;
     p.intra_bw = args.get_parsed("intra-bw", p.intra_bw)?;
+    // `moe` and `autospec` build their cluster straight from these.
+    check_link_param("inter_bw", p.inter_bw, false)?;
+    check_link_param("intra_bw", p.intra_bw, false)?;
     Ok(p)
 }
 
@@ -1559,6 +1563,33 @@ mod tests {
             ));
             assert!(err.contains("inter_bw"), "{bw}: {err}");
         }
+    }
+
+    #[test]
+    fn moe_refuses_a_zero_inter_host_bandwidth() {
+        let err = refusal("moe --inter-bw 0");
+        assert!(
+            err.contains("inter_bw 0 must be positive and finite"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn moe_refuses_a_nan_intra_host_bandwidth() {
+        let err = refusal("moe --intra-bw nan");
+        assert!(
+            err.contains("intra_bw NaN must be positive and finite"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn autospec_refuses_a_zero_inter_host_bandwidth() {
+        let err = refusal("autospec --shape 64x64 --src-mesh 2x4 --dst-mesh 2x4 --inter-bw 0");
+        assert!(
+            err.contains("inter_bw 0 must be positive and finite"),
+            "{err}"
+        );
     }
 
     #[test]

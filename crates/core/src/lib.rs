@@ -53,7 +53,7 @@ pub use planners::{
     plan_with_exclusions, planner_for, DfsPlanner, EnsemblePlanner, LoadBalancePlanner,
     NaivePlanner, Planner, PlannerConfig, RandomizedGreedyPlanner, StrategyChoice,
 };
-pub use spec::{build_meshes, parse_mesh, parse_shape, TaskSpec, TaskSpecError};
+pub use spec::{build_meshes, check_link_param, parse_mesh, parse_shape, TaskSpec, TaskSpecError};
 pub use task::ReshardingTask;
 
 // Re-exports so downstream users rarely need the substrate crates directly.

@@ -139,6 +139,23 @@ pub fn build_meshes(
     Ok((cluster, src, dst))
 }
 
+/// Refuses a link parameter the simulated cluster cannot take, naming
+/// `field`: a bandwidth must be positive and finite ([`LinkParams::new`]
+/// panics otherwise), a latency (`zero_ok`) non-negative and finite.
+///
+/// # Errors
+///
+/// [`TaskSpecError::OutOfBounds`] for any other value.
+pub fn check_link_param(field: &str, value: f64, zero_ok: bool) -> Result<(), TaskSpecError> {
+    if !value.is_finite() || value < 0.0 || (value == 0.0 && !zero_ok) {
+        let want = if zero_ok { "non-negative" } else { "positive" };
+        return Err(TaskSpecError::OutOfBounds(format!(
+            "{field} {value} must be {want} and finite"
+        )));
+    }
+    Ok(())
+}
+
 impl TaskSpec {
     /// Builds the task and the cluster it runs on.
     ///
@@ -163,12 +180,7 @@ impl TaskSpec {
             ("inter_latency", self.inter_latency, true),
             ("intra_latency", self.intra_latency, true),
         ] {
-            if !value.is_finite() || value < 0.0 || (value == 0.0 && !zero_ok) {
-                let want = if zero_ok { "non-negative" } else { "positive" };
-                return Err(TaskSpecError::OutOfBounds(format!(
-                    "{field} {value} must be {want} and finite"
-                )));
-            }
+            check_link_param(field, value, zero_ok)?;
         }
         let links = LinkParams::new(self.intra_bw, self.inter_bw)
             .with_latencies(self.intra_latency, self.inter_latency);

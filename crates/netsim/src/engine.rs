@@ -12,6 +12,14 @@
 //! flow set. Same-timestamp completions (within `REL_EPS` relative) are
 //! batched into one cascade, exactly like the pre-refactor engine.
 //!
+//! An event costs little. The heap holds one 16-byte key per event —
+//! time bits, sequence number, payload slot — whose integer order is the
+//! (time, push order) order, with the payloads in a slab beside it. Each
+//! device's ready computes form an intrusive FIFO threaded through one
+//! link per task. And a clean run does no fault bookkeeping: the failure,
+//! dead-host and drop checks start only once a task has failed, a host
+//! has died or a drop is pending.
+//!
 //! The frozen pre-refactor engine survives as a test-only oracle (the
 //! `reference` module, compiled under `cfg(test)`), and the crate's
 //! `equivalence` proptests pin this engine to it.
@@ -46,7 +54,7 @@ enum EventKind {
     /// slot's generation still matches the second payload.
     FlowDrained(u32, u32),
     /// An injected fault fires; the payload indexes `Run::fault_actions`.
-    Fault(usize),
+    Fault(u32),
 }
 
 /// A scheduled state change injected by [`Disruptions`].
@@ -59,31 +67,19 @@ enum FaultAction {
     NicPeriod(usize, bool),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    time: f64,
-    seq: u64,
-    kind: EventKind,
+/// One event-heap entry, 16 bytes: the event time's bits, then its
+/// sequence number, then its slot in `Run::event_kinds`, high to low.
+/// Times are finite and `>= 0` (a `-0.0` is stored as `0.0`), so their bit
+/// patterns order as the numbers do, and the unique `seq` breaks ties in
+/// push order; the slot never decides.
+type EventKey = u128;
+
+fn event_time(key: EventKey) -> f64 {
+    f64::from_bits((key >> 64) as u64)
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
+/// Marks an empty per-device compute queue, or the end of one.
+const NO_TASK: u32 = u32::MAX;
 
 /// One active (or recycled) flow slot. Bytes drain lazily: `remaining`
 /// is exact as of `updated_at` and is only materialized when the rate
@@ -99,32 +95,6 @@ struct FlowSlot {
     /// against an older rate (or a previous occupant) are stale.
     gen: u32,
     alive: bool,
-}
-
-/// An entry in a per-device FIFO ready queue, ordered by ready time then id.
-#[derive(Debug, Clone, Copy)]
-struct QueuedCompute {
-    ready: f64,
-    task: TaskId,
-}
-
-impl PartialEq for QueuedCompute {
-    fn eq(&self, other: &Self) -> bool {
-        self.ready == other.ready && self.task == other.task
-    }
-}
-impl Eq for QueuedCompute {}
-impl PartialOrd for QueuedCompute {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedCompute {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.ready
-            .total_cmp(&other.ready)
-            .then(self.task.cmp(&other.task))
-    }
 }
 
 impl<'a> Engine<'a> {
@@ -203,11 +173,21 @@ struct Run<'a> {
     nic_received: Vec<Option<f64>>,
 
     time: f64,
-    events: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
+    events: BinaryHeap<Reverse<EventKey>>,
+    /// What each pending event does, indexed by the slot in its key;
+    /// popped events put their slot on `free_events` for reuse.
+    event_kinds: Vec<EventKind>,
+    free_events: Vec<u32>,
+    next_seq: u32,
 
-    /// Per-device: queue of ready compute tasks and whether one is running.
-    device_queue: Vec<BinaryHeap<Reverse<QueuedCompute>>>,
+    /// Per-device FIFO of ready compute tasks in (ready time, id) order,
+    /// threaded through `queue_next` (one link per task): the first and
+    /// last queued task per device, `NO_TASK` when empty. A queued task's
+    /// ready time is its interval's `start`.
+    queue_head: Vec<u32>,
+    queue_tail: Vec<u32>,
+    queue_next: Vec<u32>,
+    /// Whether each device is running a compute task.
     device_busy: Vec<bool>,
     /// Devices that may be able to start a queued compute (a task was
     /// queued or the device went idle); only these are visited by
@@ -230,8 +210,10 @@ struct Run<'a> {
     // --- fault injection state (all neutral for a clean run) ---
     /// Scheduled state changes, indexed by `EventKind::Fault` payloads.
     fault_actions: Vec<FaultAction>,
-    /// Which hosts have crashed so far.
-    host_dead: Vec<bool>,
+    /// The hosts that have crashed so far, in crash order. Empty (with
+    /// `failed_tasks` and `drops_left`) in a clean run, which therefore
+    /// skips every fault check.
+    dead_hosts: Vec<HostId>,
     /// The NIC degradation periods on hosts of this cluster, and which of
     /// them are in force.
     nic_periods: Vec<NicScalePeriod>,
@@ -333,8 +315,12 @@ impl<'a> Run<'a> {
             nic_received: vec![None; h],
             time: 0.0,
             events: BinaryHeap::new(),
+            event_kinds: Vec::new(),
+            free_events: Vec::new(),
             next_seq: 0,
-            device_queue: (0..d).map(|_| BinaryHeap::new()).collect(),
+            queue_head: vec![NO_TASK; d],
+            queue_tail: vec![NO_TASK; d],
+            queue_next: vec![NO_TASK; n],
             device_busy: vec![false; d],
             dispatch_dirty: Vec::new(),
             dispatch_marked: vec![false; d],
@@ -346,7 +332,7 @@ impl<'a> Run<'a> {
             changed: Vec::new(),
             route: Vec::new(),
             fault_actions: Vec::new(),
-            host_dead: vec![false; h],
+            dead_hosts: Vec::new(),
             nic_periods: Vec::new(),
             nic_active: Vec::new(),
             running_on: vec![None; d],
@@ -369,19 +355,19 @@ impl<'a> Run<'a> {
         // Schedule timed fault actions before any task event so that, at
         // equal times, the fault applies first (lower sequence numbers win).
         for &(host, at) in &disruptions.host_down {
-            if (host.0 as usize) < run.host_dead.len() {
-                let idx = run.fault_actions.len();
+            if host.0 < cluster.num_hosts() {
+                let idx = run.fault_actions.len() as u32;
                 run.fault_actions.push(FaultAction::HostDown(host));
                 run.push_event(at, EventKind::Fault(idx));
             }
         }
         for p in &disruptions.nic_scale {
-            if (p.host.0 as usize) < run.host_dead.len() {
+            if p.host.0 < cluster.num_hosts() {
                 let period = run.nic_periods.len();
                 run.nic_periods.push(*p);
                 run.nic_active.push(false);
                 for (at, active) in [(p.from, true), (p.until, false)] {
-                    let idx = run.fault_actions.len();
+                    let idx = run.fault_actions.len() as u32;
                     run.fault_actions
                         .push(FaultAction::NicPeriod(period, active));
                     run.push_event(at, EventKind::Fault(idx));
@@ -392,9 +378,24 @@ impl<'a> Run<'a> {
     }
 
     fn push_event(&mut self, time: f64, kind: EventKind) {
+        debug_assert!(time >= 0.0 && time.is_finite(), "event time {time}");
+        // A `-0.0` (a fault scheduled at `-0.0`) would sort after every
+        // positive time: store it as `0.0`.
+        let bits = if time == 0.0 { 0 } else { time.to_bits() };
         let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(Reverse(Event { time, seq, kind }));
+        self.next_seq = seq.checked_add(1).expect("2^32 events in one run");
+        let slot = match self.free_events.pop() {
+            Some(slot) => {
+                self.event_kinds[slot as usize] = kind;
+                slot
+            }
+            None => {
+                self.event_kinds.push(kind);
+                (self.event_kinds.len() - 1) as u32
+            }
+        };
+        let key = EventKey::from(bits) << 64 | EventKey::from(seq) << 32 | EventKey::from(slot);
+        self.events.push(Reverse(key));
     }
 
     /// Fails `task` at the current time: it is marked failed (poisoning
@@ -415,40 +416,89 @@ impl<'a> Run<'a> {
 
     /// True if `host` has crashed.
     fn is_dead(&self, host: HostId) -> bool {
-        self.host_dead[host.0 as usize]
+        self.dead_hosts.contains(&host)
+    }
+
+    /// True if `device`'s host has crashed.
+    fn on_dead_host(&self, device: DeviceId) -> bool {
+        self.is_dead(self.cluster.host_of(device))
+    }
+
+    /// Appends `task`, ready now, to `dev`'s compute queue. Time never
+    /// runs backwards, so only a task with the same ready time and a lower
+    /// id than the tail's has to walk the queue to its place.
+    fn enqueue_compute(&mut self, dev: usize, task: TaskId) {
+        let t = task.0;
+        let before = |run: &Self, a: u32| {
+            let (ra, rt) = (
+                run.intervals[a as usize].start,
+                run.intervals[t as usize].start,
+            );
+            ra < rt || (ra == rt && a < t)
+        };
+        let tail = self.queue_tail[dev];
+        if tail == NO_TASK || before(self, tail) {
+            match tail {
+                NO_TASK => self.queue_head[dev] = t,
+                tail => self.queue_next[tail as usize] = t,
+            }
+            self.queue_next[t as usize] = NO_TASK;
+            self.queue_tail[dev] = t;
+            return;
+        }
+        let head = self.queue_head[dev];
+        if !before(self, head) {
+            self.queue_next[t as usize] = head;
+            self.queue_head[dev] = t;
+            return;
+        }
+        let mut prev = head;
+        while before(self, self.queue_next[prev as usize]) {
+            prev = self.queue_next[prev as usize];
+        }
+        self.queue_next[t as usize] = self.queue_next[prev as usize];
+        self.queue_next[prev as usize] = t;
+    }
+
+    /// Takes the first task off `dev`'s compute queue.
+    fn dequeue_compute(&mut self, dev: usize) -> Option<TaskId> {
+        let head = self.queue_head[dev];
+        if head == NO_TASK {
+            return None;
+        }
+        self.queue_head[dev] = self.queue_next[head as usize];
+        if self.queue_head[dev] == NO_TASK {
+            self.queue_tail[dev] = NO_TASK;
+        }
+        Some(TaskId(head))
     }
 
     /// Marks `task` ready at the current time: markers complete instantly
     /// (cascading), compute tasks enter their device queue, flows enter
     /// their latency phase. Under fault injection, a task whose dependency
-    /// failed — or that needs a crashed host — fails instead.
+    /// failed — or that needs a crashed host — fails instead; until a task
+    /// has failed or a host has died, there is nothing to check.
     fn make_ready(&mut self, task: TaskId, completions: &mut Vec<TaskId>) {
         let t = self.graph.task(task);
-        if t.deps.iter().any(|d| self.failed[d.0 as usize]) {
-            self.fail_task(task, completions);
-            return;
-        }
-        let needs_dead_host = match t.work {
-            Work::Compute { device, .. } | Work::ComputeFlops { device, .. } => {
-                self.is_dead(self.cluster.host_of(device))
+        if !(self.failed_tasks.is_empty() && self.dead_hosts.is_empty()) {
+            let doomed = t.deps.iter().any(|d| self.failed[d.0 as usize])
+                || match t.work {
+                    Work::Compute { device, .. } | Work::ComputeFlops { device, .. } => {
+                        self.on_dead_host(device)
+                    }
+                    Work::Flow { src, dst, .. } => self.on_dead_host(src) || self.on_dead_host(dst),
+                    Work::Marker => false,
+                };
+            if doomed {
+                self.fail_task(task, completions);
+                return;
             }
-            Work::Flow { src, dst, .. } => {
-                self.is_dead(self.cluster.host_of(src)) || self.is_dead(self.cluster.host_of(dst))
-            }
-            Work::Marker => false,
-        };
-        if needs_dead_host {
-            self.fail_task(task, completions);
-            return;
         }
         self.intervals[task.0 as usize].start = self.time;
         match t.work {
             Work::Marker => completions.push(task),
             Work::Compute { device, .. } | Work::ComputeFlops { device, .. } => {
-                self.device_queue[device.0 as usize].push(Reverse(QueuedCompute {
-                    ready: self.time,
-                    task,
-                }));
+                self.enqueue_compute(device.0 as usize, task);
                 self.mark_dispatch(device.0 as usize);
             }
             Work::Flow { src, dst, bytes } => {
@@ -472,7 +522,7 @@ impl<'a> Run<'a> {
             unreachable!("latency event for a non-flow task");
         };
         // A host crash between readiness and activation kills the flow.
-        if self.is_dead(self.cluster.host_of(src)) || self.is_dead(self.cluster.host_of(dst)) {
+        if !self.dead_hosts.is_empty() && (self.on_dead_host(src) || self.on_dead_host(dst)) {
             self.fail_task(task, completions);
             return;
         }
@@ -586,7 +636,7 @@ impl<'a> Run<'a> {
         let task = self.flows[slot as usize].task;
         self.flows[slot as usize].remaining = 0.0;
         self.release_flow(slot);
-        if self.drops_left.get(&task.0).copied().unwrap_or(0) > 0 {
+        if !self.drops_left.is_empty() && self.drops_left.contains_key(&task.0) {
             self.handle_dropped_flow(task, completions);
         } else {
             completions.push(task);
@@ -610,9 +660,9 @@ impl<'a> Run<'a> {
             if self.device_busy[dev] {
                 continue;
             }
-            if let Some(Reverse(q)) = self.device_queue[dev].pop() {
+            if let Some(task) = self.dequeue_compute(dev) {
                 self.device_busy[dev] = true;
-                let seconds = match self.graph.task(q.task).work {
+                let seconds = match self.graph.task(task).work {
                     Work::Compute { seconds, .. } => seconds,
                     Work::ComputeFlops { device, flops } => {
                         flops / self.cluster.host(self.cluster.host_of(device)).device_flops
@@ -621,10 +671,10 @@ impl<'a> Run<'a> {
                 } * self.compute_scale[dev];
                 // The task may have been queued earlier than now; it starts
                 // executing when the device picks it up.
-                self.intervals[q.task.0 as usize].start =
-                    self.intervals[q.task.0 as usize].start.max(self.time);
-                self.running_on[dev] = Some(q.task);
-                self.push_event(self.time + seconds, EventKind::ComputeDone(q.task));
+                self.intervals[task.0 as usize].start =
+                    self.intervals[task.0 as usize].start.max(self.time);
+                self.running_on[dev] = Some(task);
+                self.push_event(self.time + seconds, EventKind::ComputeDone(task));
             }
         }
         // Reuse the allocation across passes.
@@ -656,10 +706,10 @@ impl<'a> Run<'a> {
                 self.rates_dirty = true;
             }
             FaultAction::HostDown(host) => {
-                if self.host_dead[host.0 as usize] {
+                if self.is_dead(host) {
                     return;
                 }
-                self.host_dead[host.0 as usize] = true;
+                self.dead_hosts.push(host);
                 // Kill active flows touching the host.
                 for slot in 0..self.flows.len() as u32 {
                     if !self.flows[slot as usize].alive {
@@ -686,8 +736,8 @@ impl<'a> Run<'a> {
                     }
                     // Leave the device marked busy so nothing dispatches.
                     self.device_busy[dev] = true;
-                    while let Some(Reverse(q)) = self.device_queue[dev].pop() {
-                        self.fail_task(q.task, completions);
+                    while let Some(task) = self.dequeue_compute(dev) {
+                        self.fail_task(task, completions);
                     }
                 }
             }
@@ -751,17 +801,20 @@ impl<'a> Run<'a> {
                     remaining: self.graph.len() - self.completed,
                 });
             };
-            let next = head.time;
+            let next = event_time(head);
             let eps = REL_EPS * next.max(1e-12);
             self.time = next;
 
             // Pop the batch of (near-)simultaneous events.
-            while let Some(Reverse(e)) = self.events.peek().copied() {
-                if e.time > self.time + eps {
+            while let Some(&Reverse(key)) = self.events.peek() {
+                if event_time(key) > self.time + eps {
                     break;
                 }
                 self.events.pop();
-                match e.kind {
+                let slot = key as u32;
+                let kind = self.event_kinds[slot as usize];
+                self.free_events.push(slot);
+                match kind {
                     EventKind::ComputeDone(task) => {
                         // Skip tasks already failed by a host crash.
                         if self.done[task.0 as usize] {
@@ -794,7 +847,7 @@ impl<'a> Run<'a> {
                     }
                     EventKind::Fault(idx) => {
                         self.sim_stats.events_processed += 1;
-                        let action = self.fault_actions[idx];
+                        let action = self.fault_actions[idx as usize];
                         self.apply_fault(action, &mut completions);
                     }
                 }

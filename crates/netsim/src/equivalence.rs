@@ -227,3 +227,41 @@ fn single_bottleneck_is_bit_identical_to_reference() {
         );
     }
 }
+
+/// Events pushed at the current time: zero-latency flows, a zero-byte
+/// flow, a zero-second compute and a marker cascade at `t = 0`, and a host
+/// crash scheduled at `-0.0`. The engine stores `-0.0` as `0.0` in its
+/// packed event keys, where the reference orders it before `0.0`; the
+/// crash holds the lowest sequence number either way, so both engines
+/// apply it first and agree.
+#[test]
+fn events_at_the_current_time_match_the_reference() {
+    let c = ClusterSpec::homogeneous(
+        4,
+        2,
+        LinkParams::new(INTRA_BW, INTER_BW).with_latencies(0.0, 0.0),
+    );
+    let mut g = TaskGraph::new();
+    let empty = g.add(Work::flow(c.device(0, 0), c.device(1, 0), 0.0), []);
+    let instant = g.add(Work::compute(c.device(1, 0), 0.0), [empty]);
+    let m = g.add(Work::Marker, [instant]);
+    let f = g.add(Work::flow(c.device(1, 0), c.device(2, 0), 3.0), [m]);
+    let f2 = g.add(Work::flow(c.device(1, 1), c.device(2, 1), 3.0), [m]);
+    g.add(Work::flow(c.device(0, 1), c.device(0, 0), 2.0), []);
+    g.add(Work::compute(c.device(3, 0), 1.0), []);
+    g.add(Work::flow(c.device(2, 0), c.device(3, 0), 1.0), [f]);
+    g.add(Work::compute(c.device(2, 1), 0.5), [f, f2]);
+    let mut d = Disruptions::none();
+    d.host_down.push((HostId(3), -0.0));
+    for d in [Disruptions::none(), d] {
+        let reference = ReferenceEngine::new(&c)
+            .run_with_disruptions(&g, &d)
+            .unwrap();
+        let packed = Engine::new(&c).run_with_disruptions(&g, &d).unwrap();
+        if let Err(e) = assert_traces_match(&reference, &packed, g.len() as u32) {
+            panic!("{e:?}");
+        }
+        // The crash fails host 3's compute and the flow into it.
+        assert_eq!(packed.failed_tasks().len(), 2 * d.host_down.len());
+    }
+}

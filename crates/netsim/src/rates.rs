@@ -16,10 +16,17 @@
 //! and since a component's rates are a pure function of its flows and
 //! capacities, solving it again would change nothing. The visited marks
 //! therefore persist across all dirty seeds of a resolve and are cleared
-//! once at its end. The per-slot resource and position lists are cleared
-//! rather than freed on removal, so a recycled slot reuses them: once the
-//! slot table and the per-resource lists have grown to the run's peak, a
-//! flow costs no allocation.
+//! once at its end.
+//!
+//! A seed whose one flow is alone on each of its resources — most
+//! re-solves, and every one in the Table 2 graphs — skips the walk:
+//! filling from 0 freezes that flow in the first step at its route's
+//! smallest capacity, so the solver sets that rate directly, bit for bit.
+//! A removal marks only the resources that keep a flow, since an empty
+//! component has nothing to solve. The per-slot resource and position
+//! lists are cleared rather than freed on removal, so a recycled slot
+//! reuses them: once the slot table and the per-resource lists have grown
+//! to the run's peak, a flow costs no allocation.
 //!
 //! Inside a component the solve is the classic water-filling loop: all
 //! unfrozen flows fill uniformly; when a resource saturates (headroom ≤
@@ -172,23 +179,27 @@ impl FairShare {
     }
 
     /// Unregisters `slot`; the components it touched re-solve on the next
-    /// [`resolve`](Self::resolve).
+    /// [`resolve`](Self::resolve). A resource it leaves empty is not marked:
+    /// an empty component has nothing to solve.
     pub fn remove_flow(&mut self, slot: u32) {
         let s = slot as usize;
         for i in 0..self.flow_res[s].len() {
             let (r, p) = (self.flow_res[s][i], self.flow_pos[s][i] as usize);
             self.res_flows[r].swap_remove(p);
             if let Some(&moved) = self.res_flows[r].get(p) {
-                // Fix the moved flow's recorded position for resource r.
-                let m = moved as usize;
-                let k = self.flow_res[m]
-                    .iter()
-                    .position(|&mr| mr == r)
+                // Fix the moved flow's recorded position for resource r: the
+                // entry that pointed at the old last place, which tells two
+                // occurrences of r in one route apart.
+                let (m, last) = (moved as usize, self.res_flows[r].len() as u32);
+                let k = (0..self.flow_res[m].len())
+                    .position(|k| self.flow_res[m][k] == r && self.flow_pos[m][k] == last)
                     .expect("moved flow lists r");
                 self.flow_pos[m][k] = p as u32;
             }
             self.count[r] -= 1;
-            self.mark_res_dirty(r);
+            if self.count[r] > 0 {
+                self.mark_res_dirty(r);
+            }
         }
         self.flow_res[s].clear();
         self.flow_pos[s].clear();
@@ -211,7 +222,7 @@ impl FairShare {
         self.comp_flows.clear();
         for seed_i in 0..self.dirty_res.len() {
             let seed = self.dirty_res[seed_i];
-            if self.visited_res[seed] {
+            if self.visited_res[seed] || (self.count[seed] == 1 && self.solve_lone(seed, changed)) {
                 continue;
             }
             // BFS the component containing `seed` over the flow↔resource
@@ -255,6 +266,45 @@ impl FairShare {
             self.dirty_mark[self.dirty_res[i]] = false;
         }
         self.dirty_res.clear();
+    }
+
+    /// Solves `seed`'s component without walking it when it is one flow
+    /// alone on each of its resources, and says whether it did. Filling
+    /// from 0 freezes such a flow in the first step at its route's minimum
+    /// capacity, so that is its rate, bit for bit, and the step's
+    /// saturated resources are the frontier. A route naming a resource
+    /// twice counts 2 there and takes the general path, as does a route
+    /// of infinite capacities.
+    fn solve_lone(&mut self, seed: usize, changed: &mut Vec<u32>) -> bool {
+        let slot = self.res_flows[seed][0];
+        let s = slot as usize;
+        let mut cap = f64::INFINITY;
+        for &r in &self.flow_res[s] {
+            if self.count[r] != 1 {
+                return false;
+            }
+            if self.caps[r] < cap {
+                cap = self.caps[r];
+            }
+        }
+        if !cap.is_finite() {
+            return false;
+        }
+        self.stats.recomputes += 1;
+        self.stats.flows_resolved += 1;
+        let mut frontier = 0;
+        for &r in &self.flow_res[s] {
+            self.visited_res[r] = true;
+            self.comp_res.push(r);
+            if self.caps[r] - cap <= REL_EPS * self.caps[r] {
+                frontier += 1;
+            }
+        }
+        self.stats.frontier_peak = self.stats.frontier_peak.max(frontier);
+        self.visited_flow[s] = true;
+        self.comp_flows.push(slot);
+        self.set_rate(slot, cap, changed);
+        true
     }
 
     /// Progressive filling over the component at the tail of
@@ -383,6 +433,7 @@ impl FairShare {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rates_of(fs: &FairShare, n: u32) -> Vec<f64> {
         (0..n).map(|s| fs.rate(s)).collect()
@@ -434,46 +485,155 @@ mod tests {
         assert_eq!(fs.rate(3), 0.5);
     }
 
-    #[test]
-    fn incremental_matches_from_scratch_exactly() {
-        // Build a coupled component incrementally and compare against a
-        // fresh solver given the same final flow set: the per-component
-        // canonical solve must make them bit-identical.
-        let caps = vec![1.0, 2.0, 0.5, 4.0];
-        let flows: Vec<Vec<usize>> = vec![
-            vec![0, 1],
-            vec![1, 2],
-            vec![2, 3],
-            vec![0, 3],
-            vec![1],
-            vec![3],
-        ];
-        let mut inc = FairShare::new(caps.clone());
-        let mut ch = Vec::new();
-        for (s, r) in flows.iter().enumerate() {
-            inc.add_flow(s as u32, r);
-            inc.resolve(&mut ch); // resolve after every single change
-        }
-        // Churn: remove and re-add flow 2.
-        inc.remove_flow(2);
-        inc.resolve(&mut ch);
-        inc.add_flow(2, &flows[2]);
-        inc.resolve(&mut ch);
+    /// One change to the flow set, applied in a batch before a resolve.
+    #[derive(Debug, Clone)]
+    enum Change {
+        /// A flow over these resources; a route may name one twice.
+        Add(Vec<usize>),
+        /// Removes the live flow at this index, modulo the live count.
+        Remove(usize),
+        Capacity(usize, f64),
+    }
 
-        let mut scratch = FairShare::new(caps);
-        for (s, r) in flows.iter().enumerate() {
-            scratch.add_flow(s as u32, r);
+    const RESOURCES: usize = 6;
+
+    /// Capacities with frequent ties, so resources saturate together.
+    fn capacity() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(1.0), Just(2.0), 0.25f64..4.0]
+    }
+
+    fn change() -> impl Strategy<Value = Change> {
+        let route = || prop::collection::vec(0..RESOURCES, 1..4);
+        prop_oneof![
+            route().prop_map(Change::Add),
+            route().prop_map(Change::Add),
+            (0usize..64).prop_map(Change::Remove),
+            (0..RESOURCES, capacity()).prop_map(|(r, c)| Change::Capacity(r, c)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random batches of adds, removes and capacity changes, resolved
+        /// after each batch, leave every live flow at the bit-identical
+        /// rate a fresh solver gives the final flow set; and `changed`
+        /// reports every rate that moved, so the engine never misses one.
+        /// Lone flows (the fast path), flows joining one in the same
+        /// batch, and routes naming a resource twice all occur.
+        #[test]
+        fn incremental_matches_from_scratch_exactly(
+            caps in prop::collection::vec(capacity(), RESOURCES),
+            batches in prop::collection::vec(prop::collection::vec(change(), 1..5), 1..12),
+        ) {
+            let mut inc = FairShare::new(caps.clone());
+            let mut caps = caps;
+            let mut live: Vec<(u32, Vec<usize>)> = Vec::new();
+            let mut free: Vec<u32> = Vec::new();
+            let mut next = 0u32;
+            let mut reported: Vec<f64> = Vec::new();
+            let mut ch = Vec::new();
+            for batch in &batches {
+                for c in batch {
+                    match c {
+                        Change::Add(route) => {
+                            let slot = free.pop().unwrap_or_else(|| {
+                                next += 1;
+                                next - 1
+                            });
+                            inc.add_flow(slot, route);
+                            live.push((slot, route.clone()));
+                        }
+                        Change::Remove(i) if !live.is_empty() => {
+                            let (slot, _) = live.swap_remove(i % live.len());
+                            inc.remove_flow(slot);
+                            free.push(slot);
+                        }
+                        Change::Remove(_) => {}
+                        &Change::Capacity(r, cap) => {
+                            inc.set_capacity(r, cap);
+                            caps[r] = cap;
+                        }
+                    }
+                }
+                ch.clear();
+                inc.resolve(&mut ch);
+                reported.resize(next as usize, f64::NAN);
+                for &slot in &ch {
+                    reported[slot as usize] = inc.rate(slot);
+                }
+                for &(slot, _) in &live {
+                    let (got, seen) = (inc.rate(slot), reported[slot as usize]);
+                    prop_assert_eq!(got.to_bits(), seen.to_bits(), "slot {} moved unreported", slot);
+                }
+            }
+
+            let mut scratch = FairShare::new(caps);
+            for (slot, route) in &live {
+                scratch.add_flow(*slot, route);
+            }
+            scratch.resolve(&mut ch);
+            for (slot, route) in &live {
+                let (a, b) = (inc.rate(*slot), scratch.rate(*slot));
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "flow {} on {:?}: {} vs {}", slot, route, a, b);
+            }
         }
-        scratch.resolve(&mut ch);
-        for s in 0..flows.len() as u32 {
-            assert_eq!(
-                inc.rate(s).to_bits(),
-                scratch.rate(s).to_bits(),
-                "flow {s}: {} vs {}",
-                inc.rate(s),
-                scratch.rate(s)
-            );
-        }
+    }
+
+    #[test]
+    fn a_lone_flow_takes_its_smallest_capacity_in_one_solve() {
+        let mut fs = FairShare::new(vec![1.0, 1.0, 2.0]);
+        let mut ch = Vec::new();
+        fs.add_flow(0, &[2, 0, 1]);
+        fs.resolve(&mut ch);
+        assert_eq!(fs.rate(0), 1.0);
+        assert_eq!((fs.stats.recomputes, fs.stats.flows_resolved), (1, 1));
+        assert_eq!(fs.stats.frontier_peak, 2, "resources 0 and 1 saturate");
+    }
+
+    #[test]
+    fn a_flow_joining_a_lone_flow_in_the_same_batch_shares_its_resource() {
+        // Flow 1 alone would get resource 1's 4.0; flow 2 joins it and
+        // flow 0 in the same batch, so one component solves: 0 and 2 split
+        // resource 0, then 1 takes the rest of resource 1.
+        let mut fs = FairShare::new(vec![1.0, 4.0]);
+        let mut ch = Vec::new();
+        fs.add_flow(0, &[0]);
+        fs.resolve(&mut ch);
+        assert_eq!(fs.rate(0), 1.0);
+        fs.add_flow(1, &[1]);
+        fs.add_flow(2, &[1, 0]);
+        fs.resolve(&mut ch);
+        assert_eq!(rates_of(&fs, 3), vec![0.5, 3.5, 0.5]);
+    }
+
+    #[test]
+    fn a_route_naming_a_resource_twice_is_not_a_lone_flow() {
+        // Resource 0, the first seed, holds the flow once; resource 1
+        // twice, so filling saturates 1 at half its capacity. The lone
+        // path would have handed the flow all of it.
+        let mut fs = FairShare::new(vec![4.0, 1.0]);
+        let mut ch = Vec::new();
+        fs.add_flow(0, &[0, 1, 1]);
+        fs.resolve(&mut ch);
+        assert_eq!(fs.rate(0), 0.5);
+    }
+
+    #[test]
+    fn removing_the_last_flow_of_a_resource_marks_only_the_shared_ones() {
+        let mut fs = FairShare::new(vec![1.0, 1.0]);
+        let mut ch = Vec::new();
+        fs.add_flow(0, &[0, 1]);
+        fs.add_flow(1, &[1]);
+        fs.resolve(&mut ch);
+        fs.remove_flow(0);
+        assert_eq!(
+            fs.dirty_res,
+            vec![1],
+            "resource 0 is empty: nothing to solve"
+        );
+        fs.resolve(&mut ch);
+        assert_eq!(fs.rate(1), 1.0);
     }
 
     #[test]

@@ -283,18 +283,19 @@ impl Shared {
         text
     }
 
-    /// Updates the `serve.queue_depth` gauge, and records a timeline
-    /// sample when there is a timeline file to write it to.
+    /// Records a timeline sample when there is a timeline file to write
+    /// it to; otherwise takes no lock. (The `serve.queue_depth` gauge is
+    /// set wherever the queue length changes, under the dispatch lock.)
     fn sample(&self) {
+        if self.cfg.trace_out.is_none() {
+            return;
+        }
         let st = self.dispatch.lock();
         let depth = st.queued as f64;
-        self.queue_depth.set(depth);
-        if self.cfg.trace_out.is_some() {
-            let completed: u64 = st.tenants.values().map(|t| t.completed.get()).sum();
-            drop(st);
-            let ts = self.started.elapsed().as_secs_f64() * 1e6;
-            self.samples.lock().push((ts, depth, completed as f64));
-        }
+        let completed: u64 = st.tenants.values().map(|t| t.completed.get()).sum();
+        drop(st);
+        let ts = self.started.elapsed().as_secs_f64() * 1e6;
+        self.samples.lock().push((ts, depth, completed as f64));
     }
 
     /// Total verifier convictions: execute-time failures plus cache
@@ -783,6 +784,7 @@ fn admit(id: u64, tenant: String, req: ReshardRequest, conn: &Arc<Conn>, shared:
                         enqueued: now,
                     });
                     st.queued += 1;
+                    shared.queue_depth.set(st.queued as f64);
                     Ok(())
                 }
             }
@@ -845,6 +847,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             loop {
                 if let Some(job) = st.pop_round_robin() {
                     hb::write(hb::object_id(&shared.dispatch));
+                    shared.queue_depth.set(st.queued as f64);
                     break Some(job);
                 }
                 if shared.draining.load(Ordering::SeqCst) {
@@ -1065,5 +1068,47 @@ mod tests {
         assert!(server.shared.samples.lock().is_empty());
         let summary = server.shutdown();
         assert_eq!(summary.completed, 4);
+    }
+
+    #[test]
+    fn the_queue_depth_gauge_reads_the_queue_length_after_a_burst() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("daemon starts");
+        let shared = Arc::clone(&server.shared);
+        // Replies go to a socket of the test's own.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        let stream = TcpStream::connect(listener.local_addr().expect("bound")).expect("connects");
+        let (_peer, _) = listener.accept().expect("accepts");
+        let conn = Arc::new(Conn {
+            writer: Mutex::new(stream),
+        });
+        let request = ReshardRequest {
+            src_spec: "RS0R".into(),
+            dst_spec: "S0RR".into(),
+            src_mesh: "2x4".into(),
+            dst_mesh: "2x4".into(),
+            shape: "64x64x8".into(),
+            elem_bytes: 4,
+            planner: "ours".into(),
+            seed: None,
+            faults: None,
+        };
+        let burst = shared.cfg.admission.burst as u64;
+        for id in 0..burst {
+            admit(id, "t".into(), request.clone(), &conn, &shared);
+        }
+        // The gauge moves in the critical section that moves the queue, so
+        // under the lock the two agree, whatever the worker popped since.
+        {
+            let st = shared.dispatch.lock();
+            assert_eq!(shared.queue_depth.get(), st.queued as f64);
+        }
+        let summary = server.shutdown();
+        assert_eq!(summary.completed, burst, "every admitted job ran");
+        assert_eq!(shared.queue_depth.get(), 0.0, "the drained queue reads 0");
+        assert!(shared.samples.lock().is_empty(), "no timeline file");
     }
 }

@@ -31,6 +31,9 @@ cargo test --workspace --offline -q
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
+echo "==> netsim tests, optimised (the equivalence proptests on the build the benchmark times, debug_asserts off)"
+cargo test --release --offline -q -p crossmesh-netsim
+
 echo "==> benchmark crate tests (first to break when a pinned facade name changes)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
