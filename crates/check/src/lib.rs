@@ -86,11 +86,11 @@ pub enum Rule {
     CoverageDuplicate,
     /// An assignment references a unit index outside the task.
     CoverageUnknownUnit,
-    /// Two receivers' needed tiles overlap on one destination device: some
-    /// destination region would be written by two different unit tasks.
+    /// Two unit slices overlap on one destination device: some destination
+    /// region would be written by two different unit tasks.
     CoverageOverlap,
-    /// A unit's byte count disagrees with its slice volume, or a receiver
-    /// needs data outside the slice: byte conservation is broken.
+    /// A unit's byte count disagrees with its slice volume: byte
+    /// conservation is broken.
     CoverageBytes,
     /// The chosen sender is not in the unit's replica set.
     SenderNotReplica,

@@ -13,7 +13,7 @@
 
 use crate::{record_run, Diagnostic, Rule, TileDiff};
 use crossmesh_collectives::Strategy;
-use crossmesh_mesh::{Tile, UnitTask};
+use crossmesh_mesh::UnitTask;
 use crossmesh_netsim::{ClusterSpec, DeviceId, HostId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -110,18 +110,6 @@ pub fn verify_plan(
                 ),
             ));
         }
-        for r in &unit.receivers {
-            if r.needed.is_empty() || !unit.slice.contains(&r.needed) {
-                diags.push(Diagnostic::error(
-                    Rule::CoverageBytes,
-                    format!("unit {u} receiver {}", r.device),
-                    format!(
-                        "needs tile {} which is not a non-empty sub-tile of slice {}",
-                        r.needed, unit.slice
-                    ),
-                ));
-            }
-        }
     }
     diags.extend(destination_overlaps(units, shape, &times_assigned));
 
@@ -215,7 +203,6 @@ pub struct A2aPairView {
 pub fn verify_a2a(
     pairs: &[A2aPairView],
     units: &[UnitTask],
-    elem_bytes: u64,
     assignments: &[Assignment],
     cluster: Option<&ClusterSpec>,
 ) -> Vec<Diagnostic> {
@@ -230,7 +217,7 @@ pub fn verify_a2a(
         for r in &unit.receivers {
             let e = delivered.entry((a.sender, r.device)).or_insert((0, 0));
             e.0 += 1;
-            e.1 += r.needed.volume() * elem_bytes;
+            e.1 += unit.bytes;
         }
     }
 
@@ -316,27 +303,27 @@ pub fn verify_a2a(
 }
 
 /// Finds destination tiles written by more than one scheduled unit task:
-/// for each destination device, every pair of needed tiles from distinct
+/// for each destination device, every pair of unit slices from distinct
 /// units must be disjoint. Reports the overlap region as a [`TileDiff`].
 fn destination_overlaps(
     units: &[UnitTask],
     shape: &[u64],
     times_assigned: &[usize],
 ) -> Vec<Diagnostic> {
-    let mut per_device: BTreeMap<DeviceId, Vec<(usize, &Tile)>> = BTreeMap::new();
+    let mut per_device: BTreeMap<DeviceId, Vec<usize>> = BTreeMap::new();
     for (u, unit) in units.iter().enumerate() {
         if times_assigned.get(u).copied().unwrap_or(0) == 0 {
             continue;
         }
         for r in &unit.receivers {
-            per_device.entry(r.device).or_default().push((u, &r.needed));
+            per_device.entry(r.device).or_default().push(u);
         }
     }
     let mut diags = Vec::new();
-    for (device, tiles) in per_device {
-        for (i, &(ua, ta)) in tiles.iter().enumerate() {
-            for &(ub, tb) in &tiles[i + 1..] {
-                if let Some(overlap) = ta.intersect(tb) {
+    for (device, received) in per_device {
+        for (i, &ua) in received.iter().enumerate() {
+            for &ub in &received[i + 1..] {
+                if let Some(overlap) = units[ua].slice.intersect(&units[ub].slice) {
                     if overlap.is_empty() {
                         continue;
                     }
@@ -809,24 +796,27 @@ fn schedule_deadlocks(per_stage: &[Vec<ScheduleOp>]) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use crate::Severity;
-    use crossmesh_mesh::Receiver;
+    use crossmesh_mesh::{Receiver, Tile};
 
-    fn unit(index: usize, senders: &[(u32, u32)], receivers: &[(u32, u32, Tile)]) -> UnitTask {
-        let slice = Tile::new([0..4, 0..4]);
+    fn unit(
+        index: usize,
+        slice: Tile,
+        senders: &[(u32, u32)],
+        receivers: &[(u32, u32)],
+    ) -> UnitTask {
         UnitTask {
             index,
-            slice: slice.clone(),
             bytes: slice.volume() * 4,
+            slice,
             senders: senders
                 .iter()
                 .map(|&(d, h)| (DeviceId(d), HostId(h)))
                 .collect(),
             receivers: receivers
                 .iter()
-                .map(|&(d, h, ref t)| Receiver {
+                .map(|&(d, h)| Receiver {
                     device: DeviceId(d),
                     host: HostId(h),
-                    needed: t.clone(),
                 })
                 .collect(),
         }
@@ -848,8 +838,8 @@ mod tests {
     #[test]
     fn clean_plan_yields_no_diagnostics() {
         let units = vec![
-            unit(0, &[(0, 0)], &[(4, 1, Tile::new([0..4, 0..2]))]),
-            unit(1, &[(1, 0)], &[(4, 1, Tile::new([0..4, 2..4]))]),
+            unit(0, Tile::new([0..4, 0..2]), &[(0, 0)], &[(4, 1)]),
+            unit(1, Tile::new([0..4, 2..4]), &[(1, 0)], &[(4, 1)]),
         ];
         let plan = vec![view(0, 0, 0), view(1, 1, 0)];
         let diags = verify_plan(&units, &[4, 4], 4, &plan, None, &no_exclusions());
@@ -859,8 +849,8 @@ mod tests {
     #[test]
     fn dropped_and_duplicated_flows_are_caught() {
         let units = vec![
-            unit(0, &[(0, 0)], &[(4, 1, Tile::new([0..4, 0..2]))]),
-            unit(1, &[(1, 0)], &[(4, 1, Tile::new([0..4, 2..4]))]),
+            unit(0, Tile::new([0..4, 0..2]), &[(0, 0)], &[(4, 1)]),
+            unit(1, Tile::new([0..4, 2..4]), &[(1, 0)], &[(4, 1)]),
         ];
         let dropped = vec![view(0, 0, 0)];
         let diags = verify_plan(&units, &[4, 4], 4, &dropped, None, &no_exclusions());
@@ -880,8 +870,8 @@ mod tests {
     fn overlapping_destinations_carry_a_tile_diff() {
         // Units 0 and 1 both deliver column 1 to device 4.
         let units = vec![
-            unit(0, &[(0, 0)], &[(4, 1, Tile::new([0..4, 0..2]))]),
-            unit(1, &[(1, 0)], &[(4, 1, Tile::new([0..4, 1..4]))]),
+            unit(0, Tile::new([0..4, 0..2]), &[(0, 0)], &[(4, 1)]),
+            unit(1, Tile::new([0..4, 1..4]), &[(1, 0)], &[(4, 1)]),
         ];
         let plan = vec![view(0, 0, 0), view(1, 1, 0)];
         let diags = verify_plan(&units, &[4, 4], 4, &plan, None, &no_exclusions());
@@ -899,8 +889,9 @@ mod tests {
     fn sender_rules_fire() {
         let units = vec![unit(
             0,
+            Tile::new([0..4, 0..4]),
             &[(0, 0), (1, 0)],
-            &[(4, 1, Tile::new([0..4, 0..4]))],
+            &[(4, 1)],
         )];
         // Not a replica.
         let plan = vec![view(0, 9, 2)];
@@ -916,7 +907,7 @@ mod tests {
 
     #[test]
     fn bytes_rule_fires_on_inconsistent_units() {
-        let mut u = unit(0, &[(0, 0)], &[(4, 1, Tile::new([0..4, 0..4]))]);
+        let mut u = unit(0, Tile::new([0..4, 0..4]), &[(0, 0)], &[(4, 1)]);
         u.bytes += 1;
         let diags = verify_plan(&[u], &[4, 4], 4, &[view(0, 0, 0)], None, &no_exclusions());
         assert!(diags.iter().any(|d| d.rule == Rule::CoverageBytes));
@@ -927,12 +918,9 @@ mod tests {
         // Receivers on two hosts; sender on host 0.
         let u = unit(
             0,
+            Tile::new([0..4, 0..4]),
             &[(0, 0)],
-            &[
-                (2, 0, Tile::new([0..2, 0..4])),
-                (4, 1, Tile::new([2..3, 0..4])),
-                (5, 1, Tile::new([3..4, 0..4])),
-            ],
+            &[(2, 0), (4, 1), (5, 1)],
         );
         let a = Assignment {
             unit: 0,
@@ -987,8 +975,9 @@ mod tests {
         // Device 9 does not exist; device 0 lives on host 0, not host 1.
         let units = vec![unit(
             0,
+            Tile::new([0..4, 0..4]),
             &[(9, 4), (0, 1)],
-            &[(3, 1, Tile::new([0..4, 0..4]))],
+            &[(3, 1)],
         )];
         let plan = vec![view(0, 9, 4)];
         let diags = verify_plan(&units, &[4, 4], 4, &plan, Some(&c), &no_exclusions());
@@ -1002,7 +991,7 @@ mod tests {
     fn unbounded_fabric_warns_but_does_not_convict() {
         use crossmesh_netsim::{ClusterSpec, FabricModel, LinkParams};
         let c = ClusterSpec::homogeneous(2, 2, LinkParams::new(100.0, 1.0));
-        let units = vec![unit(0, &[(0, 0)], &[(3, 1, Tile::new([0..4, 0..4]))])];
+        let units = vec![unit(0, Tile::new([0..4, 0..4]), &[(0, 0)], &[(3, 1)])];
         let plan = vec![view(0, 0, 0)];
         let diags = verify_plan(&units, &[4, 4], 4, &plan, Some(&c), &no_exclusions());
         let warn = diags
@@ -1035,16 +1024,14 @@ mod tests {
             for e in 0..2u32 {
                 let u = (s * 2 + e) as usize;
                 let lo = u as u64 * 8;
-                let slice = Tile::new([lo..lo + 8]);
                 units.push(UnitTask {
                     index: u,
-                    slice: slice.clone(),
+                    slice: Tile::new([lo..lo + 8]),
                     bytes: 8,
                     senders: vec![(DeviceId(s), HostId(0))],
                     receivers: vec![Receiver {
                         device: DeviceId(2 + e),
                         host: HostId(1),
-                        needed: slice,
                     }],
                 });
                 pairs.push(A2aPairView {
@@ -1068,11 +1055,11 @@ mod tests {
     #[test]
     fn a2a_rules_pass_a_faithful_plan_and_convict_mutations() {
         let (units, plan, pairs) = a2a_fixture();
-        assert!(verify_a2a(&pairs, &units, 1, &plan, None).is_empty());
+        assert!(verify_a2a(&pairs, &units, &plan, None).is_empty());
 
         // Dropped pair.
         let dropped: Vec<_> = plan[1..].to_vec();
-        let diags = verify_a2a(&pairs, &units, 1, &dropped, None);
+        let diags = verify_a2a(&pairs, &units, &dropped, None);
         assert!(
             diags.iter().any(|d| d.rule == Rule::A2aMissingPair),
             "{diags:?}"
@@ -1081,7 +1068,7 @@ mod tests {
         // Duplicated pair.
         let mut duplicated = plan.clone();
         duplicated.push(plan[0]);
-        let diags = verify_a2a(&pairs, &units, 1, &duplicated, None);
+        let diags = verify_a2a(&pairs, &units, &duplicated, None);
         assert!(
             diags.iter().any(|d| d.rule == Rule::A2aDuplicatePair),
             "{diags:?}"
@@ -1090,12 +1077,12 @@ mod tests {
         // Wrong shard size.
         let mut fat = pairs.clone();
         fat[0].bytes = 9;
-        let diags = verify_a2a(&fat, &units, 1, &plan, None);
+        let diags = verify_a2a(&fat, &units, &plan, None);
         assert!(diags.iter().any(|d| d.rule == Rule::A2aBytes), "{diags:?}");
 
         // Delivery with no expected pair.
         let orphaned: Vec<_> = pairs[1..].to_vec();
-        let diags = verify_a2a(&orphaned, &units, 1, &plan, None);
+        let diags = verify_a2a(&orphaned, &units, &plan, None);
         assert!(
             diags.iter().any(|d| d.rule == Rule::A2aDuplicatePair),
             "{diags:?}"
@@ -1112,16 +1099,14 @@ mod tests {
                 spine_capacity: 1.0,
             },
         );
-        let slice = Tile::new([0..64]);
         let units = vec![UnitTask {
             index: 0,
-            slice: slice.clone(),
+            slice: Tile::new([0..64]),
             bytes: 64,
             senders: vec![(DeviceId(0), HostId(0))],
             receivers: vec![Receiver {
                 device: DeviceId(4),
                 host: HostId(1),
-                needed: slice,
             }],
         }];
         let pairs = vec![A2aPairView {
@@ -1140,10 +1125,10 @@ mod tests {
             }]
         };
         // Matching rails: greedy spray is within fair share + one chunk.
-        assert!(verify_a2a(&pairs, &units, 1, &assign(2), Some(&c)).is_empty());
+        assert!(verify_a2a(&pairs, &units, &assign(2), Some(&c)).is_empty());
         // 3 logical rails fold 2:1 onto 2 physical rails, so one NIC
         // carries ~2/3 of the bytes — past its fair share plus one chunk.
-        let diags = verify_a2a(&pairs, &units, 1, &assign(3), Some(&c));
+        let diags = verify_a2a(&pairs, &units, &assign(3), Some(&c));
         assert!(
             diags.iter().any(|d| d.rule == Rule::A2aRailCapacity),
             "{diags:?}"

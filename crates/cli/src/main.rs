@@ -1,20 +1,6 @@
 //! `crossmesh` — plan and simulate cross-mesh resharding and pipeline
-//! schedules from the shell.
-//!
-//! ```text
-//! crossmesh reshard  --src-spec RS0R --dst-spec S0RR --src-mesh 2x4 \
-//!                    --dst-mesh 2x4 --shape 1024x1024x512 [--elem-bytes 4]
-//!                    [--strategy broadcast|send_recv|local_allgather|global_allgather|alpa]
-//!                    [--planner ours|naive|lpt|dfs|greedy] [--verify] [--json]
-//! crossmesh pipeline --model gpt-case1|gpt-case2|utrans [--schedule eager|1f1b|gpipe]
-//!                    [--comm overlap|sync|signal] [--microbatches N] [--iterations N] [--json]
-//! ```
-//!
-//! Bandwidths default to the paper's p3.8xlarge class (NVLink intra-host,
-//! 10 Gbps inter-host); `--inter-bw` / `--intra-bw` override them in
-//! bytes/s. `--threads N` (or the `CROSSMESH_THREADS` environment
-//! variable) sets the planner worker-pool width; plans are identical at
-//! any width.
+//! schedules from the shell. Run it without arguments for the usage
+//! (`USAGE`, which names every option a subcommand takes).
 
 mod args;
 
@@ -44,16 +30,19 @@ USAGE:
   crossmesh reshard  --src-spec <SPEC> --dst-spec <SPEC> --src-mesh <RxC> --dst-mesh <RxC>
                      --shape <AxBxC> [--elem-bytes N] [--strategy S] [--planner P]
                      [--backend B] [--seed N] [--inter-bw B] [--intra-bw B]
-                     [--faults FILE] [--threads N] [--verify] [--json]
+                     [--faults FILE] [--emit-task FILE] [--emit-plan FILE]
+                     [--trace-out FILE] [--threads N] [--verify] [--json]
   crossmesh pipeline --model gpt-case1|gpt-case2|utrans [--schedule eager|1f1b|gpipe]
                      [--comm overlap|sync|signal] [--microbatches N] [--iterations N]
                      [--backend B] [--threads N] [--json]
   crossmesh autospec --src-mesh <RxC> --dst-mesh <RxC> --shape <AxBxC> [--elem-bytes N]
-                     [--fixed-src SPEC] [--fixed-dst SPEC] [--memory-cap BYTES] [--json]
+                     [--inter-bw B] [--intra-bw B] [--fixed-src SPEC] [--fixed-dst SPEC]
+                     [--memory-cap BYTES] [--json]
   crossmesh check    --task spec.json --plan plan.json [--format text|json]
   crossmesh check    --races [--seeds N] [--format text|json]
   crossmesh validate-trace --trace FILE.json [--against OTHER.json] [--json]
-  crossmesh moe      [--hosts N] [--gpus-per-host N] [--fabric rails|flat|fat-tree|torus]
+  crossmesh moe      [--hosts N] [--gpus-per-host N] [--inter-bw B] [--intra-bw B]
+                     [--fabric rails|flat|fat-tree|torus]
                      [--strategy multi_rail|send_recv|broadcast] [--direction dispatch|combine]
                      [--tokens N] [--skew F] [--seed N] [--trace-out FILE] [--verify] [--json]
   crossmesh serve    [--workers N] [--backend B] [--planner P] [--rate R] [--burst B]
@@ -71,6 +60,8 @@ USAGE:
               | threads (real multi-threaded execution) | tcp (threads + TCP
               loopback for inter-host flows)
   specs:      R / S0 / S1 / S01 per tensor dimension, e.g. S0RR
+  --inter-bw/--intra-bw: inter-/intra-host bandwidth in bytes/s (default:
+              the paper's p3.8xlarge class, NVLink intra-host, 10 Gbps inter-host)
   --seed:     RNG seed for the randomized-greedy planner (ours/greedy)
   --faults:   JSON fault schedule (crossmesh-faults format) injected into the
               run; sender crashes trigger failover onto surviving replicas
@@ -587,6 +578,9 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
     let cluster = a2a_cluster(fabric_name, hosts, gpus, &params)?;
 
     let skew: f64 = args.get_parsed("skew", 1.0)?;
+    if !skew.is_finite() {
+        return Err(format!("--skew {skew} must be finite").into());
+    }
     let seed: u64 = args.get_parsed("seed", 17)?;
     let tokens: u64 = args.get_parsed("tokens", 64u64)?;
     let direction = match args.get_or("direction", "dispatch") {
@@ -841,6 +835,13 @@ fn pipeline(args: &Args) -> Result<String, Box<dyn Error>> {
                 GptConfig::case2()
             };
             if microbatches > 0 {
+                if !cfg.global_batch.is_multiple_of(microbatches as u64) {
+                    return Err(format!(
+                        "--microbatches {microbatches} does not divide the global batch of {}",
+                        cfg.global_batch
+                    )
+                    .into());
+                }
                 cfg.num_microbatches = microbatches;
             }
             ("GPT-2.6B", cfg.build(&cluster)?, cluster)
@@ -938,13 +939,20 @@ fn pipeline(args: &Args) -> Result<String, Box<dyn Error>> {
     ))
 }
 
+/// `--{flag}`'s value (or `default`), refused unless positive and finite.
+fn positive_finite(args: &Args, flag: &str, default: f64) -> Result<f64, Box<dyn Error>> {
+    let value: f64 = args.get_parsed(flag, default)?;
+    check_link_param(&format!("--{flag}"), value, false)?;
+    Ok(value)
+}
+
 /// `crossmesh serve`: run the multi-tenant resharding daemon until a
 /// shutdown request (or `--max-seconds`) and report the drain summary.
 fn serve(args: &Args) -> Result<String, Box<dyn Error>> {
     use crossmesh_serve::{AdmissionConfig, ServeConfig, Server};
     let admission = AdmissionConfig {
-        rate: args.get_parsed("rate", AdmissionConfig::default().rate)?,
-        burst: args.get_parsed("burst", AdmissionConfig::default().burst)?,
+        rate: positive_finite(args, "rate", AdmissionConfig::default().rate)?,
+        burst: positive_finite(args, "burst", AdmissionConfig::default().burst)?,
         queue_depth: args.get_parsed("queue-depth", AdmissionConfig::default().queue_depth)?,
     };
     let cfg = ServeConfig {
@@ -957,7 +965,7 @@ fn serve(args: &Args) -> Result<String, Box<dyn Error>> {
         trace_out: args.get("trace-out").map(String::from),
         flightrec_dir: args.get("flightrec-dir").map(String::from),
         slo_exec_p99_ms: match args.get("slo-exec-p99-ms") {
-            Some(v) => Some(v.parse::<f64>().map_err(|_| "bad --slo-exec-p99-ms")?),
+            Some(_) => Some(positive_finite(args, "slo-exec-p99-ms", 0.0)?),
             None => None,
         },
     };
@@ -1176,6 +1184,67 @@ mod tests {
     #[test]
     fn moe_refuses_zero_tokens() {
         assert!(refusal("moe --tokens 0").contains("at least one token per device"));
+    }
+
+    #[test]
+    fn moe_refuses_a_non_finite_skew() {
+        assert!(refusal("moe --skew nan").contains("--skew NaN must be finite"));
+    }
+
+    #[test]
+    fn pipeline_refuses_microbatches_that_do_not_divide_the_batch() {
+        let err = refusal("pipeline --model gpt-case1 --microbatches 3");
+        assert!(err.contains("global batch of 1024"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_a_rate_burst_or_slo_that_is_not_positive_and_finite() {
+        for (flag, value, shown) in [
+            ("rate", "nan", "NaN"),
+            ("rate", "-1", "-1"),
+            ("burst", "nan", "NaN"),
+            ("slo-exec-p99-ms", "-1", "-1"),
+        ] {
+            let err = refusal(&format!("serve --max-seconds 1 --{flag} {value}"));
+            assert!(
+                err.contains(&format!("--{flag} {shown} must be positive and finite")),
+                "{flag} {value}: {err}"
+            );
+        }
+    }
+
+    /// Every option a command accepts appears in that command's synopsis
+    /// lines of `USAGE`.
+    #[test]
+    fn every_accepted_option_is_in_its_synopsis() {
+        let synopsis_lines: Vec<&str> = USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with("USAGE:"))
+            .skip(1)
+            .take_while(|l| !l.trim().is_empty())
+            .collect();
+        for (name, _, options) in COMMANDS {
+            let mut synopsis = String::new();
+            let mut ours = false;
+            for line in &synopsis_lines {
+                let line = line.trim();
+                if let Some(rest) = line.strip_prefix("crossmesh ") {
+                    ours = rest.split_whitespace().next() == Some(name);
+                }
+                if ours {
+                    synopsis.push_str(line);
+                    synopsis.push(' ');
+                }
+            }
+            for option in options.split_whitespace() {
+                let flag = format!("--{option}");
+                let named = synopsis.match_indices(&flag).any(|(at, _)| {
+                    let next = synopsis[at + flag.len()..].chars().next();
+                    !next.is_some_and(|c| c.is_ascii_alphanumeric() || c == '-')
+                });
+                assert!(named, "{name} accepts {flag} but its synopsis omits it");
+            }
+        }
     }
 
     #[test]

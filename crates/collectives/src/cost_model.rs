@@ -63,7 +63,6 @@ pub fn estimate_unit_task(
     strategy: Strategy,
 ) -> f64 {
     let bytes = task.bytes as f64;
-    let bytes_per_elem = bytes / task.slice.volume() as f64;
     let t_inter = bytes / params.inter_bw;
     let remote_hosts = task
         .receiver_hosts()
@@ -73,17 +72,9 @@ pub fn estimate_unit_task(
 
     match strategy {
         Strategy::SendRecv => {
-            // Each receiver gets its needed sub-tile; remote ones share the
+            // Each receiver gets the whole slice; remote ones share the
             // sender NIC, local ones the NVLink.
-            let (mut inter, mut intra) = (0.0, 0.0);
-            for r in &task.receivers {
-                let b = r.needed.volume() as f64 * bytes_per_elem;
-                if r.host == sender_host {
-                    intra += b;
-                } else {
-                    inter += b;
-                }
-            }
+            let (inter, intra) = split_by_host(task, sender_host);
             inter / params.inter_bw + intra / params.intra_bw + params.inter_latency
         }
         Strategy::LocalAllGather => {
@@ -91,7 +82,7 @@ pub fn estimate_unit_task(
             // the slowest intra-host reassembly.
             let mut worst_gather = 0.0f64;
             for h in task.receiver_hosts() {
-                let b_h = task.receivers_on(h).len() as f64;
+                let b_h = task.receivers.iter().filter(|r| r.host == h).count() as f64;
                 if b_h > 1.0 {
                     let gather = (b_h - 1.0) / b_h * bytes / params.intra_bw;
                     worst_gather = worst_gather.max(gather);
@@ -124,21 +115,13 @@ pub fn estimate_unit_task(
         }
         Strategy::MultiRail { rails, chunks } => {
             // The sprayed bytes drain over `rails` parallel NICs; each
-            // remote receiver adds its needed bytes to the spray pool. The
+            // remote receiver adds its copy of the slice to the spray pool. The
             // two relay hops ride the fast intra-host links, pipelined per
             // chunk, so they contribute a bandwidth term of `2·b/intra` at
             // chunk granularity plus the pipeline fill.
             let r = rails.max(1) as f64;
             let k = chunks.max(1) as f64;
-            let (mut inter, mut intra) = (0.0, 0.0);
-            for rcv in &task.receivers {
-                let b = rcv.needed.volume() as f64 * bytes_per_elem;
-                if rcv.host == sender_host {
-                    intra += b;
-                } else {
-                    inter += b;
-                }
-            }
+            let (inter, intra) = split_by_host(task, sender_host);
             let relay_fill = 2.0 * (inter / k.max(1.0)) / params.intra_bw;
             inter / (r * params.inter_bw)
                 + intra / params.intra_bw
@@ -160,6 +143,20 @@ pub fn estimate_unit_task(
             }
         }
     }
+}
+
+/// Bytes `task` sends to receivers off and on `sender_host`, summed in
+/// receiver order: every receiver takes the whole slice.
+fn split_by_host(task: &UnitTask, sender_host: HostId) -> (f64, f64) {
+    let (mut inter, mut intra) = (0.0, 0.0);
+    for r in &task.receivers {
+        if r.host == sender_host {
+            intra += task.bytes as f64;
+        } else {
+            inter += task.bytes as f64;
+        }
+    }
+    (inter, intra)
 }
 
 #[cfg(test)]
@@ -189,7 +186,6 @@ mod tests {
                 .map(|(h, l)| Receiver {
                     device: DeviceId(h * 8 + l),
                     host: HostId(h),
-                    needed: Tile::new([0..bytes]),
                 })
                 .collect(),
         }
@@ -220,19 +216,6 @@ mod tests {
         }
         let bc = estimate_unit_task(&p, &t, HostId(0), Strategy::broadcast());
         assert!(bc < 2.0, "intra-host broadcast should be ~1s, got {bc}");
-    }
-
-    #[test]
-    fn send_recv_scales_with_needed_bytes_only() {
-        let p = params();
-        let mut t = task(100, 1, 2);
-        t.receivers[0].needed = Tile::new([0..50]);
-        t.receivers[1].needed = Tile::new([50..100]);
-        let sr = estimate_unit_task(&p, &t, HostId(0), Strategy::SendRecv);
-        assert!(
-            (sr - 100.0).abs() < 1.0,
-            "halves sum to the slice, got {sr}"
-        );
     }
 
     #[test]

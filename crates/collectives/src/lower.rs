@@ -68,17 +68,15 @@ pub fn lower_unit_task_on(
 
     let unit = task.index as u32;
     let bytes = task.bytes as f64;
-    let bytes_per_elem = bytes / task.slice.volume() as f64;
 
     let receiver_done = match strategy {
         Strategy::SendRecv => {
-            // P2P exactly the needed sub-tile to each receiver.
+            // P2P the whole slice to each receiver.
             task.receivers
                 .iter()
                 .map(|r| {
-                    let needed = r.needed.volume() as f64 * bytes_per_elem;
                     let f = graph.add_labeled(
-                        Work::flow(sender, r.device, needed),
+                        Work::flow(sender, r.device, bytes),
                         deps.iter().copied(),
                         Label::new("sr u{} d{}->d{}", [unit, sender.0, r.device.0]),
                     );
@@ -227,8 +225,8 @@ fn lower_broadcast(
         .collect()
 }
 
-/// RailS-style multi-rail spray: each receiver's needed bytes are cut into
-/// chunks; every chunk is assigned to the rail with the most residual
+/// RailS-style multi-rail spray: each receiver's copy of the slice is cut
+/// into chunks; every chunk is assigned to the rail with the most residual
 /// capacity (least accumulated bytes so far, ties to the lowest rail) and
 /// routed `sender → rail relay on the sender host → rail relay on the
 /// receiver host → receiver`, where the relay for rail `r` is the first
@@ -254,8 +252,8 @@ pub struct MultiRailSpray {
 }
 
 /// Computes the greedy chunk-to-rail assignment [`Strategy::MultiRail`]
-/// lowers to, without building a graph: each remote receiver's needed
-/// bytes are cut into chunks and every chunk goes to the rail with the
+/// lowers to, without building a graph: each remote receiver's copy of the
+/// slice is cut into chunks and every chunk goes to the rail with the
 /// least accumulated bytes (ties to the lowest rail). Co-hosted receivers
 /// ride NVLink and are not sprayed.
 pub fn multi_rail_spray(
@@ -265,16 +263,13 @@ pub fn multi_rail_spray(
     chunks: u32,
 ) -> MultiRailSpray {
     let rails = rails.max(1) as usize;
-    let bytes_per_elem = task.bytes as f64 / task.slice.volume() as f64;
+    let (k, chunk_bytes) = spray_chunks(task.bytes as f64, chunks);
     let mut rail_bytes = vec![0.0f64; rails];
     let mut max_chunk_bytes = 0.0f64;
     for r in &task.receivers {
         if r.host == sender_host {
             continue;
         }
-        let needed = r.needed.volume() as f64 * bytes_per_elem;
-        let k = chunks.max(1).min(needed.max(1.0) as u32).max(1) as usize;
-        let chunk_bytes = needed / k as f64;
         max_chunk_bytes = max_chunk_bytes.max(chunk_bytes);
         for _ in 0..k {
             let rail = rail_bytes
@@ -292,6 +287,12 @@ pub fn multi_rail_spray(
     }
 }
 
+/// Chunks one receiver's copy of `bytes` is sprayed in, and their size.
+fn spray_chunks(bytes: f64, chunks: u32) -> (usize, f64) {
+    let k = chunks.max(1).min(bytes.max(1.0) as u32).max(1) as usize;
+    (k, bytes / k as f64)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn lower_multi_rail(
     graph: &mut TaskGraph,
@@ -305,7 +306,7 @@ fn lower_multi_rail(
 ) -> Vec<(DeviceId, TaskId)> {
     let rails = rails.max(1) as usize;
     let bytes = task.bytes as f64;
-    let bytes_per_elem = bytes / task.slice.volume() as f64;
+    let (k, chunk_bytes) = spray_chunks(bytes, chunks);
 
     // relay_for(host, rail): the first device on `host` whose local index
     // is congruent to `rail`, preferring `preferred` when it already sits
@@ -335,19 +336,16 @@ fn lower_multi_rail(
     let mut finals: Vec<TaskId> = Vec::new();
     let mut out = Vec::with_capacity(task.receivers.len());
     for r in &task.receivers {
-        let needed = r.needed.volume() as f64 * bytes_per_elem;
         if r.host == sender_host {
             // Co-hosted receiver: one fast intra-host copy, no spraying.
             let f = graph.add_labeled(
-                Work::flow(sender, r.device, needed),
+                Work::flow(sender, r.device, bytes),
                 deps.iter().copied(),
                 Label::new("mr u{} local d{}->d{}", [unit, sender.0, r.device.0]),
             );
             out.push((r.device, f));
             continue;
         }
-        let k = chunks.max(1).min(needed.max(1.0) as u32).max(1) as usize;
-        let chunk_bytes = needed / k as f64;
         last_on_hop.fill(None);
         for j in 0..k {
             let rail = rail_bytes
@@ -495,14 +493,13 @@ mod tests {
     use crossmesh_netsim::{ClusterSpec, Engine, LinkParams};
 
     /// Builds a unit task: sender(s) on host 0, `a` receiver hosts x `b`
-    /// receiver devices starting at host 1, all needing the full slice.
+    /// receiver devices starting at host 1.
     fn multicast_task(cluster: &ClusterSpec, volume: u64, a: u32, b: u32) -> UnitTask {
         let receivers = (1..=a)
             .flat_map(|h| (0..b).map(move |l| (h, l)))
             .map(|(h, l)| Receiver {
                 device: cluster.device(h, l),
                 host: HostId(h),
-                needed: Tile::new([0..volume]),
             })
             .collect();
         UnitTask {
@@ -693,18 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn send_recv_ships_only_needed_subtiles() {
-        let c = cluster(2, 2);
-        let mut task = multicast_task(&c, 10, 1, 2);
-        // Receivers need disjoint halves.
-        task.receivers[0].needed = Tile::new([0..5]);
-        task.receivers[1].needed = Tile::new([5..10]);
-        let d = run(&c, &task, Strategy::SendRecv);
-        // 5 + 5 bytes through the NIC at 1 B/s.
-        assert!((d - 10.0).abs() < 1e-6, "got {d}");
-    }
-
-    #[test]
     fn intra_host_receivers_use_fast_links() {
         // Receivers on the sender's own host: broadcast never touches the
         // NIC.
@@ -718,7 +703,6 @@ mod tests {
                 .map(|l| Receiver {
                     device: c.device(0, l),
                     host: HostId(0),
-                    needed: Tile::new([0..100]),
                 })
                 .collect(),
         };
@@ -824,7 +808,8 @@ mod tests {
     #[test]
     fn multi_rail_spray_balances_rails_within_one_chunk() {
         let c = cluster(3, 4);
-        // Skewed receiver set: 100 bytes to host 1, 30 to host 2.
+        // Two remote receivers take the 130-byte slice in 5 chunks each:
+        // 10 chunks cannot split evenly over 4 rails.
         let task = UnitTask {
             index: 0,
             slice: Tile::new([0..130]),
@@ -834,25 +819,24 @@ mod tests {
                 Receiver {
                     device: c.device(1, 0),
                     host: HostId(1),
-                    needed: Tile::new([0..100]),
                 },
                 Receiver {
                     device: c.device(2, 0),
                     host: HostId(2),
-                    needed: Tile::new([100..130]),
                 },
             ],
         };
-        let spray = multi_rail_spray(&task, HostId(0), 4, 16);
+        let spray = multi_rail_spray(&task, HostId(0), 4, 5);
         assert_eq!(spray.rail_bytes.len(), 4);
         let total: f64 = spray.rail_bytes.iter().sum();
-        assert!((total - 130.0).abs() < 1e-9, "got {total}");
+        assert!((total - 260.0).abs() < 1e-9, "got {total}");
         let max = spray.rail_bytes.iter().cloned().fold(0.0, f64::max);
         let min = spray
             .rail_bytes
             .iter()
             .cloned()
             .fold(f64::INFINITY, f64::min);
+        assert!(max > min, "rails {:?} split evenly", spray.rail_bytes);
         assert!(
             max - min <= spray.max_chunk_bytes + 1e-9,
             "rails {:?} diverge beyond one chunk ({})",
@@ -860,8 +844,8 @@ mod tests {
             spray.max_chunk_bytes
         );
         // Co-hosted receivers are excluded from the spray.
-        let local = multi_rail_spray(&task, HostId(1), 4, 16);
-        assert!((local.rail_bytes.iter().sum::<f64>() - 30.0).abs() < 1e-9);
+        let local = multi_rail_spray(&task, HostId(1), 4, 5);
+        assert!((local.rail_bytes.iter().sum::<f64>() - 130.0).abs() < 1e-9);
     }
 
     #[test]
@@ -897,7 +881,6 @@ mod tests {
                 .map(|l| Receiver {
                     device: c.device(0, l),
                     host: HostId(0),
-                    needed: Tile::new([0..100]),
                 })
                 .collect(),
         };

@@ -12,7 +12,7 @@ pub const DEFAULT_BROADCAST_CHUNKS: u32 = 64;
 /// How a single unit communication task is carried out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Strategy {
-    /// The chosen sender P2Ps each receiver exactly the sub-tile it needs.
+    /// The chosen sender P2Ps the whole slice to each receiver.
     /// Latency grows with the number of receiving *devices* (`A·B·t`).
     SendRecv,
     /// Each receiver host gets one copy of the slice, scattered over its
@@ -142,7 +142,6 @@ mod tests {
                 .map(|i| Receiver {
                     device: DeviceId(10 + i as u32),
                     host: HostId(1),
-                    needed: Tile::new([0..volume]),
                 })
                 .collect(),
         }

@@ -47,7 +47,6 @@ fn unit(c: &ClusterSpec) -> UnitTask {
             .map(|(h, l)| Receiver {
                 device: c.device(h, l),
                 host: HostId(h),
-                needed: Tile::new([0..12]),
             })
             .collect(),
     }

@@ -19,15 +19,14 @@ fn cluster() -> ClusterSpec {
 }
 
 /// A random unit task: senders on hosts 0..2, receivers on hosts 2..5,
-/// each receiver needing a random sub-range of a 1-D slice.
+/// each receiver taking the whole 1-D slice.
 fn unit_task_strategy() -> impl Strategy<Value = UnitTask> {
     (
         8u64..200,                                   // slice volume
         prop::collection::btree_set(0u32..8, 1..4),  // sender devices (hosts 0-1)
         prop::collection::btree_set(8u32..20, 1..8), // receiver devices (hosts 2-4)
-        any::<bool>(),                               // whole slice vs halves
     )
-        .prop_map(|(volume, senders, receivers, whole)| {
+        .prop_map(|(volume, senders, receivers)| {
             let c = cluster();
             UnitTask {
                 index: 0,
@@ -39,17 +38,9 @@ fn unit_task_strategy() -> impl Strategy<Value = UnitTask> {
                     .collect(),
                 receivers: receivers
                     .into_iter()
-                    .enumerate()
-                    .map(|(i, d)| Receiver {
+                    .map(|d| Receiver {
                         device: DeviceId(d),
                         host: c.host_of(DeviceId(d)),
-                        needed: if whole {
-                            Tile::new([0..volume])
-                        } else if i % 2 == 0 {
-                            Tile::new([0..volume / 2])
-                        } else {
-                            Tile::new([volume / 2..volume])
-                        },
                     })
                     .collect(),
             }
@@ -81,8 +72,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every strategy completes and every receiver is fed at least the
-    /// bytes it needs (send/recv exactly; the others ship whole slices or
-    /// scatter parts).
+    /// slice's bytes.
     #[test]
     fn lowering_delivers_enough_bytes(task in unit_task_strategy()) {
         let c = cluster();
@@ -94,9 +84,8 @@ proptest! {
             prop_assert_eq!(lowered.receiver_done.len(), task.receivers.len());
 
             let inbound = inbound_bytes(&graph);
-            let elem = task.bytes as f64 / task.slice.volume() as f64;
+            let needed = task.bytes as f64;
             for r in &task.receivers {
-                let needed = r.needed.volume() as f64 * elem;
                 let got = inbound.get(&r.device).copied().unwrap_or(0.0);
                 prop_assert!(
                     got + 1e-6 >= needed,
@@ -152,11 +141,10 @@ proptest! {
         }
     }
 
-    /// Broadcast beats or matches every other strategy on multicast-heavy
-    /// tasks (all receivers needing the whole slice).
+    /// Broadcast beats or matches every other strategy on multicast
+    /// tasks.
     #[test]
     fn broadcast_is_optimal_for_full_multicast(task in unit_task_strategy()) {
-        prop_assume!(task.receivers.iter().all(|r| r.needed == task.slice));
         let c = cluster();
         let run = |s: Comm| {
             let mut graph = TaskGraph::new();

@@ -134,14 +134,6 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Plans `task` with `planner`, serving a cached result when this
-    /// exact (task, planner) pair was planned before.
-    pub fn plan<'t, P: Planner + ?Sized>(&self, planner: &P, task: &'t ReshardingTask) -> Plan<'t> {
-        self.plan_with_exclusions_outcome(planner, task, &SenderExclusions::none())
-            .expect("empty exclusions cannot cause data loss")
-            .0
-    }
-
     /// Plans `task` with the excluded senders removed, serving a cached
     /// result when this exact (task, exclusions, planner) triple was
     /// planned before, and reports whether this call was served from the
@@ -340,13 +332,21 @@ mod tests {
     use crate::planners::{EnsemblePlanner, NaivePlanner};
     use crossmesh_netsim::HostId;
 
+    /// Plans `task` with no sender excluded, through the cache.
+    fn plan<'t, P: Planner>(cache: &PlanCache, planner: &P, task: &'t ReshardingTask) -> Plan<'t> {
+        cache
+            .plan_with_exclusions_outcome(planner, task, &SenderExclusions::none())
+            .expect("empty exclusions cannot cause data loss")
+            .0
+    }
+
     #[test]
     fn second_plan_is_a_hit_and_identical() {
         let t = task("RS0R", "S0RR", &[16, 8, 8]);
         let planner = EnsemblePlanner::new(config());
         let cache = PlanCache::new();
-        let cold = cache.plan(&planner, &t);
-        let warm = cache.plan(&planner, &t);
+        let cold = plan(&cache, &planner, &t);
+        let warm = plan(&cache, &planner, &t);
         assert_eq!(cold.assignments(), warm.assignments());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
@@ -356,8 +356,8 @@ mod tests {
     fn different_planners_do_not_share_entries() {
         let t = task("RS0R", "S0RR", &[16, 8, 8]);
         let cache = PlanCache::new();
-        let a = cache.plan(&EnsemblePlanner::new(config()), &t);
-        let b = cache.plan(&NaivePlanner::new(config()), &t);
+        let a = plan(&cache, &EnsemblePlanner::new(config()), &t);
+        let b = plan(&cache, &NaivePlanner::new(config()), &t);
         assert_eq!(cache.stats().misses, 2);
         // Naive really ran (it pins everything on the lowest host).
         assert!(b.estimate() >= a.estimate() - 1e-9);
@@ -369,7 +369,7 @@ mod tests {
         let t = task("RS1R", "S0RR", &[8, 8, 8]);
         let planner = EnsemblePlanner::new(config());
         let cache = PlanCache::new();
-        let _ = cache.plan(&planner, &t);
+        let _ = plan(&cache, &planner, &t);
         let dead = HostId(0);
         let excl = SenderExclusions::for_hosts([dead]);
         let (repaired, _) = cache
@@ -432,7 +432,7 @@ mod tests {
     fn clear_resets_everything() {
         let t = task("RS0R", "S0RR", &[8, 8, 8]);
         let cache = PlanCache::new();
-        let _ = cache.plan(&EnsemblePlanner::new(config()), &t);
+        let _ = plan(&cache, &EnsemblePlanner::new(config()), &t);
         cache.clear();
         assert_eq!(cache.stats(), CacheStats::default());
     }

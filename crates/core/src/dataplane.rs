@@ -519,8 +519,8 @@ fn run_lane(
             let inbox = inboxes.get(&device);
             inbox
                 .ok_or(DataPlaneError::NoDestination { device, unit })?
-                .land(source, &r.needed, device)?;
-            delivered += r.needed.volume() * elem_bytes as u64;
+                .land(source, slice, device)?;
+            delivered += d.unit.bytes;
         }
     }
     Ok(delivered)
@@ -1170,7 +1170,6 @@ mod tests {
             receivers: vec![Receiver {
                 device: DeviceId(device),
                 host: HostId(1),
-                needed: slice.clone(),
             }],
         };
         let units = [unit(0, 1), unit(1, 1), unit(2, 7)];

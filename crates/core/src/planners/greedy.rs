@@ -596,7 +596,6 @@ mod tests {
                     receivers: vec![Receiver {
                         device: dst,
                         host: b.host_of_device(dst).unwrap(),
-                        needed: slice.clone(),
                     }],
                     slice,
                 });

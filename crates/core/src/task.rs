@@ -292,7 +292,6 @@ mod tests {
             receivers: vec![Receiver {
                 device: c.device(2, 0),
                 host: crossmesh_netsim::HostId(2),
-                needed: Tile::new(vec![0..64]),
             }],
         }];
         let t = ReshardingTask::from_units(
@@ -322,7 +321,6 @@ mod tests {
             receivers: vec![Receiver {
                 device: c.device(2, 0),
                 host: crossmesh_netsim::HostId(2),
-                needed: Tile::new(vec![0..64]),
             }],
         }];
         let _ = ReshardingTask::from_units(

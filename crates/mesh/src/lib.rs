@@ -12,10 +12,9 @@
 //! * [`unit_tasks`] decomposes a **cross-mesh resharding task** — a tensor
 //!   sharded on a source mesh that must appear with another spec on a
 //!   destination mesh — into the paper's *unit communication tasks*, each
-//!   carrying its replica set `N_i` and receiver set `M_i`. Two
-//!   granularities are supported (see [`Granularity`]); the default is the
-//!   source×destination intersection-tile granularity the paper's
-//!   evaluation uses.
+//!   carrying its replica set `N_i` and receiver set `M_i`. A unit is one
+//!   source×destination intersection tile, the granularity the paper's
+//!   evaluation counts, and every receiver takes the whole tile.
 //!
 //! # Example
 //!
@@ -61,4 +60,4 @@ pub use error::MeshError;
 pub use layout::Layout;
 pub use spec::{DimSharding, ShardingSpec};
 pub use tile::Tile;
-pub use unit_task::{unit_tasks, unit_tasks_with, Granularity, Receiver, UnitTask};
+pub use unit_task::{unit_tasks, Receiver, UnitTask};

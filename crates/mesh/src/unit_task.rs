@@ -9,34 +9,31 @@ use crate::tile::Tile;
 use crossmesh_netsim::{DeviceId, HostId};
 use serde::{Deserialize, Serialize};
 
-/// A destination device of a unit task and the sub-tile it actually needs.
+/// A destination device of a unit task; it takes the unit's whole slice.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Receiver {
     /// The receiving device.
     pub device: DeviceId,
     /// Host owning `device`.
     pub host: HostId,
-    /// Intersection of the unit task's slice with this device's required
-    /// tile; always non-empty.
-    pub needed: Tile,
 }
 
-/// One *unit communication task*: a unique source data slice `DS_i` that
-/// must travel from its replica set `N_i` on the source mesh to the
-/// receiver set `M_i` on the destination mesh.
+/// One *unit communication task*: a data slice `DS_i` that must travel
+/// from its replica set `N_i` on the source mesh to the receiver set `M_i`
+/// on the destination mesh, each receiver taking all of it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UnitTask {
     /// Position within the resharding task's deterministic slice order.
     pub index: usize,
-    /// The unique source data slice.
+    /// A unique source slice's intersection with a unique destination one.
     pub slice: Tile,
     /// Size of the slice in bytes.
     pub bytes: u64,
     /// Devices on the source mesh holding a replica of the slice
     /// (`N_i`), with their hosts; row-major mesh order.
     pub senders: Vec<(DeviceId, HostId)>,
-    /// Devices on the destination mesh needing (part of) the slice
-    /// (`M_i`); row-major mesh order.
+    /// Devices on the destination mesh taking the slice (`M_i`);
+    /// row-major mesh order.
     pub receivers: Vec<Receiver>,
 }
 
@@ -50,15 +47,6 @@ impl UnitTask {
     pub fn receiver_hosts(&self) -> Vec<HostId> {
         distinct_ascending(self.receivers.iter().map(|r| r.host))
     }
-
-    /// Receiver devices on `host`, in mesh order.
-    pub fn receivers_on(&self, host: HostId) -> Vec<DeviceId> {
-        self.receivers
-            .iter()
-            .filter(|r| r.host == host)
-            .map(|r| r.device)
-            .collect()
-    }
 }
 
 /// The distinct hosts of `hosts`, ascending, in one allocation.
@@ -69,29 +57,16 @@ fn distinct_ascending(hosts: impl Iterator<Item = HostId>) -> Vec<HostId> {
     hosts
 }
 
-/// Granularity of the unit-task decomposition.
+/// Decomposes the cross-mesh resharding of a tensor with `shape` and
+/// `elem_bytes`-byte elements, from `src_spec` on `src_mesh` to `dst_spec`
+/// on `dst_mesh`, into unit communication tasks.
 ///
-/// The paper's §2.2 text defines one unit task per unique *source* slice
-/// (Figure 2), but its evaluation counts tasks per source-slice ×
-/// destination-slice intersection (case 4 of Table 2 "has 64 unit
-/// communication tasks": 8 source shards × 8 destination shards). The
-/// intersection granularity is also what gives the scheduler the
-/// reordering freedom the paper exploits in cases 3, 4, and 9, and avoids
-/// over-sending when a receiver needs only part of a source slice — so it
-/// is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Granularity {
-    /// One unit task per unique source slice; receivers get the whole
-    /// slice even if they need only part (the §2.2 / Figure 2 reading).
-    SourceSlice,
-    /// One unit task per non-empty intersection of a unique source slice
-    /// with a unique destination slice (what the evaluation's task counts
-    /// imply and what the Alpa runtime implements).
-    Tile,
-}
-
-/// Decomposes a cross-mesh resharding with the default [`Granularity::Tile`]
-/// granularity. See [`unit_tasks_with`].
+/// One task is produced per non-empty intersection of a unique source slice
+/// and a unique destination slice: the granularity the paper's evaluation
+/// counts (Table 2 case 4 "has 64 unit communication tasks": 8 source × 8
+/// destination shards). Its senders are the replicas of the source slice
+/// and its receivers the replicas of the destination slice, each taking the
+/// whole intersection.
 ///
 /// # Errors
 ///
@@ -105,44 +80,6 @@ pub fn unit_tasks(
     shape: &[u64],
     elem_bytes: u64,
 ) -> Result<Vec<UnitTask>, MeshError> {
-    unit_tasks_with(
-        src_mesh,
-        src_spec,
-        dst_mesh,
-        dst_spec,
-        shape,
-        elem_bytes,
-        Granularity::Tile,
-    )
-}
-
-/// Decomposes the cross-mesh resharding of a tensor with `shape` and
-/// `elem_bytes`-byte elements, from `src_spec` on `src_mesh` to `dst_spec`
-/// on `dst_mesh`, into unit communication tasks at the chosen granularity.
-///
-/// With [`Granularity::Tile`], one task is produced per non-empty
-/// intersection of a unique source slice and a unique destination slice;
-/// its senders are the replicas of the source slice and its receivers the
-/// replicas of the destination slice (each needing the full intersection).
-///
-/// With [`Granularity::SourceSlice`], one task is produced per unique,
-/// non-empty source slice; its receivers are every destination device whose
-/// required tile intersects the slice (each receiver records the exact
-/// intersection it needs).
-///
-/// # Errors
-///
-/// Returns [`MeshError::OverlappingMeshes`] if the meshes share a device,
-/// or any layout error from [`Layout::new`].
-pub fn unit_tasks_with(
-    src_mesh: &DeviceMesh,
-    src_spec: &ShardingSpec,
-    dst_mesh: &DeviceMesh,
-    dst_spec: &ShardingSpec,
-    shape: &[u64],
-    elem_bytes: u64,
-    granularity: Granularity,
-) -> Result<Vec<UnitTask>, MeshError> {
     if !src_mesh.is_disjoint(dst_mesh) {
         return Err(MeshError::OverlappingMeshes);
     }
@@ -155,51 +92,24 @@ pub fn unit_tasks_with(
             .iter()
             .map(|&c| (src_mesh.device(c), src_mesh.host(c)))
             .collect();
-        match granularity {
-            Granularity::SourceSlice => {
-                let mut receivers = Vec::new();
-                for coord in dst_mesh.coords() {
-                    let tile = dst_layout.tile_at(coord);
-                    if let Some(needed) = tile.intersect(&slice) {
-                        receivers.push(Receiver {
-                            device: dst_mesh.device(coord),
-                            host: dst_mesh.host(coord),
-                            needed,
-                        });
-                    }
-                }
-                let index = tasks.len();
-                tasks.push(UnitTask {
-                    index,
-                    slice: slice.clone(),
-                    bytes: slice.volume() * elem_bytes,
-                    senders,
-                    receivers,
-                });
-            }
-            Granularity::Tile => {
-                for (dst_slice, dst_replicas) in dst_layout.unique_slices() {
-                    let Some(inter) = slice.intersect(&dst_slice) else {
-                        continue;
-                    };
-                    let receivers = dst_replicas
-                        .iter()
-                        .map(|&c| Receiver {
-                            device: dst_mesh.device(c),
-                            host: dst_mesh.host(c),
-                            needed: inter.clone(),
-                        })
-                        .collect();
-                    let index = tasks.len();
-                    tasks.push(UnitTask {
-                        index,
-                        slice: inter.clone(),
-                        bytes: inter.volume() * elem_bytes,
-                        senders: senders.clone(),
-                        receivers,
-                    });
-                }
-            }
+        for (dst_slice, dst_replicas) in dst_layout.unique_slices() {
+            let Some(inter) = slice.intersect(&dst_slice) else {
+                continue;
+            };
+            let receivers = dst_replicas
+                .iter()
+                .map(|&c| Receiver {
+                    device: dst_mesh.device(c),
+                    host: dst_mesh.host(c),
+                })
+                .collect();
+            tasks.push(UnitTask {
+                index: tasks.len(),
+                bytes: inter.volume() * elem_bytes,
+                slice: inter,
+                senders: senders.clone(),
+                receivers,
+            });
         }
     }
     Ok(tasks)
@@ -234,10 +144,6 @@ mod tests {
         assert_eq!(t0.bytes, 4);
         assert_eq!(t0.senders.len(), 1, "S^{{01}} has no replicas");
         assert_eq!(t0.receivers.len(), 2);
-        // Both receivers need the full row (it is contained in their tile).
-        for r in &t0.receivers {
-            assert_eq!(r.needed, t0.slice);
-        }
     }
 
     #[test]
@@ -252,30 +158,6 @@ mod tests {
         assert_eq!(t0.slice, Tile::new([0..2, 0..2]));
         assert_eq!(t0.senders.len(), 2, "S^0 R replicates along axis 1");
         assert_eq!(t0.receivers.len(), 1);
-        assert_eq!(t0.receivers[0].needed, t0.slice);
-    }
-
-    #[test]
-    fn figure2_task2_source_slice_granularity_matches_paper_text() {
-        // The §2.2 / Figure 2 reading: 2 unit tasks, each sending a whole
-        // 2x4 slice to the 2 devices that need parts of it.
-        let (a, b, _) = meshes();
-        let tasks = unit_tasks_with(
-            &b,
-            &spec("S0R"),
-            &a,
-            &spec("S0S1"),
-            &[4, 4],
-            1,
-            Granularity::SourceSlice,
-        )
-        .unwrap();
-        assert_eq!(tasks.len(), 2);
-        let t0 = &tasks[0];
-        assert_eq!(t0.slice, Tile::new([0..2, 0..4]));
-        assert_eq!(t0.receivers.len(), 2);
-        assert_eq!(t0.receivers[0].needed, Tile::new([0..2, 0..2]));
-        assert_eq!(t0.receivers[1].needed, Tile::new([0..2, 2..4]));
     }
 
     #[test]
@@ -311,7 +193,7 @@ mod tests {
 
     #[test]
     fn every_destination_tile_is_fully_covered() {
-        // Union of receiver intersections must exactly cover each dst tile.
+        // Union of received slices must exactly cover each dst tile.
         let (a, b, _) = meshes();
         for (sa, sb) in [
             ("S0R", "RS1"),
@@ -330,9 +212,13 @@ mod tests {
                 }
                 let got: u64 = tasks
                     .iter()
-                    .flat_map(|t| &t.receivers)
-                    .filter(|r| r.device == dev)
-                    .map(|r| r.needed.volume())
+                    .flat_map(|t| {
+                        t.receivers
+                            .iter()
+                            .map(move |r| (r.device, t.slice.volume()))
+                    })
+                    .filter(|&(d, _)| d == dev)
+                    .map(|(_, v)| v)
                     .sum();
                 assert_eq!(
                     got,
@@ -359,8 +245,6 @@ mod tests {
         let t = &tasks[0];
         assert_eq!(t.sender_hosts(), vec![HostId(0), HostId(1)]);
         assert_eq!(t.receiver_hosts(), vec![HostId(2), HostId(3)]);
-        assert_eq!(t.receivers_on(HostId(2)).len(), 2);
-        assert!(t.receivers_on(HostId(0)).is_empty());
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Property-based tests of tiles, layouts, and both unit-task
-//! granularities.
+//! Property-based tests of tiles, layouts, and the unit-task
+//! decomposition.
 
-use crossmesh_mesh::{
-    unit_tasks_with, DeviceMesh, DimSharding, Granularity, Layout, ShardingSpec, Tile,
-};
+use crossmesh_mesh::{unit_tasks, DeviceMesh, DimSharding, Layout, ShardingSpec, Tile};
 use crossmesh_netsim::{ClusterSpec, LinkParams};
 use proptest::prelude::*;
 
@@ -88,10 +86,10 @@ proptest! {
         prop_assert_eq!(from_groups, non_empty);
     }
 
-    /// Both granularities conserve bytes, and tile granularity refines the
-    /// source-slice granularity (same or more unit tasks, same coverage).
+    /// Unit tasks conserve bytes, and every destination device receives
+    /// exactly its tile's volume.
     #[test]
-    fn granularities_agree_on_coverage(
+    fn unit_tasks_conserve_bytes_and_coverage(
         src_spec in spec_strategy(2),
         dst_spec in spec_strategy(2),
         shape in prop::collection::vec(1u64..16, 2),
@@ -99,27 +97,22 @@ proptest! {
         let cluster = ClusterSpec::homogeneous(4, 4, LinkParams::new(1.0, 1.0));
         let src = mesh(&cluster, 0, (2, 4));
         let dst = mesh(&cluster, 2, (2, 4));
-        let coarse = unit_tasks_with(
-            &src, &src_spec, &dst, &dst_spec, &shape, 1, Granularity::SourceSlice,
-        ).unwrap();
-        let fine = unit_tasks_with(
-            &src, &src_spec, &dst, &dst_spec, &shape, 1, Granularity::Tile,
-        ).unwrap();
+        let tasks = unit_tasks(&src, &src_spec, &dst, &dst_spec, &shape, 1).unwrap();
         let volume: u64 = shape.iter().product();
-        prop_assert_eq!(coarse.iter().map(|u| u.bytes).sum::<u64>(), volume);
-        prop_assert_eq!(fine.iter().map(|u| u.bytes).sum::<u64>(), volume);
-        prop_assert!(fine.len() >= coarse.len());
-        // Per-receiver needed volumes agree between granularities.
-        let needed = |tasks: &[crossmesh_mesh::UnitTask]| -> std::collections::BTreeMap<_, u64> {
-            let mut m = std::collections::BTreeMap::new();
-            for t in tasks {
-                for r in &t.receivers {
-                    *m.entry(r.device).or_insert(0) += r.needed.volume();
-                }
+        prop_assert_eq!(tasks.iter().map(|u| u.bytes).sum::<u64>(), volume);
+        let mut received = std::collections::BTreeMap::new();
+        for t in &tasks {
+            for r in &t.receivers {
+                *received.entry(r.device).or_insert(0) += t.slice.volume();
             }
-            m
-        };
-        prop_assert_eq!(needed(&coarse), needed(&fine));
+        }
+        let dst_layout = Layout::new(&dst, &dst_spec, &shape).unwrap();
+        let want: std::collections::BTreeMap<_, u64> = dst
+            .coords()
+            .filter(|&c| !dst_layout.tile_at(c).is_empty())
+            .map(|c| (dst.device(c), dst_layout.tile_at(c).volume()))
+            .collect();
+        prop_assert_eq!(received, want);
     }
 
     /// Sender replica sets are never empty and all senders hold the slice.
@@ -133,9 +126,7 @@ proptest! {
         let src = mesh(&cluster, 0, (2, 4));
         let dst = mesh(&cluster, 2, (2, 4));
         let src_layout = Layout::new(&src, &src_spec, &shape).unwrap();
-        let tasks = unit_tasks_with(
-            &src, &src_spec, &dst, &dst_spec, &shape, 1, Granularity::Tile,
-        ).unwrap();
+        let tasks = unit_tasks(&src, &src_spec, &dst, &dst_spec, &shape, 1).unwrap();
         for t in &tasks {
             prop_assert!(!t.senders.is_empty());
             prop_assert!(!t.receivers.is_empty());

@@ -133,16 +133,14 @@ impl A2aTask {
                 }
                 let src = src_mesh.devices()[s];
                 let src_host = host_of(src_mesh, src);
-                let slice = Tile::new([cursor..cursor + b]);
                 units.push(UnitTask {
                     index: units.len(),
-                    slice: slice.clone(),
+                    slice: Tile::new([cursor..cursor + b]),
                     bytes: b,
                     senders: vec![(src, src_host)],
                     receivers: vec![Receiver {
                         device: dst,
                         host: dst_host,
-                        needed: slice,
                     }],
                 });
                 pairs.push(A2aPairView {
@@ -212,7 +210,6 @@ impl A2aTask {
         diags.extend(verify_a2a(
             &self.pairs,
             self.task.units(),
-            self.task.elem_bytes(),
             plan.assignments(),
             Some(cluster),
         ));

@@ -64,27 +64,42 @@ impl LinkParams {
     ///
     /// Panics if either bandwidth is not strictly positive and finite.
     pub fn new(intra_host_bw: f64, inter_host_bw: f64) -> Self {
-        assert!(
-            intra_host_bw > 0.0 && intra_host_bw.is_finite(),
-            "intra-host bandwidth must be positive and finite"
-        );
-        assert!(
-            inter_host_bw > 0.0 && inter_host_bw.is_finite(),
-            "inter-host bandwidth must be positive and finite"
-        );
         LinkParams {
             intra_host_bw,
             inter_host_bw,
             intra_host_latency: 5e-6,
             inter_host_latency: 25e-6,
         }
+        .checked()
     }
 
-    /// Returns a copy with both latencies overridden.
+    /// Returns a copy with both latencies (seconds) overridden.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either latency is negative or not finite.
     #[must_use]
     pub fn with_latencies(mut self, intra: f64, inter: f64) -> Self {
         self.intra_host_latency = intra;
         self.inter_host_latency = inter;
+        self.checked()
+    }
+
+    /// `self`, once both bandwidths are positive and finite and both
+    /// latencies finite and non-negative.
+    fn checked(self) -> Self {
+        for (what, bw) in [("intra", self.intra_host_bw), ("inter", self.inter_host_bw)] {
+            assert!(
+                bw > 0.0 && bw.is_finite(),
+                "{what}-host bandwidth must be positive and finite"
+            );
+        }
+        for latency in [self.intra_host_latency, self.inter_host_latency] {
+            assert!(
+                latency >= 0.0 && latency.is_finite(),
+                "link latency {latency} must be non-negative and finite"
+            );
+        }
         self
     }
 }
@@ -230,13 +245,19 @@ impl ClusterSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `hosts` is empty or any host has zero devices.
+    /// Panics if `hosts` is empty or a host has no device, a FLOP/s rate
+    /// that is not positive and finite, or links [`LinkParams`] refuses.
     pub fn new(hosts: Vec<HostSpec>) -> Self {
         assert!(!hosts.is_empty(), "cluster must have at least one host");
         let mut device_host = Vec::new();
         let mut host_base = Vec::with_capacity(hosts.len());
         for (h, spec) in hosts.iter().enumerate() {
             assert!(spec.devices > 0, "host {h} must have at least one device");
+            assert!(
+                spec.device_flops > 0.0 && spec.device_flops.is_finite(),
+                "host {h}: device FLOP/s must be positive and finite"
+            );
+            spec.links.checked();
             host_base.push(device_host.len() as u32);
             for _ in 0..spec.devices {
                 device_host.push(HostId(h as u32));
@@ -258,7 +279,6 @@ impl ClusterSpec {
     ///
     /// Panics if `n_hosts` or `devices_per_host` is zero.
     pub fn homogeneous(n_hosts: u32, devices_per_host: u32, links: LinkParams) -> Self {
-        assert!(n_hosts > 0, "cluster must have at least one host");
         let host = HostSpec {
             devices: devices_per_host,
             links,
@@ -700,6 +720,54 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_bandwidth_panics() {
         LinkParams::new(0.0, 1e9);
+    }
+
+    #[test]
+    #[should_panic(expected = "link latency -1 must be non-negative and finite")]
+    fn negative_latency_panics() {
+        let _ = LinkParams::new(10e9, 1e9).with_latencies(-1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link latency NaN must be non-negative and finite")]
+    fn nan_latency_panics() {
+        let _ = LinkParams::new(10e9, 1e9).with_latencies(0.0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "link latency -0.5 must be non-negative and finite")]
+    fn cluster_refuses_a_host_with_a_negative_latency() {
+        let mut links = LinkParams::new(10e9, 1e9);
+        links.inter_host_latency = -0.5;
+        ClusterSpec::new(vec![HostSpec {
+            devices: 1,
+            links,
+            device_flops: 1e12,
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inter-host bandwidth must be positive and finite")]
+    fn cluster_refuses_a_host_with_a_zero_bandwidth() {
+        let mut links = LinkParams::new(10e9, 1e9);
+        links.inter_host_bw = 0.0;
+        ClusterSpec::new(vec![HostSpec {
+            devices: 1,
+            links,
+            device_flops: 1e12,
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "host 1: device FLOP/s must be positive and finite")]
+    fn cluster_refuses_a_host_without_compute() {
+        let links = LinkParams::new(10e9, 1e9);
+        let host = |device_flops| HostSpec {
+            devices: 1,
+            links,
+            device_flops,
+        };
+        ClusterSpec::new(vec![host(1e12), host(f64::INFINITY)]);
     }
 
     #[test]

@@ -1074,7 +1074,13 @@ mod tests {
             cluster: &ClusterSpec,
             graph: &TaskGraph,
         ) -> Result<crossmesh_netsim::Trace, SimError> {
-            self.cache.plan(&planner(), &self.graph.edges()[0].forward);
+            self.cache
+                .plan_with_exclusions_outcome(
+                    &planner(),
+                    &self.graph.edges()[0].forward,
+                    &SenderExclusions::none(),
+                )
+                .expect("empty exclusions cannot cause data loss");
             SimBackend.execute(cluster, graph)
         }
     }

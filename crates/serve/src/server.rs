@@ -137,24 +137,24 @@ struct DispatchState {
 impl DispatchState {
     /// Pops one job, round-robin across tenants with non-empty queues.
     /// The cursor indexes the (sorted) tenant key space so fairness is
-    /// deterministic given a fixed arrival order.
+    /// deterministic given a fixed arrival order. Allocates nothing.
     fn pop_round_robin(&mut self) -> Option<Job> {
         if self.queued == 0 || self.tenants.is_empty() {
             return None;
         }
-        let names: Vec<String> = self.tenants.keys().cloned().collect();
-        let n = names.len();
-        for step in 0..n {
-            let name = &names[(self.cursor + step) % n];
-            if let Some(state) = self.tenants.get_mut(name) {
-                if let Some(job) = state.queue.pop_front() {
-                    self.cursor = (self.cursor + step + 1) % n;
-                    self.queued -= 1;
-                    return Some(job);
-                }
-            }
-        }
-        None
+        let n = self.tenants.len();
+        let start = self.cursor % n;
+        let ready = |(_, t): &(usize, &TenantState)| !t.queue.is_empty();
+        let tenants = self.tenants.values().enumerate();
+        let (pos, _) = tenants
+            .clone()
+            .skip(start)
+            .find(ready)
+            .or_else(|| tenants.take(start).find(ready))?;
+        let job = self.tenants.values_mut().nth(pos)?.queue.pop_front()?;
+        self.cursor = (pos + 1) % n;
+        self.queued -= 1;
+        Some(job)
     }
 }
 
@@ -1068,6 +1068,52 @@ mod tests {
         assert!(server.shared.samples.lock().is_empty());
         let summary = server.shutdown();
         assert_eq!(summary.completed, 4);
+    }
+
+    #[test]
+    fn round_robin_pops_tenants_in_key_order_skipping_empty_queues() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        let stream = TcpStream::connect(listener.local_addr().expect("bound")).expect("connects");
+        let conn = Arc::new(Conn {
+            writer: Mutex::new(stream),
+        });
+        let request = ReshardRequest {
+            src_spec: "RS0R".into(),
+            dst_spec: "S0RR".into(),
+            src_mesh: "2x4".into(),
+            dst_mesh: "2x4".into(),
+            shape: "64x64x8".into(),
+            elem_bytes: 4,
+            planner: "ours".into(),
+            seed: None,
+            faults: None,
+        };
+        let (registry, now) = (obs::MetricsRegistry::new(), Instant::now());
+        let mut st = DispatchState {
+            tenants: BTreeMap::new(),
+            cursor: 0,
+            queued: 0,
+        };
+        // Tenant "b" queues 2 jobs, "a" 3 and "c" 1; job ids name them.
+        for (tenant, ids) in [("b", &[10, 11][..]), ("a", &[0, 1, 2]), ("c", &[20])] {
+            let mut state = new_tenant(&AdmissionConfig::default(), now, &registry, tenant);
+            for &id in ids {
+                state.queue.push_back(Job {
+                    id,
+                    tenant: tenant.into(),
+                    req: request.clone(),
+                    conn: Arc::clone(&conn),
+                    enqueued: now,
+                });
+            }
+            st.queued += ids.len();
+            st.tenants.insert(tenant.into(), state);
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| st.pop_round_robin())
+            .map(|job| job.id)
+            .collect();
+        assert_eq!(order, [0, 10, 20, 1, 11, 2]);
+        assert_eq!((st.queued, st.cursor), (0, 1));
     }
 
     #[test]

@@ -7,6 +7,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> size: non-test lines and pub fn count (printed, not gated)"
+scripts/loc.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

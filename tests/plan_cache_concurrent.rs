@@ -172,7 +172,13 @@ fn invalidation_under_concurrency_never_serves_an_excluded_sender() {
                             "excluded host used as sender"
                         );
                     } else {
-                        let _ = cache.plan(&*planner, task);
+                        let _ = cache
+                            .plan_with_exclusions_outcome(
+                                &*planner,
+                                task,
+                                &SenderExclusions::none(),
+                            )
+                            .expect("empty exclusions cannot cause data loss");
                     }
                 }
             })

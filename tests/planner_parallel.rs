@@ -175,8 +175,9 @@ proptest! {
         let task = build(&p);
         for (name, planner) in all_planners(seed) {
             let cache = PlanCache::new();
-            let cold = cache.plan(planner.as_ref(), &task);
-            let warm = cache.plan(planner.as_ref(), &task);
+            let none = SenderExclusions::none();
+            let cold = cache.plan_with_exclusions_outcome(planner.as_ref(), &task, &none).unwrap().0;
+            let warm = cache.plan_with_exclusions_outcome(planner.as_ref(), &task, &none).unwrap().0;
             prop_assert_eq!(
                 cold.assignments(),
                 warm.assignments(),
@@ -212,7 +213,8 @@ proptest! {
         );
         let cache = PlanCache::new();
 
-        let baseline = cache.plan(&planner, &task);
+        let none = SenderExclusions::none();
+        let baseline = cache.plan_with_exclusions_outcome(&planner, &task, &none).unwrap().0;
         let hits_before = cache.stats().hits;
         let excl = SenderExclusions::for_hosts([HostId(dead)]);
         let (repaired, _) = cache
@@ -230,7 +232,7 @@ proptest! {
             );
         }
         // The baseline entry is still served for unexcluded lookups.
-        let again = cache.plan(&planner, &task);
+        let again = cache.plan_with_exclusions_outcome(&planner, &task, &none).unwrap().0;
         prop_assert_eq!(baseline.assignments(), again.assignments());
     }
 }

@@ -147,9 +147,9 @@ proptest! {
             let got: u64 = task
                 .units()
                 .iter()
-                .flat_map(|u| &u.receivers)
-                .filter(|r| r.device == dev)
-                .map(|r| r.needed.volume())
+                .flat_map(|u| u.receivers.iter().map(move |r| (r.device, u.slice.volume())))
+                .filter(|&(d, _)| d == dev)
+                .map(|(_, v)| v)
                 .sum();
             prop_assert_eq!(got, tile.volume(), "device {} under-covered", dev);
         }
