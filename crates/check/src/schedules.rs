@@ -38,15 +38,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Seeds that produced at least one diagnostic.
-    pub fn convicting_seeds(&self) -> Vec<u64> {
-        self.outcomes
-            .iter()
-            .filter(|o| !o.diagnostics.is_empty())
-            .map(|o| o.seed)
-            .collect()
-    }
-
     /// Seeds whose equivalence oracle failed.
     pub fn oracle_failures(&self) -> Vec<u64> {
         self.outcomes
@@ -99,6 +90,16 @@ mod tests {
     use super::*;
     use crate::race::{run_clean, run_defect, Defect};
 
+    /// Seeds that produced at least one diagnostic.
+    fn convicting_seeds(report: &SweepReport) -> Vec<u64> {
+        report
+            .outcomes
+            .iter()
+            .filter(|o| !o.diagnostics.is_empty())
+            .map(|o| o.seed)
+            .collect()
+    }
+
     #[test]
     fn sweep_visits_every_seed_in_order() {
         let mut seen = Vec::new();
@@ -108,7 +109,7 @@ mod tests {
         });
         assert_eq!(seen, vec![5, 6, 7, 8]);
         assert_eq!(report.outcomes.len(), 4);
-        assert!(report.convicting_seeds().is_empty());
+        assert!(convicting_seeds(&report).is_empty());
         assert!(report.oracle_failures().is_empty());
     }
 
@@ -134,7 +135,7 @@ mod tests {
             (run_defect(Defect::UnsyncBufferWrite, seed), None)
         });
         assert_eq!(
-            report.convicting_seeds(),
+            convicting_seeds(&report),
             (0..8).collect::<Vec<_>>(),
             "{report:?}"
         );
@@ -144,7 +145,7 @@ mod tests {
     #[test]
     fn clean_sweep_stays_silent() {
         let report = sweep(0, 4, |seed| (run_clean(4, seed), None));
-        assert_eq!(report.convicting_seeds(), Vec::<u64>::new());
+        assert_eq!(convicting_seeds(&report), Vec::<u64>::new());
         assert!(report.oracle_failures().is_empty());
     }
 }

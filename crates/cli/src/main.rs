@@ -592,6 +592,10 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
         .with_skew(skew)
         .with_seed(seed)
         .a2a(&cluster, direction, tokens)?;
+    if args.has_flag("verify") {
+        // One byte per element: refused before planning, not mid-run.
+        check_verify_size(a2a.total_bytes())?;
+    }
 
     let strategy_name = args.get_or("strategy", "multi_rail");
     let strategy = a2a_strategy(strategy_name, gpus)?;
@@ -701,6 +705,22 @@ fn moe(args: &Args) -> Result<String, Box<dyn Error>> {
     Ok(out)
 }
 
+/// The most elements a `--verify` run materializes: the byte-exact data
+/// planes hold every one, so keep them to sizes where that is instant.
+const VERIFY_MAX_ELEMENTS: u64 = 1 << 24;
+
+/// Refuses a `--verify` run over more than [`VERIFY_MAX_ELEMENTS`].
+fn check_verify_size(elements: u64) -> Result<(), Box<dyn Error>> {
+    if elements > VERIFY_MAX_ELEMENTS {
+        return Err(format!(
+            "--verify materializes every element; {elements} elements is too many \
+             (at most {VERIFY_MAX_ELEMENTS})"
+        )
+        .into());
+    }
+    Ok(())
+}
+
 fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
     let params = cost_params(args)?;
     let spec = task_spec(args, params)?;
@@ -738,17 +758,7 @@ fn reshard(args: &Args) -> Result<String, Box<dyn Error>> {
     }
 
     let verified = if args.has_flag("verify") {
-        // The data plane materializes every element; keep it to sizes
-        // where that is instant.
-        let elements: u64 = task.shape().iter().product();
-        if elements > 1 << 24 {
-            return Err(format!(
-                "--verify materializes every element; {elements} elements is too many \
-                 (use a shape with at most {} elements)",
-                1u64 << 24
-            )
-            .into());
-        }
+        check_verify_size(task.shape().iter().product())?;
         // Verify the plan that delivered: the repaired one after failover.
         dataplane::execute_and_verify(recovery.repaired.as_ref().unwrap_or(&plan))?;
         Some(true)
@@ -969,7 +979,14 @@ fn serve(args: &Args) -> Result<String, Box<dyn Error>> {
             None => None,
         },
     };
+    // 0 (the default) is no limit; refused before the daemon binds.
     let max_seconds = args.get_parsed("max-seconds", 0.0f64)?;
+    let limit = std::time::Duration::try_from_secs_f64(max_seconds).map_err(|_| {
+        format!(
+            "--max-seconds {} is not a duration (want 0 <= S < 1.8e19; 0 is no limit)",
+            args.get_or("max-seconds", "0")
+        )
+    })?;
     let server = Server::start(cfg)?;
     let addr = server.addr();
     // The address must reach the operator before the daemon blocks; the
@@ -981,15 +998,7 @@ fn serve(args: &Args) -> Result<String, Box<dyn Error>> {
         std::fs::write(path, addr.to_string())
             .map_err(|e| format!("cannot write --addr-out {path:?}: {e}"))?;
     }
-    let deadline = (max_seconds > 0.0)
-        .then(|| std::time::Instant::now() + std::time::Duration::from_secs_f64(max_seconds));
-    while !server.shutdown_requested() {
-        if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    let summary = server.shutdown();
+    let summary = server.run_until_shutdown((max_seconds > 0.0).then_some(limit));
     if args.has_flag("json") {
         return Ok(serde_json::to_string_pretty(&summary)?);
     }
@@ -1192,6 +1201,22 @@ mod tests {
     }
 
     #[test]
+    fn moe_refuses_a_token_count_whose_payload_overflows() {
+        let err = refusal("moe --tokens 18446744073709551615");
+        assert!(
+            err.contains("overflow the all-to-all's byte count"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn moe_verify_refuses_a_payload_over_the_cap() {
+        // 128 tokens × 16 senders × top-2 × 5120 bytes = 20,971,520 > 1 << 24.
+        let err = refusal("moe --tokens 128 --verify");
+        assert!(err.contains("20971520 elements is too many"), "{err}");
+    }
+
+    #[test]
     fn pipeline_refuses_microbatches_that_do_not_divide_the_batch() {
         let err = refusal("pipeline --model gpt-case1 --microbatches 3");
         assert!(err.contains("global batch of 1024"), "{err}");
@@ -1209,6 +1234,17 @@ mod tests {
             assert!(
                 err.contains(&format!("--{flag} {shown} must be positive and finite")),
                 "{flag} {value}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn serve_refuses_a_max_seconds_that_is_not_a_duration() {
+        for value in ["inf", "-1", "nan"] {
+            let err = refusal(&format!("serve --max-seconds {value}"));
+            assert!(
+                err.contains(&format!("--max-seconds {value} is not a duration")),
+                "{value}: {err}"
             );
         }
     }

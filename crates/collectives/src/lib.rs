@@ -20,28 +20,25 @@
 //! reach each rail (see [`lower_unit_task_on`], which takes the cluster
 //! topology the relays are drawn from).
 //!
-//! [`lower_unit_task`] turns a [`UnitTask`](crossmesh_mesh::UnitTask) plus a
-//! chosen strategy and sender into a [`TaskGraph`](crossmesh_netsim::TaskGraph)
-//! fragment executable on the simulator; [`estimate_unit_task`] provides the
-//! matching closed-form estimates used by the planner in `crossmesh-core`.
+//! [`lower_unit_task_on`] turns a [`UnitTask`](crossmesh_mesh::UnitTask)
+//! plus a chosen strategy and sender into a
+//! [`TaskGraph`](crossmesh_netsim::TaskGraph) fragment executable on the
+//! simulator; [`estimate_unit_task`] provides the matching closed-form
+//! estimates used by the planner in `crossmesh-core`.
 //!
-//! Standalone ring collectives ([`ring_all_gather`], [`ring_all_reduce`],
-//! [`all_to_all`]) are also exposed; they model the intra-mesh collective
-//! communication of intra-operator parallelism.
+//! The ring collectives ([`ring_all_gather`], [`ring_all_reduce`]) are also
+//! exposed: the pipeline executor uses the all-reduce for data-parallel
+//! gradient synchronisation.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod cost_model;
-mod intra;
 mod lower;
 mod ring;
 mod strategy;
 
 pub use cost_model::{estimate_unit_task, CostParams};
-pub use intra::lower_intra_mesh_resharding;
-pub use lower::{
-    lower_unit_task, lower_unit_task_on, multi_rail_spray, LoweredComm, MultiRailSpray,
-};
-pub use ring::{all_to_all, ring_all_gather, ring_all_reduce, RingResult};
+pub use lower::{lower_unit_task_on, multi_rail_spray, LoweredComm, MultiRailSpray};
+pub use ring::{ring_all_gather, ring_all_reduce, RingResult};
 pub use strategy::{alpa_effective_strategy, Strategy};

@@ -22,23 +22,10 @@ pub struct LoweredComm {
 /// Returns per-receiver completion handles so downstream consumers (e.g.
 /// a pipeline stage's forward compute) can depend on exactly their data.
 ///
-/// # Panics
-///
-/// Panics if `sender` is not one of the task's replica devices.
-pub fn lower_unit_task(
-    graph: &mut TaskGraph,
-    task: &UnitTask,
-    sender: DeviceId,
-    strategy: Strategy,
-    deps: &[TaskId],
-) -> LoweredComm {
-    lower_unit_task_on(graph, task, sender, strategy, deps, None)
-}
-
-/// [`lower_unit_task`] with an optional cluster topology. Strategies that
-/// relay through co-hosted devices ([`Strategy::MultiRail`] needs the
-/// sender's and receivers' host peers to reach every rail NIC) use it;
-/// without a cluster they degrade gracefully to direct chunked flows.
+/// `cluster` is the topology that strategies relaying through co-hosted
+/// devices draw their relays from ([`Strategy::MultiRail`] needs the
+/// sender's and receivers' host peers to reach every rail NIC); without
+/// one they degrade gracefully to direct chunked flows.
 ///
 /// # Panics
 ///
@@ -511,9 +498,20 @@ mod tests {
         }
     }
 
+    /// Lowers `task` without a cluster topology.
+    fn lower(
+        graph: &mut TaskGraph,
+        task: &UnitTask,
+        sender: DeviceId,
+        strategy: Strategy,
+        deps: &[TaskId],
+    ) -> LoweredComm {
+        lower_unit_task_on(graph, task, sender, strategy, deps, None)
+    }
+
     fn run(cluster: &ClusterSpec, task: &UnitTask, strategy: Strategy) -> f64 {
         let mut g = TaskGraph::new();
-        let lowered = lower_unit_task(&mut g, task, task.senders[0].0, strategy, &[]);
+        let lowered = lower(&mut g, task, task.senders[0].0, strategy, &[]);
         let t = Engine::new(cluster).run(&g).unwrap();
         t.interval(lowered.done).finish
     }
@@ -591,7 +589,7 @@ mod tests {
         let c = cluster(4, 2);
         let task = multicast_task(&c, 32, 3, 2);
         let mut g = TaskGraph::new();
-        let lowered = lower_unit_task(
+        let lowered = lower(
             &mut g,
             &task,
             task.senders[0].0,
@@ -621,7 +619,7 @@ mod tests {
         let task = multicast_task(&c, 64, 7, 2);
         let sender = task.senders[0].0;
         let mut g = TaskGraph::new();
-        lower_unit_task(
+        lower(
             &mut g,
             &task,
             sender,
@@ -715,7 +713,7 @@ mod tests {
         let c = cluster(4, 1);
         let task = multicast_task(&c, 30, 3, 1);
         let mut g = TaskGraph::new();
-        let lowered = lower_unit_task(
+        let lowered = lower(
             &mut g,
             &task,
             task.senders[0].0,
@@ -737,7 +735,7 @@ mod tests {
         let c = cluster(2, 2);
         let task = multicast_task(&c, 10, 1, 2);
         let mut g = TaskGraph::new();
-        lower_unit_task(&mut g, &task, c.device(1, 0), Strategy::SendRecv, &[]);
+        lower(&mut g, &task, c.device(1, 0), Strategy::SendRecv, &[]);
     }
 
     #[test]
@@ -746,7 +744,7 @@ mod tests {
         let task = multicast_task(&c, 10, 1, 1);
         let mut g = TaskGraph::new();
         let gate = g.add(Work::compute(c.device(0, 0), 5.0), []);
-        let lowered = lower_unit_task(
+        let lowered = lower(
             &mut g,
             &task,
             task.senders[0].0,
@@ -762,7 +760,7 @@ mod tests {
         let c = cluster(2, 1);
         let task = multicast_task(&c, 3, 1, 1);
         let mut g = TaskGraph::new();
-        lower_unit_task(
+        lower(
             &mut g,
             &task,
             task.senders[0].0,

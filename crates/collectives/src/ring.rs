@@ -156,51 +156,6 @@ pub fn ring_all_reduce<R: AsRef<[TaskId]>>(
     ring_all_gather(graph, participants, &vec![chunk; n], &part_ready)
 }
 
-/// Lowers an all-to-all: participant `i` sends `bytes[i][j]` to participant
-/// `j` for every `i ≠ j`, all flows concurrent.
-///
-/// # Panics
-///
-/// Panics if `bytes` is not square with the participant count, or if
-/// `ready` length differs.
-pub fn all_to_all<R: AsRef<[TaskId]>>(
-    graph: &mut TaskGraph,
-    participants: &[DeviceId],
-    bytes: &[Vec<f64>],
-    ready: &[R],
-) -> RingResult {
-    let n = participants.len();
-    assert!(n > 0, "all-to-all needs at least one participant");
-    assert_eq!(bytes.len(), n, "bytes matrix must be n x n");
-    assert_eq!(ready.len(), n, "one ready set per participant");
-    let ready = |i: usize| ready[i].as_ref().iter().copied();
-    // sent[i * n + j]: the flow from participant i to participant j.
-    let mut sent: Vec<Option<TaskId>> = vec![None; n * n];
-    for i in 0..n {
-        assert_eq!(bytes[i].len(), n, "bytes matrix must be n x n");
-        for j in 0..n {
-            if i == j || bytes[i][j] <= 0.0 {
-                continue;
-            }
-            sent[i * n + j] = Some(graph.add(
-                Work::flow(participants[i], participants[j], bytes[i][j]),
-                ready(i),
-            ));
-        }
-    }
-    let done_per_device: Vec<TaskId> = (0..n)
-        .map(|j| {
-            let received = (0..n).filter_map(|i| sent[i * n + j]);
-            graph.add(Work::Marker, received.chain(ready(j)))
-        })
-        .collect();
-    let done = graph.add(Work::Marker, done_per_device.iter().copied());
-    RingResult {
-        done_per_device,
-        done,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,22 +223,6 @@ mod tests {
         let r = ring_all_reduce(&mut g, &devs, 8.0, &vec![vec![]; 4]);
         let t = Engine::new(&c).run(&g).unwrap();
         assert!((t.interval(r.done).finish - 1.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn all_to_all_runs_concurrently() {
-        let c = ClusterSpec::homogeneous(1, 3, links(10.0, 1.0));
-        let mut g = TaskGraph::new();
-        let devs: Vec<_> = (0..3).map(|i| c.device(0, i)).collect();
-        let bytes = vec![
-            vec![0.0, 1.0, 1.0],
-            vec![1.0, 0.0, 1.0],
-            vec![1.0, 1.0, 0.0],
-        ];
-        let r = all_to_all(&mut g, &devs, &bytes, &vec![vec![]; 3]);
-        let t = Engine::new(&c).run(&g).unwrap();
-        // Each device sends 2 bytes at 10 B/s over NVLink concurrently.
-        assert!((t.interval(r.done).finish - 0.2).abs() < 1e-9);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! before it reaches a trace someone is reading.
 
 use crossmesh_collectives::{
-    alpa_effective_strategy, lower_intra_mesh_resharding, lower_unit_task, lower_unit_task_on,
-    ring_all_gather, ring_all_reduce, Strategy,
+    alpa_effective_strategy, lower_unit_task_on, ring_all_gather, ring_all_reduce, Strategy,
 };
-use crossmesh_mesh::{DeviceMesh, Receiver, Tile, UnitTask};
+use crossmesh_mesh::{Receiver, Tile, UnitTask};
 use crossmesh_netsim::{ClusterSpec, Engine, FabricModel, HostId, LinkParams, TaskGraph};
 
 /// The event names the timeline export renders for `graph`, in document
@@ -152,18 +151,19 @@ fn a_lone_global_all_gather_receiver_gets_a_named_copy() {
     let mut unit = unit(&c);
     unit.receivers.truncate(1);
     let mut g = TaskGraph::new();
-    lower_unit_task(
+    lower_unit_task_on(
         &mut g,
         &unit,
         c.device(0, 0),
         Strategy::GlobalAllGather,
         &[],
+        None,
     );
     assert_eq!(event_names(&c, &g), ["ga u3 copy", "marker t1"]);
 }
 
 #[test]
-fn ring_and_intra_mesh_lowerings_export_the_names_they_always_have() {
+fn ring_lowerings_export_the_names_they_always_have() {
     let c = rails();
     let (d0, d1, d2) = (c.device(0, 0), c.device(0, 1), c.device(1, 0));
 
@@ -197,33 +197,6 @@ fn ring_and_intra_mesh_lowerings_export_the_names_they_always_have() {
             "marker t4",
             "marker t5",
             "marker t6",
-        ]
-    );
-
-    let mesh = DeviceMesh::from_cluster(&c, 0, (2, 2), "m").unwrap();
-    let mut g = TaskGraph::new();
-    lower_intra_mesh_resharding(
-        &mut g,
-        &mesh,
-        &"S0R".parse().unwrap(),
-        &"RR".parse().unwrap(),
-        &[4, 4],
-        1,
-        &[],
-    )
-    .unwrap();
-    assert_eq!(
-        event_names(&c, &g),
-        [
-            "intra d2->d0",
-            "intra d3->d1",
-            "intra d0->d2",
-            "intra d1->d3",
-            "marker t4",
-            "marker t5",
-            "marker t6",
-            "marker t7",
-            "marker t8",
         ]
     );
 }

@@ -1,7 +1,7 @@
 //! Property-based tests: every strategy's lowering delivers the data.
 #![allow(clippy::single_range_in_vec_init)]
 
-use crossmesh_collectives::{estimate_unit_task, lower_unit_task, CostParams, Strategy as Comm};
+use crossmesh_collectives::{estimate_unit_task, lower_unit_task_on, CostParams, Strategy as Comm};
 use crossmesh_mesh::{Receiver, Tile, UnitTask};
 use crossmesh_netsim::{ClusterSpec, DeviceId, Engine, LinkParams, TaskGraph, Work};
 use proptest::prelude::*;
@@ -78,7 +78,7 @@ proptest! {
         let c = cluster();
         for strategy in all_strategies() {
             let mut graph = TaskGraph::new();
-            let lowered = lower_unit_task(&mut graph, &task, task.senders[0].0, strategy, &[]);
+            let lowered = lower_unit_task_on(&mut graph, &task, task.senders[0].0, strategy, &[], None);
             let trace = Engine::new(&c).run(&graph).unwrap();
             prop_assert!(trace.makespan() > 0.0);
             prop_assert_eq!(lowered.receiver_done.len(), task.receivers.len());
@@ -102,7 +102,7 @@ proptest! {
         let c = cluster();
         for strategy in all_strategies() {
             let mut graph = TaskGraph::new();
-            let lowered = lower_unit_task(&mut graph, &task, task.senders[0].0, strategy, &[]);
+            let lowered = lower_unit_task_on(&mut graph, &task, task.senders[0].0, strategy, &[], None);
             let trace = Engine::new(&c).run(&graph).unwrap();
             let done = trace.interval(lowered.done).finish;
             for &(_, t) in &lowered.receiver_done {
@@ -130,7 +130,7 @@ proptest! {
                 2.0
             };
             let mut graph = TaskGraph::new();
-            let lowered = lower_unit_task(&mut graph, &task, task.senders[0].0, strategy, &[]);
+            let lowered = lower_unit_task_on(&mut graph, &task, task.senders[0].0, strategy, &[], None);
             let trace = Engine::new(&c).run(&graph).unwrap();
             let sim = trace.interval(lowered.done).finish;
             let est = estimate_unit_task(&params, &task, task.senders[0].1, strategy);
@@ -148,7 +148,7 @@ proptest! {
         let c = cluster();
         let run = |s: Comm| {
             let mut graph = TaskGraph::new();
-            let lowered = lower_unit_task(&mut graph, &task, task.senders[0].0, s, &[]);
+            let lowered = lower_unit_task_on(&mut graph, &task, task.senders[0].0, s, &[], None);
             Engine::new(&c).run(&graph).unwrap().interval(lowered.done).finish
         };
         let bc = run(Comm::Broadcast { chunks: 64 });

@@ -32,17 +32,6 @@ impl Precision {
         }
     }
 
-    /// Bytes of weights + gradients + optimizer state per parameter.
-    /// Mixed precision: fp16 weight (2) + fp32 master + Adam m/v
-    /// (3 × 4) = 14, matching Table 1's `168 H²/TMP = 14 × 12 H²/TMP`.
-    /// Fp32: weight + m + v at 4 bytes = 12, plus the fp32 gradient = 16.
-    pub fn train_state_bytes_per_param(self) -> f64 {
-        match self {
-            Precision::Fp16 => 14.0,
-            Precision::Fp32 => 16.0,
-        }
-    }
-
     /// Bytes per parameter with ZeRO-1-style sharding: the fp32 master
     /// weights and Adam moments (12 bytes) are partitioned across the `dp`
     /// data-parallel replicas; each device keeps its working copy of the
@@ -151,7 +140,6 @@ mod tests {
         assert!(
             Precision::Fp16.effective_device_flops() > Precision::Fp32.effective_device_flops()
         );
-        assert_eq!(Precision::Fp16.train_state_bytes_per_param(), 14.0);
     }
 
     #[test]

@@ -12,9 +12,6 @@
 //!   routing draws of `crossmesh-moe`.
 //! * [`memory`] — the Table 1 per-layer memory breakdown for mixed
 //!   precision GPT-3 training.
-//! * [`partition`] — operator chains and the FLOP-balanced pipeline
-//!   partitioner ("We balance pipeline stages with respect to FLOPs",
-//!   §5.2), with optional autoshard boundary specs.
 //!
 //! Model builders produce a [`ModelJob`]: a ready-to-simulate
 //! [`StageGraph`](crossmesh_pipeline::StageGraph) plus the iteration FLOP
@@ -27,7 +24,6 @@
 pub mod gpt;
 pub mod memory;
 pub mod moe;
-pub mod partition;
 pub mod presets;
 pub mod utransformer;
 

@@ -186,7 +186,8 @@ impl GptMoeConfig {
     ///
     /// # Errors
     ///
-    /// A message if `tokens_per_device` is zero, a mesh error if the
+    /// A message if `tokens_per_device` is zero or its payload (senders ×
+    /// tokens × `top_k` × token bytes) overflows `u64`, a mesh error if the
     /// cluster has fewer than two hosts.
     pub fn a2a(
         &self,
@@ -205,18 +206,21 @@ impl GptMoeConfig {
             tokens_per_device,
             ..self.routing()
         };
+        let payload = ((half * per) as u64)
+            .checked_mul(tokens_per_device)
+            .and_then(|n| n.checked_mul(u64::from(routing.top_k)))
+            .and_then(|n| n.checked_mul(routing.token_bytes));
+        if payload.is_none() {
+            return Err(format!(
+                "{tokens_per_device} tokens per device overflow the all-to-all's byte count"
+            )
+            .into());
+        }
         let bytes = routing.bytes_matrix(half * per, half * per);
         Ok(match direction {
             A2aDirection::Dispatch => A2aTask::dispatch(&tokens, &experts, &bytes),
             A2aDirection::Combine => A2aTask::combine(&tokens, &experts, &bytes),
         })
-    }
-
-    /// Upper bound on one layer's all-to-all payload per microbatch,
-    /// summed over all source devices and both directions (dispatch +
-    /// combine): `2 × devices × tokens_per_device × top_k × token_bytes`.
-    pub fn a2a_bytes_per_layer(&self, devices: usize) -> u64 {
-        2 * devices as u64 * self.tokens_per_device() * u64::from(self.top_k) * self.token_bytes()
     }
 }
 
@@ -245,9 +249,15 @@ mod tests {
     }
 
     #[test]
-    fn a2a_payload_counts_both_directions() {
+    fn a2a_refuses_a_payload_that_overflows_u64() {
+        let cluster = a2a_cluster("rails", 2, 1, &CostParams::default()).unwrap();
         let moe = GptMoeConfig::case1();
-        let one_way = 4 * moe.tokens_per_device() * 2 * moe.token_bytes();
-        assert_eq!(moe.a2a_bytes_per_layer(4), 2 * one_way);
+        // One sender, top-2, 5120-byte tokens: u64::MAX / 10240 tokens fit,
+        // one more does not.
+        let fits = u64::MAX / (2 * moe.token_bytes());
+        let err = moe
+            .a2a(&cluster, A2aDirection::Dispatch, fits + 1)
+            .unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
     }
 }

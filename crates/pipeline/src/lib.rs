@@ -30,9 +30,11 @@
 //! halves; [`WeightDelay`] delays the weight half to extend the overlap
 //! window (§4, "backward weight delaying").
 //!
-//! [`simulate`] lowers a configured pipeline onto the flow-level simulator
-//! and reports iteration time, per-stage peak activation counts and memory,
-//! and cross-host traffic.
+//! [`simulate_with_cache`] builds the configured schedule, lowers the
+//! pipeline onto any [`Backend`](crossmesh_netsim::Backend) (with an
+//! optional plan cache) and reports iteration time, per-stage peak
+//! activation counts and memory, and cross-host traffic; [`simulate`] is
+//! that call on the flow-level simulator without a cache.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,13 +43,8 @@ mod exec;
 mod schedule;
 mod stage;
 
-pub use exec::{
-    auto_weight_delay, simulate, simulate_schedule, simulate_with_cache, CommMode, PipelineConfig,
-    PipelineReport,
-};
-pub use schedule::{
-    build_schedule, build_straggler_schedule, Op, Schedule, ScheduleKind, WeightDelay,
-};
+pub use exec::{simulate, simulate_with_cache, CommMode, PipelineConfig, PipelineReport};
+pub use schedule::{build_schedule, Op, Schedule, ScheduleKind, WeightDelay};
 pub use stage::{CommEdge, EdgeTensor, GradSync, Stage, StageGraph};
 
 pub use crossmesh_core::{CostParams, Planner, PlannerConfig, Strategy};

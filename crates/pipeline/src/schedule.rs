@@ -197,63 +197,6 @@ pub fn build_schedule(
     }
 }
 
-/// Builds a straggler-aware eager-1F1B schedule: each stage's warmup is
-/// deepened by the relative slowdown of its slowest *downstream* stage.
-///
-/// With a straggler at stage `j > i`, stage `i`'s forwards outpace the
-/// consumer, so extra warmup forwards cost nothing on the critical path —
-/// but each one opens another overlap window for the cross-mesh
-/// resharding queued behind the slow stage. Stage `i` runs
-/// `ceil((2(S − i) − 1) · r_i)` warmup forwards where
-/// `r_i = max(1, max_{j>i} slowdown_j / slowdown_i)`, capped at the
-/// microbatch count. With uniform slowdowns this is exactly
-/// [`ScheduleKind::Eager1F1B`].
-///
-/// `stage_slowdowns[i]` is stage `i`'s compute slowdown factor (`1.0` =
-/// nominal speed), e.g. from a
-/// `FaultEvent::Straggler`-style fault model.
-///
-/// # Panics
-///
-/// Panics if `num_stages` or `num_microbatches` is zero, if
-/// `stage_slowdowns.len() != num_stages`, or if any slowdown is not
-/// finite and `>= 1`.
-pub fn build_straggler_schedule(
-    num_stages: usize,
-    num_microbatches: usize,
-    weight_delay: WeightDelay,
-    stage_slowdowns: &[f64],
-) -> Schedule {
-    assert!(num_stages > 0, "need at least one stage");
-    assert!(num_microbatches > 0, "need at least one microbatch");
-    assert_eq!(
-        stage_slowdowns.len(),
-        num_stages,
-        "need one slowdown per stage"
-    );
-    assert!(
-        stage_slowdowns.iter().all(|s| s.is_finite() && *s >= 1.0),
-        "slowdowns must be finite and >= 1"
-    );
-    let m = num_microbatches;
-    let per_stage = (0..num_stages)
-        .map(|i| {
-            let downstream = stage_slowdowns[i + 1..]
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max);
-            let ratio = (downstream / stage_slowdowns[i]).max(1.0);
-            let eager = (2 * (num_stages - i) - 1) as f64;
-            let warmup = (eager * ratio).ceil() as usize;
-            stage_ops(warmup.min(m), m, weight_delay.amount())
-        })
-        .collect();
-    Schedule {
-        per_stage,
-        num_microbatches,
-    }
-}
-
 /// Emits one stage's order: `warmup` forwards, then alternating
 /// backward/forward until forwards run out, then the remaining backwards.
 /// Weight-gradient ops trail their activation op by `delay` microbatches.
@@ -435,48 +378,6 @@ mod tests {
                 .unwrap()
         };
         assert!(pos(&delayed, 0) > pos(&none, 0));
-    }
-
-    #[test]
-    fn straggler_schedule_matches_eager_when_uniform() {
-        for slow in [1.0, 2.5] {
-            let aware = build_straggler_schedule(4, 16, WeightDelay::None, &[slow; 4]);
-            let eager = build_schedule(ScheduleKind::Eager1F1B, 4, 16, WeightDelay::None);
-            assert_eq!(aware, eager, "uniform slowdown {slow} must reduce to eager");
-        }
-    }
-
-    #[test]
-    fn straggler_schedule_deepens_warmup_upstream_of_the_straggler() {
-        // Stage 3 runs 2x slower: every upstream stage doubles its eager
-        // warmup (7, 5, 3 -> 14, 10, 6); the straggler itself keeps 1.
-        let s = build_straggler_schedule(4, 16, WeightDelay::None, &[1.0, 1.0, 1.0, 2.0]);
-        assert_eq!(s.warmup(0), 14);
-        assert_eq!(s.warmup(1), 10);
-        assert_eq!(s.warmup(2), 6);
-        assert_eq!(s.warmup(3), 1);
-        assert_valid(&s);
-    }
-
-    #[test]
-    fn straggler_warmup_is_capped_by_microbatches() {
-        let s = build_straggler_schedule(4, 4, WeightDelay::Fixed(1), &[1.0, 1.0, 1.0, 8.0]);
-        for st in 0..3 {
-            assert_eq!(s.warmup(st), 4);
-        }
-        assert_valid(&s);
-    }
-
-    #[test]
-    #[should_panic(expected = "one slowdown per stage")]
-    fn straggler_schedule_rejects_wrong_arity() {
-        build_straggler_schedule(3, 4, WeightDelay::None, &[1.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and >= 1")]
-    fn straggler_schedule_rejects_speedups() {
-        build_straggler_schedule(2, 4, WeightDelay::None, &[1.0, 0.5]);
     }
 
     #[test]

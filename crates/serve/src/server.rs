@@ -523,17 +523,15 @@ impl Server {
         &self.shared.registry
     }
 
-    /// Whether a permitted remote `Shutdown` request has arrived. Lets a
-    /// driver run its own wait loop with a deadline; callers driving the
-    /// server directly just call [`shutdown`](Server::shutdown).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown_requested.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until a permitted remote `Shutdown` request arrives, then
-    /// drains and returns the summary.
-    pub fn run_until_shutdown(self) -> ServeSummary {
-        while !self.shutdown_requested() {
+    /// Blocks until a permitted remote `Shutdown` request arrives or
+    /// `limit` (if given) has passed, then drains and returns the summary.
+    pub fn run_until_shutdown(self, limit: Option<Duration>) -> ServeSummary {
+        // A limit past the end of the clock is no limit.
+        let deadline = limit.and_then(|l| Instant::now().checked_add(l));
+        while !self.shared.shutdown_requested.load(Ordering::SeqCst) {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                break;
+            }
             thread::sleep(Duration::from_millis(25));
         }
         self.shutdown()

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example strategy_anatomy`
 
-use crossmesh::collectives::{estimate_unit_task, lower_unit_task, Strategy};
+use crossmesh::collectives::{estimate_unit_task, lower_unit_task_on, Strategy};
 use crossmesh::mesh::{unit_tasks, DeviceMesh, ShardingSpec};
 use crossmesh::models::{presets, Precision};
 use crossmesh::netsim::{Engine, TaskGraph};
@@ -76,7 +76,7 @@ fn run_one(
     strategy: Strategy,
 ) -> (f64, usize) {
     let mut graph = TaskGraph::new();
-    let lowered = lower_unit_task(&mut graph, unit, unit.senders[0].0, strategy, &[]);
+    let lowered = lower_unit_task_on(&mut graph, unit, unit.senders[0].0, strategy, &[], None);
     let trace = Engine::new(cluster).run(&graph).expect("simulates");
     (trace.interval(lowered.done).finish, graph.len())
 }

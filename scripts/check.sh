@@ -7,7 +7,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> size: non-test lines and pub fn count (printed, not gated)"
+echo "==> size: non-test lines, pub fn count, test-only pub fns (printed, not gated)"
 scripts/loc.sh
 
 echo "==> cargo fmt --check"
@@ -25,6 +25,14 @@ obs_deps="$(cargo tree --offline -p crossmesh-obs -e normal)"
 if grep -q crossmesh-netsim <<<"$obs_deps"; then
     echo "crossmesh-obs depends on crossmesh-netsim:"
     echo "$obs_deps"
+    exit 1
+fi
+
+echo "==> crate graph (models builds its own stage graphs; autoshard is a CLI leaf)"
+models_deps="$(cargo tree --offline -p crossmesh-models -e normal)"
+if grep -q crossmesh-autoshard <<<"$models_deps"; then
+    echo "crossmesh-models depends on crossmesh-autoshard:"
+    echo "$models_deps"
     exit 1
 fi
 

@@ -5,9 +5,7 @@
 use crossmesh::core::{Assignment, CostParams, ExecutionReport, Strategy};
 use crossmesh::mesh::{DeviceMesh, ShardingSpec, Tile, UnitTask};
 use crossmesh::models::gpt::GptConfig;
-use crossmesh::models::partition::{OpChain, OpNode};
 use crossmesh::models::utransformer::UTransformerConfig;
-use crossmesh::models::Precision;
 use crossmesh::netsim::{ClusterSpec, Label, LinkParams, TaskGraph, Work};
 use crossmesh::pipeline::{CommMode, PipelineConfig, ScheduleKind, WeightDelay};
 
@@ -96,11 +94,4 @@ fn pipeline_and_model_configs_roundtrip() {
     assert_eq!(roundtrip(&gpt), gpt);
     let ut = UTransformerConfig::case1();
     assert_eq!(roundtrip(&ut), ut);
-    let chain = OpChain {
-        ops: vec![OpNode::new("l0", 1e12, 100, vec![4, 4])],
-        num_microbatches: 4,
-        elem_bytes: 2,
-        precision: Precision::Fp16,
-    };
-    assert_eq!(roundtrip(&chain), chain);
 }

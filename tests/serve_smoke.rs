@@ -287,7 +287,7 @@ fn remote_shutdown_is_gated_on_operator_opt_in() {
         other => panic!("unexpected reply {other:?}"),
     }
     client.shutdown().expect("acknowledged");
-    let summary = server.run_until_shutdown();
+    let summary = server.run_until_shutdown(None);
     assert_eq!(summary.completed, 1);
     assert_eq!(summary.verifier_convictions, 0);
 }
